@@ -1,7 +1,6 @@
 """triqent: entanglement measures, canonical forms and classification
 for three-qubit quantum states, pure and mixed."""
 
-from ._jit import JIT_ENABLED
 from .classify import (
     Certificate,
     MixedVerdict,
@@ -15,6 +14,7 @@ from .errors import (
     MixedStateUnsupportedError,
     NoConvergenceError,
     NoOracleError,
+    NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,

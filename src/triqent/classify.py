@@ -7,13 +7,21 @@ exclusion certificates, because no general separability test exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import WrongDimensionError
+from .errors import NonFiniteError, WrongDimensionError
 from .measures import MeasureSet, measure_set
 from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, partial_trace, to_density
 
 DEFAULT_ZERO_TOL = 1e-8
+
+
+def check_zero_tol(zero_tol: float) -> None:
+    """Reject a NaN or infinite threshold, which would decide every comparison one way."""
+    if not math.isfinite(zero_tol):
+        raise NonFiniteError(f"zero_tol must be finite, got {zero_tol}")
+
 
 _DESCRIPTION = {
     "0-0": "fully separable",
@@ -78,6 +86,7 @@ def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureCla
     factor of 10 of zero_tol flags the result as ambiguous; the label
     is still returned.
     """
+    check_zero_tol(zero_tol)
     ms = measure_set(psi)
     rho = to_density(psi)
 
@@ -143,6 +152,7 @@ def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Mi
     """
     if not isinstance(rho, DensityMatrix) or len(rho.qubits) != 3:
         raise WrongDimensionError("classify_mixed needs a dim-8 density matrix over [A, B, C]")
+    check_zero_tol(zero_tol)
     ms = measure_set(rho)
 
     certs: list[Certificate] = []

@@ -18,7 +18,11 @@ class NotHermitianError(TriqentError):
 
 
 class NoConvergenceError(TriqentError):
-    """Iterative eigensolver hit its sweep cap before reaching tolerance."""
+    """LAPACK eigensolver failed."""
+
+
+class NonFiniteError(TriqentError):
+    """Input holds a NaN or infinite entry."""
 
 
 class NotPSDError(TriqentError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import SubtypeLabel
+from .classify import SubtypeLabel, check_zero_tol
 from .errors import AmbiguousNearThresholdError, NumericalDegeneracyError
 from .linalg import eig_hermitian, svd_2x2
 from .states import PureState
@@ -324,6 +324,7 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_PATTERN_TOL) -
     factor of 10 of zero_tol, since the caller must then decide which
     side of the boundary was meant.
     """
+    check_zero_tol(zero_tol)
     mags = {
         "alpha": abs(form.alpha),
         "beta": abs(form.beta),

@@ -1,8 +1,9 @@
-"""Self-contained dense complex linear algebra for matrices up to 8x8.
+"""Dense complex linear algebra for matrices up to 8x8.
 
 Provides the three factorizations the rest of the package is built on:
-Hermitian eigendecomposition (cyclic Jacobi), 2x2 singular value
-decomposition and the Hermitian square root of a PSD matrix.
+Hermitian eigendecomposition (LAPACK, through ``np.linalg.eigh``), 2x2
+singular value decomposition and the Hermitian square root of a PSD
+matrix.
 """
 
 from __future__ import annotations
@@ -13,17 +14,14 @@ import numpy as np
 
 from .errors import (
     NoConvergenceError,
+    NonFiniteError,
     NotHermitianError,
     NotPSDError,
     NotSquareError,
     WrongDimensionError,
 )
-from .kernels import jacobi_eigh
 
 MAX_DIM = 8
-#: off-diagonal Frobenius norm target, relative to the input norm
-OFFDIAG_REL_TOL = 1e-14
-MAX_SWEEPS = 100
 #: eigenvalues of a nominally PSD matrix may undershoot zero by this much
 PSD_FLOOR = -1e-10
 
@@ -59,26 +57,29 @@ def eig_hermitian(a, hermiticity_tol: float = 1e-10) -> HermitianEigen:
     Returns
     -------
     HermitianEigen
-        Real eigenvalues in descending order (ties keep original index
-        order) and a unitary matrix whose columns are the eigenvectors
-        in matching order.
+        Real eigenvalues in descending order (ties keep LAPACK's order)
+        and a unitary matrix whose columns are the eigenvectors in
+        matching order.
 
     Raises
     ------
-    NotSquareError, NotHermitianError, NoConvergenceError
+    NotSquareError, NonFiniteError, NotHermitianError, NoConvergenceError
     """
     a = _as_square(a)
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix holds a NaN or infinite entry")
     dev = np.abs(a - a.conj().T).max()
     if dev > hermiticity_tol:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {dev:.3e} (tolerance {hermiticity_tol:.3e})"
         )
     h = (a + a.conj().T) / 2.0
-    diag, vectors, sweeps, converged = jacobi_eigh(h, OFFDIAG_REL_TOL, MAX_SWEEPS)
-    if not converged:
-        raise NoConvergenceError(f"Jacobi sweeps exhausted ({sweeps}) for dimension {h.shape[0]}")
-    order = np.argsort(-diag, kind="stable")
-    return HermitianEigen(diag[order], vectors[:, order])
+    try:
+        w, vectors = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigensolver failed for dimension {h.shape[0]}: {exc}") from exc
+    order = np.argsort(-w, kind="stable")
+    return HermitianEigen(w[order], vectors[:, order])
 
 
 def _column_phase_normalize(v: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
@@ -42,6 +43,8 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (8,):
             raise WrongDimensionError(f"expected 8 amplitudes, got {amps.shape}")
+        if not np.isfinite(amps).all():
+            raise NonFiniteError("amplitudes hold a NaN or infinite entry")
         norm = np.sqrt((np.abs(amps) ** 2).sum())
         if abs(norm - 1.0) > NORM_ATOL:
             raise NotNormalizedError(f"norm is {norm:.12g}, expected 1")
@@ -73,6 +76,8 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise WrongDimensionError(f"layout {qubits!r} needs shape {(dim, dim)}, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonFiniteError("density matrix holds a NaN or infinite entry")
         herm_dev = np.abs(m - m.conj().T).max()
         if herm_dev > HERM_ATOL:
             raise NotHermitianError(f"Hermiticity deviation {herm_dev:.3e} exceeds {HERM_ATOL:.1e}")

@@ -3,6 +3,7 @@ import pytest
 
 from triqent import (
     AmbiguousNearThresholdError,
+    NonFiniteError,
     PureState,
     WrongDimensionError,
     apply_local_unitary,
@@ -100,6 +101,16 @@ class TestClassifyPure:
             assert pat.subtype.code == res.label.code
             if res.label.code.startswith("2-"):
                 assert pat.subtype.entangled_pairs == res.label.entangled_pairs
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_non_finite_tolerance_rejected(tol):
+    with pytest.raises(NonFiniteError):
+        classify_pure(w_prime(), zero_tol=tol)
+    with pytest.raises(NonFiniteError):
+        classify_mixed(rho_zero(), zero_tol=tol)
+    with pytest.raises(NonFiniteError):
+        classify_gsd_pattern(gsd(w_prime()), zero_tol=tol)
 
 
 class TestClassifyMixed:

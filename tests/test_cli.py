@@ -45,6 +45,25 @@ class TestStateFiles:
         assert main(["classify", str(path)]) == 2
         assert "norm is 0, expected 1" in capsys.readouterr().err
 
+    def test_non_finite_pure_file(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"kind": "pure", "amplitudes": [["NaN", 0.0]] + [[0.0, 0.0]] * 7}))
+        assert main(["classify", str(path)]) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
+    def test_non_finite_mixed_file(self, tmp_path, capsys):
+        rows = [[[0.125 if i == j else 0.0, 0.0] for j in range(8)] for i in range(8)]
+        rows[0][1] = rows[1][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"kind": "mixed", "matrix": rows}))
+        assert main(["classify", str(path)]) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
+    def test_non_finite_tolerance(self, ghz_file, capsys):
+        assert main(["classify", ghz_file, "--tol", "nan"]) == 2
+        assert main(["random", "--count", "1", "--tol", "inf"]) == 2
+        assert "zero_tol must be finite" in capsys.readouterr().err
+
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -143,6 +162,12 @@ class TestSweepCommand:
         for row in self.read(out):
             assert float(row["n_a_bc"]) < 1e-10
             assert float(row["dev_n_b_ac"]) < 1e-9
+
+    def test_sigma_b_full_grid(self, tmp_path):
+        # the 101-point grid includes b = 2/102, which the 9-point grid skips
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--family", "sigma_b", "--points", "101", "--out", str(out)]) == 0
+        assert len(self.read(out)) == 101
 
     def test_header_stable_across_families(self, tmp_path):
         headers = []

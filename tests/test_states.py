@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from triqent import (
     DensityMatrix,
+    NonFiniteError,
     NotNormalizedError,
     NotPSDError,
     NotUnitaryError,
@@ -35,6 +36,20 @@ class TestValidation:
     def test_norm_enforced(self):
         with pytest.raises(NotNormalizedError, match="norm is 0"):
             PureState(np.zeros(8))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pure_rejects_non_finite(self, bad):
+        amps = np.full(8, 1 / np.sqrt(8), dtype=complex)
+        amps[3] = bad
+        with pytest.raises(NonFiniteError):
+            PureState(amps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_rejects_non_finite(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            DensityMatrix(m, ("B", "C"))
 
     def test_density_requires_psd(self):
         m = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)

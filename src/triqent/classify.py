@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NonFiniteError, WrongDimensionError
 from .measures import MeasureSet, measure_set
-from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, partial_trace, to_density
+from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _require_pure, partial_trace, to_density
 
 DEFAULT_ZERO_TOL = 1e-8
 
@@ -68,16 +68,12 @@ class MixedVerdict:
         return tuple(c.claim for c in self.certificates)
 
 
-def _pair_purity(rho: DensityMatrix, traced: str) -> float:
-    m = partial_trace(rho, traced).matrix
-    return float((m @ m).trace().real)
-
-
 def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureClassification:
     """Assign the subtype of a pure state.
 
     A qubit is factorizable exactly when the reduced state of the other
-    two is pure.  With no factorizable qubit the state is fully
+    two is pure, that is (Schmidt decomposition) when its own reduced
+    state is pure.  With no factorizable qubit the state is fully
     inseparable and the subtype 2-k counts the entangled reduced pairs.
 
     Every thresholded comparison is recorded in ``margins`` as its raw
@@ -86,22 +82,17 @@ def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureCla
     factor of 10 of zero_tol flags the result as ambiguous; the label
     is still returned.
     """
+    _require_pure(psi, "classify_pure")
     check_zero_tol(zero_tol)
     ms = measure_set(psi)
     rho = to_density(psi)
 
-    margins: dict[str, float] = {}
-    factorizable = {}
-    for q in QUBITS:
-        impurity = 1.0 - _pair_purity(rho, q)
-        factorizable[q] = impurity < zero_tol
-        margins[f"factorizable_{q}"] = impurity
-
-    single_impurity = {}
+    impurity = {}
     for q in QUBITS:
         other = COMPLEMENT[q]
         m = partial_trace(partial_trace(rho, other[0]), other[1]).matrix
-        single_impurity[q] = 1.0 - float((m @ m).trace().real)
+        impurity[q] = 1.0 - float((m @ m).trace().real)
+    margins = {f"factorizable_{q}": impurity[q] for q in QUBITS}
 
     n_red = {"BC": ms.n_red_bc, "AC": ms.n_red_ac, "AB": ms.n_red_ab}
     entangled_pairs = []
@@ -110,30 +101,26 @@ def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureCla
         if n_red[name] > zero_tol:
             entangled_pairs.append(name)
 
-    facts = [q for q in QUBITS if factorizable[q]]
+    facts = [q for q in QUBITS if impurity[q] < zero_tol]
     ambiguous = False
     if not facts:
         label = SubtypeLabel(f"2-{len(entangled_pairs)}", None, tuple(entangled_pairs))
     elif len(facts) == 1:
         q = facts[0]
-        j, k = COMPLEMENT[q]
-        for single in (j, k):
-            margins[f"single_purity_{single}"] = single_impurity[single]
-        if single_impurity[j] < zero_tol and single_impurity[k] < zero_tol:
-            label = SubtypeLabel("0-0")
-        else:
-            label = SubtypeLabel("1^1-1", q, tuple(entangled_pairs))
+        for single in COMPLEMENT[q]:
+            margins[f"single_purity_{single}"] = impurity[single]
+        label = SubtypeLabel("1^1-1", q, tuple(entangled_pairs))
     elif len(facts) == 3:
         label = SubtypeLabel("0-0")
     else:
         # two factorizable qubits cannot happen analytically: either the
         # state is fully separable (all three factorizable) or rounding
         # produced an inconsistent pattern
-        if all(single_impurity[q] < 10.0 * zero_tol for q in QUBITS):
+        if all(impurity[q] < 10.0 * zero_tol for q in QUBITS):
             label = SubtypeLabel("0-0")
         else:
             ambiguous = True
-            best = min(facts, key=lambda q: single_impurity[q])
+            best = min(facts, key=lambda q: impurity[q])
             label = SubtypeLabel("1^1-1", best, tuple(entangled_pairs))
 
     ambiguous = ambiguous or any(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .classify import classify_mixed, classify_pure
 from .errors import NoOracleError, ParamOutOfDomainError, TriqentError
-from .measures import MeasureSet, measure_set
+from .measures import MeasureSet
 from .states import QUBITS, DensityMatrix, PureState, to_density
 
 _SQRT3 = np.sqrt(3.0)
@@ -250,11 +250,13 @@ def sweep(spec: FamilySpec) -> list[SweepRow]:
     for params in spec.grid:
         try:
             state = make_state(spec.family, *params)
-            ms = measure_set(state)
             if isinstance(state, PureState):
-                verdict = classify_pure(state).label.code
+                res = classify_pure(state)
+                verdict = res.label.code
             else:
-                verdict = "; ".join(classify_mixed(state).claims())
+                res = classify_mixed(state)
+                verdict = "; ".join(res.claims())
+            ms = res.measures
             try:
                 oracle_values = oracle(spec.family, *params)
             except NoOracleError:

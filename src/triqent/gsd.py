@@ -32,7 +32,7 @@ import numpy as np
 from .classify import SubtypeLabel, check_zero_tol
 from .errors import AmbiguousNearThresholdError, NumericalDegeneracyError
 from .linalg import eig_hermitian, svd_2x2
-from .states import PureState
+from .states import PureState, _require_pure
 
 #: polynomial coefficients below this are treated as identically zero
 _COEFF_TOL = 1e-13
@@ -259,6 +259,7 @@ def gsd(psi: PureState, mode: str = "raw") -> GsdForm:
     omega real and nonnegative, at most beta phased).  The returned
     unitaries map the input to the canonical state.
     """
+    _require_pure(psi, "the canonical decomposition")
     if mode not in ("raw", "normal"):
         raise ValueError(f"mode must be 'raw' or 'normal', got {mode!r}")
     t = psi.tensor

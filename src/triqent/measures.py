@@ -5,6 +5,8 @@ negative eigenvalues of the partial transpose, so a Bell pair scores 1.
 The tripartite negativity is the geometric mean of the three one-vs-two
 bipartite negativities and is defined for pure and mixed states alike;
 the multiplicative Q, eta3 and the 3-tangle are pure-state only.
+Every measure is computed once, in ``measure_set``; the scalar
+functions below are views of its fields.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import MixedStateUnsupportedError, WrongDimensionError
+from .errors import WrongDimensionError
 from .linalg import eig_hermitian, sqrt_psd
 from .states import (
     COMPLEMENT,
     QUBITS,
     DensityMatrix,
     PureState,
+    _require_pure,
     partial_trace,
     partial_transpose,
     to_density,
@@ -56,10 +59,7 @@ def tripartite_negativity(rho: DensityMatrix) -> float:
     """Geometric mean of the three one-vs-two negativities; zero if any factor is."""
     if len(rho.qubits) != 3:
         raise WrongDimensionError(f"need a full three-qubit state, got layout {rho.qubits!r}")
-    n = [negativity(rho, q) for q in rho.qubits]
-    if min(n) == 0.0:
-        return 0.0
-    return float((n[0] * n[1] * n[2]) ** (1.0 / 3.0))
+    return measure_set(rho).n_abc
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
@@ -96,12 +96,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return s if s > 1e-12 else 0.0
 
 
-def _require_pure(psi, what: str) -> PureState:
-    if not isinstance(psi, PureState):
-        raise MixedStateUnsupportedError(f"{what} is defined for pure states only")
-    return psi
-
-
 def _geometric_mean3(values) -> float:
     if min(values) <= 0.0:
         return 0.0
@@ -110,30 +104,17 @@ def _geometric_mean3(values) -> float:
 
 def q_multiplicative(psi: PureState) -> float:
     """Geometric mean of the three one-vs-two tangles (squared negativities)."""
-    _require_pure(psi, "Q")
-    rho = to_density(psi)
-    return _geometric_mean3([negativity(rho, q) ** 2 for q in QUBITS])
+    return measure_set(_require_pure(psi, "Q")).q_mult
 
 
 def eta3_multiplicative(psi: PureState) -> float:
     """Geometric mean of the three single-qubit reduced entropies."""
-    _require_pure(psi, "eta3")
-    rho = to_density(psi)
-    entropies = [von_neumann_entropy(_single_qubit_reduction(rho, q)) for q in QUBITS]
-    return _geometric_mean3(entropies)
+    return measure_set(_require_pure(psi, "eta3")).eta_mult
 
 
 def three_tangle(psi: PureState) -> float:
     """Residual tangle C^2(A-BC) - C^2(rho_AB) - C^2(rho_AC), clamped near zero."""
-    _require_pure(psi, "3-tangle")
-    rho = to_density(psi)
-    c_a_bc = negativity(rho, "A")  # equals the A-BC concurrence for pure states
-    c_ab = concurrence_2q(partial_trace(rho, "C"))
-    c_ac = concurrence_2q(partial_trace(rho, "B"))
-    tau = c_a_bc**2 - c_ab**2 - c_ac**2
-    if -1e-10 < tau < 0.0:
-        tau = 0.0
-    return float(min(1.0, tau))
+    return measure_set(_require_pure(psi, "3-tangle")).three_tangle
 
 
 def additive_measure(psi: PureState, base: str) -> float:
@@ -143,24 +124,16 @@ def additive_measure(psi: PureState, base: str) -> float:
     geometric-mean measures, this can be nonzero on biseparable states.
     """
     _require_pure(psi, "additive measure")
-    rho = to_density(psi)
-    if base == "negativity":
-        vals = [negativity(rho, q) for q in QUBITS]
-    elif base == "tangle":
-        vals = [negativity(rho, q) ** 2 for q in QUBITS]
-    elif base == "entropy":
-        vals = [von_neumann_entropy(_single_qubit_reduction(rho, q)) for q in QUBITS]
-    else:
+    if base not in ("negativity", "tangle", "entropy"):
         raise ValueError(f"unknown base {base!r}; use negativity, tangle or entropy")
+    ms = measure_set(psi)
+    if base == "entropy":
+        vals = [ms.s_a, ms.s_b, ms.s_c]
+    else:
+        vals = [ms.n_a_bc, ms.n_b_ac, ms.n_c_ab]
+        if base == "tangle":
+            vals = [v**2 for v in vals]
     return float(sum(vals) / 3.0)
-
-
-def _single_qubit_reduction(rho: DensityMatrix, keep: str) -> DensityMatrix:
-    other = [q for q in rho.qubits if q != keep]
-    out = rho
-    for q in other:
-        out = partial_trace(out, q)
-    return out
 
 
 @dataclass(frozen=True)

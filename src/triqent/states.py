@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    MixedStateUnsupportedError,
     NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
@@ -57,6 +58,12 @@ class PureState:
         return self.amplitudes.reshape(2, 2, 2)
 
 
+def _require_pure(psi, what: str) -> PureState:
+    if not isinstance(psi, PureState):
+        raise MixedStateUnsupportedError(f"{what} is defined for pure states only")
+    return psi
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix with its qubit layout.
@@ -96,6 +103,15 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "qubits", qubits)
 
+    @classmethod
+    def _derived(cls, matrix: np.ndarray, qubits: tuple[str, ...]) -> DensityMatrix:
+        """Wrap a matrix derived from an already-validated state, skipping validation."""
+        matrix.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", matrix)
+        object.__setattr__(rho, "qubits", qubits)
+        return rho
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -103,7 +119,7 @@ class DensityMatrix:
 
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| on the full [A, B, C] layout."""
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), QUBITS)
+    return DensityMatrix._derived(np.outer(psi.amplitudes, psi.amplitudes.conj()), QUBITS)
 
 
 def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
@@ -118,7 +134,7 @@ def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
     t = np.trace(t, axis1=ax, axis2=ax + n)
     d = 2 ** (n - 1)
     keep = tuple(q for q in rho.qubits if q != traced)
-    return DensityMatrix(t.reshape(d, d), keep)
+    return DensityMatrix._derived(t.reshape(d, d), keep)
 
 
 def transpose_qubit(matrix: np.ndarray, qubits: tuple[str, ...], side: str) -> np.ndarray:
@@ -149,6 +165,8 @@ def _check_unitary(u, name: str) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise WrongDimensionError(f"{name} must be 2x2, got {u.shape}")
+    if not np.isfinite(u).all():
+        raise NonFiniteError(f"{name} holds a NaN or infinite entry")
     dev = np.abs(u.conj().T @ u - np.eye(2)).max()
     if dev > UNITARY_ATOL:
         raise NotUnitaryError(f"{name} deviates from unitary by {dev:.3e}")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import triqent.classify
 from triqent import (
     AmbiguousNearThresholdError,
+    MixedStateUnsupportedError,
     NonFiniteError,
     PureState,
     WrongDimensionError,
@@ -101,6 +103,14 @@ class TestClassifyPure:
             assert pat.subtype.code == res.label.code
             if res.label.code.startswith("2-"):
                 assert pat.subtype.entangled_pairs == res.label.entangled_pairs
+
+    def test_rejects_mixed_state_before_measuring(self, monkeypatch):
+        def fail(state):
+            raise AssertionError("measure_set called on mixed input")
+
+        monkeypatch.setattr(triqent.classify, "measure_set", fail)
+        with pytest.raises(MixedStateUnsupportedError):
+            classify_pure(rho_zero())
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf")])

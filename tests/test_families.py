@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import triqent.classify
+import triqent.families
+import triqent.measures
 from triqent import (
     DensityMatrix,
     NoOracleError,
@@ -154,6 +157,21 @@ class TestSweep:
 
     def test_rho0_reduction_is_ppt(self):
         assert measure_set(rho_zero()).n_red_bc < 1e-12
+
+    @pytest.mark.parametrize("family", ["ghz_like", "ghz_w_mix"])
+    def test_one_measure_set_per_point(self, family, monkeypatch):
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return measure_set(state)
+
+        for module in (triqent.measures, triqent.classify, triqent.families):
+            monkeypatch.setattr(module, "measure_set", counting, raising=False)
+        rows = sweep(default_grid(family, points=5))
+        assert len(calls) == len(rows) == 5
+        for row, state in zip(rows, calls):
+            assert row.measures == measure_set(state)
 
     def test_pure_verdicts_recorded(self):
         rows = sweep(default_grid("ghz_like", points=3))

@@ -3,6 +3,7 @@ import pytest
 
 from triqent import (
     AmbiguousNearThresholdError,
+    MixedStateUnsupportedError,
     PureState,
     apply_local_unitary,
     classify_gsd_pattern,
@@ -11,6 +12,7 @@ from triqent import (
     ghz_like,
     gsd,
     measure_set,
+    rho_zero,
     sample_haar_pure,
     w_prime,
 )
@@ -47,6 +49,10 @@ class TestGsdExamples:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             gsd(ghz(), mode="fancy")
+
+    def test_rejects_mixed_state(self):
+        with pytest.raises(MixedStateUnsupportedError):
+            gsd(rho_zero())
 
 
 class TestGsdInvariants:

@@ -30,6 +30,41 @@ from helpers import random_biseparable, random_product_state, random_unitary
 W_NEG = 2.0 * np.sqrt(2.0) / 3.0
 
 
+def cayley_hyperdeterminant(a):
+    """Cayley's hyperdeterminant of a 2x2x2 tensor; the 3-tangle is 4|Det| (CKW 2000)."""
+    return (
+        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2 + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2 + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
+        - 2 * (
+            a[0, 0, 0] * a[1, 1, 1] * a[0, 0, 1] * a[1, 1, 0]
+            + a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 0] * a[1, 0, 1]
+            + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 0] * a[0, 1, 1]
+            + a[0, 0, 1] * a[1, 1, 0] * a[0, 1, 0] * a[1, 0, 1]
+            + a[0, 0, 1] * a[1, 1, 0] * a[1, 0, 0] * a[0, 1, 1]
+            + a[0, 1, 0] * a[1, 0, 1] * a[1, 0, 0] * a[0, 1, 1]
+        )
+        + 4 * (
+            a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 1, 0]
+            + a[1, 1, 1] * a[1, 0, 0] * a[0, 1, 0] * a[0, 0, 1]
+        )
+    )
+
+
+def one_qubit_reductions(psi):
+    """rho_A, rho_B, rho_C contracted directly from the amplitude tensor."""
+    t = psi.tensor
+    return [
+        np.einsum("ijk,ljk->il", t, t.conj()),
+        np.einsum("ijk,ilk->jl", t, t.conj()),
+        np.einsum("ijk,ijl->kl", t, t.conj()),
+    ]
+
+
+def binary_entropy(w):
+    p = w[w > 1e-14]
+    return float(-(p * np.log2(p)).sum())
+
+
 def bell_pair_state():
     """|0>_A x (|00> + |11>)/sqrt(2) on BC."""
     v = np.zeros(8, dtype=complex)
@@ -188,12 +223,16 @@ class TestMeasureSet:
         assert ms.q_mult is None and ms.eta_mult is None and ms.three_tangle is None
 
     def test_matches_standalone_ops(self):
-        psi = sample_haar_pure(42)
-        ms = measure_set(psi)
-        assert ms.n_abc == pytest.approx(tripartite_negativity(to_density(psi)), abs=1e-12)
-        assert ms.q_mult == pytest.approx(q_multiplicative(psi), abs=1e-12)
-        assert ms.eta_mult == pytest.approx(eta3_multiplicative(psi), abs=1e-12)
-        assert ms.three_tangle == pytest.approx(three_tangle(psi), abs=1e-12)
+        # independent closed forms from the amplitude tensor, not from measure_set
+        for seed in range(200):
+            psi = sample_haar_pure(seed)
+            ms = measure_set(psi)
+            singles = one_qubit_reductions(psi)
+            entropies = [binary_entropy(np.linalg.eigvalsh(r)) for r in singles]
+            dets = [2.0 * np.sqrt(max(0.0, np.linalg.det(r).real)) for r in singles]
+            assert abs(ms.three_tangle - 4.0 * abs(cayley_hyperdeterminant(psi.tensor))) < 1e-12
+            assert abs(ms.eta_mult - np.prod(entropies) ** (1 / 3)) < 1e-12
+            assert abs(ms.n_abc - np.prod(dets) ** (1 / 3)) < 1e-12
 
 
 class TestPureStateProperties:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triqent.states
 from triqent import (
     DensityMatrix,
     NonFiniteError,
@@ -12,8 +13,11 @@ from triqent import (
     PureState,
     QubitNotPresentError,
     apply_local_unitary,
+    classify_mixed,
+    classify_pure,
     eig_hermitian,
     ghz,
+    measure_set,
     partial_trace,
     partial_transpose,
     rho_zero,
@@ -23,7 +27,7 @@ from triqent import (
     transpose_qubit,
     tripartite_negativity,
 )
-from helpers import random_unitary
+from helpers import random_biseparable, random_product_state, random_unitary
 
 
 def basis_state(i, j, k):
@@ -192,6 +196,13 @@ class TestLocalUnitary:
         with pytest.raises(NotUnitaryError):
             apply_local_unitary(ghz(), np.eye(2) * 2, np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_unitary(self, bad):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(NonFiniteError, match="u_b"):
+            apply_local_unitary(ghz(), np.eye(2), u, np.eye(2))
+
     def test_ghz_tripartite_negativity_invariant(self):
         rng = np.random.default_rng(21)
         out = apply_local_unitary(
@@ -226,3 +237,44 @@ class TestSampling:
         rho = sample_hs_mixed(9)
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
         assert eig_hermitian(rho.matrix).values[-1] >= -1e-12
+
+
+def derived_reductions(rho):
+    """Every reduction the package derives from a three-qubit state."""
+    for q in rho.qubits:
+        pair = partial_trace(rho, q)
+        yield pair
+        for r in pair.qubits:
+            yield partial_trace(pair, r)
+
+
+class TestValidateOnce:
+    def test_derived_states_skip_validation(self, monkeypatch):
+        psi = sample_haar_pure(3)
+        mixed = sample_hs_mixed(4)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("validation eigensolve called")
+
+        monkeypatch.setattr(triqent.states, "eig_hermitian", fail)
+        for q in ("A", "B", "C"):
+            partial_trace(to_density(psi), q)
+        measure_set(psi)
+        measure_set(mixed)
+        classify_pure(psi)
+        classify_mixed(mixed)
+        with pytest.raises(AssertionError, match="validation eigensolve"):
+            DensityMatrix(np.eye(8) / 8)
+
+    def test_skipped_validation_would_pass(self):
+        rng = np.random.default_rng(17)
+        states = [to_density(sample_haar_pure(seed)) for seed in range(200)]
+        states += [sample_hs_mixed(seed) for seed in range(50)]
+        for q in ("A", "B", "C"):
+            states += [to_density(random_biseparable(rng, q)) for _ in range(20)]
+        states += [to_density(random_product_state(rng)) for _ in range(20)]
+        for rho in states:
+            for derived in [rho, *derived_reductions(rho)]:
+                assert not derived.matrix.flags.writeable
+                validated = DensityMatrix(derived.matrix, derived.qubits)
+                assert np.abs(validated.matrix - derived.matrix).max() < 1e-12

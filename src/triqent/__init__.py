@@ -24,6 +24,7 @@ from .errors import (
     ParamOutOfDomainError,
     QubitNotPresentError,
     StateFileError,
+    StateTypeError,
     TriqentError,
     WrongDimensionError,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NonFiniteError, WrongDimensionError
 from .measures import MeasureSet, measure_set
-from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _require_pure, partial_trace, to_density
+from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _require_pure
 
 DEFAULT_ZERO_TOL = 1e-8
 
@@ -77,21 +77,22 @@ def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureCla
     inseparable and the subtype 2-k counts the entangled reduced pairs.
 
     Every thresholded comparison is recorded in ``margins`` as its raw
-    decision quantity (an impurity 1 - Tr rho^2 or a reduced
-    negativity), each compared against zero_tol.  A quantity within a
-    factor of 10 of zero_tol flags the result as ambiguous; the label
-    is still returned.
+    decision quantity, each compared against zero_tol: an impurity
+    1 - Tr rho_q^2 or a reduced negativity.  For a pure state
+    1 - Tr rho_q^2 = 2 det rho_q = n_q^2 / 2, so each impurity is read
+    from the one-vs-two negativity n_q of the MeasureSet rather than
+    from a reduced density matrix.  A quantity within a factor of 10 of
+    zero_tol flags the result as ambiguous; the label is still returned.
     """
     _require_pure(psi, "classify_pure")
     check_zero_tol(zero_tol)
-    ms = measure_set(psi)
-    rho = to_density(psi)
+    return _classify_measured(measure_set(psi), zero_tol)
 
-    impurity = {}
-    for q in QUBITS:
-        other = COMPLEMENT[q]
-        m = partial_trace(partial_trace(rho, other[0]), other[1]).matrix
-        impurity[q] = 1.0 - float((m @ m).trace().real)
+
+def _classify_measured(ms: MeasureSet, zero_tol: float) -> PureClassification:
+    """The decision of ``classify_pure`` on the MeasureSet of a pure state."""
+    n_side = {"A": ms.n_a_bc, "B": ms.n_b_ac, "C": ms.n_c_ab}
+    impurity = {q: 0.5 * n_side[q] ** 2 for q in QUBITS}
     margins = {f"factorizable_{q}": impurity[q] for q in QUBITS}
 
     n_red = {"BC": ms.n_red_bc, "AC": ms.n_red_ac, "AB": ms.n_red_ab}

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .classify import classify_mixed, classify_pure
+from .classify import _classify_measured, check_zero_tol, classify_mixed, classify_pure
 from .errors import (
     AmbiguousNearThresholdError,
     ParamOutOfDomainError,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .families import SWEEPABLE, default_grid, sweep
 from .gsd import classify_gsd_pattern, gsd
-from .measures import MeasureSet, measure_set
+from .measures import MeasureSet, _pure_measure_sets, measure_set
 from .states import DensityMatrix, PureState, sample_haar_pure
 
 MEASURE_FIELDS = (
@@ -35,6 +35,8 @@ MEASURE_FIELDS = (
     "s_a", "s_b", "s_c",
 )
 ORACLE_FIELDS = ("n_a_bc", "n_b_ac", "n_c_ab", "n_abc", "n_red_bc", "n_red_ac", "n_red_ab")
+#: states `random` classifies per stack; bounds its working memory for any --count
+RANDOM_CHUNK = 1024
 CSV_HEADER = (
     ["family", "param"]
     + list(MEASURE_FIELDS)
@@ -216,18 +218,20 @@ def _cmd_sweep(args) -> int:
 def _cmd_random(args) -> int:
     if args.count < 1:
         raise ParamOutOfDomainError("--count must be >= 1")
+    check_zero_tol(args.tol)
     lines = []
     histogram: dict[str, int] = {}
-    for i in range(args.count):
-        psi = sample_haar_pure(args.seed + i)
-        res = classify_pure(psi, zero_tol=args.tol)
-        code = res.label.code + ("?" if res.ambiguous else "")
-        histogram[code] = histogram.get(code, 0) + 1
-        ms = res.measures
-        lines.append(
-            f"{i}\t{code}\tn_abc={_fmt(ms.n_abc)}\tq_mult={_fmt(ms.q_mult)}\t"
-            f"eta_mult={_fmt(ms.eta_mult)}\tthree_tangle={_fmt(ms.three_tangle)}"
-        )
+    for start in range(0, args.count, RANDOM_CHUNK):
+        seeds = range(args.seed + start, args.seed + min(args.count, start + RANDOM_CHUNK))
+        amps = np.array([sample_haar_pure(seed).amplitudes for seed in seeds])
+        for i, ms in enumerate(_pure_measure_sets(amps), start):
+            res = _classify_measured(ms, args.tol)
+            code = res.label.code + ("?" if res.ambiguous else "")
+            histogram[code] = histogram.get(code, 0) + 1
+            lines.append(
+                f"{i}\t{code}\tn_abc={_fmt(ms.n_abc)}\tq_mult={_fmt(ms.q_mult)}\t"
+                f"eta_mult={_fmt(ms.eta_mult)}\tthree_tangle={_fmt(ms.three_tangle)}"
+            )
     lines.append("subtype histogram:")
     for code in sorted(histogram):
         lines.append(f"  {code}\t{histogram[code]}")

@@ -41,6 +41,10 @@ class NotUnitaryError(TriqentError):
     """Matrix fails the unitarity check."""
 
 
+class StateTypeError(TriqentError, TypeError):
+    """Argument is not the kind of state (or not a state at all) the call needs."""
+
+
 class MixedStateUnsupportedError(TriqentError):
     """Measure is defined for pure states only."""
 

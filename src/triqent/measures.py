@@ -5,27 +5,44 @@ negative eigenvalues of the partial transpose, so a Bell pair scores 1.
 The tripartite negativity is the geometric mean of the three one-vs-two
 bipartite negativities and is defined for pure and mixed states alike;
 the multiplicative Q, eta3 and the 3-tangle are pure-state only.
+
 Every measure is computed once, in ``measure_set``; the scalar
-functions below are views of its fields.
+functions below are views of its fields.  A mixed state goes through
+the general path: partial traces and transposes, each followed by an
+eigensolve.  A pure state goes through closed forms evaluated on a
+stack of amplitude vectors (``_pure_measure_sets``), a single state
+being a stack of one:
+
+- one-vs-two negativity 2*s1*s2 and single-qubit entropies from the
+  Schmidt coefficients of each cut, with s1^2 s2^2 the sum of the
+  squared 2x2 minors of the 2x4 unfolding (Cauchy-Binet);
+- the 3-tangle 4|Det|, Cayley's hyperdeterminant (Coffman, Kundu &
+  Wootters, PRA 61, 052306, 2000), bounded by every one-vs-two tangle;
+- reduced concurrences t1 - t2, the singular values of V^T (sy x sy) V
+  for the 4x2 amplitude block V of each pair (Wootters, PRL 80, 2245,
+  1998);
+- reduced negativities from one eigensolve of the stacked partial
+  transposes of the pair reductions.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .errors import WrongDimensionError
+from .errors import StateTypeError, WrongDimensionError
 from .linalg import eig_hermitian, sqrt_psd
 from .states import (
     COMPLEMENT,
     QUBITS,
     DensityMatrix,
     PureState,
+    _require_density,
     _require_pure,
     partial_trace,
     partial_transpose,
-    to_density,
 )
 
 #: eigenvalues of a partial transpose within this (relative) band of zero
@@ -46,17 +63,65 @@ _SIGMA_YY = np.array(
 )
 
 
+_INDEX = np.arange(8).reshape(2, 2, 2)
+#: amplitude indices of the 2x4 unfolding of each one-vs-two cut, in QUBITS
+#: order: rows index the single qubit, columns the pair COMPLEMENT[q]
+_UNFOLD = np.stack([_INDEX, _INDEX.transpose(1, 0, 2), _INDEX.transpose(2, 0, 1)]).reshape(3, 2, 4)
+#: the six 2x2 minors u_i v_j - u_j v_i of each unfolding [u; v], as
+#: differences of amplitude products [[i, j], [i', j']] (see _product_differences)
+_MINORS = np.array([
+    [[[u[i], v[j]], [u[j], v[i]]] for i, j in combinations(range(4), 2)] for u, v in _UNFOLD
+])
+#: Cayley's hyperdeterminant is the discriminant lin^2 - 4 det(a0) det(a1) of
+#: det(a0 + x a1) in x, where a0, a1 are the BC blocks of the amplitude
+#: tensor at A = 0, 1 (amplitude index 4i + 2j + k):
+#: lin = (a000 a111 - a001 a110) + (a100 a011 - a101 a010),
+#: det(a0) = a000 a011 - a001 a010 and det(a1) = a100 a111 - a101 a110
+_HYPERDET_PIECES = np.array([
+    [[[0, 7], [1, 6]], [[4, 3], [5, 2]]],
+    [[[0, 3], [1, 2]], [[4, 7], [5, 6]]],
+])
+
+
+def _product_differences(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """a_i a_j - a_i' a_j' for each entry [[i, j], [i', j']] of ``table``, per state."""
+    f = amps[:, table]
+    return f[..., 0, 0] * f[..., 0, 1] - f[..., 1, 0] * f[..., 1, 1]
+
+
+def _negativity_of_spectrum(w: np.ndarray) -> np.ndarray:
+    """-2 * sum of the eigenvalues below -NEG_EIG_FLOOR * max(1, max|w|), over the last axis."""
+    neg = -w
+    neg[neg <= NEG_EIG_FLOOR * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))] = 0.0
+    return 2.0 * neg.sum(axis=-1)
+
+
+def _entropy_of_spectrum(w: np.ndarray) -> np.ndarray:
+    """Base-2 entropy over the last axis; weights <= ENTROPY_FLOOR contribute nothing.
+
+    Totals below 1e-12 collapse to exactly zero: the spectrum is not
+    accurate enough to distinguish them from a pure state, and a stray
+    1e-16 here would blow up to 1e-5 inside a geometric mean.
+    """
+    p = np.where(w > ENTROPY_FLOOR, w, 1.0)  # log2(1) = 0: dropped weights add nothing
+    s = -(p * np.log2(p)).sum(axis=-1)
+    return np.where(s > 1e-12, s, 0.0)
+
+
+def _geometric_mean3(values: np.ndarray) -> np.ndarray:
+    """Geometric mean of nonnegative values over the last axis (length 3); zero if any factor is."""
+    return values.prod(axis=-1) ** (1.0 / 3.0)
+
+
 def negativity(rho: DensityMatrix, side: str) -> float:
     """N = -2 * sum of negative eigenvalues of the partial transpose on `side`."""
-    pt = partial_transpose(rho, side)
-    w = eig_hermitian(pt).values
-    floor = NEG_EIG_FLOOR * max(1.0, float(np.abs(w).max()))
-    neg = w[w < -floor]
-    return float(-2.0 * neg.sum()) if neg.size else 0.0
+    pt = partial_transpose(_require_density(rho, "negativity"), side)
+    return float(_negativity_of_spectrum(eig_hermitian(pt).values))
 
 
 def tripartite_negativity(rho: DensityMatrix) -> float:
     """Geometric mean of the three one-vs-two negativities; zero if any factor is."""
+    _require_density(rho, "tripartite_negativity")
     if len(rho.qubits) != 3:
         raise WrongDimensionError(f"need a full three-qubit state, got layout {rho.qubits!r}")
     return measure_set(rho).n_abc
@@ -70,7 +135,7 @@ def concurrence_2q(rho: DensityMatrix) -> float:
     Hermitian matrix sqrt(rho) @ rho_tilde @ sqrt(rho), which has the
     same spectrum but keeps the eigensolver on Hermitian input.
     """
-    if rho.dim != 4:
+    if _require_density(rho, "concurrence_2q").dim != 4:
         raise WrongDimensionError(f"concurrence needs a two-qubit state, got dim {rho.dim}")
     rho_tilde = _SIGMA_YY @ rho.matrix.conj() @ _SIGMA_YY
     rt = sqrt_psd(rho.matrix)
@@ -84,22 +149,9 @@ def concurrence_2q(rho: DensityMatrix) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Base-2 von Neumann entropy; weights <= 1e-14 contribute nothing.
-
-    Totals below 1e-12 collapse to exactly zero: the spectrum is not
-    accurate enough to distinguish them from a pure state, and a stray
-    1e-16 here would blow up to 1e-5 inside a geometric mean.
-    """
-    w = eig_hermitian(rho.matrix).values
-    p = w[w > ENTROPY_FLOOR]
-    s = float(-(p * np.log2(p)).sum())
-    return s if s > 1e-12 else 0.0
-
-
-def _geometric_mean3(values) -> float:
-    if min(values) <= 0.0:
-        return 0.0
-    return float((values[0] * values[1] * values[2]) ** (1.0 / 3.0))
+    """Base-2 von Neumann entropy; weights <= 1e-14 contribute nothing, totals < 1e-12 are 0."""
+    w = eig_hermitian(_require_density(rho, "von_neumann_entropy").matrix).values
+    return float(_entropy_of_spectrum(w))
 
 
 def q_multiplicative(psi: PureState) -> float:
@@ -113,7 +165,13 @@ def eta3_multiplicative(psi: PureState) -> float:
 
 
 def three_tangle(psi: PureState) -> float:
-    """Residual tangle C^2(A-BC) - C^2(rho_AB) - C^2(rho_AC), clamped near zero."""
+    """The 3-tangle 4|Det|, with Det Cayley's hyperdeterminant of the amplitude tensor.
+
+    It equals the residual tangle C^2(A-BC) - C^2(rho_AB) - C^2(rho_AC)
+    (Coffman, Kundu & Wootters) but is computed directly, so it is never
+    negative.  It is capped at 1 and at the smallest one-vs-two tangle
+    n_q^2, which bounds it by monogamy; a biseparable state scores 0.
+    """
     return measure_set(_require_pure(psi, "3-tangle")).three_tangle
 
 
@@ -162,55 +220,78 @@ class MeasureSet:
 
 
 def measure_set(state: PureState | DensityMatrix) -> MeasureSet:
-    """Compute the full MeasureSet of a pure state or a dim-8 mixed state."""
-    pure = isinstance(state, PureState)
-    if pure:
-        rho = to_density(state)
-    elif isinstance(state, DensityMatrix):
-        if len(state.qubits) != 3:
-            raise WrongDimensionError(f"need a three-qubit state, got layout {state.qubits!r}")
-        rho = state
-    else:
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    """Compute the full MeasureSet of a pure state or a dim-8 mixed state.
 
-    n_side = {q: negativity(rho, q) for q in QUBITS}
-    n_abc = _geometric_mean3([n_side[q] for q in QUBITS])
+    A pure state is a stack of one for the closed forms of
+    ``_pure_measure_sets``; a mixed state takes the general eigen path.
+    """
+    if isinstance(state, PureState):
+        return _pure_measure_sets(state.amplitudes[np.newaxis])[0]
+    if not isinstance(state, DensityMatrix):
+        raise StateTypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    if len(state.qubits) != 3:
+        raise WrongDimensionError(f"need a three-qubit state, got layout {state.qubits!r}")
 
-    pair = {q: partial_trace(rho, q) for q in QUBITS}  # keyed by the traced qubit
-    n_red = {q: negativity(pair[q], COMPLEMENT[q][0]) for q in QUBITS}
-    c_red = {q: concurrence_2q(pair[q]) for q in QUBITS}
-
-    single = {
-        "A": partial_trace(pair["C"], "B"),
-        "B": partial_trace(pair["C"], "A"),
-        "C": partial_trace(pair["A"], "B"),
-    }
-    s = {q: von_neumann_entropy(single[q]) for q in QUBITS}
-
-    q_mult = eta_mult = tangle = None
-    if pure:
-        q_mult = _geometric_mean3([n_side[q] ** 2 for q in QUBITS])
-        eta_mult = _geometric_mean3([s[q] for q in QUBITS])
-        tangle = n_side["A"] ** 2 - c_red["C"] ** 2 - c_red["B"] ** 2
-        if -1e-10 < tangle < 0.0:
-            tangle = 0.0
-        tangle = float(min(1.0, tangle))
-
+    pair = {q: partial_trace(state, q) for q in QUBITS}  # keyed by the traced qubit
+    # the partial-transpose spectra of the three cuts and the three pairs,
+    # zero-padded into one array (zeros leave a negativity unchanged)
+    sides = [(state, q) for q in QUBITS] + [(pair[q], COMPLEMENT[q][0]) for q in QUBITS]
+    spectra = np.zeros((6, 8))
+    for row, (rho, side) in zip(spectra, sides):
+        w = eig_hermitian(partial_transpose(rho, side)).values
+        row[: w.size] = w
+    negativities = _negativity_of_spectrum(spectra)
+    n_side, n_red = negativities[:3], negativities[3:]
+    c_red = [concurrence_2q(pair[q]) for q in QUBITS]
+    singles = [partial_trace(pair["C"], "B"), partial_trace(pair["C"], "A"), partial_trace(pair["A"], "B")]
+    s = _entropy_of_spectrum(np.array([eig_hermitian(rho.matrix).values for rho in singles]))
     return MeasureSet(
-        n_a_bc=n_side["A"],
-        n_b_ac=n_side["B"],
-        n_c_ab=n_side["C"],
-        n_abc=n_abc,
-        n_red_bc=n_red["A"],
-        n_red_ac=n_red["B"],
-        n_red_ab=n_red["C"],
-        c_red_bc=c_red["A"],
-        c_red_ac=c_red["B"],
-        c_red_ab=c_red["C"],
-        s_a=s["A"],
-        s_b=s["B"],
-        s_c=s["C"],
-        q_mult=q_mult,
-        eta_mult=eta_mult,
-        three_tangle=tangle,
+        *n_side.tolist(), float(_geometric_mean3(n_side)), *n_red.tolist(), *c_red, *s.tolist()
     )
+
+
+def _pure_measure_sets(amps: np.ndarray) -> list[MeasureSet]:
+    """MeasureSets of a stack of validated pure states, amplitudes of shape (N, 8).
+
+    Every field comes from closed forms on the amplitudes (see the module
+    docstring); the only LAPACK work is one batched SVD of the (N, 3, 2, 2)
+    spin-flip products and one batched eigensolve of the (N, 3, 4, 4)
+    partial-transposed pair reductions.
+    """
+    n = amps.shape[0]
+    m = amps[:, _UNFOLD]
+    # Cauchy-Binet: s1^2 s2^2 = det(M M^dagger) = sum of the squared 2x2
+    # minors, which stays accurate near zero where det(rho_q) cancels
+    det = (np.abs(_product_differences(amps, _MINORS)) ** 2).sum(axis=-1, keepdims=True)
+    schmidt = np.sqrt(det)
+    trace = (np.abs(amps) ** 2).sum(axis=-1)[:, np.newaxis, np.newaxis]
+    lam_max = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0)))
+    lam_min = det / lam_max
+    # the nonzero spectrum of the partial transpose on one qubit of a pure
+    # state: the Schmidt weights lam_max, lam_min of rho_q and +-s1 s2
+    cut_spectrum = np.concatenate([lam_max, lam_min, schmidt, -schmidt], axis=-1)
+    entropy = _entropy_of_spectrum(cut_spectrum[..., :2])
+
+    # pair reduction rho = M^T M^*, partially transposed on its first qubit
+    rho = m.swapaxes(-1, -2) @ m.conj()
+    pt = rho.reshape(n, 3, 2, 2, 2, 2).swapaxes(2, 4).reshape(n, 3, 4, 4)
+    spectra = np.concatenate([cut_spectrum, np.linalg.eigvalsh(pt)], axis=1)
+    negativities = _negativity_of_spectrum(spectra)
+    n_side, n_red = negativities[:, :3], negativities[:, 3:]
+
+    sv = np.linalg.svd(m @ _SIGMA_YY @ m.swapaxes(-1, -2), compute_uv=False)
+    c_red = np.minimum(1.0, sv[..., 0] - sv[..., 1])
+
+    pieces = _product_differences(amps, _HYPERDET_PIECES)
+    lin = pieces[:, 0, 0] + pieces[:, 0, 1]
+    hyperdet = lin * lin - 4.0 * pieces[:, 1, 0] * pieces[:, 1, 1]
+    # monogamy (CKW) bounds the 3-tangle by every one-vs-two tangle n_q^2,
+    # so a cut whose negativity is floored to zero zeroes it exactly
+    cut_tangle = n_side * n_side
+    tangle = np.minimum(np.minimum(1.0, 4.0 * np.abs(hyperdet)), cut_tangle.min(axis=-1))
+
+    means = _geometric_mean3(np.concatenate([n_side, cut_tangle, entropy], axis=1).reshape(n, 3, 3))
+    table = np.concatenate(
+        [n_side, means[:, :1], n_red, c_red, entropy, means[:, 1:], tangle[:, np.newaxis]], axis=1
+    )
+    return [MeasureSet(*row) for row in table.tolist()]

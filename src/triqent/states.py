@@ -20,6 +20,7 @@ from .errors import (
     NotPSDError,
     NotUnitaryError,
     QubitNotPresentError,
+    StateTypeError,
     WrongDimensionError,
 )
 from .linalg import eig_hermitian
@@ -117,6 +118,12 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+def _require_density(rho, what: str) -> DensityMatrix:
+    if not isinstance(rho, DensityMatrix):
+        raise StateTypeError(f"{what} needs a DensityMatrix, got {type(rho).__name__}")
+    return rho
+
+
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| on the full [A, B, C] layout."""
     return DensityMatrix._derived(np.outer(psi.amplitudes, psi.amplitudes.conj()), QUBITS)
@@ -124,6 +131,7 @@ def to_density(psi: PureState) -> DensityMatrix:
 
 def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
     """Discard one qubit; the layout drops the traced label."""
+    _require_density(rho, "partial_trace")
     if traced not in rho.qubits:
         raise QubitNotPresentError(f"qubit {traced!r} not in layout {rho.qubits!r}")
     n = len(rho.qubits)
@@ -158,6 +166,7 @@ def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
     The result is Hermitian with trace 1 but in general not PSD, so a
     plain array is returned rather than a DensityMatrix.
     """
+    _require_density(rho, "partial_transpose")
     return transpose_qubit(rho.matrix, rho.qubits, side)
 
 
@@ -175,6 +184,7 @@ def _check_unitary(u, name: str) -> np.ndarray:
 
 def apply_local_unitary(psi: PureState, u_a, u_b, u_c) -> PureState:
     """Apply u_a (x) u_b (x) u_c; all entanglement measures are invariant."""
+    _require_pure(psi, "apply_local_unitary")
     u_a = _check_unitary(u_a, "u_a")
     u_b = _check_unitary(u_b, "u_b")
     u_c = _check_unitary(u_c, "u_c")

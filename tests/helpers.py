@@ -48,3 +48,23 @@ def nonzero_coefficients(rng, n, min_mag=0.1):
         z /= np.linalg.norm(z)
         if np.abs(z).min() >= min_mag:
             return z
+
+
+def near_separable_state(rng, exponent):
+    """A random product or biseparable state plus a random perturbation of norm 10**-exponent.
+
+    The separable qubit (or full product) is drawn at random.  Exponents
+    from 2 to 16 sweep the impurities and reduced negativities through
+    the 1e-9..1e-7 decade around the default zero tolerance, where
+    classify_pure flags its verdicts as ambiguous.
+    """
+    kind = rng.integers(4)
+    base = random_product_state(rng) if kind == 3 else random_biseparable(rng, "ABC"[kind])
+    z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    v = base.amplitudes + 10.0 ** -exponent * z / np.linalg.norm(z)
+    return PureState(v / np.linalg.norm(v))
+
+
+def near_separable_corpus(rng, count):
+    """`count` near-separable states with exponents drawn uniformly from [2, 16]."""
+    return [near_separable_state(rng, rng.uniform(2.0, 16.0)) for _ in range(count)]

@@ -22,7 +22,7 @@ from triqent import (
     to_density,
     w_prime,
 )
-from helpers import random_biseparable, random_product_state, random_unitary
+from helpers import near_separable_corpus, random_biseparable, random_product_state, random_unitary
 
 
 class TestClassifyPure:
@@ -103,6 +103,26 @@ class TestClassifyPure:
             assert pat.subtype.code == res.label.code
             if res.label.code.startswith("2-"):
                 assert pat.subtype.entangled_pairs == res.label.entangled_pairs
+
+    def test_impurity_is_reduced_state_impurity(self):
+        # the factorizability margins are n_q^2 / 2; they must equal
+        # 1 - Tr rho_q^2 of the reduced states, near the zero tolerance too
+        rng = np.random.default_rng(43)
+        cases = [sample_haar_pure(s) for s in range(50)] + near_separable_corpus(rng, 400)
+        ambiguous = 0
+        for psi in cases:
+            res = classify_pure(psi)
+            ambiguous += res.ambiguous
+            t = psi.tensor
+            singles = {
+                "A": np.einsum("ijk,ljk->il", t, t.conj()),
+                "B": np.einsum("ijk,ilk->jl", t, t.conj()),
+                "C": np.einsum("ijk,ijl->kl", t, t.conj()),
+            }
+            for q, rho in singles.items():
+                impurity = 1.0 - np.trace(rho @ rho).real
+                assert abs(res.margins[f"factorizable_{q}"] - impurity) < 1e-14, q
+        assert ambiguous > 0  # the corpus reaches the 1e-9..1e-7 decade
 
     def test_rejects_mixed_state_before_measuring(self, monkeypatch):
         def fail(state):

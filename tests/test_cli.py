@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from triqent import ghz, measure_set, rho_epsilon, sample_haar_pure, w_prime
-from triqent.cli import CSV_HEADER, load_state_file, main, save_state_file
+from triqent import classify_pure, ghz, measure_set, rho_epsilon, sample_haar_pure, w_prime
+from triqent.cli import CSV_HEADER, RANDOM_CHUNK, load_state_file, main, save_state_file
 
 
 @pytest.fixture
@@ -215,3 +215,23 @@ class TestRandomCommand:
                 code, count = line.split()
                 hist[code] = int(count)
         assert hist.get("2-3", 0) > sum(hist.values()) / 2
+
+    def test_chunked_report_matches_per_state_loop(self, tmp_path):
+        count, seed = RANDOM_CHUNK + 3, 7  # spans a chunk boundary
+        out = tmp_path / "r.txt"
+        assert main(["random", "--count", str(count), "--seed", str(seed), "--out", str(out)]) == 0
+        lines, histogram = [], {}
+        for i in range(count):
+            res = classify_pure(sample_haar_pure(seed + i))
+            code = res.label.code + ("?" if res.ambiguous else "")
+            histogram[code] = histogram.get(code, 0) + 1
+            ms = res.measures
+            values = {k: format(getattr(ms, k), ".12g") for k in ("n_abc", "q_mult", "eta_mult", "three_tangle")}
+            lines.append(f"{i}\t{code}\t" + "\t".join(f"{k}={v}" for k, v in values.items()))
+        lines.append("subtype histogram:")
+        lines += [f"  {code}\t{histogram[code]}" for code in sorted(histogram)]
+        assert out.read_text().splitlines() == lines
+
+    def test_non_finite_tolerance(self, capsys):
+        assert main(["random", "--count", "2", "--tol", "nan"]) == 2
+        assert "finite" in capsys.readouterr().err

@@ -1,31 +1,50 @@
 import numpy as np
 import pytest
 
+import triqent.linalg
+import triqent.measures
+import triqent.states
 from triqent import (
     DensityMatrix,
     MixedStateUnsupportedError,
     PureState,
+    StateTypeError,
+    TriqentError,
     WrongDimensionError,
     additive_measure,
     apply_local_unitary,
+    classify_pure,
     concurrence_2q,
+    default_grid,
     eta3_multiplicative,
     from_gsd_coefficients,
     ghz,
+    make_state,
     measure_set,
     negativity,
     partial_trace,
+    partial_transpose,
     q_multiplicative,
     rho_epsilon,
+    rho_zero,
     sample_haar_pure,
     three_tangle,
     to_density,
     tripartite_negativity,
     von_neumann_entropy,
+    w_canonical,
     w_prime,
     w_state,
 )
-from helpers import random_biseparable, random_product_state, random_unitary
+from triqent.cli import main
+from triqent.measures import NEG_EIG_FLOOR, _pure_measure_sets
+from helpers import (
+    near_separable_corpus,
+    nonzero_coefficients,
+    random_biseparable,
+    random_product_state,
+    random_unitary,
+)
 
 W_NEG = 2.0 * np.sqrt(2.0) / 3.0
 
@@ -274,3 +293,131 @@ class TestPureStateProperties:
                 assert ms.n_abc < 1e-9
                 assert ms.q_mult < 1e-9
                 assert ms.eta_mult < 1e-9
+
+
+def pure_family_points():
+    """Every pure family point: the ghz_like sweep grid, GHZ, both W states, sampled w_canonical."""
+    rng = np.random.default_rng(61)
+    points = [make_state("ghz_like", *params) for params in default_grid("ghz_like").grid]
+    points += [ghz(), w_state(), w_prime()]
+    points += [w_canonical(*nonzero_coefficients(rng, 3, min_mag=0.0)) for _ in range(40)]
+    return points
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Pure states by kind: Haar-random, near-separable, and the pure family points."""
+    return {
+        "haar": [sample_haar_pure(seed) for seed in range(200)],
+        "near": near_separable_corpus(np.random.default_rng(60), 1200),
+        "family": pure_family_points(),
+    }
+
+
+CUT_FIELDS = ("n_a_bc", "n_b_ac", "n_c_ab", "n_red_bc", "n_red_ac", "n_red_ab")
+ENTROPY_FIELDS = ("s_a", "s_b", "s_c")
+CONCURRENCE_FIELDS = ("c_red_bc", "c_red_ac", "c_red_ab")
+
+
+class TestPureFastPath:
+    """The closed-form pure path against the general path on the projector."""
+
+    @pytest.mark.parametrize("kind", ["haar", "near", "family"])
+    def test_matches_general_path(self, corpus, kind):
+        # near separability the general path floors its concurrence
+        # eigenvalues at NEG_EIG_FLOOR before the square root, which costs it
+        # up to sqrt(NEG_EIG_FLOOR) there
+        c_tol = 1e-12 if kind == "haar" else np.sqrt(NEG_EIG_FLOOR)
+        for psi in corpus[kind]:
+            fast, general = measure_set(psi), measure_set(to_density(psi))
+            for name in CUT_FIELDS:
+                assert abs(getattr(fast, name) - getattr(general, name)) <= 1e-12, name
+            for name in ENTROPY_FIELDS:
+                # an entropy collapses to 0 at or below 1e-12, so a collapsed 0
+                # stands for any value up to that threshold
+                a, b = (max(getattr(ms, name), 1e-12) for ms in (fast, general))
+                assert abs(a - b) <= 1e-12, name
+            for name in CONCURRENCE_FIELDS:
+                assert abs(getattr(fast, name) - getattr(general, name)) <= c_tol, name
+
+    @pytest.mark.parametrize("kind", ["haar", "near", "family"])
+    def test_geometric_means_of_own_fields(self, corpus, kind):
+        for psi in corpus[kind]:
+            ms = measure_set(psi)
+            cuts = (ms.n_a_bc, ms.n_b_ac, ms.n_c_ab)
+            assert abs(ms.n_abc - np.prod(cuts) ** (1 / 3)) <= 1e-15
+            assert abs(ms.q_mult - np.prod(np.square(cuts)) ** (1 / 3)) <= 1e-15
+            assert abs(ms.eta_mult - (ms.s_a * ms.s_b * ms.s_c) ** (1 / 3)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["haar", "near", "family"])
+    def test_three_tangle_closed_forms(self, corpus, kind):
+        for psi in corpus[kind]:
+            ms = measure_set(psi)
+            assert abs(ms.three_tangle - 4.0 * abs(cayley_hyperdeterminant(psi.tensor))) <= 1e-12
+            if kind == "haar":
+                general = measure_set(to_density(psi))
+                residual = general.n_a_bc**2 - general.c_red_ab**2 - general.c_red_ac**2
+                assert abs(ms.three_tangle - residual) <= 1e-12
+
+    def test_stack_equals_single_calls(self, corpus):
+        states = corpus["haar"] + corpus["near"][:300]
+        stack = _pure_measure_sets(np.array([psi.amplitudes for psi in states]))
+        assert len(stack) == len(states) == 500
+        for ms, psi in zip(stack, states):
+            single = measure_set(psi).as_dict()
+            for name, value in ms.as_dict().items():
+                assert abs(value - single[name]) <= 1e-14, name
+
+    def test_no_general_eigensolve(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("eig_hermitian called on the pure path")
+
+        for module in (triqent.linalg, triqent.measures, triqent.states):
+            monkeypatch.setattr(module, "eig_hermitian", fail)
+        psi = sample_haar_pure(5)
+        measure_set(psi)
+        classify_pure(psi)
+        assert main(["random", "--count", "5"]) == 0
+        assert "subtype histogram" in capsys.readouterr().out
+
+
+def apply_non_unitaries(state):
+    # the "unitaries" are not unitary, so a late type check would raise NotUnitaryError
+    return apply_local_unitary(state, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+DENSITY_CALLS = {
+    "negativity": lambda s: negativity(s, "A"),
+    "concurrence_2q": concurrence_2q,
+    "von_neumann_entropy": von_neumann_entropy,
+    "tripartite_negativity": tripartite_negativity,
+    "partial_trace": lambda s: partial_trace(s, "A"),
+    "partial_transpose": lambda s: partial_transpose(s, "A"),
+}
+NOT_DENSITY = {"pure": ghz(), "str": "x", "array": np.eye(8) / 8}
+NOT_PURE = {"mixed": rho_zero(), "pair": partial_trace(rho_zero(), "A"), "str": "x"}
+WRONG_TYPE_CASES = (
+    [pytest.param(call, bad, StateTypeError, id=f"{name}-{kind}")
+     for name, call in DENSITY_CALLS.items() for kind, bad in NOT_DENSITY.items()]
+    + [pytest.param(measure_set, bad, StateTypeError, id=f"measure_set-{kind}")
+       for kind, bad in (("str", "x"), ("array", np.eye(8) / 8), ("none", None))]
+    + [pytest.param(apply_non_unitaries, bad, MixedStateUnsupportedError, id=f"apply_local_unitary-{kind}")
+       for kind, bad in NOT_PURE.items()]
+)
+
+
+@pytest.mark.parametrize("call, bad, error", WRONG_TYPE_CASES)
+def test_wrong_state_type_rejected_before_numeric_work(call, bad, error, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("numeric work ran on a wrong-type argument")
+
+    for name in ("eig_hermitian", "sqrt_psd", "_pure_measure_sets"):
+        monkeypatch.setattr(triqent.measures, name, fail)
+    monkeypatch.setattr(triqent.states, "transpose_qubit", fail)
+    with pytest.raises(error):
+        call(bad)
+
+
+def test_state_type_error_is_a_type_error():
+    assert issubclass(StateTypeError, TriqentError)
+    assert issubclass(StateTypeError, TypeError)

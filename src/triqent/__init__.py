@@ -50,7 +50,7 @@ from .families import (
     w_state,
 )
 from .gsd import GsdForm, GsdPattern, classify_gsd_pattern, gsd
-from .linalg import HermitianEigen, eig_hermitian, sqrt_psd, svd_2x2
+from .linalg import HermitianEigen, eig_hermitian, svd_2x2
 from .measures import (
     MeasureSet,
     additive_measure,

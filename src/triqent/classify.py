@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NonFiniteError, WrongDimensionError
 from .measures import MeasureSet, measure_set
-from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _require_pure
+from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _require_density, _require_pure
 
 DEFAULT_ZERO_TOL = 1e-8
 
@@ -134,11 +134,14 @@ def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Mi
     """Emit witnessed exclusion certificates for a mixed three-qubit state.
 
     Positive claims always carry a negativity witness above zero_tol.
+    GHZ-distillability needs every one-vs-two negativity above zero_tol;
+    its witness is their geometric mean n_abc, which is not compared
+    itself because the cube root lifts a tiny cut above any threshold.
     Full separability or biseparability is never asserted, only
     excluded; the gap between generalized biseparability and full
     inseparability stays undetermined.
     """
-    if not isinstance(rho, DensityMatrix) or len(rho.qubits) != 3:
+    if len(_require_density(rho, "classify_mixed").qubits) != 3:
         raise WrongDimensionError("classify_mixed needs a dim-8 density matrix over [A, B, C]")
     check_zero_tol(zero_tol)
     ms = measure_set(rho)
@@ -155,7 +158,7 @@ def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Mi
             certs.append(Certificate(f"not simply biseparable w.r.t. {q}", n_side[q]))
     if any(n_side[q] > zero_tol for q in QUBITS):
         certs.append(Certificate("not fully separable", max(n_side.values())))
-    if ms.n_abc > zero_tol:
+    if min(n_side.values()) > zero_tol:
         certs.append(Certificate("GHZ-distillable", ms.n_abc))
     certs.append(Certificate("undetermined: generalized biseparable vs fully inseparable", ms.n_abc))
     return MixedVerdict(tuple(certs), ms)

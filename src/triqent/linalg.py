@@ -1,13 +1,14 @@
 """Dense complex linear algebra for matrices up to 8x8.
 
-Provides the three factorizations the rest of the package is built on:
-Hermitian eigendecomposition (LAPACK, through ``np.linalg.eigh``), 2x2
-singular value decomposition and the Hermitian square root of a PSD
-matrix.
+Provides two checked factorizations of one matrix: the Hermitian
+eigendecomposition (LAPACK, through ``np.linalg.eigh``), which validates
+states and is the measures' general reference, and the 2x2 singular
+value decomposition.  The stacked measure routines call LAPACK directly.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -16,14 +17,11 @@ from .errors import (
     NoConvergenceError,
     NonFiniteError,
     NotHermitianError,
-    NotPSDError,
     NotSquareError,
     WrongDimensionError,
 )
 
 MAX_DIM = 8
-#: eigenvalues of a nominally PSD matrix may undershoot zero by this much
-PSD_FLOOR = -1e-10
 
 
 class HermitianEigen(NamedTuple):
@@ -52,7 +50,7 @@ def eig_hermitian(a, hermiticity_tol: float = 1e-10) -> HermitianEigen:
         (max absolute entrywise deviation from the conjugate transpose).
         The input is symmetrized to (a + a^dagger)/2 before factoring.
     hermiticity_tol : float
-        Largest tolerated deviation from Hermiticity.
+        Largest tolerated deviation from Hermiticity; must be finite.
 
     Returns
     -------
@@ -65,6 +63,8 @@ def eig_hermitian(a, hermiticity_tol: float = 1e-10) -> HermitianEigen:
     ------
     NotSquareError, NonFiniteError, NotHermitianError, NoConvergenceError
     """
+    if not math.isfinite(hermiticity_tol):
+        raise NonFiniteError(f"hermiticity_tol must be finite, got {hermiticity_tol}")
     a = _as_square(a)
     if not np.isfinite(a).all():
         raise NonFiniteError("matrix holds a NaN or infinite entry")
@@ -124,16 +124,3 @@ def svd_2x2(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u = np.column_stack([u1, u2])
     return u, s, v
 
-
-def sqrt_psd(a, hermiticity_tol: float = 1e-10) -> np.ndarray:
-    """Hermitian square root of a Hermitian PSD matrix.
-
-    Eigenvalues in ``[PSD_FLOOR, 0)`` are clamped to zero; anything below
-    the floor raises :class:`NotPSDError`.
-    """
-    eig = eig_hermitian(a, hermiticity_tol)
-    if eig.values[-1] < PSD_FLOOR:
-        raise NotPSDError(f"minimum eigenvalue {eig.values[-1]:.3e} below {PSD_FLOOR:.1e}")
-    w = np.sqrt(np.clip(eig.values, 0.0, None))
-    r = (eig.vectors * w) @ eig.vectors.conj().T
-    return (r + r.conj().T) / 2.0

@@ -7,22 +7,22 @@ bipartite negativities and is defined for pure and mixed states alike;
 the multiplicative Q, eta3 and the 3-tangle are pure-state only.
 
 Every measure is computed once, in ``measure_set``; the scalar
-functions below are views of its fields.  A mixed state goes through
-the general path: partial traces and transposes, each followed by an
-eigensolve.  A pure state goes through closed forms evaluated on a
-stack of amplitude vectors (``_pure_measure_sets``), a single state
-being a stack of one:
+functions below are views of its fields.  Pure and mixed states each
+go through one routine on a stack of states (``_pure_measure_sets``,
+``_mixed_measure_sets``), a single state being a stack of one.  A pure
+state uses closed forms on its amplitudes:
 
 - one-vs-two negativity 2*s1*s2 and single-qubit entropies from the
   Schmidt coefficients of each cut, with s1^2 s2^2 the sum of the
   squared 2x2 minors of the 2x4 unfolding (Cauchy-Binet);
 - the 3-tangle 4|Det|, Cayley's hyperdeterminant (Coffman, Kundu &
-  Wootters, PRA 61, 052306, 2000), bounded by every one-vs-two tangle;
-- reduced concurrences t1 - t2, the singular values of V^T (sy x sy) V
-  for the 4x2 amplitude block V of each pair (Wootters, PRL 80, 2245,
-  1998);
-- reduced negativities from one eigensolve of the stacked partial
-  transposes of the pair reductions.
+  Wootters, PRA 61, 052306, 2000), bounded by every one-vs-two tangle.
+
+Both routines take the pair measures from a factor X of each pair
+reduction rho = X X^dagger: the 4x2 amplitude block for a pure state,
+V sqrt(w) from the pair's eigendecomposition for a mixed one.  The
+reduced concurrence is s1 - s2 - ... from the singular values of
+X^T (sy x sy) X (Wootters, PRL 80, 2245, 1998).
 """
 
 from __future__ import annotations
@@ -33,15 +33,14 @@ from itertools import combinations
 import numpy as np
 
 from .errors import StateTypeError, WrongDimensionError
-from .linalg import eig_hermitian, sqrt_psd
+from .linalg import eig_hermitian
 from .states import (
-    COMPLEMENT,
-    QUBITS,
     DensityMatrix,
     PureState,
+    _partial_trace,
+    _partial_transpose,
     _require_density,
     _require_pure,
-    partial_trace,
     partial_transpose,
 )
 
@@ -52,15 +51,8 @@ NEG_EIG_FLOOR = 1e-13
 #: spectrum weights at or below this are dropped from entropy sums
 ENTROPY_FLOOR = 1e-14
 
-_SIGMA_YY = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
+#: sy x sy, the two-qubit spin flip
+_SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
 
 
 _INDEX = np.arange(8).reshape(2, 2, 2)
@@ -128,24 +120,10 @@ def tripartite_negativity(rho: DensityMatrix) -> float:
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)}.
-
-    The l_i are the descending eigenvalues of rho @ rho_tilde with
-    rho_tilde the spin-flipped conjugate; they are evaluated through the
-    Hermitian matrix sqrt(rho) @ rho_tilde @ sqrt(rho), which has the
-    same spectrum but keeps the eigensolver on Hermitian input.
-    """
+    """Two-qubit Wootters concurrence, from the eigen-factor of rho (see ``_pair_measures``)."""
     if _require_density(rho, "concurrence_2q").dim != 4:
         raise WrongDimensionError(f"concurrence needs a two-qubit state, got dim {rho.dim}")
-    rho_tilde = _SIGMA_YY @ rho.matrix.conj() @ _SIGMA_YY
-    rt = sqrt_psd(rho.matrix)
-    w = eig_hermitian(rt @ rho_tilde @ rt, hermiticity_tol=1e-9).values
-    # rounding noise on either side of zero must not leak through the
-    # square root (sqrt(1e-15) would already cost 3e-8 in C)
-    w = np.where(w < NEG_EIG_FLOOR * max(1.0, w.max()), 0.0, w)
-    s = np.sqrt(w)
-    c = s[0] - s[1:].sum()
-    return float(min(1.0, max(0.0, c)))
+    return float(_pair_measures(_psd_factor(rho.matrix))[1])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -222,8 +200,8 @@ class MeasureSet:
 def measure_set(state: PureState | DensityMatrix) -> MeasureSet:
     """Compute the full MeasureSet of a pure state or a dim-8 mixed state.
 
-    A pure state is a stack of one for the closed forms of
-    ``_pure_measure_sets``; a mixed state takes the general eigen path.
+    Either is a stack of one: a pure state for the closed forms of
+    ``_pure_measure_sets``, a mixed state for ``_mixed_measure_sets``.
     """
     if isinstance(state, PureState):
         return _pure_measure_sets(state.amplitudes[np.newaxis])[0]
@@ -231,23 +209,42 @@ def measure_set(state: PureState | DensityMatrix) -> MeasureSet:
         raise StateTypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
     if len(state.qubits) != 3:
         raise WrongDimensionError(f"need a three-qubit state, got layout {state.qubits!r}")
+    return _mixed_measure_sets(state.matrix[np.newaxis])[0]
 
-    pair = {q: partial_trace(state, q) for q in QUBITS}  # keyed by the traced qubit
-    # the partial-transpose spectra of the three cuts and the three pairs,
-    # zero-padded into one array (zeros leave a negativity unchanged)
-    sides = [(state, q) for q in QUBITS] + [(pair[q], COMPLEMENT[q][0]) for q in QUBITS]
-    spectra = np.zeros((6, 8))
-    for row, (rho, side) in zip(spectra, sides):
-        w = eig_hermitian(partial_transpose(rho, side)).values
-        row[: w.size] = w
-    negativities = _negativity_of_spectrum(spectra)
-    n_side, n_red = negativities[:3], negativities[3:]
-    c_red = [concurrence_2q(pair[q]) for q in QUBITS]
-    singles = [partial_trace(pair["C"], "B"), partial_trace(pair["C"], "A"), partial_trace(pair["A"], "B")]
-    s = _entropy_of_spectrum(np.array([eig_hermitian(rho.matrix).values for rho in singles]))
-    return MeasureSet(
-        *n_side.tolist(), float(_geometric_mean3(n_side)), *n_red.tolist(), *c_red, *s.tolist()
-    )
+
+def _psd_factor(m: np.ndarray) -> np.ndarray:
+    """X = V sqrt(w) with X X^dagger = m for stacked PSD m; negative rounding noise in w is dropped."""
+    w, v = np.linalg.eigh(m)
+    return v * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :]
+
+
+def _pair_measures(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Negativity (transpose on the first qubit) and concurrence of pairs rho = X X^dagger, X (..., 4, k)."""
+    xt = x.swapaxes(-1, -2)
+    rho = x @ xt.conj()
+    negativity = _negativity_of_spectrum(np.linalg.eigvalsh(_partial_transpose(rho, 2, 0)))
+    sv = np.linalg.svd(xt @ _SIGMA_YY @ x, compute_uv=False)
+    concurrence = np.clip(sv[..., 0] - sv[..., 1:].sum(axis=-1), 0.0, 1.0)
+    return negativity, concurrence
+
+
+def _mixed_measure_sets(matrices: np.ndarray) -> list[MeasureSet]:
+    """MeasureSets of a stack of validated three-qubit density matrices, shape (N, 8, 8).
+
+    The LAPACK work is one batched call per kind of spectrum: the cut
+    transposes, the pair eigen-factors, the pair transposes, the
+    spin-flip SVD and the one-qubit reductions.
+    """
+    cuts = np.stack([_partial_transpose(matrices, 3, ax) for ax in range(3)], axis=1)
+    n_side = _negativity_of_spectrum(np.linalg.eigvalsh(cuts))
+    pairs = np.stack([_partial_trace(matrices, 3, ax) for ax in range(3)], axis=1)  # BC, AC, AB
+    n_red, c_red = _pair_measures(_psd_factor(pairs))
+    # rho_A and rho_B from rho_AB, rho_C from rho_BC
+    singles = np.stack([_partial_trace(pairs[:, i], 2, ax) for i, ax in ((2, 1), (2, 0), (0, 0))], axis=1)
+    entropy = _entropy_of_spectrum(np.linalg.eigvalsh(singles))
+    n_abc = _geometric_mean3(n_side)[:, np.newaxis]
+    table = np.concatenate([n_side, n_abc, n_red, c_red, entropy], axis=1)
+    return [MeasureSet(*row) for row in table.tolist()]
 
 
 def _pure_measure_sets(amps: np.ndarray) -> list[MeasureSet]:
@@ -272,15 +269,9 @@ def _pure_measure_sets(amps: np.ndarray) -> list[MeasureSet]:
     cut_spectrum = np.concatenate([lam_max, lam_min, schmidt, -schmidt], axis=-1)
     entropy = _entropy_of_spectrum(cut_spectrum[..., :2])
 
-    # pair reduction rho = M^T M^*, partially transposed on its first qubit
-    rho = m.swapaxes(-1, -2) @ m.conj()
-    pt = rho.reshape(n, 3, 2, 2, 2, 2).swapaxes(2, 4).reshape(n, 3, 4, 4)
-    spectra = np.concatenate([cut_spectrum, np.linalg.eigvalsh(pt)], axis=1)
-    negativities = _negativity_of_spectrum(spectra)
-    n_side, n_red = negativities[:, :3], negativities[:, 3:]
-
-    sv = np.linalg.svd(m @ _SIGMA_YY @ m.swapaxes(-1, -2), compute_uv=False)
-    c_red = np.minimum(1.0, sv[..., 0] - sv[..., 1])
+    n_side = _negativity_of_spectrum(cut_spectrum)
+    # each pair reduction is M^T M^*: the 4x2 block M^T is a factor of it
+    n_red, c_red = _pair_measures(m.swapaxes(-1, -2))
 
     pieces = _product_differences(amps, _HYPERDET_PIECES)
     lin = pieces[:, 0, 0] + pieces[:, 0, 1]

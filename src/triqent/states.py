@@ -69,8 +69,10 @@ def _require_pure(psi, what: str) -> PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix with its qubit layout.
 
-    Validation clamps eigenvalues in [EIG_FLOOR, 0) to zero and
-    renormalizes the trace; larger violations are hard errors.
+    Validation keeps the Hermitian part (m + m^dagger) / 2, so derived
+    matrices are exactly Hermitian; it clamps eigenvalues in
+    [EIG_FLOOR, 0) to zero and renormalizes the trace.  Larger
+    violations are hard errors.
     """
 
     matrix: np.ndarray
@@ -89,6 +91,7 @@ class DensityMatrix:
         herm_dev = np.abs(m - m.conj().T).max()
         if herm_dev > HERM_ATOL:
             raise NotHermitianError(f"Hermiticity deviation {herm_dev:.3e} exceeds {HERM_ATOL:.1e}")
+        m = (m + m.conj().T) / 2.0
         tr = m.trace().real
         if abs(tr - 1.0) > NORM_ATOL:
             raise NotNormalizedError(f"trace is {tr:.12g}, expected 1")
@@ -129,6 +132,19 @@ def to_density(psi: PureState) -> DensityMatrix:
     return DensityMatrix._derived(np.outer(psi.amplitudes, psi.amplitudes.conj()), QUBITS)
 
 
+def _partial_trace(m: np.ndarray, n: int, ax: int) -> np.ndarray:
+    """Trace out qubit ``ax`` of n-qubit matrices stacked on any leading axes."""
+    d = 2 ** (n - 1)
+    t = np.trace(m.reshape(m.shape[:-2] + (2,) * (2 * n)), axis1=ax - 2 * n, axis2=ax - n)
+    return t.reshape(m.shape[:-2] + (d, d))
+
+
+def _partial_transpose(m: np.ndarray, n: int, ax: int) -> np.ndarray:
+    """Transpose qubit ``ax`` of n-qubit matrices stacked on any leading axes."""
+    t = np.swapaxes(m.reshape(m.shape[:-2] + (2,) * (2 * n)), ax - 2 * n, ax - n)
+    return np.ascontiguousarray(t.reshape(m.shape))
+
+
 def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
     """Discard one qubit; the layout drops the traced label."""
     _require_density(rho, "partial_trace")
@@ -137,12 +153,8 @@ def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
     n = len(rho.qubits)
     if n < 2:
         raise WrongDimensionError("cannot trace the last remaining qubit")
-    ax = rho.qubits.index(traced)
-    t = rho.matrix.reshape((2,) * (2 * n))
-    t = np.trace(t, axis1=ax, axis2=ax + n)
-    d = 2 ** (n - 1)
     keep = tuple(q for q in rho.qubits if q != traced)
-    return DensityMatrix._derived(t.reshape(d, d), keep)
+    return DensityMatrix._derived(_partial_trace(rho.matrix, n, rho.qubits.index(traced)), keep)
 
 
 def transpose_qubit(matrix: np.ndarray, qubits: tuple[str, ...], side: str) -> np.ndarray:
@@ -154,10 +166,7 @@ def transpose_qubit(matrix: np.ndarray, qubits: tuple[str, ...], side: str) -> n
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (d, d):
         raise WrongDimensionError(f"layout {qubits!r} needs shape {(d, d)}, got {m.shape}")
-    ax = qubits.index(side)
-    t = m.reshape((2,) * (2 * n))
-    t = np.swapaxes(t, ax, ax + n)
-    return np.ascontiguousarray(t.reshape(d, d))
+    return _partial_transpose(m, n, qubits.index(side))
 
 
 def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:

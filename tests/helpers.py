@@ -68,3 +68,25 @@ def near_separable_state(rng, exponent):
 def near_separable_corpus(rng, count):
     """`count` near-separable states with exponents drawn uniformly from [2, 16]."""
     return [near_separable_state(rng, rng.uniform(2.0, 16.0)) for _ in range(count)]
+
+
+SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def sqrt_rho_concurrence(matrix):
+    """Two-qubit concurrence through the Hermitian sqrt(rho) rho~ sqrt(rho), in plain numpy.
+
+    rho~ = (sy x sy) rho^* (sy x sy) is the spin flip.  The descending
+    eigenvalues l of sqrt(rho) rho~ sqrt(rho) below 1e-13 * max(1, l1)
+    are set to zero before the square root, and the concurrence is
+    sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4), clipped to [0, 1].
+    """
+    h = (matrix + matrix.conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (root + root.conj().T) / 2
+    m = root @ SIGMA_YY @ h.conj() @ SIGMA_YY @ root
+    lam = np.linalg.eigvalsh((m + m.conj().T) / 2)[::-1]
+    lam = np.where(lam < 1e-13 * max(1.0, lam[0]), 0.0, lam)
+    s = np.sqrt(lam)
+    return float(min(1.0, max(0.0, s[0] - s[1:].sum())))

@@ -186,6 +186,20 @@ class TestClassifyMixed:
             if not cert.claim.startswith("undetermined"):
                 assert cert.witness > 1e-8
 
+    @pytest.mark.parametrize("delta", [1e-13, 1e-12, 1e-11, 1e-10])
+    def test_tiny_cut_not_ghz_distillable(self, delta):
+        # |0>_A Bell_BC + delta |101>: the A-BC cut negativity is about
+        # delta, far below zero_tol, while its cube root in n_abc is not
+        v = np.zeros(8, dtype=complex)
+        v[0] = v[3] = 1 / np.sqrt(2)
+        v[5] = delta
+        psi = PureState(v / np.linalg.norm(v))
+        verdict = classify_mixed(to_density(psi))
+        assert verdict.measures.n_a_bc < 1e-8 < verdict.measures.n_abc
+        assert "GHZ-distillable" not in verdict.claims()
+        assert "not simply biseparable w.r.t. A" not in verdict.claims()
+        assert classify_pure(psi).label.code == "1^1-1"
+
     def test_pure_projector_consistent_with_pure_classifier(self):
         for psi in (ghz(), w_prime(), sample_haar_pure(3)):
             res = classify_pure(psi)

@@ -7,17 +7,24 @@ from hypothesis.extra.numpy import arrays
 from triqent import (
     NonFiniteError,
     NotHermitianError,
-    NotPSDError,
     NotSquareError,
     eig_hermitian,
     ghz,
     partial_transpose,
     sigma_b,
-    sqrt_psd,
     svd_2x2,
     to_density,
 )
 from helpers import random_unitary
+
+
+NON_FINITE = {"nan": np.nan, "inf": np.inf, "nanj": complex(0.0, np.nan)}
+
+
+def with_symmetric_entry(value):
+    a = np.eye(4, dtype=complex)
+    a[1, 2] = a[2, 1] = value
+    return a
 
 
 def random_hermitian(rng, n):
@@ -48,12 +55,16 @@ class TestEigHermitian:
         with pytest.raises(NotHermitianError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-    def test_non_finite_rejected(self, bad):
-        a = np.eye(4, dtype=complex)
-        a[1, 2] = a[2, 1] = bad
+    @pytest.mark.parametrize(
+        "a, tol",
+        [pytest.param(with_symmetric_entry(bad), 1e-10, id=name) for name, bad in NON_FINITE.items()]
+        # a NaN or infinite tolerance would let this non-Hermitian matrix through
+        + [pytest.param(np.array([[0.0, 1.0], [0.0, 0.0]]), bad, id=f"tol-{name}")
+           for name, bad in NON_FINITE.items() if name != "nanj"],
+    )
+    def test_non_finite_rejected(self, a, tol):
         with pytest.raises(NonFiniteError):
-            eig_hermitian(a)
+            eig_hermitian(a, hermiticity_tol=tol)
 
     @pytest.mark.parametrize(
         "a",
@@ -155,28 +166,3 @@ class TestSvd2x2:
             s1 = svd_2x2(random_unitary(rng) @ m @ random_unitary(rng))[1]
             np.testing.assert_allclose(s0, s1, atol=1e-12)
 
-
-class TestSqrtPsd:
-    def test_identity(self):
-        np.testing.assert_allclose(sqrt_psd(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_projector_idempotent(self):
-        p = np.array([[0.5, 0.5], [0.5, 0.5]])
-        np.testing.assert_allclose(sqrt_psd(p), p, atol=1e-12)
-
-    def test_not_psd(self):
-        with pytest.raises(NotPSDError):
-            sqrt_psd(np.diag([1.0, -1.0]))
-
-    def test_square_matches_input(self):
-        rng = np.random.default_rng(8)
-        for n in (2, 4, 8):
-            for _ in range(67):
-                g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                a = g @ g.conj().T
-                r = sqrt_psd(a)
-                np.testing.assert_allclose(r, r.conj().T, atol=1e-12)
-                assert np.abs(r @ r - a).max() <= 1e-9 * np.abs(a).max()

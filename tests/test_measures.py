@@ -13,6 +13,7 @@ from triqent import (
     WrongDimensionError,
     additive_measure,
     apply_local_unitary,
+    classify_mixed,
     classify_pure,
     concurrence_2q,
     default_grid,
@@ -28,6 +29,7 @@ from triqent import (
     rho_epsilon,
     rho_zero,
     sample_haar_pure,
+    sample_hs_mixed,
     three_tangle,
     to_density,
     tripartite_negativity,
@@ -37,13 +39,15 @@ from triqent import (
     w_state,
 )
 from triqent.cli import main
-from triqent.measures import NEG_EIG_FLOOR, _pure_measure_sets
+from triqent.measures import NEG_EIG_FLOOR, _mixed_measure_sets, _pure_measure_sets
+from triqent.states import COMPLEMENT, QUBITS
 from helpers import (
     near_separable_corpus,
     nonzero_coefficients,
     random_biseparable,
     random_product_state,
     random_unitary,
+    sqrt_rho_concurrence,
 )
 
 W_NEG = 2.0 * np.sqrt(2.0) / 3.0
@@ -324,9 +328,9 @@ class TestPureFastPath:
 
     @pytest.mark.parametrize("kind", ["haar", "near", "family"])
     def test_matches_general_path(self, corpus, kind):
-        # near separability the general path floors its concurrence
-        # eigenvalues at NEG_EIG_FLOOR before the square root, which costs it
-        # up to sqrt(NEG_EIG_FLOOR) there
+        # the general path factors each pair reduction as V sqrt(w); near
+        # separability the rounding noise in a vanishing w enters that factor
+        # through the square root, which costs its concurrence up to about 1e-8
         c_tol = 1e-12 if kind == "haar" else np.sqrt(NEG_EIG_FLOOR)
         for psi in corpus[kind]:
             fast, general = measure_set(psi), measure_set(to_density(psi))
@@ -381,6 +385,77 @@ class TestPureFastPath:
         assert "subtype histogram" in capsys.readouterr().out
 
 
+MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus():
+    """Three-qubit density matrices by kind: HS-random, Haar projectors, and every mixed family grid point."""
+    return {
+        "hs": [sample_hs_mixed(seed) for seed in range(200)],
+        "projector": [to_density(sample_haar_pure(seed)) for seed in range(200)],
+        "family": [make_state(family, *params) for family in MIXED_FAMILIES
+                   for params in default_grid(family).grid],
+    }
+
+
+class TestMixedStack:
+    """The stacked mixed routine against its stacks of one and the general references.
+
+    The concurrence reference is the square-root route of
+    ``helpers.sqrt_rho_concurrence``, which shares no code with the package.
+    """
+
+    @pytest.mark.parametrize("kind", ["hs", "projector", "family"])
+    def test_stack_equals_single_calls(self, mixed_corpus, kind):
+        states = mixed_corpus[kind]
+        stack = _mixed_measure_sets(np.array([rho.matrix for rho in states]))
+        assert len(stack) == len(states)
+        for ms, rho in zip(stack, states):
+            single = measure_set(rho).as_dict()
+            for name, value in ms.as_dict().items():
+                if value is None:
+                    assert single[name] is None, name
+                else:
+                    assert abs(value - single[name]) <= 1e-14, name
+
+    @pytest.mark.parametrize("kind", ["hs", "projector", "family"])
+    def test_matches_general_references(self, mixed_corpus, kind):
+        for rho in mixed_corpus[kind]:
+            ms = measure_set(rho)
+            fields = zip(QUBITS, CUT_FIELDS[:3], CUT_FIELDS[3:], CONCURRENCE_FIELDS, ENTROPY_FIELDS)
+            for q, cut, pair, conc, single in fields:
+                reduced = partial_trace(rho, q)
+                assert abs(getattr(ms, cut) - negativity(rho, q)) <= 1e-12, cut
+                assert abs(getattr(ms, pair) - negativity(reduced, COMPLEMENT[q][0])) <= 1e-12, pair
+                assert abs(getattr(ms, conc) - sqrt_rho_concurrence(reduced.matrix)) <= 1e-12, conc
+                others = [r for r in QUBITS if r != q]
+                one = partial_trace(partial_trace(rho, others[0]), others[1])
+                # a collapsed 0 stands for any entropy up to 1e-12
+                a, b = max(getattr(ms, single), 1e-12), max(von_neumann_entropy(one), 1e-12)
+                assert abs(a - b) <= 1e-12, single
+            cuts = (ms.n_a_bc, ms.n_b_ac, ms.n_c_ab)
+            assert abs(ms.n_abc - np.prod(cuts) ** (1 / 3)) <= 1e-15
+
+    def test_concurrence_matches_sqrt_rho_route(self):
+        pairs = [sample_hs_mixed(seed, ("A", "B")) for seed in range(500)]
+        pairs += [partial_trace(to_density(sample_haar_pure(seed)), q) for seed in range(100) for q in QUBITS]
+        for rho in pairs:
+            assert abs(concurrence_2q(rho) - sqrt_rho_concurrence(rho.matrix)) <= 1e-12
+
+    def test_no_general_eigensolve(self, mixed_corpus, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eig_hermitian called on the mixed path")
+
+        rho = mixed_corpus["hs"][0]
+        pair = partial_trace(rho, "A")
+        for module in (triqent.linalg, triqent.measures, triqent.states):
+            monkeypatch.setattr(module, "eig_hermitian", fail)
+        measure_set(rho)
+        classify_mixed(rho)
+        concurrence_2q(pair)
+
+
 def apply_non_unitaries(state):
     # the "unitaries" are not unitary, so a late type check would raise NotUnitaryError
     return apply_local_unitary(state, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
@@ -399,6 +474,8 @@ NOT_PURE = {"mixed": rho_zero(), "pair": partial_trace(rho_zero(), "A"), "str": 
 WRONG_TYPE_CASES = (
     [pytest.param(call, bad, StateTypeError, id=f"{name}-{kind}")
      for name, call in DENSITY_CALLS.items() for kind, bad in NOT_DENSITY.items()]
+    + [pytest.param(classify_mixed, bad, StateTypeError, id=f"classify_mixed-{kind}")
+       for kind, bad in NOT_DENSITY.items()]
     + [pytest.param(measure_set, bad, StateTypeError, id=f"measure_set-{kind}")
        for kind, bad in (("str", "x"), ("array", np.eye(8) / 8), ("none", None))]
     + [pytest.param(apply_non_unitaries, bad, MixedStateUnsupportedError, id=f"apply_local_unitary-{kind}")
@@ -411,7 +488,7 @@ def test_wrong_state_type_rejected_before_numeric_work(call, bad, error, monkeyp
     def fail(*args, **kwargs):
         raise AssertionError("numeric work ran on a wrong-type argument")
 
-    for name in ("eig_hermitian", "sqrt_psd", "_pure_measure_sets"):
+    for name in ("eig_hermitian", "_psd_factor", "_mixed_measure_sets", "_pure_measure_sets"):
         monkeypatch.setattr(triqent.measures, name, fail)
     monkeypatch.setattr(triqent.states, "transpose_qubit", fail)
     with pytest.raises(error):

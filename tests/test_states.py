@@ -60,6 +60,19 @@ class TestValidation:
         with pytest.raises(NotPSDError):
             DensityMatrix(m)
 
+    def test_density_keeps_hermitian_part(self):
+        # an anti-Hermitian part within the tolerance is dropped, so the
+        # stacked measures, which read one triangle, see the same matrix
+        rho = sample_hs_mixed(4)
+        skew = np.zeros((8, 8), dtype=complex)
+        skew[0, 5], skew[5, 0] = 4e-11, -4e-11
+        noisy = DensityMatrix(rho.matrix + skew)
+        assert np.array_equal(noisy.matrix, noisy.matrix.conj().T)
+        expected = measure_set(rho).as_dict()
+        for name, value in measure_set(noisy).as_dict().items():
+            if value is not None:
+                assert abs(value - expected[name]) <= 1e-14, name
+
     def test_density_clamps_tiny_negative(self):
         rng = np.random.default_rng(0)
         u = random_unitary(rng, 4)

@@ -13,25 +13,33 @@ on the two 2x2 slices T0, T1 of the amplitude tensor (T_i[j, k] is the
    the quadratic det(T0 + z T1) = 0 in z = x1/x0;
 2. rotate qubit A by the unitary whose first row is (x0, x1), making
    the new T0 slice singular;
-3. SVD that slice and absorb the factors into qubits B and C, leaving
-   T0 = diag(lambda, 0);
+3. SVD that rank-1 slice, T0 = lambda u1 v1^dagger, and absorb the
+   factors into qubits B and C, leaving T0 = diag(lambda, 0).  Only u1
+   and v are defined by the slice; the second row of u_b is the exact
+   orthonormal completion of u1, so no phase is read from the rounding
+   noise in the zero singular value;
 4. optionally (normal-phase mode) multiply diagonal phase unitaries
    into all three qubits so that alpha, delta, epsilon and omega are
    real and nonnegative; only beta may keep a phase.
 
 Raw mode skips step 4, which keeps relative phases (and hence
 orthogonality) within a canonical class instead of collapsing them.
+Its phases are fixed by the SVD's column convention (largest entry of
+each column of v real >= 0) and the completion above, so they are a
+function of the state: a perturbation at rounding level moves them at
+rounding level.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classify import SubtypeLabel, check_zero_tol
-from .errors import AmbiguousNearThresholdError, NumericalDegeneracyError
-from .linalg import eig_hermitian, svd_2x2
+from .errors import AmbiguousNearThresholdError, NonFiniteError, NumericalDegeneracyError
+from .linalg import svd_2x2
 from .states import PureState, _require_pure
 
 #: polynomial coefficients below this are treated as identically zero
@@ -88,21 +96,6 @@ def _det2(m) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def _polish_root(z: complex, c2: complex, c1: complex, c0: complex) -> complex:
-    """Guarded Newton steps on c2 z^2 + c1 z + c0; never worsens |p(z)|."""
-    for _ in range(3):
-        p = (c2 * z + c1) * z + c0
-        dp = 2.0 * c2 * z + c1
-        if abs(dp) == 0.0 or abs(p) == 0.0:
-            break
-        z_new = z - p / dp
-        p_new = (c2 * z_new + c1) * z_new + c0
-        if abs(p_new) >= abs(p):
-            break
-        z = z_new
-    return z
-
-
 def _solve_quadratic(a: complex, b: complex, c: complex) -> list[complex]:
     """Roots of a z^2 + b z + c with a != 0, cancellation-safe."""
     disc = b * b - 4.0 * a * c
@@ -114,8 +107,8 @@ def _solve_quadratic(a: complex, b: complex, c: complex) -> list[complex]:
     if abs(b - s) > abs(b + s):
         s = -s
     q = -(b + s) / 2.0
-    z1 = _polish_root(q / a, a, b, c)
-    z2 = _polish_root(c / q, a, b, c) if abs(q) > 0.0 else z1
+    z1 = q / a
+    z2 = c / q if abs(q) > 0.0 else z1
     if abs(z1 - z2) <= 1e-12 * max(1.0, abs(z1)):
         return [z1]
     return [z1, z2]
@@ -128,14 +121,9 @@ def _unit_pair(x0: complex, x1: complex) -> tuple[complex, complex]:
 
 def _frobenius_top_direction(t0: np.ndarray, t1: np.ndarray) -> tuple[complex, complex]:
     # when every direction is singular the slices span rank-1 matrices
-    # only, so maximizing the Frobenius norm maximizes lambda as well
-    k = np.array(
-        [
-            [np.vdot(t0, t0), np.vdot(t0, t1)],
-            [np.vdot(t1, t0), np.vdot(t1, t1)],
-        ]
-    )
-    top = eig_hermitian(k, hermiticity_tol=1e-9).vectors[:, 0]
+    # only, so maximizing the Frobenius norm maximizes lambda as well:
+    # the top right singular vector of [vec T0, vec T1]
+    top = np.linalg.svd(np.column_stack([t0.ravel(), t1.ravel()]))[2][0].conj()
     return _unit_pair(top[0], top[1])
 
 
@@ -153,17 +141,9 @@ def _singular_directions(t0: np.ndarray, t1: np.ndarray) -> list[tuple[complex, 
         return [_frobenius_top_direction(t0, t1)]
     if abs(c2) > _BRANCH_RTOL * scale:
         return [_unit_pair(1.0, z) for z in _solve_quadratic(c2, c1, c0)]
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if abs(c2) > 0.0 and abs(disc) <= 100.0 * np.finfo(float).eps * max(
-        abs(c1 * c1), abs(4.0 * c2 * c0)
-    ):
-        # perfect-square pencil with a tiny leading coefficient; the
-        # vertex locates the double root to full precision
-        return [_unit_pair(1.0, -c1 / (2.0 * c2))]
     if abs(c1) > _BRANCH_RTOL * scale:
         # one finite root plus the root at infinity (det T1 ~ 0 here)
-        z = _polish_root(-c0 / c1, c2, c1, c0)
-        return [_unit_pair(1.0, z), (0.0 + 0.0j, 1.0 + 0.0j)]
+        return [_unit_pair(1.0, -c0 / c1), (0.0 + 0.0j, 1.0 + 0.0j)]
     return [(0.0 + 0.0j, 1.0 + 0.0j)]
 
 
@@ -191,9 +171,15 @@ def _refine_direction(x0, x1, t0, t1) -> tuple[complex, complex]:
         det(T(x) + t T(y)) = d2 t^2 + d1 t + d0,
 
     is well scaled instead: T(x) is computed first with only entrywise
-    rounding, so the smallest-|t| root corrects x essentially to
-    machine precision.  Iterated with an acceptance guard on the second
-    singular value; a no-op whenever x is already singular enough.
+    rounding, so the smallest-|t| root corrects x to machine precision.
+    Iterated with an acceptance guard on the second singular value of
+    T(x), which the SVD resolves down to about eps * s1; a no-op
+    whenever x is already singular enough.
+
+    The exception is a double root (W class): there s2 grows only as
+    the square of the direction error and the two local roots split by
+    the square root of the rounding noise, so x is located to about
+    1e-8 and the guard cannot see a better step.
     """
     for _ in range(3):
         m = x0 * t0 + x1 * t1
@@ -270,8 +256,11 @@ def gsd(psi: PureState, mode: str = "raw") -> GsdForm:
     u_a = np.array([[x0, x1], [-x1.conjugate(), x0.conjugate()]])
     ta = np.einsum("ia,ajk->ijk", u_a, t)
 
+    # ta[0] has rank <= 1, so only u1 and v are defined by it; the
+    # second row of u_b is the exact completion of u1
     u, _, v = svd_2x2(ta[0])
-    u_b = u.conj().T
+    u1 = u[:, 0]
+    u_b = np.array([u1.conj(), [-u1[1], u1[0]]])
     u_c = v.T
     tc = np.einsum("jb,kc,ibc->ijk", u_b, u_c, ta)
 
@@ -320,12 +309,16 @@ _PATTERNS_WITH_OMEGA = {
 def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_PATTERN_TOL) -> GsdPattern:
     """Match the zero/nonzero coefficient pattern against the canonical catalog.
 
-    Raises AmbiguousNearThresholdError when any coefficient magnitude or
-    the product difference |beta*omega - delta*epsilon| falls within a
+    Raises NonFiniteError when a coefficient is NaN or infinite, and
+    AmbiguousNearThresholdError when any coefficient magnitude or the
+    product difference |beta*omega - delta*epsilon| falls within a
     factor of 10 of zero_tol, since the caller must then decide which
     side of the boundary was meant.
     """
     check_zero_tol(zero_tol)
+    coefficients = (form.alpha, form.beta, form.delta, form.epsilon, form.omega)
+    if not all(cmath.isfinite(c) for c in coefficients):
+        raise NonFiniteError(f"canonical coefficients must be finite, got {coefficients}")
     mags = {
         "alpha": abs(form.alpha),
         "beta": abs(form.beta),

@@ -1,9 +1,10 @@
 """Dense complex linear algebra for matrices up to 8x8.
 
-Provides two checked factorizations of one matrix: the Hermitian
-eigendecomposition (LAPACK, through ``np.linalg.eigh``), which validates
+Provides two checked factorizations of one matrix, both LAPACK: the
+Hermitian eigendecomposition (``np.linalg.eigh``), which validates
 states and is the measures' general reference, and the 2x2 singular
-value decomposition.  The stacked measure routines call LAPACK directly.
+value decomposition (``np.linalg.svd``), which ``gsd`` uses.  The
+stacked measure routines call LAPACK directly.
 """
 
 from __future__ import annotations
@@ -82,45 +83,30 @@ def eig_hermitian(a, hermiticity_tol: float = 1e-10) -> HermitianEigen:
     return HermitianEigen(w[order], vectors[:, order])
 
 
-def _column_phase_normalize(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real >= 0."""
-    v = v.copy()
-    for i in range(v.shape[1]):
-        col = v[:, i]
-        j = int(np.argmax(np.abs(col)))
-        mag = abs(col[j])
-        if mag > 0.0:
-            v[:, i] = col * (col[j].conjugate() / mag)
-    return v
-
-
 def svd_2x2(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition of a 2x2 complex matrix.
+    """Singular value decomposition of a 2x2 complex matrix (LAPACK).
 
     Returns ``(u, s, v)`` with ``u`` and ``v`` unitary, ``s`` the two
     singular values in descending order, and ``m = u @ diag(s) @ v^dagger``.
-    Column phases of ``v`` are normalized (largest entry real >= 0) so the
-    output is deterministic.
+    Both singular values carry an absolute error of about eps * s[0], so
+    a rank-1 matrix has ``s[1]`` at rounding level.  Each column of ``v``
+    is rotated, together with the matching column of ``u``, so its
+    largest-magnitude entry is real >= 0; the output is deterministic.
+
+    Raises
+    ------
+    NotSquareError, WrongDimensionError, NonFiniteError, NoConvergenceError
     """
     m = _as_square(m)
     if m.shape[0] != 2:
         raise WrongDimensionError(f"expected a 2x2 matrix, got {m.shape}")
-    gram = m.conj().T @ m
-    w, vecs = eig_hermitian(gram)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    v = _column_phase_normalize(vecs)
-
-    if s[0] == 0.0:
-        return np.eye(2, dtype=complex), s, np.eye(2, dtype=complex)
-
-    u1 = m @ v[:, 0] / s[0]
-    u1 = u1 / np.sqrt((np.abs(u1) ** 2).sum())
-    # exact orthonormal completion; phase chosen so m @ v2 = s2 * u2
-    u2 = np.array([-u1[1].conjugate(), u1[0].conjugate()])
-    w2 = m @ v[:, 1]
-    d = u2.conjugate() @ w2
-    if abs(d) > 0.0:
-        u2 = u2 * (d / abs(d))
-    u = np.column_stack([u1, u2])
-    return u, s, v
-
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix holds a NaN or infinite entry")
+    try:
+        u, s, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK SVD failed: {exc}") from exc
+    v = vh.conj().T
+    top = v[np.argmax(np.abs(v), axis=0), [0, 1]]
+    phase = top.conj() / np.abs(top)
+    return u * phase, s, v * phase

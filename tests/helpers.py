@@ -41,6 +41,21 @@ def random_biseparable(rng, separable_qubit="A"):
     return PureState(t.reshape(8))
 
 
+def hidden_w_state(rng):
+    """A W-class state hidden by random local unitaries.
+
+    Canonical alpha, delta, epsilon (the |000>, |110>, |101> amplitudes)
+    get magnitudes uniform in [0.3, 1] and uniform phases; beta and
+    omega are exactly 0.  Each qubit is then rotated by a Haar-random
+    unitary, so the pencil det(T0 + z T1) has a double root at a random z.
+    """
+    c = rng.uniform(0.3, 1.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
+    amps = np.zeros(8, dtype=complex)
+    amps[[0, 6, 5]] = c / np.linalg.norm(c)
+    u = np.kron(np.kron(random_unitary(rng), random_unitary(rng)), random_unitary(rng))
+    return PureState(u @ amps)
+
+
 def nonzero_coefficients(rng, n, min_mag=0.1):
     """n complex coefficients, normalized, all magnitudes >= min_mag."""
     while True:

@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import triqent
 from triqent import (
     AmbiguousNearThresholdError,
     MixedStateUnsupportedError,
+    NonFiniteError,
     PureState,
     apply_local_unitary,
     classify_gsd_pattern,
+    classify_pure,
     from_gsd_coefficients,
     ghz,
     ghz_like,
@@ -16,7 +21,8 @@ from triqent import (
     sample_haar_pure,
     w_prime,
 )
-from helpers import nonzero_coefficients, random_biseparable, random_product_state
+from triqent.cli import main, save_state_file
+from helpers import hidden_w_state, nonzero_coefficients, random_biseparable, random_product_state
 
 CANONICAL_INDICES = (0, 4, 6, 5, 7)  # alpha, beta, delta, epsilon, omega
 ZERO_INDICES = (1, 2, 3)
@@ -133,6 +139,38 @@ class TestGsdInvariants:
             form = gsd(sample_haar_pure(seed))
             assert (np.abs(form.coefficients) ** 2).sum() == pytest.approx(1.0, abs=1e-10)
 
+    def test_raw_mode_continuous(self):
+        # raw phases are a function of the state: a rounding-level
+        # perturbation must not flip them
+        rng = np.random.default_rng(13)
+        for seed in range(200):
+            psi = sample_haar_pure(seed)
+            z = psi.amplitudes + 1e-14 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+            moved = gsd(PureState(z / np.linalg.norm(z)), mode="raw")
+            assert np.abs(moved.coefficients - gsd(psi, mode="raw").coefficients).max() < 1e-10
+
+    def test_repeat_calls_bit_identical(self):
+        for seed in range(20):
+            psi = sample_haar_pure(seed)
+            for mode in ("raw", "normal"):
+                a, b = gsd(psi, mode=mode), gsd(psi, mode=mode)
+                assert np.array_equal(a.coefficients, b.coefficients)
+                for name in ("u_a", "u_b", "u_c"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_no_general_eigensolve(self, monkeypatch, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("eig_hermitian called on the gsd path")
+
+        path = tmp_path / "psi.json"
+        save_state_file(path, sample_haar_pure(3))
+        for module in (triqent.linalg, triqent.states):
+            monkeypatch.setattr(module, "eig_hermitian", fail)
+        for mode in ("raw", "normal"):
+            classify_gsd_pattern(gsd(sample_haar_pure(4), mode=mode))
+        assert main(["gsd", str(path), "--mode", "raw"]) == 0
+        assert "alpha" in capsys.readouterr().out
+
     def test_ghz_phase_preserved_in_raw_mode(self):
         for phi in (0.0, np.pi / 2, np.pi):
             amps = np.zeros(8, dtype=complex)
@@ -185,3 +223,37 @@ class TestPatternClassifier:
         form = gsd(from_gsd_coefficients(*c))
         with pytest.raises(AmbiguousNearThresholdError):
             classify_gsd_pattern(form, zero_tol=1e-8)
+
+    def test_hidden_w_states(self):
+        # the W double root must locate well enough that beta and omega
+        # come out below the ambiguity decade of the default threshold
+        rng = np.random.default_rng(2024)
+        ambiguous = 0
+        for i in range(500):
+            psi = hidden_w_state(rng)
+            form = gsd(psi, mode="raw" if i % 2 == 0 else "normal")
+            try:
+                pat = classify_gsd_pattern(form)
+            except AmbiguousNearThresholdError:
+                ambiguous += 1
+                continue
+            assert pat.pattern == "W"
+            assert pat.subtype == classify_pure(psi).label
+        assert ambiguous <= 5
+
+
+NON_FINITE_COEFFICIENTS = {
+    "alpha-nan": ("alpha", complex(np.nan, 0.0)),
+    "beta-inf": ("beta", complex(np.inf, 0.0)),
+    "delta-neg-inf": ("delta", complex(-np.inf, 0.0)),
+    "omega-nanj": ("omega", complex(0.0, np.nan)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value", NON_FINITE_COEFFICIENTS.values(), ids=NON_FINITE_COEFFICIENTS.keys()
+)
+def test_pattern_rejects_non_finite_coefficients(name, value):
+    form = dataclasses.replace(gsd(w_prime()), **{name: value})
+    with pytest.raises(NonFiniteError):
+        classify_gsd_pattern(form)

@@ -166,3 +166,34 @@ class TestSvd2x2:
             s1 = svd_2x2(random_unitary(rng) @ m @ random_unitary(rng))[1]
             np.testing.assert_allclose(s0, s1, atol=1e-12)
 
+
+class TestSvd2x2IllConditioned:
+    @pytest.mark.parametrize("exponent", [4, 6, 8, 10, 12, 14])
+    def test_small_singular_value_matches_lapack(self, exponent):
+        # the square root of an eigenvalue of m^dagger m would carry an
+        # absolute error of about 1e-8 * s1 in the small singular value
+        rng = np.random.default_rng(exponent)
+        for _ in range(50):
+            m = random_unitary(rng) @ np.diag([1.0, 10.0**-exponent]) @ random_unitary(rng)
+            s = svd_2x2(m)[1]
+            ref = np.linalg.svd(m, compute_uv=False)
+            assert abs(s[1] - ref[1]) <= 1e-12 * ref[1]
+            assert abs(s[0] - ref[0]) <= 1e-12 * ref[0]
+
+    def test_contract_on_ill_conditioned_input(self):
+        rng = np.random.default_rng(7)
+        for exponent in range(4, 15):
+            m = random_unitary(rng) @ np.diag([2.0, 10.0**-exponent]) @ random_unitary(rng)
+            u, s, v = svd_2x2(m)
+            np.testing.assert_allclose(u @ np.diag(s) @ v.conj().T, m, atol=1e-14)
+            np.testing.assert_allclose(m @ v, u * s, atol=1e-14)
+            top = v[np.argmax(np.abs(v), axis=0), [0, 1]]
+            assert np.all(np.abs(top.imag) <= 1e-15) and np.all(top.real > 0.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(NonFiniteError):
+            svd_2x2(m)
+

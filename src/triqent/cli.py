@@ -15,7 +15,13 @@ import sys
 
 import numpy as np
 
-from .classify import _classify_measured, check_zero_tol, classify_mixed, classify_pure
+from .classify import (
+    DEFAULT_ZERO_TOL,
+    _classify_measured,
+    check_zero_tol,
+    classify_mixed,
+    classify_pure,
+)
 from .errors import (
     AmbiguousNearThresholdError,
     ParamOutOfDomainError,
@@ -253,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="subtype or certified verdict of a state file")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=1e-8, help="zero threshold (default 1e-8)")
+    tol_help = f"zero threshold (default {DEFAULT_ZERO_TOL:g})"
+    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help=tol_help)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_classify)
 
@@ -276,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="classify Haar-random pure states")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help=tol_help)
     p.add_argument("--out", help="write the report to a file instead of stdout")
     p.set_defaults(func=_cmd_random)
     return parser

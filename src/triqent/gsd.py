@@ -9,8 +9,14 @@ i.e. the |001>, |010> and |011> amplitudes vanish.  The reduction works
 on the two 2x2 slices T0, T1 of the amplitude tensor (T_i[j, k] is the
 |ijk> amplitude):
 
-1. find a unit vector (x0, x1) with det(x0 T0 + x1 T1) = 0, by solving
-   the quadratic det(T0 + z T1) = 0 in z = x1/x0;
+1. find a unit vector x = (x0, x1) with det T(x) = 0, where
+   T(x) = x0 T0 + x1 T1.  One routine solves the pencil in local
+   coordinates, det(T(x) + t T(y)) = 0 with y orthogonal to x.  At
+   x = (1, 0) this is det(T0 + z T1) = 0 in z = x1/x0; of its roots,
+   the one whose slice has the largest Frobenius norm (its top singular
+   value, since the slice is singular) is picked.  Around the picked x
+   the same routine corrects x in one step, plus a step to the vertex
+   when the two local roots coincide (the W class);
 2. rotate qubit A by the unitary whose first row is (x0, x1), making
    the new T0 slice singular;
 3. SVD that rank-1 slice, T0 = lambda u1 v1^dagger, and absorb the
@@ -39,6 +45,7 @@ import numpy as np
 
 from .classify import SubtypeLabel, check_zero_tol
 from .errors import AmbiguousNearThresholdError, NonFiniteError, NumericalDegeneracyError
+from .families import from_gsd_coefficients
 from .linalg import svd_2x2
 from .states import PureState, _require_pure
 
@@ -46,6 +53,8 @@ from .states import PureState, _require_pure
 _COEFF_TOL = 1e-13
 #: relative cutoff between the quadratic / linear / constant branches
 _BRANCH_RTOL = 1e-12
+#: local roots this close (relative to max(1, |t|)) are a double root
+_DOUBLE_ROOT_RTOL = 1e-6
 #: two root candidates whose top singular values differ by less than
 #: this are tied; the tie goes to the smaller |z|
 _LAMBDA_TIE_TOL = 1e-12
@@ -75,13 +84,7 @@ class GsdForm:
         return np.array([self.alpha, self.beta, self.delta, self.epsilon, self.omega])
 
     def to_state(self) -> PureState:
-        amps = np.zeros(8, dtype=complex)
-        amps[0] = self.alpha
-        amps[4] = self.beta
-        amps[6] = self.delta
-        amps[5] = self.epsilon
-        amps[7] = self.omega
-        return PureState(amps)
+        return from_gsd_coefficients(*self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -97,12 +100,12 @@ def _det2(m) -> complex:
 
 
 def _solve_quadratic(a: complex, b: complex, c: complex) -> list[complex]:
-    """Roots of a z^2 + b z + c with a != 0, cancellation-safe."""
+    """Both roots of a z^2 + b z + c with a != 0, cancellation-safe; a double root twice."""
     disc = b * b - 4.0 * a * c
     # a numerically double root is located by the vertex: the usual
     # formula would inject the sqrt of the discriminant's rounding noise
     if abs(disc) <= 100.0 * np.finfo(float).eps * max(abs(b * b), abs(4.0 * a * c)):
-        return [-b / (2.0 * a)]
+        return [-b / (2.0 * a)] * 2
     s = np.sqrt(complex(disc))
     if abs(b - s) > abs(b + s):
         s = -s
@@ -110,7 +113,7 @@ def _solve_quadratic(a: complex, b: complex, c: complex) -> list[complex]:
     z1 = q / a
     z2 = c / q if abs(q) > 0.0 else z1
     if abs(z1 - z2) <= 1e-12 * max(1.0, abs(z1)):
-        return [z1]
+        return [z1] * 2
     return [z1, z2]
 
 
@@ -127,37 +130,60 @@ def _frobenius_top_direction(t0: np.ndarray, t1: np.ndarray) -> tuple[complex, c
     return _unit_pair(top[0], top[1])
 
 
+def _local_pencil(m: np.ndarray, my: np.ndarray):
+    """Coefficients and finite roots of det(m + t my) = d2 t^2 + d1 t + d0.
+
+    With m = T(x) and my = T(y) this is the pencil in local coordinates
+    around the direction x.  A coefficient at or below _BRANCH_RTOL of the
+    largest drops the degree, and each root lost that way sits at
+    t = infinity, that is, at y itself.
+    """
+    d0 = _det2(m)
+    d2 = _det2(my)
+    d1 = m[0, 0] * my[1, 1] + my[0, 0] * m[1, 1] - m[0, 1] * my[1, 0] - my[0, 1] * m[1, 0]
+    scale = max(abs(d0), abs(d1), abs(d2))
+    if abs(d2) > _BRANCH_RTOL * scale:
+        roots = _solve_quadratic(d2, d1, d0)
+    elif abs(d1) > _BRANCH_RTOL * scale:
+        roots = [-d0 / d1]
+    else:
+        roots = []
+    return (d0, d1, d2), roots
+
+
 def _singular_directions(t0: np.ndarray, t1: np.ndarray) -> list[tuple[complex, complex]]:
-    c2 = _det2(t1)
-    c0 = _det2(t0)
-    c1 = (
-        t0[0, 0] * t1[1, 1]
-        + t1[0, 0] * t0[1, 1]
-        - t0[0, 1] * t1[1, 0]
-        - t1[0, 1] * t0[1, 0]
-    )
-    scale = max(abs(c0), abs(c1), abs(c2))
-    if scale < _COEFF_TOL:
+    # the local pencil at x = (1, 0), y = (0, 1) is det(T0 + z T1)
+    (c0, c1, c2), roots = _local_pencil(t0, t1)
+    if max(abs(c0), abs(c1), abs(c2)) < _COEFF_TOL:
         return [_frobenius_top_direction(t0, t1)]
-    if abs(c2) > _BRANCH_RTOL * scale:
-        return [_unit_pair(1.0, z) for z in _solve_quadratic(c2, c1, c0)]
-    if abs(c1) > _BRANCH_RTOL * scale:
-        # one finite root plus the root at infinity (det T1 ~ 0 here)
-        return [_unit_pair(1.0, -c0 / c1), (0.0 + 0.0j, 1.0 + 0.0j)]
-    return [(0.0 + 0.0j, 1.0 + 0.0j)]
+    directions = [_unit_pair(1.0, z) for z in roots]
+    if len(roots) < 2:
+        # det T1 ~ 0: the root at infinity
+        directions.append((0.0 + 0.0j, 1.0 + 0.0j))
+    return directions
 
 
 def _pick_direction(candidates, t0, t1) -> tuple[complex, complex]:
-    """Largest top singular value wins; ties go to the smaller |x1/x0|."""
+    """Largest lambda wins; ties go to the smaller |x1/x0|.
+
+    Every candidate slice is singular, so its Frobenius norm is its top
+    singular value lambda.
+    """
     best = None
     for x0, x1 in candidates:
-        lam = float(svd_2x2(x0 * t0 + x1 * t1)[1][0])
+        lam = float(np.linalg.norm(x0 * t0 + x1 * t1))
         zmag = abs(x1) / abs(x0) if abs(x0) > 1e-15 else np.inf
         if best is None or lam > best[0] + _LAMBDA_TIE_TOL:
             best = (lam, zmag, x0, x1)
         elif abs(lam - best[0]) <= _LAMBDA_TIE_TOL and zmag < best[1]:
             best = (lam, zmag, x0, x1)
     return best[2], best[3]
+
+
+def _step(x0, x1, y0, y1, t, t0, t1):
+    """The unit direction x + t y and the singular values of its slice."""
+    nx0, nx1 = _unit_pair(x0 + t * y0, x1 + t * y1)
+    return nx0, nx1, svd_2x2(nx0 * t0 + nx1 * t1)[1]
 
 
 def _refine_direction(x0, x1, t0, t1) -> tuple[complex, complex]:
@@ -172,36 +198,37 @@ def _refine_direction(x0, x1, t0, t1) -> tuple[complex, complex]:
 
     is well scaled instead: T(x) is computed first with only entrywise
     rounding, so the smallest-|t| root corrects x to machine precision.
-    Iterated with an acceptance guard on the second singular value of
-    T(x), which the SVD resolves down to about eps * s1; a no-op
+    The pencil is exactly quadratic in t, so one step is all there is;
+    it is taken only when it lowers the second singular value s2 of
+    T(x), which the SVD resolves down to about eps * s1, and skipped
     whenever x is already singular enough.
 
-    The exception is a double root (W class): there s2 grows only as
-    the square of the direction error and the two local roots split by
-    the square root of the rounding noise, so x is located to about
-    1e-8 and the guard cannot see a better step.
+    At a double root (W class) s2 grows only as the square of the
+    direction error, so that guard passes x within about 1e-7, and the
+    two local roots split by the square root of the rounding noise in
+    d0.  When they agree to _DOUBLE_ROOT_RTOL, x then steps to the
+    vertex -d1 / (2 d2), which d1 and d2 give to rounding accuracy; the
+    step is kept unless it raises s2 above rounding level.  A d2 below
+    _COEFF_TOL is rounding noise (every direction is singular, as for a
+    product state), and then there is no vertex to step to.
     """
-    for _ in range(3):
-        m = x0 * t0 + x1 * t1
-        s = svd_2x2(m)[1]
-        if s[1] <= 1e-14 * max(1.0, s[0]):
-            break
-        y0, y1 = -x1.conjugate(), x0.conjugate()
-        my = y0 * t0 + y1 * t1
-        d0 = _det2(m)
-        d2 = _det2(my)
-        d1 = m[0, 0] * my[1, 1] + my[0, 0] * m[1, 1] - m[0, 1] * my[1, 0] - my[0, 1] * m[1, 0]
-        if abs(d2) > 1e-12 * max(abs(d0), abs(d1), abs(d2)):
-            roots = _solve_quadratic(d2, d1, d0)
-        elif abs(d1) > 0.0:
-            roots = [-d0 / d1]
-        else:
-            break
-        t_step = min(roots, key=abs)
-        nx0, nx1 = _unit_pair(x0 + t_step * y0, x1 + t_step * y1)
-        if svd_2x2(nx0 * t0 + nx1 * t1)[1][1] >= s[1]:
-            break
-        x0, x1 = nx0, nx1
+    m = x0 * t0 + x1 * t1
+    y0, y1 = -x1.conjugate(), x0.conjugate()
+    s = svd_2x2(m)[1]
+    d, roots = _local_pencil(m, y0 * t0 + y1 * t1)
+    if s[1] > 1e-14 * max(1.0, s[0]) and roots:
+        nx0, nx1, ns = _step(x0, x1, y0, y1, min(roots, key=abs), t0, t1)
+        if ns[1] < s[1]:
+            x0, x1, s = nx0, nx1, ns
+            y0, y1 = -x1.conjugate(), x0.conjugate()
+            d, roots = _local_pencil(x0 * t0 + x1 * t1, y0 * t0 + y1 * t1)
+    double = len(roots) == 2 and abs(roots[0] - roots[1]) <= _DOUBLE_ROOT_RTOL * max(
+        1.0, abs(roots[0]), abs(roots[1])
+    )
+    if double and abs(d[2]) >= _COEFF_TOL:
+        nx0, nx1, ns = _step(x0, x1, y0, y1, -d[1] / (2.0 * d[2]), t0, t1)
+        if ns[1] <= max(s[1], 1e-15 * s[0]):
+            x0, x1 = nx0, nx1
     return x0, x1
 
 
@@ -210,31 +237,21 @@ def _phase_angles(alpha, delta, epsilon, omega, tol=1e-12):
 
     Coefficient c_ijk picks up the phase g + i*a + j*b + k*c; the knobs
     are chosen so alpha, delta, epsilon and omega become real >= 0.
-    Coefficients below tol impose no condition.
+    Coefficients below tol impose no condition.  a is needed only when
+    delta, epsilon and omega are all set; otherwise delta fixes b,
+    epsilon fixes c, and omega fixes whichever of the two is left, c
+    first.
     """
     g = -np.angle(alpha) if abs(alpha) > tol else 0.0
     d_nz, e_nz, w_nz = abs(delta) > tol, abs(epsilon) > tol, abs(omega) > tol
-    phd = np.angle(delta) if d_nz else 0.0
-    phe = np.angle(epsilon) if e_nz else 0.0
-    phw = np.angle(omega) if w_nz else 0.0
-    if d_nz and e_nz and w_nz:
-        a = -g - phd - phe + phw
-        b = phe - phw
-        c = phd - phw
-    elif d_nz and e_nz:
-        a, b, c = 0.0, -phd - g, -phe - g
-    elif d_nz and w_nz:
-        a, b, c = 0.0, -phd - g, phd - phw
-    elif e_nz and w_nz:
-        a, b, c = 0.0, phe - phw, -phe - g
-    elif d_nz:
-        a, b, c = 0.0, -phd - g, 0.0
-    elif e_nz:
-        a, b, c = 0.0, 0.0, -phe - g
-    elif w_nz:
-        a, b, c = 0.0, 0.0, -phw - g
-    else:
-        a = b = c = 0.0
+    phd, phe, phw = np.angle(delta), np.angle(epsilon), np.angle(omega)
+    a = phw - phd - phe - g if d_nz and e_nz and w_nz else 0.0
+    b = -g - a - phd if d_nz else 0.0
+    c = -g - a - phe if e_nz else 0.0
+    if w_nz and not e_nz:
+        c = -g - b - phw
+    elif w_nz and not d_nz:
+        b = -g - c - phw
     return g, a, b, c
 
 
@@ -309,6 +326,12 @@ _PATTERNS_WITH_OMEGA = {
 def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_PATTERN_TOL) -> GsdPattern:
     """Match the zero/nonzero coefficient pattern against the canonical catalog.
 
+    The pair concurrences of a canonical form are C_AB = 2|alpha delta|,
+    C_AC = 2|alpha epsilon| and C_BC = 2|beta omega - delta epsilon|, so
+    with all five coefficients nonzero pair BC is still separable when
+    beta*omega = delta*epsilon: the star S'' centred on A, completing S
+    (centre C) and S' (centre B).
+
     Raises NonFiniteError when a coefficient is NaN or infinite, and
     AmbiguousNearThresholdError when any coefficient magnitude or the
     product difference |beta*omega - delta*epsilon| falls within a
@@ -341,6 +364,8 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_PATTERN_TOL) -
             return GsdPattern("B", SubtypeLabel("1^1-1", "A", ("BC",)))
         return GsdPattern("product", SubtypeLabel("0-0"))
     if nz["omega"]:
+        if nz["beta"] and nz["delta"] and nz["epsilon"] and not nz["beta*omega - delta*epsilon"]:
+            return GsdPattern("S''", SubtypeLabel("2-2", None, ("AC", "AB")))
         pattern, subtype = _PATTERNS_WITH_OMEGA[(nz["beta"], nz["delta"], nz["epsilon"])]
         return GsdPattern(pattern, subtype)
     if nz["delta"] and nz["epsilon"]:

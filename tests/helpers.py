@@ -13,6 +13,11 @@ def random_unitary(rng, n=2):
     return q * (d / np.abs(d))
 
 
+def random_local_unitary(rng):
+    """u_a x u_b x u_c of three Haar-random one-qubit unitaries, drawn in that order."""
+    return np.kron(np.kron(random_unitary(rng), random_unitary(rng)), random_unitary(rng))
+
+
 def random_qubit(rng):
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return z / np.linalg.norm(z)
@@ -41,6 +46,13 @@ def random_biseparable(rng, separable_qubit="A"):
     return PureState(t.reshape(8))
 
 
+def _canonical_w_amplitudes(rng):
+    c = rng.uniform(0.3, 1.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
+    amps = np.zeros(8, dtype=complex)
+    amps[[0, 6, 5]] = c / np.linalg.norm(c)
+    return amps
+
+
 def hidden_w_state(rng):
     """A W-class state hidden by random local unitaries.
 
@@ -49,10 +61,23 @@ def hidden_w_state(rng):
     omega are exactly 0.  Each qubit is then rotated by a Haar-random
     unitary, so the pencil det(T0 + z T1) has a double root at a random z.
     """
-    c = rng.uniform(0.3, 1.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
-    amps = np.zeros(8, dtype=complex)
-    amps[[0, 6, 5]] = c / np.linalg.norm(c)
-    u = np.kron(np.kron(random_unitary(rng), random_unitary(rng)), random_unitary(rng))
+    amps = _canonical_w_amplitudes(rng)
+    return PureState(random_local_unitary(rng) @ amps)
+
+
+def near_swap_w_state(rng):
+    """A W-class state whose qubit A is rotated to within 1e-8..1e-6 rad of a swap.
+
+    The canonical coefficients are drawn as in hidden_w_state.  Qubit A
+    gets the swap |0> <-> |1>, then a real rotation by 10**-uniform(6, 8)
+    rad and random phases; qubits B and C get Haar-random unitaries.  So
+    det T1 ~ 0 and the pencil's double root sits near z = infinity.
+    """
+    amps = _canonical_w_amplitudes(rng)
+    theta = 10.0 ** -rng.uniform(6.0, 8.0)
+    rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    u_a = np.diag(np.exp(2j * np.pi * rng.uniform(size=2))) @ rotation @ np.array([[0, 1], [1, 0]])
+    u = np.kron(np.kron(u_a, random_unitary(rng)), random_unitary(rng))
     return PureState(u @ amps)
 
 

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from triqent import classify_pure, ghz, measure_set, rho_epsilon, sample_haar_pure, w_prime
-from triqent.cli import CSV_HEADER, RANDOM_CHUNK, load_state_file, main, save_state_file
+from triqent.classify import DEFAULT_ZERO_TOL
+from triqent.cli import (
+    CSV_HEADER,
+    RANDOM_CHUNK,
+    _build_parser,
+    load_state_file,
+    main,
+    save_state_file,
+)
 
 
 @pytest.fixture
@@ -63,6 +71,13 @@ class TestStateFiles:
         assert main(["classify", ghz_file, "--tol", "nan"]) == 2
         assert main(["random", "--count", "1", "--tol", "inf"]) == 2
         assert "zero_tol must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["classify", "s.json"], ["random", "--count", "1"]])
+    def test_tolerance_default_is_the_library_default(self, argv, capsys):
+        assert _build_parser().parse_args(argv).tol == DEFAULT_ZERO_TOL
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert f"default {DEFAULT_ZERO_TOL:g}" in capsys.readouterr().out
 
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -22,7 +22,14 @@ from triqent import (
     w_prime,
 )
 from triqent.cli import main, save_state_file
-from helpers import hidden_w_state, nonzero_coefficients, random_biseparable, random_product_state
+from helpers import (
+    hidden_w_state,
+    near_swap_w_state,
+    nonzero_coefficients,
+    random_biseparable,
+    random_local_unitary,
+    random_product_state,
+)
 
 CANONICAL_INDICES = (0, 4, 6, 5, 7)  # alpha, beta, delta, epsilon, omega
 ZERO_INDICES = (1, 2, 3)
@@ -31,6 +38,19 @@ ZERO_INDICES = (1, 2, 3)
 def assert_canonical_zeros(form, psi):
     rotated = apply_local_unitary(psi, form.u_a, form.u_b, form.u_c)
     assert np.abs(rotated.amplitudes[list(ZERO_INDICES)]).max() < 1e-10
+
+
+def assert_w_states_decided(make):
+    # the W double root must locate well enough that beta and omega
+    # come out at rounding level, far below the default threshold
+    rng = np.random.default_rng(2024)
+    for i in range(500):
+        psi = make(rng)
+        form = gsd(psi, mode="raw" if i % 2 == 0 else "normal")
+        assert max(abs(form.beta), abs(form.omega)) < 1e-12
+        pat = classify_gsd_pattern(form)
+        assert pat.pattern == "W"
+        assert pat.subtype == classify_pure(psi).label
 
 
 class TestGsdExamples:
@@ -134,6 +154,27 @@ class TestGsdInvariants:
                 assert abs(z.imag) < 1e-9, name
                 assert z.real > -1e-9, name
 
+    @pytest.mark.parametrize("mask", range(16), ids=lambda m: f"{m:04b}")
+    def test_normal_mode_phase_rule(self, mask):
+        # every zero/nonzero pattern of (beta, delta, epsilon, omega)
+        # with alpha != 0 reaches its own case of the phase rule
+        rng = np.random.default_rng(100 + mask)
+        nonzero = [True] + [bool(mask >> (3 - k) & 1) for k in range(4)]
+        for _ in range(25):
+            c = rng.uniform(0.3, 1.0, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
+            c *= nonzero
+            c /= np.linalg.norm(c)
+            psi = PureState(random_local_unitary(rng) @ from_gsd_coefficients(*c).amplitudes)
+            form = gsd(psi, mode="normal")
+            for name in ("alpha", "delta", "epsilon", "omega"):
+                z = getattr(form, name)
+                assert abs(z.imag) < 1e-12, name
+                assert z.real > -1e-12, name
+            rotated = apply_local_unitary(psi, form.u_a, form.u_b, form.u_c).amplitudes
+            coefficients = rotated[list(CANONICAL_INDICES)]
+            np.testing.assert_allclose(coefficients, form.coefficients, atol=1e-12)
+            assert np.abs(rotated[list(ZERO_INDICES)]).max() < 1e-12
+
     def test_normalization(self):
         for seed in range(25):
             form = gsd(sample_haar_pure(seed))
@@ -225,21 +266,29 @@ class TestPatternClassifier:
             classify_gsd_pattern(form, zero_tol=1e-8)
 
     def test_hidden_w_states(self):
-        # the W double root must locate well enough that beta and omega
-        # come out below the ambiguity decade of the default threshold
-        rng = np.random.default_rng(2024)
-        ambiguous = 0
-        for i in range(500):
-            psi = hidden_w_state(rng)
-            form = gsd(psi, mode="raw" if i % 2 == 0 else "normal")
-            try:
-                pat = classify_gsd_pattern(form)
-            except AmbiguousNearThresholdError:
-                ambiguous += 1
-                continue
-            assert pat.pattern == "W"
-            assert pat.subtype == classify_pure(psi).label
-        assert ambiguous <= 5
+        assert_w_states_decided(hidden_w_state)
+
+    def test_near_swap_w_states(self):
+        # near a swap of qubit A the double root sits near z = infinity
+        assert_w_states_decided(near_swap_w_state)
+
+    def test_star_centred_on_a(self):
+        # five nonzero coefficients with beta*omega = delta*epsilon leave
+        # pair BC separable: C_BC = 2|beta*omega - delta*epsilon|
+        rng = np.random.default_rng(21)
+        for i in range(40):
+            alpha, beta, delta, epsilon = nonzero_coefficients(rng, 4, min_mag=0.2)
+            c = np.array([alpha, beta, delta, epsilon, delta * epsilon / beta])
+            c /= np.linalg.norm(c)
+            psi = from_gsd_coefficients(*c)
+            if i % 2:
+                psi = PureState(random_local_unitary(rng) @ psi.amplitudes)
+            label = classify_pure(psi).label
+            assert label.code == "2-2" and label.entangled_pairs == ("AC", "AB")
+            for mode in ("raw", "normal"):
+                pat = classify_gsd_pattern(gsd(psi, mode=mode))
+                assert pat.pattern == "S''"
+                assert pat.subtype == label
 
 
 NON_FINITE_COEFFICIENTS = {

@@ -139,13 +139,18 @@ def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Mi
     itself because the cube root lifts a tiny cut above any threshold.
     Full separability or biseparability is never asserted, only
     excluded; the gap between generalized biseparability and full
-    inseparability stays undetermined.
+    inseparability stays undetermined.  The decision reads only the
+    state's MeasureSet (``_certify_measured``), so ``sweep`` certifies a
+    grid measured as one stack the same way.
     """
     if len(_require_density(rho, "classify_mixed").qubits) != 3:
         raise WrongDimensionError("classify_mixed needs a dim-8 density matrix over [A, B, C]")
     check_zero_tol(zero_tol)
-    ms = measure_set(rho)
+    return _certify_measured(measure_set(rho), zero_tol)
 
+
+def _certify_measured(ms: MeasureSet, zero_tol: float) -> MixedVerdict:
+    """The certificates of ``classify_mixed`` from the MeasureSet of a mixed state."""
     certs: list[Certificate] = []
     n_red = {"BC": ms.n_red_bc, "AC": ms.n_red_ac, "AB": ms.n_red_ab}
     for name in ("BC", "AC", "AB"):

@@ -30,8 +30,8 @@ from .errors import (
 )
 from .families import SWEEPABLE, default_grid, sweep
 from .gsd import classify_gsd_pattern, gsd
-from .measures import MeasureSet, _pure_measure_sets, measure_set
-from .states import DensityMatrix, PureState, sample_haar_pure
+from .measures import STACK_CHUNK, MeasureSet, _pure_measure_sets, measure_set
+from .states import DensityMatrix, PureState, _haar_draws, _validated_amplitudes
 
 MEASURE_FIELDS = (
     "n_a_bc", "n_b_ac", "n_c_ab", "n_abc",
@@ -41,8 +41,6 @@ MEASURE_FIELDS = (
     "s_a", "s_b", "s_c",
 )
 ORACLE_FIELDS = ("n_a_bc", "n_b_ac", "n_c_ab", "n_abc", "n_red_bc", "n_red_ac", "n_red_ab")
-#: states `random` classifies per stack; bounds its working memory for any --count
-RANDOM_CHUNK = 1024
 CSV_HEADER = (
     ["family", "param"]
     + list(MEASURE_FIELDS)
@@ -227,9 +225,10 @@ def _cmd_random(args) -> int:
     check_zero_tol(args.tol)
     lines = []
     histogram: dict[str, int] = {}
-    for start in range(0, args.count, RANDOM_CHUNK):
-        seeds = range(args.seed + start, args.seed + min(args.count, start + RANDOM_CHUNK))
-        amps = np.array([sample_haar_pure(seed).amplitudes for seed in seeds])
+    for start in range(0, args.count, STACK_CHUNK):
+        seeds = range(args.seed + start, args.seed + min(args.count, start + STACK_CHUNK))
+        # the draws of sample_haar_pure, validated as one stack
+        amps = _validated_amplitudes(_haar_draws(seeds))
         for i, ms in enumerate(_pure_measure_sets(amps), start):
             res = _classify_measured(ms, args.tol)
             code = res.label.code + ("?" if res.ambiguous else "")

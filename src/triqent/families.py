@@ -1,9 +1,15 @@
 """Named states, parametric families and their closed-form reference values.
 
-Each family constructor returns the exact state for the given
-parameters; ``oracle`` evaluates whatever closed forms are known for it,
+Each family is written once, as a closed form over a stack of
+parameter rows: ``_build`` checks the rows against the family's domain
+(vectorized, so a NaN parameter is rejected too) and returns (N, 8)
+amplitudes for a pure family or (N, 8, 8) matrices for a mixed one.
+The scalar constructors (``ghz_like(alpha)``, ``sigma_b(b)``, ...) and
+``make_state`` are that closed form on a stack of one.  ``oracle``
+evaluates whatever closed forms are known for a family's measures,
 keyed by MeasureSet field names, and ``sweep`` tabulates computed
-measures against those oracles over a parameter grid.
+measures against those oracles over a parameter grid, which it builds,
+validates, measures and classifies as one stack per STACK_CHUNK points.
 """
 
 from __future__ import annotations
@@ -12,56 +18,73 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import classify_mixed, classify_pure
-from .errors import NoOracleError, ParamOutOfDomainError, TriqentError
-from .measures import MeasureSet
-from .states import QUBITS, DensityMatrix, PureState, to_density
+from .classify import DEFAULT_ZERO_TOL, _certify_measured, _classify_measured
+from .errors import NoOracleError, ParamOutOfDomainError
+from .measures import STACK_CHUNK, MeasureSet, _mixed_measure_sets, _pure_measure_sets
+from .states import (
+    QUBITS,
+    DensityMatrix,
+    PureState,
+    _raise_first,
+    _validated_amplitudes,
+    _validated_matrices,
+)
 
 _SQRT3 = np.sqrt(3.0)
 
 
-def _pure(indexed_amps: dict[int, complex]) -> PureState:
-    amps = np.zeros(8, dtype=complex)
-    for idx, val in indexed_amps.items():
-        amps[idx] = val
-    return PureState(amps)
+def _amplitudes(n: int, indexed: dict) -> np.ndarray:
+    """(n, 8) amplitudes: each value of ``indexed``, a scalar or an (n,) column, at its basis index."""
+    amps = np.zeros((n, 8), dtype=complex)
+    for idx, val in indexed.items():
+        amps[:, idx] = val
+    return amps
 
 
-def ghz(phase: float = 0.0) -> PureState:
-    """(|000> + e^{i phase} |111>) / sqrt(2); mixtures below pin phase = 0."""
-    return _pure({0: 1 / np.sqrt(2), 7: np.exp(1j * phase) / np.sqrt(2)})
+def _check_domain(inside: np.ndarray, rows: np.ndarray, template: str, where=None) -> None:
+    """ParamOutOfDomainError for the first row not ``inside``, its values filling ``template``.
+
+    ``inside`` is built from comparisons, which are False on NaN, so a
+    NaN parameter is outside every domain.
+    """
+    _raise_first(~inside, ParamOutOfDomainError, lambda i: template.format(*rows[i]), where)
 
 
-def ghz_like(alpha: float) -> PureState:
-    """alpha|000> + omega|111> with real alpha in [0, 1], omega = sqrt(1 - alpha^2)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ParamOutOfDomainError(f"ghz_like needs alpha in [0, 1], got {alpha}")
-    return _pure({0: alpha, 7: np.sqrt(1.0 - alpha * alpha)})
+def _ghz_rows(phase: np.ndarray) -> np.ndarray:
+    return _amplitudes(len(phase), {0: 1 / np.sqrt(2), 7: np.exp(1j * phase) / np.sqrt(2)})
 
 
-def w_prime() -> PureState:
-    """The symmetric W state (|001> + |010> + |100>) / sqrt(3)."""
-    return _pure({1: 1 / _SQRT3, 2: 1 / _SQRT3, 4: 1 / _SQRT3})
+def _ghz_like_rows(rows: np.ndarray, where=None) -> np.ndarray:
+    alpha = rows[:, 0]
+    _check_domain((0.0 <= alpha) & (alpha <= 1.0), rows, "ghz_like needs alpha in [0, 1], got {}", where)
+    return _amplitudes(len(rows), {0: alpha, 7: np.sqrt(1.0 - alpha * alpha)})
 
 
-def w_canonical(alpha: complex, epsilon: complex, delta: complex) -> PureState:
-    """alpha|000> + epsilon|101> + delta|110>, already in canonical form."""
-    if abs(abs(alpha) ** 2 + abs(epsilon) ** 2 + abs(delta) ** 2 - 1.0) > 1e-10:
-        raise ParamOutOfDomainError("w_canonical coefficients must be normalized")
-    return _pure({0: alpha, 5: epsilon, 6: delta})
+def _w_prime_rows(n: int) -> np.ndarray:
+    return _amplitudes(n, {1: 1 / _SQRT3, 2: 1 / _SQRT3, 4: 1 / _SQRT3})
 
 
-def w_state() -> PureState:
-    """The canonical-form W point alpha = epsilon = delta = 1/sqrt(3)."""
-    return w_canonical(1 / _SQRT3, 1 / _SQRT3, 1 / _SQRT3)
+def _check_normalized(rows: np.ndarray, message: str, where=None) -> None:
+    norm_dev = np.abs((np.abs(rows) ** 2).sum(axis=1) - 1.0)
+    _check_domain(norm_dev <= 1e-10, rows, message, where)
 
 
-def from_gsd_coefficients(alpha, beta, delta, epsilon, omega) -> PureState:
-    """Pure state with the five canonical amplitudes and zeros elsewhere."""
-    total = sum(abs(c) ** 2 for c in (alpha, beta, delta, epsilon, omega))
-    if abs(total - 1.0) > 1e-10:
-        raise ParamOutOfDomainError("canonical coefficients must be normalized")
-    return _pure({0: alpha, 4: beta, 6: delta, 5: epsilon, 7: omega})
+def _w_canonical_rows(rows: np.ndarray, where=None) -> np.ndarray:
+    _check_normalized(rows, "w_canonical coefficients must be normalized", where)
+    return _amplitudes(len(rows), {0: rows[:, 0], 5: rows[:, 1], 6: rows[:, 2]})
+
+
+def _gsd_rows(rows: np.ndarray) -> np.ndarray:
+    _check_normalized(rows, "canonical coefficients must be normalized")
+    return _amplitudes(len(rows), dict(zip((0, 4, 6, 5, 7), rows.T)))
+
+
+def _projector(amps: np.ndarray) -> np.ndarray:
+    return np.outer(amps, amps.conj())
+
+
+_GHZ_RHO = _projector(_ghz_rows(np.zeros(1))[0])
+_W_PRIME_RHO = _projector(_w_prime_rows(1)[0])
 
 
 def _bell(sign: float) -> np.ndarray:
@@ -71,95 +94,154 @@ def _bell(sign: float) -> np.ndarray:
     return v
 
 
+#: |1><1|_A x |Psi+><Psi+| and |0><0|_A x |Psi-><Psi-|, the two terms of rho_epsilon
+_RHO_EPS_PLUS = np.kron(np.diag([0.0, 1.0]), _projector(_bell(1.0)))
+_RHO_EPS_MINUS = np.kron(np.diag([1.0, 0.0]), _projector(_bell(-1.0)))
+
+
+def _rho_epsilon_rows(rows: np.ndarray, where=None) -> np.ndarray:
+    eps = rows[:, 0]
+    _check_domain((-1.0 <= eps) & (eps <= 1.0), rows, "rho_epsilon needs |eps| <= 1, got {}", where)
+    eps = eps[:, np.newaxis, np.newaxis]
+    return 0.5 * (1 + eps) * _RHO_EPS_PLUS + 0.5 * (1 - eps) * _RHO_EPS_MINUS
+
+
+def _ghz_w_mix_rows(rows: np.ndarray, where=None) -> np.ndarray:
+    p = rows[:, 0]
+    _check_domain((0.0 <= p) & (p <= 1.0), rows, "ghz_w_mix needs p in [0, 1], got {}", where)
+    p = p[:, np.newaxis, np.newaxis]
+    return p * _GHZ_RHO + (1 - p) * _W_PRIME_RHO
+
+
+def _ghz_noise_rows(rows: np.ndarray, where=None) -> np.ndarray:
+    p = rows[:, 0]
+    _check_domain((0.0 <= p) & (p <= 1.0), rows, "ghz_noise needs p in [0, 1], got {}", where)
+    p = p[:, np.newaxis, np.newaxis]
+    return p * _GHZ_RHO + (1 - p) / 8.0 * np.eye(8)
+
+
+#: the printed 8x8 form of sigma_b before its 1 / (7b + 1) normalization,
+#: with h = (1 + b) / 2 and s = sqrt(1 - b^2) / 2
+_SIGMA_B_FORM = np.array([list(row) for row in (
+    "b0000b00",
+    "0b0000b0",
+    "00b0000b",
+    "000b0000",
+    "0000h00s",
+    "b0000b00",
+    "0b0000b0",
+    "00b0s00h",
+)])
+
+
+def _sigma_b_rows(rows: np.ndarray, where=None) -> np.ndarray:
+    b = rows[:, 0]
+    _check_domain((0.0 < b) & (b < 1.0), rows, "sigma_b needs b in (0, 1), got {}", where)
+    m = np.zeros((len(b), 8, 8), dtype=complex)
+    for name, value in (("b", b), ("h", (1.0 + b) / 2.0), ("s", np.sqrt(1.0 - b * b) / 2.0)):
+        m[:, _SIGMA_B_FORM == name] = value[:, np.newaxis]
+    return m / (7.0 * b + 1.0)[:, np.newaxis, np.newaxis]
+
+
+#: family name -> (number of parameters, closed form over an (N, arity)
+#: stack of parameter rows, given the optional ``where`` of ``_raise_first``)
+_FAMILIES = {
+    "ghz": (0, lambda rows, where=None: _ghz_rows(np.zeros(len(rows)))),
+    "w": (0, lambda rows, where=None: _w_canonical_rows(np.full((len(rows), 3), 1 / _SQRT3), where)),
+    "w_prime": (0, lambda rows, where=None: _w_prime_rows(len(rows))),
+    "rho0": (0, lambda rows, where=None: _rho_epsilon_rows(np.zeros((len(rows), 1)), where)),
+    "ghz_like": (1, _ghz_like_rows),
+    "w_canonical": (3, _w_canonical_rows),
+    "ghz_w_mix": (1, _ghz_w_mix_rows),
+    "ghz_noise": (1, _ghz_noise_rows),
+    "sigma_b": (1, _sigma_b_rows),
+    "rho_epsilon": (1, _rho_epsilon_rows),
+}
+
+
+def _build(family: str, grid, where=None) -> np.ndarray:
+    """The family's closed form on a grid of parameter tuples, domain-checked but not yet validated."""
+    _raise_first(np.full(len(grid), family not in _FAMILIES), ParamOutOfDomainError,
+                 lambda i: f"unknown family {family!r}; known: {', '.join(FAMILIES)}", where)
+    arity, closed_form = _FAMILIES[family]
+    _raise_first(np.array([len(params) != arity for params in grid]), ParamOutOfDomainError,
+                 lambda i: f"family {family!r} takes {arity} parameter(s), got {len(grid[i])}", where)
+    return closed_form(np.array(grid).reshape(len(grid), arity), where)
+
+
+def make_state(family: str, *params) -> PureState | DensityMatrix:
+    """Build the named state or family member for the given parameters."""
+    stack = _build(family, [params])
+    return PureState(stack[0]) if stack.ndim == 2 else DensityMatrix(stack[0], QUBITS)
+
+
+def ghz(phase: float = 0.0) -> PureState:
+    """(|000> + e^{i phase} |111>) / sqrt(2); mixtures below pin phase = 0."""
+    return PureState(_ghz_rows(np.array([phase]))[0])
+
+
+def ghz_like(alpha: float) -> PureState:
+    """alpha|000> + omega|111> with real alpha in [0, 1], omega = sqrt(1 - alpha^2)."""
+    return make_state("ghz_like", alpha)
+
+
+def w_prime() -> PureState:
+    """The symmetric W state (|001> + |010> + |100>) / sqrt(3)."""
+    return make_state("w_prime")
+
+
+def w_canonical(alpha: complex, epsilon: complex, delta: complex) -> PureState:
+    """alpha|000> + epsilon|101> + delta|110>, already in canonical form."""
+    return make_state("w_canonical", alpha, epsilon, delta)
+
+
+def w_state() -> PureState:
+    """The canonical-form W point alpha = epsilon = delta = 1/sqrt(3)."""
+    return make_state("w")
+
+
+def from_gsd_coefficients(alpha, beta, delta, epsilon, omega) -> PureState:
+    """Pure state with the five canonical amplitudes and zeros elsewhere."""
+    return PureState(_gsd_rows(np.array([[alpha, beta, delta, epsilon, omega]]))[0])
+
+
 def rho_epsilon(eps: float) -> DensityMatrix:
     """Biseparable Bell mixture whose BC reduction has negativity |eps|.
 
     (1+eps)/2 |1><1|_A x |Psi+><Psi+| + (1-eps)/2 |0><0|_A x |Psi-><Psi-|
     with the Bell states Psi+- = (|10> +- |01>)/sqrt(2) on the BC pair.
     """
-    if not -1.0 <= eps <= 1.0:
-        raise ParamOutOfDomainError(f"rho_epsilon needs |eps| <= 1, got {eps}")
-    plus = np.outer(_bell(1.0), _bell(1.0).conj())
-    minus = np.outer(_bell(-1.0), _bell(-1.0).conj())
-    m = 0.5 * (1 + eps) * np.kron(np.diag([0.0, 1.0]), plus)
-    m += 0.5 * (1 - eps) * np.kron(np.diag([1.0, 0.0]), minus)
-    return DensityMatrix(m, QUBITS)
+    return make_state("rho_epsilon", eps)
 
 
 def rho_zero() -> DensityMatrix:
     """The eps = 0 Bell mixture: biseparable yet with a separable BC reduction."""
-    return rho_epsilon(0.0)
+    return make_state("rho0")
 
 
 def ghz_w_mix(p: float) -> DensityMatrix:
     """p |GHZ><GHZ| + (1-p) |W'><W'| for p in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ParamOutOfDomainError(f"ghz_w_mix needs p in [0, 1], got {p}")
-    m = p * to_density(ghz()).matrix + (1 - p) * to_density(w_prime()).matrix
-    return DensityMatrix(m, QUBITS)
+    return make_state("ghz_w_mix", p)
 
 
 def ghz_noise(p: float) -> DensityMatrix:
     """p |GHZ><GHZ| + (1-p)/8 * identity for p in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ParamOutOfDomainError(f"ghz_noise needs p in [0, 1], got {p}")
-    m = p * to_density(ghz()).matrix + (1 - p) / 8.0 * np.eye(8)
-    return DensityMatrix(m, QUBITS)
+    return make_state("ghz_noise", p)
 
 
 def sigma_b(b: float) -> DensityMatrix:
     """Bound-entangled 2x4 family embedded on qubits A|(BC), b in (0, 1).
 
     The 4-dimensional side uses the basis map e1..e4 = |00>, |01>, |10>,
-    |11> on BC, so the printed 8x8 form is already in the package's
-    index convention.
+    |11> on BC, so the printed 8x8 form (``_SIGMA_B_FORM``) is already
+    in the package's index convention.
     """
-    if not 0.0 < b < 1.0:
-        raise ParamOutOfDomainError(f"sigma_b needs b in (0, 1), got {b}")
-    s = np.sqrt(1.0 - b * b) / 2.0
-    h = (1.0 + b) / 2.0
-    m = np.array(
-        [
-            [b, 0, 0, 0, 0, b, 0, 0],
-            [0, b, 0, 0, 0, 0, b, 0],
-            [0, 0, b, 0, 0, 0, 0, b],
-            [0, 0, 0, b, 0, 0, 0, 0],
-            [0, 0, 0, 0, h, 0, 0, s],
-            [b, 0, 0, 0, 0, b, 0, 0],
-            [0, b, 0, 0, 0, 0, b, 0],
-            [0, 0, b, 0, s, 0, 0, h],
-        ],
-        dtype=complex,
-    )
-    return DensityMatrix(m / (7.0 * b + 1.0), QUBITS)
+    return make_state("sigma_b", b)
 
 
-_BUILDERS = {
-    "ghz": (0, ghz),
-    "w": (0, w_state),
-    "w_prime": (0, w_prime),
-    "rho0": (0, rho_zero),
-    "ghz_like": (1, ghz_like),
-    "w_canonical": (3, w_canonical),
-    "ghz_w_mix": (1, ghz_w_mix),
-    "ghz_noise": (1, ghz_noise),
-    "sigma_b": (1, sigma_b),
-    "rho_epsilon": (1, rho_epsilon),
-}
-
-FAMILIES = tuple(sorted(_BUILDERS))
+FAMILIES = tuple(sorted(_FAMILIES))
 #: families with a one-parameter domain and hence a default sweep grid
 SWEEPABLE = ("ghz_like", "ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
-
-
-def make_state(family: str, *params) -> PureState | DensityMatrix:
-    """Build the named state or family member for the given parameters."""
-    if family not in _BUILDERS:
-        raise ParamOutOfDomainError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    arity, builder = _BUILDERS[family]
-    if len(params) != arity:
-        raise ParamOutOfDomainError(f"family {family!r} takes {arity} parameter(s), got {len(params)}")
-    return builder(*params)
 
 
 def _ghz_w_mix_negativity(p: float) -> float:
@@ -242,27 +324,39 @@ class SweepRow:
     deviations: dict[str, float]
 
 
+def _failed_at(family: str, grid):
+    """The ``where`` of ``_raise_first`` for a chunk of a sweep grid."""
+    return lambda i: f"sweep of {family!r} failed at params {grid[i]}"
+
+
 def sweep(spec: FamilySpec) -> list[SweepRow]:
-    """One row per grid point, in grid order, with oracle deviations."""
+    """One row per grid point, in grid order, with oracle deviations.
+
+    The grid is built from the family's closed form, validated, measured
+    and classified as one stack per chunk of STACK_CHUNK points, so
+    memory stays bounded for any grid; each row equals what
+    ``classify_pure`` or ``classify_mixed`` gives on
+    ``make_state(family, *params)``.  A domain or validation error names
+    the params of the first grid point that fails.
+    """
     if not spec.grid:
         raise ParamOutOfDomainError("sweep needs a nonempty grid")
     rows = []
-    for params in spec.grid:
-        try:
-            state = make_state(spec.family, *params)
-            if isinstance(state, PureState):
-                res = classify_pure(state)
-                verdict = res.label.code
-            else:
-                res = classify_mixed(state)
-                verdict = "; ".join(res.claims())
-            ms = res.measures
+    for start in range(0, len(spec.grid), STACK_CHUNK):
+        grid = spec.grid[start:start + STACK_CHUNK]
+        where = _failed_at(spec.family, grid)
+        stack = _build(spec.family, grid, where)
+        if stack.ndim == 2:
+            sets = _pure_measure_sets(_validated_amplitudes(stack, where))
+            verdicts = [_classify_measured(ms, DEFAULT_ZERO_TOL).label.code for ms in sets]
+        else:
+            sets = _mixed_measure_sets(_validated_matrices(stack, where))
+            verdicts = ["; ".join(_certify_measured(ms, DEFAULT_ZERO_TOL).claims()) for ms in sets]
+        for params, ms, verdict in zip(grid, sets, verdicts):
             try:
                 oracle_values = oracle(spec.family, *params)
             except NoOracleError:
                 oracle_values = {}
             deviations = {k: abs(getattr(ms, k) - v) for k, v in oracle_values.items()}
-        except TriqentError as exc:
-            raise type(exc)(f"sweep of {spec.family!r} failed at params {params}: {exc}") from exc
-        rows.append(SweepRow(tuple(params), ms, verdict, oracle_values, deviations))
+            rows.append(SweepRow(tuple(params), ms, verdict, oracle_values, deviations))
     return rows

@@ -51,6 +51,10 @@ NEG_EIG_FLOOR = 1e-13
 #: spectrum weights at or below this are dropped from entropy sums
 ENTROPY_FLOOR = 1e-14
 
+#: states per call of a stacked routine in ``sweep`` and ``random``; bounds
+#: their working memory for any grid size or state count
+STACK_CHUNK = 1024
+
 #: sy x sy, the two-qubit spin flip
 _SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
 

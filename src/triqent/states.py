@@ -35,6 +35,35 @@ EIG_FLOOR = -1e-10
 UNITARY_ATOL = 1e-10
 
 
+def _raise_first(bad: np.ndarray, error: type, message, where=None) -> None:
+    """Raise ``error(message(i))`` for the first row i flagged in ``bad``, if any.
+
+    ``where(i)``, when given, names row i and prefixes the message, so a
+    caller validating a stack can say which of its inputs failed.
+    """
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(f"{where(i)}: {message(i)}" if where else message(i))
+
+
+def _validated_amplitudes(amps: np.ndarray, where=None) -> np.ndarray:
+    """Check a stack of amplitude vectors, shape (N, 8), and return it read-only.
+
+    ``PureState`` validation is this routine on a stack of one; an
+    invalid row raises what the scalar path raises, for the first such
+    row (see ``_raise_first`` for ``where``).
+    """
+    norm = np.sqrt((np.abs(amps) ** 2).sum(axis=-1))
+    norm_dev = np.abs(norm - 1.0)
+    if not norm_dev.max() <= NORM_ATOL:  # a NaN or infinite amplitude fails this too
+        _raise_first(~np.isfinite(amps).all(axis=-1), NonFiniteError,
+                     lambda i: "amplitudes hold a NaN or infinite entry", where)
+        _raise_first(norm_dev > NORM_ATOL, NotNormalizedError,
+                     lambda i: f"norm is {norm[i]:.12g}, expected 1", where)
+    amps.setflags(write=False)
+    return amps
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized vector of 8 complex amplitudes over |ijk>."""
@@ -45,13 +74,7 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (8,):
             raise WrongDimensionError(f"expected 8 amplitudes, got {amps.shape}")
-        if not np.isfinite(amps).all():
-            raise NonFiniteError("amplitudes hold a NaN or infinite entry")
-        norm = np.sqrt((np.abs(amps) ** 2).sum())
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise NotNormalizedError(f"norm is {norm:.12g}, expected 1")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _validated_amplitudes(amps[np.newaxis])[0])
 
     @property
     def tensor(self) -> np.ndarray:
@@ -65,14 +88,54 @@ def _require_pure(psi, what: str) -> PureState:
     return psi
 
 
+def _validated_matrices(m: np.ndarray, where=None) -> np.ndarray:
+    """Check a stack of density matrices, shape (N, d, d); return the validated stack.
+
+    The checks are those of ``DensityMatrix``, which is this routine on
+    a stack of one: finite entries, Hermitian within HERM_ATOL, unit
+    trace within NORM_ATOL, and no eigenvalue below EIG_FLOOR, from one
+    ``eig_hermitian`` call on the whole stack.  The result is the
+    Hermitian part (m + m^dagger) / 2 of each matrix, so derived
+    matrices are exactly Hermitian.  Only the rows whose smallest
+    eigenvalue lies in [EIG_FLOOR, 0) are rebuilt from their spectrum
+    clamped at zero and renormalized to unit trace.  An invalid row
+    raises what the scalar path raises, for the first such row (see
+    ``_raise_first`` for ``where``).  The result is read-only.
+    """
+    if not np.isfinite(m).all():
+        _raise_first(~np.isfinite(m).all(axis=(-2, -1)), NonFiniteError,
+                     lambda i: "density matrix holds a NaN or infinite entry", where)
+    m_h = m.conj().swapaxes(-1, -2)
+    herm_dev = np.abs(m - m_h).max(axis=(-2, -1))
+    _raise_first(herm_dev > HERM_ATOL, NotHermitianError,
+                 lambda i: f"Hermiticity deviation {herm_dev[i]:.3e} exceeds {HERM_ATOL:.1e}", where)
+    m = (m + m_h) / 2.0
+    tr = m.trace(axis1=-2, axis2=-1).real
+    _raise_first(np.abs(tr - 1.0) > NORM_ATOL, NotNormalizedError,
+                 lambda i: f"trace is {tr[i]:.12g}, expected 1", where)
+    eig = eig_hermitian(m, HERM_ATOL)
+    low = eig.values[:, -1]
+    clamp = low < 0.0
+    if clamp.any():
+        _raise_first(low < EIG_FLOOR, NotPSDError,
+                     lambda i: f"minimum eigenvalue {low[i]:.3e} below {EIG_FLOOR:.1e}", where)
+        v = eig.vectors[clamp]
+        c = (v * np.clip(eig.values[clamp], 0.0, None)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
+        c = (c + c.conj().swapaxes(-1, -2)) / 2.0
+        c /= c.trace(axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
+        m[clamp] = c
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix with its qubit layout.
 
-    Validation keeps the Hermitian part (m + m^dagger) / 2, so derived
-    matrices are exactly Hermitian; it clamps eigenvalues in
-    [EIG_FLOOR, 0) to zero and renormalizes the trace.  Larger
-    violations are hard errors.
+    Validation is ``_validated_matrices`` on a stack of one: it keeps
+    the Hermitian part (m + m^dagger) / 2, so derived matrices are
+    exactly Hermitian, and clamps eigenvalues in [EIG_FLOOR, 0) to zero
+    and renormalizes the trace.  Larger violations are hard errors.
     """
 
     matrix: np.ndarray
@@ -86,25 +149,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise WrongDimensionError(f"layout {qubits!r} needs shape {(dim, dim)}, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise NonFiniteError("density matrix holds a NaN or infinite entry")
-        herm_dev = np.abs(m - m.conj().T).max()
-        if herm_dev > HERM_ATOL:
-            raise NotHermitianError(f"Hermiticity deviation {herm_dev:.3e} exceeds {HERM_ATOL:.1e}")
-        m = (m + m.conj().T) / 2.0
-        tr = m.trace().real
-        if abs(tr - 1.0) > NORM_ATOL:
-            raise NotNormalizedError(f"trace is {tr:.12g}, expected 1")
-        eig = eig_hermitian(m, HERM_ATOL)
-        if eig.values[-1] < EIG_FLOOR:
-            raise NotPSDError(f"minimum eigenvalue {eig.values[-1]:.3e} below {EIG_FLOOR:.1e}")
-        if eig.values[-1] < 0.0:
-            w = np.clip(eig.values, 0.0, None)
-            m = (eig.vectors * w) @ eig.vectors.conj().T
-            m = (m + m.conj().T) / 2.0
-            m /= m.trace().real
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _validated_matrices(m[np.newaxis])[0])
         object.__setattr__(self, "qubits", qubits)
 
     @classmethod
@@ -201,11 +246,22 @@ def apply_local_unitary(psi: PureState, u_a, u_b, u_c) -> PureState:
     return PureState(out.reshape(8))
 
 
+def _haar_draws(seeds) -> np.ndarray:
+    """Normalized i.i.d. standard complex Gaussian amplitudes, one ``default_rng(seed)`` per row.
+
+    Each row is drawn and normalized exactly as ``sample_haar_pure``
+    does it, so a stack of seeds needs no ``PureState`` per seed.
+    """
+    z = np.empty((len(seeds), 8), dtype=complex)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[i] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    return z / np.sqrt((np.abs(z) ** 2).sum(axis=-1, keepdims=True))
+
+
 def sample_haar_pure(seed: int) -> PureState:
     """Haar-random pure state: i.i.d. standard complex Gaussian amplitudes, normalized."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    return PureState(z / np.sqrt((np.abs(z) ** 2).sum()))
+    return PureState(_haar_draws([seed])[0])
 
 
 def sample_hs_mixed(seed: int, qubits: tuple[str, ...] = QUBITS) -> DensityMatrix:

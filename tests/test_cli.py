@@ -6,9 +6,9 @@ import pytest
 
 from triqent import classify_pure, ghz, measure_set, rho_epsilon, sample_haar_pure, w_prime
 from triqent.classify import DEFAULT_ZERO_TOL
+from triqent.measures import STACK_CHUNK
 from triqent.cli import (
     CSV_HEADER,
-    RANDOM_CHUNK,
     _build_parser,
     load_state_file,
     main,
@@ -232,7 +232,7 @@ class TestRandomCommand:
         assert hist.get("2-3", 0) > sum(hist.values()) / 2
 
     def test_chunked_report_matches_per_state_loop(self, tmp_path):
-        count, seed = RANDOM_CHUNK + 3, 7  # spans a chunk boundary
+        count, seed = STACK_CHUNK + 3, 7  # spans a chunk boundary
         out = tmp_path / "r.txt"
         assert main(["random", "--count", str(count), "--seed", str(seed), "--out", str(out)]) == 0
         lines, histogram = [], {}

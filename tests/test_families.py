@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-import triqent.classify
 import triqent.families
-import triqent.measures
 from triqent import (
+    SWEEPABLE,
     DensityMatrix,
+    FamilySpec,
     NoOracleError,
+    NotPSDError,
     ParamOutOfDomainError,
     PureState,
+    classify_mixed,
+    classify_pure,
     default_grid,
     eig_hermitian,
     ghz,
@@ -25,6 +28,47 @@ from triqent import (
     to_density,
     w_canonical,
 )
+from triqent.measures import STACK_CHUNK
+
+
+def bits(ms):
+    """The fields of a MeasureSet as exact bit patterns; pure-only fields of a mixed state stay None."""
+    return {k: None if v is None else float(v).hex() for k, v in ms.as_dict().items()}
+
+
+def spy_on_stacks(monkeypatch, routine):
+    """Record the stack passed to each call of ``families.<routine>``."""
+    calls = []
+    original = getattr(triqent.families, routine)
+
+    def spy(stack):
+        calls.append(np.array(stack))
+        return original(stack)
+
+    monkeypatch.setattr(triqent.families, routine, spy)
+    return calls
+
+
+def per_point(family, grid):
+    """(verdict, MeasureSet) of each grid point from the scalar constructor and classifier."""
+    out = []
+    for params in grid:
+        state = make_state(family, *params)
+        if isinstance(state, PureState):
+            res = classify_pure(state)
+            out.append((res.label.code, res.measures))
+        else:
+            res = classify_mixed(state)
+            out.append(("; ".join(res.claims()), res.measures))
+    return out
+
+
+def assert_rows_match_per_point(rows, spec):
+    assert [r.params for r in rows] == [tuple(p) for p in spec.grid]
+    expected = per_point(spec.family, spec.grid)
+    assert [r.verdict for r in rows] == [verdict for verdict, _ in expected]
+    for row, (_, ms) in zip(rows, expected):
+        assert bits(row.measures) == bits(ms), row.params
 
 
 class TestConstructors:
@@ -158,22 +202,91 @@ class TestSweep:
     def test_rho0_reduction_is_ppt(self):
         assert measure_set(rho_zero()).n_red_bc < 1e-12
 
-    @pytest.mark.parametrize("family", ["ghz_like", "ghz_w_mix"])
-    def test_one_measure_set_per_point(self, family, monkeypatch):
-        calls = []
-
-        def counting(state):
-            calls.append(state)
-            return measure_set(state)
-
-        for module in (triqent.measures, triqent.classify, triqent.families):
-            monkeypatch.setattr(module, "measure_set", counting, raising=False)
-        rows = sweep(default_grid(family, points=5))
-        assert len(calls) == len(rows) == 5
-        for row, state in zip(rows, calls):
-            assert row.measures == measure_set(state)
+    @pytest.mark.parametrize("family, routine", [
+        ("ghz_like", "_pure_measure_sets"),
+        ("ghz_w_mix", "_mixed_measure_sets"),
+    ], ids=["ghz_like", "ghz_w_mix"])
+    def test_one_stack_call_per_grid(self, family, routine, monkeypatch):
+        calls = spy_on_stacks(monkeypatch, routine)
+        spec = default_grid(family, points=5)
+        rows = sweep(spec)
+        assert len(rows) == 5
+        states = [make_state(family, *params) for params in spec.grid]
+        expected = [s.amplitudes if isinstance(s, PureState) else s.matrix for s in states]
+        assert len(calls) == 1 and np.array_equal(calls[0], expected)  # the full grid, validated
+        for row, state in zip(rows, states):
+            assert bits(row.measures) == bits(measure_set(state))
 
     def test_pure_verdicts_recorded(self):
         rows = sweep(default_grid("ghz_like", points=3))
         assert rows[0].verdict == "0-0"  # alpha = 0 end is the product |111>
         assert rows[-1].verdict == "2-0"
+
+
+class TestSweepStack:
+    """``sweep`` measures each grid as a stack; every row equals the scalar path bit for bit."""
+
+    @pytest.mark.parametrize("points", [101, 1001])
+    @pytest.mark.parametrize("family", SWEEPABLE)
+    def test_matches_per_point_path(self, family, points):
+        spec = default_grid(family, points)
+        assert_rows_match_per_point(sweep(spec), spec)
+
+    @pytest.mark.parametrize("family, grid", [
+        ("w_canonical", ((0.5, 0.5, 1 / np.sqrt(2)), (1 / np.sqrt(3),) * 3, (0.6, 0.8j, 0.0))),
+        ("ghz", ((),)),
+        ("w", ((), ())),
+        ("w_prime", ((),)),
+        ("rho0", ((),)),
+    ], ids=["w_canonical", "ghz", "w", "w_prime", "rho0"])
+    def test_non_sweepable_families(self, family, grid):
+        spec = FamilySpec(family, grid)
+        rows = sweep(spec)
+        assert_rows_match_per_point(rows, spec)
+        for row in rows:
+            try:
+                expected = oracle(family, *row.params)
+            except NoOracleError:
+                expected = {}
+            assert row.oracle_values == expected
+            assert all(dev < 1e-9 for dev in row.deviations.values())
+
+    @pytest.mark.parametrize("family, routine", [
+        ("ghz_like", "_pure_measure_sets"),
+        ("sigma_b", "_mixed_measure_sets"),
+    ], ids=["ghz_like", "sigma_b"])
+    def test_chunked_grid(self, family, routine, monkeypatch):
+        calls = spy_on_stacks(monkeypatch, routine)
+        spec = default_grid(family, 2500)
+        rows = sweep(spec)
+        assert [len(c) for c in calls] == [STACK_CHUNK, STACK_CHUNK, 2500 - 2 * STACK_CHUNK]
+        monkeypatch.undo()
+        assert_rows_match_per_point(rows, spec)
+
+    def test_nan_param_rejected_before_lapack(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, fail)
+        with pytest.raises(ParamOutOfDomainError, match=r"'ghz_noise' failed at params \(nan,\)"):
+            sweep(FamilySpec("ghz_noise", ((0.5,), (float("nan"),))))
+
+    def test_domain_error_names_first_failing_point(self):
+        grid = tuple((p,) for p in (0.2, 0.4, 1.5, -1.0))
+        with pytest.raises(ParamOutOfDomainError, match=r"failed at params \(1\.5,\): ghz_w_mix needs p"):
+            sweep(FamilySpec("ghz_w_mix", grid))
+        with pytest.raises(ParamOutOfDomainError, match=r"failed at params \(0\.5, 0\.5\): family 'ghz_like' takes 1"):
+            sweep(FamilySpec("ghz_like", ((0.5,), (0.5, 0.5))))
+
+    def test_validation_error_names_failing_point(self, monkeypatch):
+        # a closed form that is not a state at its third point
+        def broken(rows, where=None):
+            m = np.array([np.eye(8) / 8] * len(rows), dtype=complex)
+            m[2] = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0])
+            return m
+
+        monkeypatch.setitem(triqent.families._FAMILIES, "ghz_noise", (1, broken))
+        grid = tuple((p,) for p in (0.1, 0.2, 0.3, 0.4))
+        with pytest.raises(NotPSDError, match=r"'ghz_noise' failed at params \(0\.3,\): minimum eigenvalue"):
+            sweep(FamilySpec("ghz_noise", grid))

@@ -7,6 +7,7 @@ import triqent.states
 from triqent import (
     DensityMatrix,
     NonFiniteError,
+    NotHermitianError,
     NotNormalizedError,
     NotPSDError,
     NotUnitaryError,
@@ -27,6 +28,7 @@ from triqent import (
     transpose_qubit,
     tripartite_negativity,
 )
+from triqent.states import EIG_FLOOR, _haar_draws, _validated_amplitudes, _validated_matrices
 from helpers import random_biseparable, random_product_state, random_unitary
 
 
@@ -84,6 +86,85 @@ class TestValidation:
     def test_layout_checked(self):
         with pytest.raises(QubitNotPresentError):
             DensityMatrix(np.eye(4) / 4, ("A", "A"))
+
+
+def random_density(rng, rank, noise=0.0):
+    """A rank-``rank`` 8x8 density matrix G G^dagger / Tr, plus an anti-Hermitian part of size ``noise``."""
+    g = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+    m = g @ g.conj().T
+    skew = rng.standard_normal((8, 8)) * noise
+    return m / m.trace().real + 1j * (skew + skew.T)
+
+
+def bad_density(kind):
+    m = np.eye(8, dtype=complex) / 8
+    if kind == "nan":
+        m[0, 1] = np.nan
+    elif kind == "non-hermitian":
+        m[0, 5] += 1e-6
+    elif kind == "trace":
+        m *= 1.01
+    else:
+        m = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+    return m
+
+
+class TestStackedValidation:
+    """``DensityMatrix`` and ``PureState`` validate through the stacked routines with N = 1."""
+
+    def test_density_rows_equal_scalar_path(self):
+        rng = np.random.default_rng(31)
+        stack = np.array([random_density(rng, rank, noise) for rank in range(1, 9)
+                          for noise in (0.0, 1e-12) for _ in range(8)])
+        sym = (stack + stack.conj().swapaxes(-1, -2)) / 2
+        # the rank-deficient rows carry rounding-level negative eigenvalues: the clamp runs
+        assert (np.linalg.eigvalsh(sym)[:, 0] < 0.0).sum() >= 10
+        validated = _validated_matrices(stack.copy())
+        assert not validated.flags.writeable
+        for row, m in zip(validated, stack):
+            assert np.array_equal(row, DensityMatrix(m).matrix)
+
+    def test_amplitude_rows_equal_scalar_path(self):
+        amps = _haar_draws(range(300))
+        validated = _validated_amplitudes(amps.copy())
+        for row, a in zip(validated, amps):
+            assert np.array_equal(row, PureState(a).amplitudes)
+
+    @pytest.mark.parametrize("kind, error", [
+        ("nan", NonFiniteError),
+        ("non-hermitian", NotHermitianError),
+        ("trace", NotNormalizedError),
+        ("psd", NotPSDError),
+    ])
+    def test_density_errors_match_scalar_path(self, kind, error):
+        with pytest.raises(error) as scalar:
+            DensityMatrix(bad_density(kind))
+        stack = np.array([np.eye(8) / 8] * 3 + [bad_density(kind)] + [np.eye(8) / 8], dtype=complex)
+        with pytest.raises(error) as stacked:
+            _validated_matrices(stack, where=lambda i: f"row {i}")
+        assert str(stacked.value) == f"row 3: {scalar.value}"
+
+    @pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteError), (2.0, NotNormalizedError)])
+    def test_amplitude_errors_match_scalar_path(self, bad, error):
+        amps = np.full((4, 8), 1 / np.sqrt(8), dtype=complex)
+        amps[2, 5] = bad
+        with pytest.raises(error) as scalar:
+            PureState(amps[2])
+        with pytest.raises(error) as stacked:
+            _validated_amplitudes(amps, where=lambda i: f"row {i}")
+        assert str(stacked.value) == f"row 2: {scalar.value}"
+
+    def test_eig_floor_bounds_the_clamp(self):
+        u = random_unitary(np.random.default_rng(5), 8)
+        for low, error in ((0.5 * EIG_FLOOR, None), (2.0 * EIG_FLOOR, NotPSDError)):
+            w = np.full(8, (1.0 - low) / 7)
+            w[-1] = low
+            m = (u * w) @ u.conj().T
+            if error is None:
+                assert np.linalg.eigvalsh(_validated_matrices(m[np.newaxis])[0])[0] >= -1e-15
+            else:
+                with pytest.raises(error):
+                    _validated_matrices(m[np.newaxis])
 
 
 class TestToDensity:
@@ -245,6 +326,16 @@ class TestSampling:
             rho_a = t @ t.conj().T
             total += np.trace(rho_a @ rho_a).real
         assert abs(total / n - 2.0 / 3.0) < 0.01
+
+    def test_stacked_draws_match_per_seed_draws(self):
+        # the one-seed-per-state draws, normalized one vector at a time
+        draws = _haar_draws(range(1000, 3000))
+        for seed, row in zip(range(1000, 3000), draws):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            expected = z / np.sqrt((np.abs(z) ** 2).sum())
+            assert np.array_equal(row, expected)
+            assert np.array_equal(sample_haar_pure(seed).amplitudes, expected)
 
     def test_hs_mixed_valid(self):
         rho = sample_hs_mixed(9)

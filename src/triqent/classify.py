@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonFiniteError, WrongDimensionError
+from .errors import NonFiniteError, ParamOutOfDomainError, WrongDimensionError
 from .measures import MeasureSet, measure_set
 from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _require_density, _require_pure
 
@@ -18,9 +18,18 @@ DEFAULT_ZERO_TOL = 1e-8
 
 
 def check_zero_tol(zero_tol: float) -> None:
-    """Reject a NaN or infinite threshold, which would decide every comparison one way."""
+    """Reject a threshold that is not a finite positive number.
+
+    A NaN or infinite threshold (NonFiniteError) would decide every
+    comparison one way.  A zero or negative one (ParamOutOfDomainError)
+    would count exact zeros as nonzero: with zero_tol = -1 the product
+    state |000> would be labelled W-like and its projector certified
+    GHZ-distillable.
+    """
     if not math.isfinite(zero_tol):
         raise NonFiniteError(f"zero_tol must be finite, got {zero_tol}")
+    if not zero_tol > 0:
+        raise ParamOutOfDomainError(f"zero_tol must be positive, got {zero_tol}")
 
 
 _DESCRIPTION = {

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -31,7 +32,7 @@ from .errors import (
 from .families import SWEEPABLE, default_grid, sweep
 from .gsd import classify_gsd_pattern, gsd
 from .measures import STACK_CHUNK, MeasureSet, _pure_measure_sets, measure_set
-from .states import DensityMatrix, PureState, _haar_draws, _validated_amplitudes
+from .states import DensityMatrix, PureState, _check_seed, _haar_draws, _validated_amplitudes
 
 MEASURE_FIELDS = (
     "n_a_bc", "n_b_ac", "n_c_ab", "n_abc",
@@ -122,6 +123,7 @@ def _print_measures(ms: MeasureSet, out) -> None:
 
 
 def _cmd_classify(args) -> int:
+    check_zero_tol(args.tol)
     state = load_state_file(args.path)
     if isinstance(state, PureState):
         res = classify_pure(state, zero_tol=args.tol)
@@ -223,6 +225,7 @@ def _cmd_random(args) -> int:
     if args.count < 1:
         raise ParamOutOfDomainError("--count must be >= 1")
     check_zero_tol(args.tol)
+    _check_seed(args.seed)  # the smallest of the consecutive seeds
     lines = []
     histogram: dict[str, int] = {}
     for start in range(0, args.count, STACK_CHUNK):
@@ -249,7 +252,13 @@ def _cmd_random(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call.
+
+    ``parse_args`` returns a fresh namespace on every call, so reusing
+    the parser carries no option from one ``main`` call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="triqent",
         description="Entanglement measures, canonical forms and classification of three-qubit states",

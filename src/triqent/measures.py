@@ -27,7 +27,7 @@ X^T (sy x sy) X (Wootters, PRL 80, 2245, 1998).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -198,7 +198,11 @@ class MeasureSet:
     three_tangle: float | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # every value is a float or None, so no deep copy is needed
+        return {name: getattr(self, name) for name in _MEASURE_NAMES}
+
+
+_MEASURE_NAMES = tuple(f.name for f in fields(MeasureSet))
 
 
 def measure_set(state: PureState | DensityMatrix) -> MeasureSet:

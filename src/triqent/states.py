@@ -19,6 +19,7 @@ from .errors import (
     NotNormalizedError,
     NotPSDError,
     NotUnitaryError,
+    ParamOutOfDomainError,
     QubitNotPresentError,
     StateTypeError,
     WrongDimensionError,
@@ -259,13 +260,27 @@ def _haar_draws(seeds) -> np.ndarray:
     return z / np.sqrt((np.abs(z) ** 2).sum(axis=-1, keepdims=True))
 
 
+def _check_seed(seed) -> None:
+    """Reject a seed that is not a non-negative integer before anything is drawn."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParamOutOfDomainError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def sample_haar_pure(seed: int) -> PureState:
-    """Haar-random pure state: i.i.d. standard complex Gaussian amplitudes, normalized."""
+    """Haar-random pure state: i.i.d. standard complex Gaussian amplitudes, normalized.
+
+    Raises ParamOutOfDomainError unless seed is a non-negative integer.
+    """
+    _check_seed(seed)
     return PureState(_haar_draws([seed])[0])
 
 
 def sample_hs_mixed(seed: int, qubits: tuple[str, ...] = QUBITS) -> DensityMatrix:
-    """Hilbert-Schmidt random mixed state G G^dagger / Tr with Gaussian G."""
+    """Hilbert-Schmidt random mixed state G G^dagger / Tr with Gaussian G.
+
+    Raises ParamOutOfDomainError unless seed is a non-negative integer.
+    """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     d = 2 ** len(qubits)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -6,6 +6,7 @@ from triqent import (
     AmbiguousNearThresholdError,
     MixedStateUnsupportedError,
     NonFiniteError,
+    ParamOutOfDomainError,
     PureState,
     WrongDimensionError,
     apply_local_unitary,
@@ -141,6 +142,18 @@ def test_non_finite_tolerance_rejected(tol):
         classify_mixed(rho_zero(), zero_tol=tol)
     with pytest.raises(NonFiniteError):
         classify_gsd_pattern(gsd(w_prime()), zero_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, -1e-8])
+def test_non_positive_tolerance_rejected(tol):
+    # with zero_tol = -1, |000> came out W-like and its projector "GHZ-distillable"
+    product = PureState(np.eye(8)[0])
+    with pytest.raises(ParamOutOfDomainError, match="zero_tol must be positive"):
+        classify_pure(product, zero_tol=tol)
+    with pytest.raises(ParamOutOfDomainError, match="zero_tol must be positive"):
+        classify_mixed(to_density(product), zero_tol=tol)
+    with pytest.raises(ParamOutOfDomainError, match="zero_tol must be positive"):
+        classify_gsd_pattern(gsd(product), zero_tol=tol)
 
 
 class TestClassifyMixed:

@@ -1,9 +1,13 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+import triqent.cli
 from triqent import classify_pure, ghz, measure_set, rho_epsilon, sample_haar_pure, w_prime
 from triqent.classify import DEFAULT_ZERO_TOL
 from triqent.measures import STACK_CHUNK
@@ -71,6 +75,18 @@ class TestStateFiles:
         assert main(["classify", ghz_file, "--tol", "nan"]) == 2
         assert main(["random", "--count", "1", "--tol", "inf"]) == 2
         assert "zero_tol must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    def test_non_positive_tolerance(self, ghz_file, tol, capsys, monkeypatch):
+        def no_load(path):
+            raise AssertionError("state file loaded before --tol was checked")
+
+        monkeypatch.setattr(triqent.cli, "load_state_file", no_load)
+        assert main(["classify", ghz_file, "--tol", tol]) == 2
+        assert main(["classify", ghz_file, "--json", "--tol", tol]) == 2
+        assert main(["random", "--count", "2", "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: zero_tol must be positive") == 3
 
     @pytest.mark.parametrize("argv", [["classify", "s.json"], ["random", "--count", "1"]])
     def test_tolerance_default_is_the_library_default(self, argv, capsys):
@@ -250,3 +266,107 @@ class TestRandomCommand:
     def test_non_finite_tolerance(self, capsys):
         assert main(["random", "--count", "2", "--tol", "nan"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count, seed", [(2, -5), (1, -1), (2 * STACK_CHUNK + 5, -STACK_CHUNK - 3)])
+    def test_negative_seed_rejected_before_drawing(self, count, seed, tmp_path, capsys, monkeypatch):
+        # the last case spans chunks, and only its first chunk holds negative seeds
+        def no_draws(seeds):
+            raise AssertionError("drew with a negative seed")
+
+        monkeypatch.setattr(triqent.cli, "_haar_draws", no_draws)
+        out = tmp_path / "r.txt"
+        assert main(["random", "--count", str(count), "--seed", str(seed), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed}\n"
+        assert not out.exists()
+
+    def test_zero_seed_accepted(self, capsys):
+        assert main(["random", "--count", "2", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.startswith("0\t")
+
+    def test_non_integer_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "--count", "2", "--seed", "1.5"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+
+def run(argv, parse=None):
+    """Exit code, stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if parse is None:
+            code = main(argv)
+        else:
+            args = parse(argv)
+            code = args.func(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def mixed_file(self, tmp_path):
+        path = tmp_path / "mix.json"
+        save_state_file(path, rho_epsilon(0.37))
+        return str(path)
+
+    def test_parser_built_once(self, ghz_file, mixed_file, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        _build_parser.cache_clear()
+        calls = [
+            ["classify", ghz_file],
+            ["classify", mixed_file, "--json"],
+            ["classify", ghz_file, "--tol", "1e-6"],
+            ["measure", mixed_file, "--json"],
+            ["gsd", ghz_file, "--mode", "normal"],
+            ["random", "--count", "2", "--seed", "4"],
+            ["sweep", "--family", "ghz_like", "--points", "3", "--out", str(tmp_path / "g.csv")],
+        ]
+        codes = [run(calls[i % len(calls)])[0] for i in range(20)]
+        assert codes == [0] * 20
+        assert built.count("triqent") == 1
+        assert len(built) == 6  # the parser and its five subcommands, each built once
+
+    def test_no_option_carries_over(self, ghz_file, monkeypatch):
+        tols = []
+        real = triqent.cli.classify_pure
+
+        def record(psi, zero_tol):
+            tols.append(zero_tol)
+            return real(psi, zero_tol=zero_tol)
+
+        monkeypatch.setattr(triqent.cli, "classify_pure", record)
+        _, json_out, _ = run(["classify", ghz_file, "--json"])
+        _, text_out, _ = run(["classify", ghz_file])
+        assert json.loads(json_out)["subtype"] == "2-0"
+        assert text_out.startswith("subtype: 2-0 (GHZ-like)\n")
+        run(["classify", ghz_file, "--tol", "1e-6"])
+        run(["classify", ghz_file])
+        assert tols == [DEFAULT_ZERO_TOL, DEFAULT_ZERO_TOL, 1e-6, DEFAULT_ZERO_TOL]
+
+    def test_help_and_usage_errors_after_reuse(self, ghz_file, capsys):
+        for _ in range(2):
+            assert main(["classify", ghz_file]) == 0
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert "usage: triqent" in capsys.readouterr().out
+            with pytest.raises(SystemExit) as exc:
+                main(["classify"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage: triqent classify" in err and "required: path" in err
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_output_matches_a_fresh_parser(self, kind, ghz_file, mixed_file):
+        path = ghz_file if kind == "pure" else mixed_file
+        argv = ["classify", path, "--json"]
+        run(argv)  # the cached parser has served a call before
+        fresh = _build_parser.__wrapped__().parse_args
+        assert run(argv) == run(argv, parse=fresh)

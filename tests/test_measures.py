@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -244,6 +247,16 @@ class TestMeasureSet:
     def test_mixed_has_no_pure_only_entries(self):
         ms = measure_set(rho_epsilon(0.2))
         assert ms.q_mult is None and ms.eta_mult is None and ms.three_tangle is None
+
+    def test_as_dict_matches_dataclasses_asdict(self):
+        # same keys in the same order and the same JSON bytes, None fields included
+        states = [sample_haar_pure(seed) for seed in range(50)]
+        states += [sample_hs_mixed(seed) for seed in range(50)]
+        for state in states:
+            ms = measure_set(state)
+            assert json.dumps(ms.as_dict()) == json.dumps(dataclasses.asdict(ms))
+            assert list(ms.as_dict()) == [f.name for f in dataclasses.fields(ms)]
+        assert ms.as_dict()["three_tangle"] is None  # the last set is mixed
 
     def test_matches_standalone_ops(self):
         # independent closed forms from the amplitude tensor, not from measure_set

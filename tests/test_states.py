@@ -11,6 +11,7 @@ from triqent import (
     NotNormalizedError,
     NotPSDError,
     NotUnitaryError,
+    ParamOutOfDomainError,
     PureState,
     QubitNotPresentError,
     apply_local_unitary,
@@ -336,6 +337,20 @@ class TestSampling:
             expected = z / np.sqrt((np.abs(z) ** 2).sum())
             assert np.array_equal(row, expected)
             assert np.array_equal(sample_haar_pure(seed).amplitudes, expected)
+
+    @pytest.mark.parametrize("seed", [-1, -5, 1.5, "3", None, np.int64(-2)])
+    def test_bad_seed_rejected_before_drawing(self, seed, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew with a bad seed")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for sample in (sample_haar_pure, sample_hs_mixed):
+            with pytest.raises(ParamOutOfDomainError, match="non-negative integer"):
+                sample(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert np.array_equal(sample_haar_pure(np.int64(5)).amplitudes, sample_haar_pure(5).amplitudes)
+        assert np.array_equal(sample_hs_mixed(np.uint8(5)).matrix, sample_hs_mixed(5).matrix)
 
     def test_hs_mixed_valid(self):
         rho = sample_hs_mixed(9)

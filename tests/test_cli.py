@@ -269,7 +269,7 @@ class TestRandomCommand:
 
     @pytest.mark.parametrize("count, seed", [(2, -5), (1, -1), (2 * STACK_CHUNK + 5, -STACK_CHUNK - 3)])
     def test_negative_seed_rejected_before_drawing(self, count, seed, tmp_path, capsys, monkeypatch):
-        # the last case spans chunks, and only its first chunk holds negative seeds
+        # the last case spans three chunks, and only its last chunk holds no negative seed
         def no_draws(seeds):
             raise AssertionError("drew with a negative seed")
 

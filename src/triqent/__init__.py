@@ -18,7 +18,6 @@ from .errors import (
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
-    NotSquareError,
     NotUnitaryError,
     NumericalDegeneracyError,
     ParamOutOfDomainError,
@@ -50,7 +49,7 @@ from .families import (
     w_state,
 )
 from .gsd import GsdForm, GsdPattern, classify_gsd_pattern, gsd
-from .linalg import HermitianEigen, eig_hermitian, svd_2x2
+from .linalg import svd_2x2
 from .measures import (
     MeasureSet,
     additive_measure,

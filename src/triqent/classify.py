@@ -8,6 +8,7 @@ exclusion certificates, because no general separability test exists.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import NonFiniteError, ParamOutOfDomainError, WrongDimensionError
@@ -18,14 +19,17 @@ DEFAULT_ZERO_TOL = 1e-8
 
 
 def check_zero_tol(zero_tol: float) -> None:
-    """Reject a threshold that is not a finite positive number.
+    """Reject a threshold that is not a finite positive real number.
 
     A NaN or infinite threshold (NonFiniteError) would decide every
     comparison one way.  A zero or negative one (ParamOutOfDomainError)
     would count exact zeros as nonzero: with zero_tol = -1 the product
     state |000> would be labelled W-like and its projector certified
-    GHZ-distillable.
+    GHZ-distillable.  Anything but a real number, such as a string or
+    None, is a ParamOutOfDomainError too.
     """
+    if not isinstance(zero_tol, numbers.Real):
+        raise ParamOutOfDomainError(f"zero_tol must be a real number, got {zero_tol!r}")
     if not math.isfinite(zero_tol):
         raise NonFiniteError(f"zero_tol must be finite, got {zero_tol}")
     if not zero_tol > 0:

@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -226,29 +227,27 @@ def _cmd_random(args) -> int:
         raise ParamOutOfDomainError("--count must be >= 1")
     check_zero_tol(args.tol)
     _check_seed(args.seed)  # the smallest of the consecutive seeds
-    lines = []
     histogram: dict[str, int] = {}
-    for start in range(0, args.count, STACK_CHUNK):
-        seeds = range(args.seed + start, args.seed + min(args.count, start + STACK_CHUNK))
-        # the draws of sample_haar_pure, validated as one stack
-        amps = _validated_amplitudes(_haar_draws(seeds))
-        for i, ms in enumerate(_pure_measure_sets(amps), start):
-            res = _classify_measured(ms, args.tol)
-            code = res.label.code + ("?" if res.ambiguous else "")
-            histogram[code] = histogram.get(code, 0) + 1
-            lines.append(
-                f"{i}\t{code}\tn_abc={_fmt(ms.n_abc)}\tq_mult={_fmt(ms.q_mult)}\t"
-                f"eta_mult={_fmt(ms.eta_mult)}\tthree_tangle={_fmt(ms.three_tangle)}"
-            )
-    lines.append("subtype histogram:")
-    for code in sorted(histogram):
-        lines.append(f"  {code}\t{histogram[code]}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # each chunk's lines are written as they are made, so memory stays
+    # bounded for any --count
+    out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        for start in range(0, args.count, STACK_CHUNK):
+            seeds = range(args.seed + start, args.seed + min(args.count, start + STACK_CHUNK))
+            # the draws of sample_haar_pure, validated as one stack
+            amps = _validated_amplitudes(_haar_draws(seeds))
+            lines = []
+            for i, ms in enumerate(_pure_measure_sets(amps), start):
+                res = _classify_measured(ms, args.tol)
+                code = res.label.code + ("?" if res.ambiguous else "")
+                histogram[code] = histogram.get(code, 0) + 1
+                lines.append(
+                    f"{i}\t{code}\tn_abc={_fmt(ms.n_abc)}\tq_mult={_fmt(ms.q_mult)}\t"
+                    f"eta_mult={_fmt(ms.eta_mult)}\tthree_tangle={_fmt(ms.three_tangle)}\n"
+                )
+            fh.write("".join(lines))
+        fh.write("subtype histogram:\n")
+        fh.write("".join(f"  {code}\t{histogram[code]}\n" for code in sorted(histogram)))
     return 0
 
 

@@ -5,10 +5,6 @@ class TriqentError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotSquareError(TriqentError):
-    """Matrix is not square."""
-
-
 class WrongDimensionError(TriqentError):
     """Matrix or state has an unsupported dimension."""
 
@@ -18,7 +14,7 @@ class NotHermitianError(TriqentError):
 
 
 class NoConvergenceError(TriqentError):
-    """LAPACK eigensolver failed."""
+    """A LAPACK factorization failed to converge."""
 
 
 class NonFiniteError(TriqentError):

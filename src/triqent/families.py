@@ -14,6 +14,7 @@ validates, measures and classifies as one stack per STACK_CHUNK points.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +160,26 @@ _FAMILIES = {
 }
 
 
+#: the only family whose parameters are complex; every other one takes reals
+_COMPLEX_FAMILIES = ("w_canonical",)
+
+
+def _numeric_rows(grid, kind: type, where=None) -> np.ndarray:
+    """``np.array(grid)`` of ``kind`` (numbers.Real or numbers.Complex) numbers.
+
+    A grid that numpy cannot make a numeric array of is checked entry by
+    entry: ParamOutOfDomainError names the first row holding a parameter
+    not of ``kind``.
+    """
+    rows = np.array(grid)
+    if rows.dtype.kind not in ("biufc" if kind is numbers.Complex else "biuf"):
+        _raise_first(np.array([not all(isinstance(v, kind) for v in params) for params in grid]),
+                     ParamOutOfDomainError,
+                     lambda i: f"parameters must be {kind.__name__.lower()} numbers, got {grid[i]}", where)
+        rows = rows.astype(complex if kind is numbers.Complex else float)
+    return rows
+
+
 def _build(family: str, grid, where=None) -> np.ndarray:
     """The family's closed form on a grid of parameter tuples, domain-checked but not yet validated."""
     _raise_first(np.full(len(grid), family not in _FAMILIES), ParamOutOfDomainError,
@@ -166,7 +187,8 @@ def _build(family: str, grid, where=None) -> np.ndarray:
     arity, closed_form = _FAMILIES[family]
     _raise_first(np.array([len(params) != arity for params in grid]), ParamOutOfDomainError,
                  lambda i: f"family {family!r} takes {arity} parameter(s), got {len(grid[i])}", where)
-    return closed_form(np.array(grid).reshape(len(grid), arity), where)
+    kind = numbers.Complex if family in _COMPLEX_FAMILIES else numbers.Real
+    return closed_form(_numeric_rows(grid, kind, where).reshape(len(grid), arity), where)
 
 
 def make_state(family: str, *params) -> PureState | DensityMatrix:
@@ -177,7 +199,7 @@ def make_state(family: str, *params) -> PureState | DensityMatrix:
 
 def ghz(phase: float = 0.0) -> PureState:
     """(|000> + e^{i phase} |111>) / sqrt(2); mixtures below pin phase = 0."""
-    return PureState(_ghz_rows(np.array([phase]))[0])
+    return PureState(_ghz_rows(_numeric_rows([(phase,)], numbers.Real)[:, 0])[0])
 
 
 def ghz_like(alpha: float) -> PureState:
@@ -202,7 +224,7 @@ def w_state() -> PureState:
 
 def from_gsd_coefficients(alpha, beta, delta, epsilon, omega) -> PureState:
     """Pure state with the five canonical amplitudes and zeros elsewhere."""
-    return PureState(_gsd_rows(np.array([[alpha, beta, delta, epsilon, omega]]))[0])
+    return PureState(_gsd_rows(_numeric_rows([(alpha, beta, delta, epsilon, omega)], numbers.Complex))[0])
 
 
 def rho_epsilon(eps: float) -> DensityMatrix:
@@ -299,8 +321,8 @@ class FamilySpec:
 
 def default_grid(family: str, points: int = 101) -> FamilySpec:
     """Uniform grid over the family's parameter domain."""
-    if points < 1:
-        raise ParamOutOfDomainError("points must be >= 1")
+    if not isinstance(points, (int, np.integer)) or points < 1:
+        raise ParamOutOfDomainError(f"points must be an integer >= 1, got {points!r}")
     if family == "ghz_like":
         vals = np.linspace(0.0, 1.0 / np.sqrt(2.0), points)
     elif family in ("ghz_w_mix", "ghz_noise"):

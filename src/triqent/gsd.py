@@ -183,7 +183,7 @@ def _pick_direction(candidates, t0, t1) -> tuple[complex, complex]:
 def _step(x0, x1, y0, y1, t, t0, t1):
     """The unit direction x + t y and the singular values of its slice."""
     nx0, nx1 = _unit_pair(x0 + t * y0, x1 + t * y1)
-    return nx0, nx1, svd_2x2(nx0 * t0 + nx1 * t1)[1]
+    return nx0, nx1, np.linalg.svd(nx0 * t0 + nx1 * t1, compute_uv=False)
 
 
 def _refine_direction(x0, x1, t0, t1) -> tuple[complex, complex]:
@@ -214,7 +214,7 @@ def _refine_direction(x0, x1, t0, t1) -> tuple[complex, complex]:
     """
     m = x0 * t0 + x1 * t1
     y0, y1 = -x1.conjugate(), x0.conjugate()
-    s = svd_2x2(m)[1]
+    s = np.linalg.svd(m, compute_uv=False)
     d, roots = _local_pencil(m, y0 * t0 + y1 * t1)
     if s[1] > 1e-14 * max(1.0, s[0]) and roots:
         nx0, nx1, ns = _step(x0, x1, y0, y1, min(roots, key=abs), t0, t1)

@@ -33,7 +33,6 @@ from itertools import combinations
 import numpy as np
 
 from .errors import StateTypeError, WrongDimensionError
-from .linalg import eig_hermitian
 from .states import (
     DensityMatrix,
     PureState,
@@ -112,7 +111,7 @@ def _geometric_mean3(values: np.ndarray) -> np.ndarray:
 def negativity(rho: DensityMatrix, side: str) -> float:
     """N = -2 * sum of negative eigenvalues of the partial transpose on `side`."""
     pt = partial_transpose(_require_density(rho, "negativity"), side)
-    return float(_negativity_of_spectrum(eig_hermitian(pt).values))
+    return float(_negativity_of_spectrum(np.linalg.eigvalsh(pt)))
 
 
 def tripartite_negativity(rho: DensityMatrix) -> float:
@@ -132,7 +131,7 @@ def concurrence_2q(rho: DensityMatrix) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Base-2 von Neumann entropy; weights <= 1e-14 contribute nothing, totals < 1e-12 are 0."""
-    w = eig_hermitian(_require_density(rho, "von_neumann_entropy").matrix).values
+    w = np.linalg.eigvalsh(_require_density(rho, "von_neumann_entropy").matrix)
     return float(_entropy_of_spectrum(w))
 
 

@@ -8,12 +8,14 @@ with the first label of the subsystem layout most significant.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     MixedStateUnsupportedError,
+    NoConvergenceError,
     NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
@@ -24,7 +26,6 @@ from .errors import (
     StateTypeError,
     WrongDimensionError,
 )
-from .linalg import eig_hermitian
 
 QUBITS = ("A", "B", "C")
 #: the two qubits left when one is traced out
@@ -65,6 +66,29 @@ def _validated_amplitudes(amps: np.ndarray, where=None) -> np.ndarray:
     return amps
 
 
+def _complex_entries(x, what: str) -> np.ndarray:
+    """``x`` as a new complex array; StateTypeError unless every entry is a number."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        a = np.asarray(None)
+    # an object array is checked entry by entry: numpy would cast None to NaN
+    if a.dtype.kind in "biufc" or (a.dtype == object and all(isinstance(v, numbers.Number) for v in a.flat)):
+        return a.astype(complex)
+    raise StateTypeError(f"{what} must be numbers, got {x!r:.80}")
+
+
+def _layout(qubits) -> tuple[str, ...]:
+    """``qubits`` as a tuple; QubitNotPresentError unless it names distinct labels of QUBITS."""
+    try:
+        layout = tuple(qubits)
+    except TypeError:
+        layout = ()
+    if not layout or any(q not in QUBITS for q in layout) or len(set(layout)) != len(layout):
+        raise QubitNotPresentError(f"invalid qubit layout {qubits!r}")
+    return layout
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized vector of 8 complex amplitudes over |ijk>."""
@@ -72,7 +96,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _complex_entries(self.amplitudes, "amplitudes").reshape(-1)
         if amps.shape != (8,):
             raise WrongDimensionError(f"expected 8 amplitudes, got {amps.shape}")
         object.__setattr__(self, "amplitudes", _validated_amplitudes(amps[np.newaxis])[0])
@@ -95,7 +119,7 @@ def _validated_matrices(m: np.ndarray, where=None) -> np.ndarray:
     The checks are those of ``DensityMatrix``, which is this routine on
     a stack of one: finite entries, Hermitian within HERM_ATOL, unit
     trace within NORM_ATOL, and no eigenvalue below EIG_FLOOR, from one
-    ``eig_hermitian`` call on the whole stack.  The result is the
+    ``np.linalg.eigh`` call on the whole stack.  The result is the
     Hermitian part (m + m^dagger) / 2 of each matrix, so derived
     matrices are exactly Hermitian.  Only the rows whose smallest
     eigenvalue lies in [EIG_FLOOR, 0) are rebuilt from their spectrum
@@ -114,14 +138,19 @@ def _validated_matrices(m: np.ndarray, where=None) -> np.ndarray:
     tr = m.trace(axis1=-2, axis2=-1).real
     _raise_first(np.abs(tr - 1.0) > NORM_ATOL, NotNormalizedError,
                  lambda i: f"trace is {tr[i]:.12g}, expected 1", where)
-    eig = eig_hermitian(m, HERM_ATOL)
-    low = eig.values[:, -1]
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigensolver failed for dimension {m.shape[-1]}: {exc}") from exc
+    # descending, so the clamp below sums the largest weights first
+    w, v = w[:, ::-1], v[..., ::-1]
+    low = w[:, -1]
     clamp = low < 0.0
     if clamp.any():
         _raise_first(low < EIG_FLOOR, NotPSDError,
                      lambda i: f"minimum eigenvalue {low[i]:.3e} below {EIG_FLOOR:.1e}", where)
-        v = eig.vectors[clamp]
-        c = (v * np.clip(eig.values[clamp], 0.0, None)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
+        v = v[clamp]
+        c = (v * np.clip(w[clamp], 0.0, None)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
         c = (c + c.conj().swapaxes(-1, -2)) / 2.0
         c /= c.trace(axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
         m[clamp] = c
@@ -143,11 +172,9 @@ class DensityMatrix:
     qubits: tuple[str, ...] = QUBITS
 
     def __post_init__(self):
-        qubits = tuple(self.qubits)
-        if not qubits or len(set(qubits)) != len(qubits) or any(q not in QUBITS for q in qubits):
-            raise QubitNotPresentError(f"invalid qubit layout {qubits!r}")
+        qubits = _layout(self.qubits)
         dim = 2 ** len(qubits)
-        m = np.array(self.matrix, dtype=complex)
+        m = _complex_entries(self.matrix, "density matrix entries")
         if m.shape != (dim, dim):
             raise WrongDimensionError(f"layout {qubits!r} needs shape {(dim, dim)}, got {m.shape}")
         object.__setattr__(self, "matrix", _validated_matrices(m[np.newaxis])[0])
@@ -282,7 +309,7 @@ def sample_hs_mixed(seed: int, qubits: tuple[str, ...] = QUBITS) -> DensityMatri
     """
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    d = 2 ** len(qubits)
+    d = 2 ** len(_layout(qubits))
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace().real, qubits)

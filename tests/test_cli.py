@@ -3,6 +3,8 @@ import contextlib
 import csv
 import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +264,20 @@ class TestRandomCommand:
         lines.append("subtype histogram:")
         lines += [f"  {code}\t{histogram[code]}" for code in sorted(histogram)]
         assert out.read_text().splitlines() == lines
+
+    def test_report_memory_bounded(self):
+        # each chunk's lines are written as they are made, so nine more
+        # chunks of report lines (about 1 MB) are never held at once
+        assert main(["random", "--count", "8", "--out", os.devnull]) == 0
+        peaks = []
+        for chunks in (3, 12):
+            tracemalloc.start()
+            try:
+                assert main(["random", "--count", str(chunks * STACK_CHUNK), "--out", os.devnull]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5e6
 
     def test_non_finite_tolerance(self, capsys):
         assert main(["random", "--count", "2", "--tol", "nan"]) == 2

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-import triqent.linalg
 import triqent.measures
 import triqent.states
 from triqent import (
@@ -26,6 +25,7 @@ from triqent import (
     make_state,
     measure_set,
     negativity,
+    oracle,
     partial_trace,
     partial_transpose,
     q_multiplicative,
@@ -33,6 +33,7 @@ from triqent import (
     rho_zero,
     sample_haar_pure,
     sample_hs_mixed,
+    sigma_b,
     three_tangle,
     to_density,
     tripartite_negativity,
@@ -112,6 +113,14 @@ class TestNegativity:
         bell[0] = bell[3] = 1 / np.sqrt(2)
         rho = DensityMatrix(np.outer(bell, bell.conj()), ("B", "C"))
         assert negativity(rho, "B") == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("side", QUBITS)
+    def test_sigma_b_pivot_underflow(self, side):
+        # b = 2/102 is a point of the 101-point sweep grid; rotating its
+        # partial transpose leaves a subnormal pivot, which an iterative
+        # rotation solver turns into an overflow
+        expected = oracle("sigma_b", 2 / 102)[CUT_FIELDS[QUBITS.index(side)]]
+        assert negativity(sigma_b(2 / 102), side) == pytest.approx(expected, abs=1e-12)
 
 
 class TestTripartiteNegativity:
@@ -386,16 +395,26 @@ class TestPureFastPath:
                 assert abs(value - single[name]) <= 1e-14, name
 
     def test_no_general_eigensolve(self, monkeypatch, capsys):
-        def fail(*args, **kwargs):
-            raise AssertionError("eig_hermitian called on the pure path")
+        # the one eigensolve of the pure path is the batched spectrum of the
+        # partial-transposed pair reductions, (N, 3, 4, 4) per stack
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
 
-        for module in (triqent.linalg, triqent.measures, triqent.states):
-            monkeypatch.setattr(module, "eig_hermitian", fail)
+        def fail(*args, **kwargs):
+            raise AssertionError("eigh called on the pure path")
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         psi = sample_haar_pure(5)
         measure_set(psi)
         classify_pure(psi)
         assert main(["random", "--count", "5"]) == 0
         assert "subtype histogram" in capsys.readouterr().out
+        assert shapes == [(1, 3, 4, 4), (1, 3, 4, 4), (5, 3, 4, 4)]
 
 
 MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
@@ -458,12 +477,11 @@ class TestMixedStack:
 
     def test_no_general_eigensolve(self, mixed_corpus, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("eig_hermitian called on the mixed path")
+            raise AssertionError("stacked validator called on the mixed path")
 
         rho = mixed_corpus["hs"][0]
         pair = partial_trace(rho, "A")
-        for module in (triqent.linalg, triqent.measures, triqent.states):
-            monkeypatch.setattr(module, "eig_hermitian", fail)
+        monkeypatch.setattr(triqent.states, "_validated_matrices", fail)
         measure_set(rho)
         classify_mixed(rho)
         concurrence_2q(pair)
@@ -501,7 +519,9 @@ def test_wrong_state_type_rejected_before_numeric_work(call, bad, error, monkeyp
     def fail(*args, **kwargs):
         raise AssertionError("numeric work ran on a wrong-type argument")
 
-    for name in ("eig_hermitian", "_psd_factor", "_mixed_measure_sets", "_pure_measure_sets"):
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    for name in ("_psd_factor", "_mixed_measure_sets", "_pure_measure_sets"):
         monkeypatch.setattr(triqent.measures, name, fail)
     monkeypatch.setattr(triqent.states, "transpose_qubit", fail)
     with pytest.raises(error):

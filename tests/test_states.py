@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import triqent.states
 from triqent import (
     DensityMatrix,
+    FamilySpec,
     NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
@@ -14,20 +15,29 @@ from triqent import (
     ParamOutOfDomainError,
     PureState,
     QubitNotPresentError,
+    StateTypeError,
+    WrongDimensionError,
     apply_local_unitary,
+    classify_gsd_pattern,
     classify_mixed,
     classify_pure,
-    eig_hermitian,
+    default_grid,
+    from_gsd_coefficients,
     ghz,
+    ghz_like,
+    gsd,
+    make_state,
     measure_set,
     partial_trace,
     partial_transpose,
     rho_zero,
     sample_haar_pure,
     sample_hs_mixed,
+    sweep,
     to_density,
     transpose_qubit,
     tripartite_negativity,
+    w_canonical,
 )
 from triqent.states import EIG_FLOOR, _haar_draws, _validated_amplitudes, _validated_matrices
 from helpers import random_biseparable, random_product_state, random_unitary
@@ -37,6 +47,39 @@ def basis_state(i, j, k):
     v = np.zeros(8, dtype=complex)
     v[4 * i + 2 * j + k] = 1.0
     return PureState(v)
+
+
+PSI = ghz()
+MALFORMED_INPUT = {
+    "pure-string": (lambda: PureState("abc"), StateTypeError),
+    "pure-objects": (lambda: PureState([object()] * 8), StateTypeError),
+    "pure-ragged": (lambda: PureState([[1.0, 0.0], [0.0]]), StateTypeError),
+    "pure-seven-entries": (lambda: PureState(np.ones(7) / np.sqrt(7)), WrongDimensionError),
+    "density-string": (lambda: DensityMatrix("abc"), StateTypeError),
+    "density-not-square": (lambda: DensityMatrix(np.eye(8, 7) / 7), WrongDimensionError),
+    "density-none-entries": (lambda: DensityMatrix([[None] * 8] * 8), StateTypeError),
+    "density-layout-int": (lambda: DensityMatrix(np.eye(8) / 8, 3), QubitNotPresentError),
+    "density-layout-none": (lambda: DensityMatrix(np.eye(8) / 8, None), QubitNotPresentError),
+    "density-layout-nested": (lambda: DensityMatrix(np.eye(8) / 8, [["A"], "B", "C"]), QubitNotPresentError),
+    "hs-layout-int": (lambda: sample_hs_mixed(1, 3), QubitNotPresentError),
+    "classify_pure-tol-string": (lambda: classify_pure(PSI, "x"), ParamOutOfDomainError),
+    "classify_pure-tol-none": (lambda: classify_pure(PSI, None), ParamOutOfDomainError),
+    "classify_mixed-tol-string": (lambda: classify_mixed(to_density(PSI), "x"), ParamOutOfDomainError),
+    "gsd_pattern-tol-complex": (lambda: classify_gsd_pattern(gsd(PSI), 1e-8j), ParamOutOfDomainError),
+    "make_state-string": (lambda: make_state("ghz_like", "x"), ParamOutOfDomainError),
+    "ghz-string": (lambda: ghz("x"), ParamOutOfDomainError),
+    "ghz_like-complex": (lambda: ghz_like(0.5j), ParamOutOfDomainError),
+    "w_canonical-string": (lambda: w_canonical("x", 0.6, 0.8), ParamOutOfDomainError),
+    "gsd_coefficients-none": (lambda: from_gsd_coefficients(None, 1.0, 0, 0, 0), ParamOutOfDomainError),
+    "sweep-string": (lambda: sweep(FamilySpec("ghz_like", ((0.5,), ("x",)))), ParamOutOfDomainError),
+    "default_grid-string": (lambda: default_grid("ghz_like", "x"), ParamOutOfDomainError),
+}
+
+
+@pytest.mark.parametrize("call, error", MALFORMED_INPUT.values(), ids=MALFORMED_INPUT.keys())
+def test_malformed_input_raises_typed_error(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestValidation:
@@ -81,7 +124,7 @@ class TestValidation:
         u = random_unitary(rng, 4)
         w = np.array([0.5 + 2.5e-11, 0.5 + 2.5e-11, -5e-11, 0.0])
         rho = DensityMatrix((u * w) @ u.conj().T, ("B", "C"))
-        assert eig_hermitian(rho.matrix).values[-1] >= -1e-15
+        assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-15
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
 
     def test_layout_checked(self):
@@ -216,7 +259,7 @@ class TestPartialTrace:
             rho = sample_hs_mixed(seed)
             red = partial_trace(rho, "B")
             assert np.trace(red.matrix).real == pytest.approx(1.0, abs=1e-12)
-            assert eig_hermitian(red.matrix).values[-1] >= -1e-12
+            assert np.linalg.eigvalsh(red.matrix)[0] >= -1e-12
 
     def test_trace_order_commutes(self):
         for seed in range(20):
@@ -229,9 +272,9 @@ class TestPartialTrace:
         # for pure states the A and BC reductions share a spectrum
         for seed in range(30):
             rho = to_density(sample_haar_pure(seed))
-            w_bc = eig_hermitian(partial_trace(rho, "A").matrix).values
+            w_bc = np.linalg.eigvalsh(partial_trace(rho, "A").matrix)
             single = partial_trace(partial_trace(rho, "B"), "C")
-            w_a = eig_hermitian(single.matrix).values
+            w_a = np.linalg.eigvalsh(single.matrix)
             padded = np.concatenate([w_a, np.zeros(2)])
             np.testing.assert_allclose(np.sort(w_bc), np.sort(padded), atol=1e-10)
 
@@ -242,17 +285,15 @@ class TestPartialTranspose:
         sigma = sample_hs_mixed(3, ("B", "C"))
         rho = DensityMatrix(np.kron(rho_a.matrix, sigma.matrix))
         pt = partial_transpose(rho, "A")
-        w = eig_hermitian(pt).values
-        np.testing.assert_allclose(
-            np.sort(w), np.sort(eig_hermitian(rho.matrix).values), atol=1e-10
-        )
-        assert w[-1] >= -1e-12
+        w = np.linalg.eigvalsh(pt)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(rho.matrix), atol=1e-10)
+        assert w[0] >= -1e-12
 
     def test_bell_spectrum(self):
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1 / np.sqrt(2)
         rho = DensityMatrix(np.outer(bell, bell.conj()), ("B", "C"))
-        w = np.sort(eig_hermitian(partial_transpose(rho, "B")).values)
+        w = np.linalg.eigvalsh(partial_transpose(rho, "B"))
         np.testing.assert_allclose(w, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_involution_bit_exact(self):
@@ -355,7 +396,7 @@ class TestSampling:
     def test_hs_mixed_valid(self):
         rho = sample_hs_mixed(9)
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
-        assert eig_hermitian(rho.matrix).values[-1] >= -1e-12
+        assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-12
 
 
 def derived_reductions(rho):
@@ -373,16 +414,16 @@ class TestValidateOnce:
         mixed = sample_hs_mixed(4)
 
         def fail(*args, **kwargs):
-            raise AssertionError("validation eigensolve called")
+            raise AssertionError("stacked validator called")
 
-        monkeypatch.setattr(triqent.states, "eig_hermitian", fail)
+        monkeypatch.setattr(triqent.states, "_validated_matrices", fail)
         for q in ("A", "B", "C"):
             partial_trace(to_density(psi), q)
         measure_set(psi)
         measure_set(mixed)
         classify_pure(psi)
         classify_mixed(mixed)
-        with pytest.raises(AssertionError, match="validation eigensolve"):
+        with pytest.raises(AssertionError, match="stacked validator"):
             DensityMatrix(np.eye(8) / 8)
 
     def test_skipped_validation_would_pass(self):

@@ -11,8 +11,10 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonFiniteError, ParamOutOfDomainError, WrongDimensionError
-from .measures import MeasureSet, measure_set
+from .measures import MeasureSet, _mixed_measure_table, _pure_measure_table
 from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _require_density, _require_pure
 
 DEFAULT_ZERO_TOL = 1e-8
@@ -81,6 +83,54 @@ class MixedVerdict:
         return tuple(c.claim for c in self.certificates)
 
 
+#: the reduced pairs in measure-table order (n_red_bc, n_red_ac, n_red_ab)
+_PAIRS = ("BC", "AC", "AB")
+#: the columns of ``_PureDecisions.margins``
+_MARGIN_NAMES = tuple(f"factorizable_{q}" for q in QUBITS) + tuple(f"pair_{p}" for p in _PAIRS)
+#: the subtype code 2-k of a fully inseparable state with k entangled pairs
+_FULLY_INSEPARABLE = np.array(["2-0", "2-1", "2-2", "2-3"])
+
+
+@dataclass(frozen=True)
+class _PureDecisions:
+    """The decisions of ``_classify_table`` for a stack of N pure states, one row each.
+
+    ``factorizable`` and ``margins`` are the raw comparisons (impurities
+    of A, B, C, then reduced negativities of BC, AC, AB); ``pairs`` marks
+    the entangled pairs the label names, none for a fully separable
+    state; ``separable`` indexes QUBITS for a 1^1-1 label and is -1
+    otherwise.
+    """
+
+    codes: np.ndarray
+    ambiguous: np.ndarray
+    separable: np.ndarray
+    factorizable: np.ndarray
+    pairs: np.ndarray
+    margins: np.ndarray
+
+
+def _classify_table(table: np.ndarray, zero_tol: float) -> _PureDecisions:
+    """The decision of ``classify_pure`` on an (N, 16) pure measure table, as masks over its columns."""
+    impurity = 0.5 * table[:, 0:3] ** 2
+    n_red = table[:, 4:7]
+    margins = np.concatenate([impurity, n_red], axis=1)
+    factorizable = impurity < zero_tol
+    count = factorizable.sum(axis=1)
+    # two factorizable qubits cannot happen analytically: either the
+    # state is fully separable (all three factorizable) or rounding
+    # produced an inconsistent pattern, labelled by the purest qubit
+    near_product = (impurity < 10.0 * zero_tol).all(axis=1)
+    product = (count == 3) | ((count == 2) & near_product)
+    inconsistent = (count == 2) & ~near_product
+    purest = np.argmin(np.where(factorizable, impurity, np.inf), axis=1)
+    separable = np.where(product | (count == 0), -1, purest)
+    pairs = (n_red > zero_tol) & ~product[:, np.newaxis]
+    codes = np.where(product, "0-0", np.where(separable >= 0, "1^1-1", _FULLY_INSEPARABLE[pairs.sum(axis=1)]))
+    ambiguous = inconsistent | ((zero_tol / 10.0 <= margins) & (margins <= zero_tol * 10.0)).any(axis=1)
+    return _PureDecisions(codes, ambiguous, separable, factorizable, pairs, margins)
+
+
 def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureClassification:
     """Assign the subtype of a pure state.
 
@@ -96,51 +146,47 @@ def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureCla
     from the one-vs-two negativity n_q of the MeasureSet rather than
     from a reduced density matrix.  A quantity within a factor of 10 of
     zero_tol flags the result as ambiguous; the label is still returned.
+    The decision is ``_classify_table`` on a stack of one.
     """
     _require_pure(psi, "classify_pure")
     check_zero_tol(zero_tol)
-    return _classify_measured(measure_set(psi), zero_tol)
+    table = _pure_measure_table(psi.amplitudes[np.newaxis])
+    d = _classify_table(table, zero_tol)
+    margins = dict(zip(_MARGIN_NAMES, d.margins[0].tolist()))
+    q = int(d.separable[0])
+    if d.factorizable[0].sum() == 1:
+        for single in COMPLEMENT[QUBITS[q]]:
+            margins[f"single_purity_{single}"] = margins[f"factorizable_{single}"]
+    pairs = tuple(p for p, on in zip(_PAIRS, d.pairs[0].tolist()) if on)
+    label = SubtypeLabel(str(d.codes[0]), QUBITS[q] if q >= 0 else None, pairs)
+    return PureClassification(label, MeasureSet(*table[0].tolist()), margins, bool(d.ambiguous[0]))
 
 
-def _classify_measured(ms: MeasureSet, zero_tol: float) -> PureClassification:
-    """The decision of ``classify_pure`` on the MeasureSet of a pure state."""
-    n_side = {"A": ms.n_a_bc, "B": ms.n_b_ac, "C": ms.n_c_ab}
-    impurity = {q: 0.5 * n_side[q] ** 2 for q in QUBITS}
-    margins = {f"factorizable_{q}": impurity[q] for q in QUBITS}
+#: the claims of ``classify_mixed``, in the order its certificates list them
+_CLAIMS = (
+    tuple(f"reduced pair {p} entangled" for p in _PAIRS)
+    + tuple(f"not simply biseparable w.r.t. {q}" for q in QUBITS)
+    + ("not fully separable", "GHZ-distillable", "undetermined: generalized biseparable vs fully inseparable")
+)
 
-    n_red = {"BC": ms.n_red_bc, "AC": ms.n_red_ac, "AB": ms.n_red_ab}
-    entangled_pairs = []
-    for name in ("BC", "AC", "AB"):
-        margins[f"pair_{name}"] = n_red[name]
-        if n_red[name] > zero_tol:
-            entangled_pairs.append(name)
 
-    facts = [q for q in QUBITS if impurity[q] < zero_tol]
-    ambiguous = False
-    if not facts:
-        label = SubtypeLabel(f"2-{len(entangled_pairs)}", None, tuple(entangled_pairs))
-    elif len(facts) == 1:
-        q = facts[0]
-        for single in COMPLEMENT[q]:
-            margins[f"single_purity_{single}"] = impurity[single]
-        label = SubtypeLabel("1^1-1", q, tuple(entangled_pairs))
-    elif len(facts) == 3:
-        label = SubtypeLabel("0-0")
-    else:
-        # two factorizable qubits cannot happen analytically: either the
-        # state is fully separable (all three factorizable) or rounding
-        # produced an inconsistent pattern
-        if all(impurity[q] < 10.0 * zero_tol for q in QUBITS):
-            label = SubtypeLabel("0-0")
-        else:
-            ambiguous = True
-            best = min(facts, key=lambda q: impurity[q])
-            label = SubtypeLabel("1^1-1", best, tuple(entangled_pairs))
+def _certify_table(table: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The certificates of ``classify_mixed`` on an (N, 13) mixed measure table.
 
-    ambiguous = ambiguous or any(
-        zero_tol / 10.0 <= v <= zero_tol * 10.0 for v in margins.values()
-    )
-    return PureClassification(label, ms, margins, ambiguous)
+    Returns (held, witness), both (N, len(_CLAIMS)): row i certifies claim
+    j with witness[i, j] exactly when held[i, j].
+    """
+    n_side, n_abc, n_red = table[:, 0:3], table[:, 3:4], table[:, 4:7]
+    sides = n_side > zero_tol
+    held = np.concatenate([
+        n_red > zero_tol,
+        sides,
+        sides.any(axis=1, keepdims=True),
+        sides.all(axis=1, keepdims=True),
+        np.ones_like(n_abc, dtype=bool),
+    ], axis=1)
+    witness = np.concatenate([n_red, n_side, n_side.max(axis=1, keepdims=True), n_abc, n_abc], axis=1)
+    return held, witness
 
 
 def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> MixedVerdict:
@@ -152,31 +198,14 @@ def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Mi
     itself because the cube root lifts a tiny cut above any threshold.
     Full separability or biseparability is never asserted, only
     excluded; the gap between generalized biseparability and full
-    inseparability stays undetermined.  The decision reads only the
-    state's MeasureSet (``_certify_measured``), so ``sweep`` certifies a
-    grid measured as one stack the same way.
+    inseparability stays undetermined.  The decision is
+    ``_certify_table`` on a stack of one, so ``sweep`` certifies a grid
+    measured as one stack the same way.
     """
     if len(_require_density(rho, "classify_mixed").qubits) != 3:
         raise WrongDimensionError("classify_mixed needs a dim-8 density matrix over [A, B, C]")
     check_zero_tol(zero_tol)
-    return _certify_measured(measure_set(rho), zero_tol)
-
-
-def _certify_measured(ms: MeasureSet, zero_tol: float) -> MixedVerdict:
-    """The certificates of ``classify_mixed`` from the MeasureSet of a mixed state."""
-    certs: list[Certificate] = []
-    n_red = {"BC": ms.n_red_bc, "AC": ms.n_red_ac, "AB": ms.n_red_ab}
-    for name in ("BC", "AC", "AB"):
-        if n_red[name] > zero_tol:
-            certs.append(Certificate(f"reduced pair {name} entangled", n_red[name]))
-
-    n_side = {"A": ms.n_a_bc, "B": ms.n_b_ac, "C": ms.n_c_ab}
-    for q in QUBITS:
-        if n_side[q] > zero_tol:
-            certs.append(Certificate(f"not simply biseparable w.r.t. {q}", n_side[q]))
-    if any(n_side[q] > zero_tol for q in QUBITS):
-        certs.append(Certificate("not fully separable", max(n_side.values())))
-    if min(n_side.values()) > zero_tol:
-        certs.append(Certificate("GHZ-distillable", ms.n_abc))
-    certs.append(Certificate("undetermined: generalized biseparable vs fully inseparable", ms.n_abc))
-    return MixedVerdict(tuple(certs), ms)
+    table = _mixed_measure_table(rho.matrix[np.newaxis])
+    held, witness = _certify_table(table, zero_tol)
+    certs = tuple(Certificate(c, w) for c, h, w in zip(_CLAIMS, held[0].tolist(), witness[0].tolist()) if h)
+    return MixedVerdict(certs, MeasureSet(*table[0].tolist()))

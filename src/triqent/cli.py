@@ -13,17 +13,12 @@ import csv
 import functools
 import json
 import sys
+from collections import Counter
 from contextlib import nullcontext
 
 import numpy as np
 
-from .classify import (
-    DEFAULT_ZERO_TOL,
-    _classify_measured,
-    check_zero_tol,
-    classify_mixed,
-    classify_pure,
-)
+from .classify import DEFAULT_ZERO_TOL, _classify_table, check_zero_tol, classify_mixed, classify_pure
 from .errors import (
     AmbiguousNearThresholdError,
     ParamOutOfDomainError,
@@ -32,7 +27,7 @@ from .errors import (
 )
 from .families import SWEEPABLE, default_grid, sweep
 from .gsd import classify_gsd_pattern, gsd
-from .measures import STACK_CHUNK, MeasureSet, _pure_measure_sets, measure_set
+from .measures import _MEASURE_NAMES, STACK_CHUNK, MeasureSet, _pure_measure_table, measure_set
 from .states import DensityMatrix, PureState, _check_seed, _haar_draws, _validated_amplitudes
 
 MEASURE_FIELDS = (
@@ -50,6 +45,13 @@ CSV_HEADER = (
     + [f"oracle_{f}" for f in ORACLE_FIELDS]
     + [f"dev_{f}" for f in ORACLE_FIELDS]
 )
+
+
+#: one line of the ``random`` report: index, code, then the measure-table
+#: columns of _REPORT_FIELDS, each formatted as ``_fmt`` formats it
+_REPORT_FIELDS = ("n_abc", "q_mult", "eta_mult", "three_tangle")
+_REPORT_LINE = "%d\t%s\t" + "\t".join(f"{name}=%.12g" for name in _REPORT_FIELDS) + "\n"
+_REPORT_COLUMNS = [_MEASURE_NAMES.index(name) for name in _REPORT_FIELDS]
 
 
 def _fmt(value) -> str:
@@ -227,25 +229,22 @@ def _cmd_random(args) -> int:
         raise ParamOutOfDomainError("--count must be >= 1")
     check_zero_tol(args.tol)
     _check_seed(args.seed)  # the smallest of the consecutive seeds
-    histogram: dict[str, int] = {}
+    histogram: Counter = Counter()
     # each chunk's lines are written as they are made, so memory stays
     # bounded for any --count
     out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else nullcontext(sys.stdout)
     with out as fh:
         for start in range(0, args.count, STACK_CHUNK):
-            seeds = range(args.seed + start, args.seed + min(args.count, start + STACK_CHUNK))
-            # the draws of sample_haar_pure, validated as one stack
-            amps = _validated_amplitudes(_haar_draws(seeds))
-            lines = []
-            for i, ms in enumerate(_pure_measure_sets(amps), start):
-                res = _classify_measured(ms, args.tol)
-                code = res.label.code + ("?" if res.ambiguous else "")
-                histogram[code] = histogram.get(code, 0) + 1
-                lines.append(
-                    f"{i}\t{code}\tn_abc={_fmt(ms.n_abc)}\tq_mult={_fmt(ms.q_mult)}\t"
-                    f"eta_mult={_fmt(ms.eta_mult)}\tthree_tangle={_fmt(ms.three_tangle)}\n"
-                )
-            fh.write("".join(lines))
+            stop = min(args.count, start + STACK_CHUNK)
+            # the draws of sample_haar_pure, validated, measured and
+            # classified as one stack
+            amps = _validated_amplitudes(_haar_draws(range(args.seed + start, args.seed + stop)))
+            table = _pure_measure_table(amps)
+            decisions = _classify_table(table, args.tol)
+            codes = [c + "?" if a else c for c, a in zip(decisions.codes.tolist(), decisions.ambiguous.tolist())]
+            histogram.update(codes)
+            values = table[:, _REPORT_COLUMNS].tolist()
+            fh.write("".join([_REPORT_LINE % (i, c, *v) for i, c, v in zip(range(start, stop), codes, values)]))
         fh.write("subtype histogram:\n")
         fh.write("".join(f"  {code}\t{histogram[code]}\n" for code in sorted(histogram)))
     return 0

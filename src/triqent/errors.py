@@ -53,8 +53,8 @@ class NumericalDegeneracyError(TriqentError):
     """Canonical-form reduction failed a consistency check; output withheld."""
 
 
-class ParamOutOfDomainError(TriqentError):
-    """Family parameter lies outside its documented domain."""
+class ParamOutOfDomainError(TriqentError, ValueError):
+    """A parameter, option or tolerance lies outside its documented domain."""
 
 
 class NoOracleError(TriqentError):

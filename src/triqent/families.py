@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .classify import DEFAULT_ZERO_TOL, _certify_measured, _classify_measured
+from .classify import _CLAIMS, DEFAULT_ZERO_TOL, _certify_table, _classify_table
 from .errors import NoOracleError, ParamOutOfDomainError
-from .measures import STACK_CHUNK, MeasureSet, _mixed_measure_sets, _pure_measure_sets
+from .measures import STACK_CHUNK, MeasureSet, _measure_sets, _mixed_measure_table, _pure_measure_table
 from .states import (
     QUBITS,
     DensityMatrix,
@@ -167,12 +168,16 @@ _COMPLEX_FAMILIES = ("w_canonical",)
 def _numeric_rows(grid, kind: type, where=None) -> np.ndarray:
     """``np.array(grid)`` of ``kind`` (numbers.Real or numbers.Complex) numbers.
 
-    A grid that numpy cannot make a numeric array of is checked entry by
-    entry: ParamOutOfDomainError names the first row holding a parameter
-    not of ``kind``.
+    A grid that numpy cannot make a two-dimensional numeric array of is
+    checked entry by entry: ParamOutOfDomainError names the first row
+    holding a parameter not of ``kind``, such as a string, None or an
+    array.
     """
-    rows = np.array(grid)
-    if rows.dtype.kind not in ("biufc" if kind is numbers.Complex else "biuf"):
+    try:
+        rows = np.array(grid)
+    except ValueError:  # a ragged nesting
+        rows = np.array(None)
+    if rows.ndim != 2 or rows.dtype.kind not in ("biufc" if kind is numbers.Complex else "biuf"):
         _raise_first(np.array([not all(isinstance(v, kind) for v in params) for params in grid]),
                      ParamOutOfDomainError,
                      lambda i: f"parameters must be {kind.__name__.lower()} numbers, got {grid[i]}", where)
@@ -180,9 +185,13 @@ def _numeric_rows(grid, kind: type, where=None) -> np.ndarray:
     return rows
 
 
+def _known(family) -> bool:
+    return isinstance(family, str) and family in _FAMILIES
+
+
 def _build(family: str, grid, where=None) -> np.ndarray:
     """The family's closed form on a grid of parameter tuples, domain-checked but not yet validated."""
-    _raise_first(np.full(len(grid), family not in _FAMILIES), ParamOutOfDomainError,
+    _raise_first(np.full(len(grid), not _known(family)), ParamOutOfDomainError,
                  lambda i: f"unknown family {family!r}; known: {', '.join(FAMILIES)}", where)
     arity, closed_form = _FAMILIES[family]
     _raise_first(np.array([len(params) != arity for params in grid]), ParamOutOfDomainError,
@@ -273,7 +282,19 @@ def _ghz_w_mix_negativity(p: float) -> float:
 
 
 def oracle(family: str, *params) -> dict[str, float]:
-    """Closed-form values for a family, keyed by MeasureSet field name."""
+    """Closed-form values for a family, keyed by MeasureSet field name.
+
+    Raises NoOracleError for a family with no closed form, and what
+    ``make_state`` raises for parameters outside the family's domain.
+    """
+    if not _known(family):
+        raise NoOracleError(f"no closed form registered for family {family!r}")
+    _build(family, [params])
+    return _oracle(family, params)
+
+
+def _oracle(family: str, params) -> dict[str, float]:
+    """``oracle`` on parameters already checked against the family's domain."""
     if family == "ghz":
         return {"n_a_bc": 1.0, "n_b_ac": 1.0, "n_c_ab": 1.0, "n_abc": 1.0,
                 "n_red_bc": 0.0, "n_red_ac": 0.0, "n_red_ab": 0.0}
@@ -323,6 +344,8 @@ def default_grid(family: str, points: int = 101) -> FamilySpec:
     """Uniform grid over the family's parameter domain."""
     if not isinstance(points, (int, np.integer)) or points < 1:
         raise ParamOutOfDomainError(f"points must be an integer >= 1, got {points!r}")
+    if not isinstance(family, str):
+        raise ParamOutOfDomainError(f"family must be a name, got {family!r}")
     if family == "ghz_like":
         vals = np.linspace(0.0, 1.0 / np.sqrt(2.0), points)
     elif family in ("ghz_w_mix", "ghz_noise"):
@@ -361,6 +384,8 @@ def sweep(spec: FamilySpec) -> list[SweepRow]:
     ``make_state(family, *params)``.  A domain or validation error names
     the params of the first grid point that fails.
     """
+    if not isinstance(spec, FamilySpec):
+        raise ParamOutOfDomainError(f"sweep needs a FamilySpec, got {type(spec).__name__}")
     if not spec.grid:
         raise ParamOutOfDomainError("sweep needs a nonempty grid")
     rows = []
@@ -369,14 +394,16 @@ def sweep(spec: FamilySpec) -> list[SweepRow]:
         where = _failed_at(spec.family, grid)
         stack = _build(spec.family, grid, where)
         if stack.ndim == 2:
-            sets = _pure_measure_sets(_validated_amplitudes(stack, where))
-            verdicts = [_classify_measured(ms, DEFAULT_ZERO_TOL).label.code for ms in sets]
+            table = _pure_measure_table(_validated_amplitudes(stack, where))
+            verdicts = _classify_table(table, DEFAULT_ZERO_TOL).codes.tolist()
         else:
-            sets = _mixed_measure_sets(_validated_matrices(stack, where))
-            verdicts = ["; ".join(_certify_measured(ms, DEFAULT_ZERO_TOL).claims()) for ms in sets]
-        for params, ms, verdict in zip(grid, sets, verdicts):
+            table = _mixed_measure_table(_validated_matrices(stack, where))
+            held = _certify_table(table, DEFAULT_ZERO_TOL)[0]
+            verdicts = ["; ".join(compress(_CLAIMS, row)) for row in held.tolist()]
+        for params, ms, verdict in zip(grid, _measure_sets(table), verdicts):
+            # the grid was checked by _build, so the closed forms need no second check
             try:
-                oracle_values = oracle(spec.family, *params)
+                oracle_values = _oracle(spec.family, params)
             except NoOracleError:
                 oracle_values = {}
             deviations = {k: abs(getattr(ms, k) - v) for k, v in oracle_values.items()}

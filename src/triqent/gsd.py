@@ -44,7 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import SubtypeLabel, check_zero_tol
-from .errors import AmbiguousNearThresholdError, NonFiniteError, NumericalDegeneracyError
+from .errors import (
+    AmbiguousNearThresholdError,
+    NonFiniteError,
+    NumericalDegeneracyError,
+    ParamOutOfDomainError,
+    StateTypeError,
+)
 from .families import from_gsd_coefficients
 from .linalg import svd_2x2
 from .states import PureState, _require_pure
@@ -263,8 +269,8 @@ def gsd(psi: PureState, mode: str = "raw") -> GsdForm:
     unitaries map the input to the canonical state.
     """
     _require_pure(psi, "the canonical decomposition")
-    if mode not in ("raw", "normal"):
-        raise ValueError(f"mode must be 'raw' or 'normal', got {mode!r}")
+    if not isinstance(mode, str) or mode not in ("raw", "normal"):
+        raise ParamOutOfDomainError(f"mode must be 'raw' or 'normal', got {mode!r}")
     t = psi.tensor
     t0, t1 = t[0].astype(complex), t[1].astype(complex)
 
@@ -338,6 +344,8 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_PATTERN_TOL) -
     factor of 10 of zero_tol, since the caller must then decide which
     side of the boundary was meant.
     """
+    if not isinstance(form, GsdForm):
+        raise StateTypeError(f"classify_gsd_pattern needs a GsdForm, got {type(form).__name__}")
     check_zero_tol(zero_tol)
     coefficients = (form.alpha, form.beta, form.delta, form.epsilon, form.omega)
     if not all(cmath.isfinite(c) for c in coefficients):

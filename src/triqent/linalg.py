@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergenceError, NonFiniteError, WrongDimensionError
+from .states import _complex_entries
 
 
 def svd_2x2(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -26,9 +27,9 @@ def svd_2x2(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Raises
     ------
-    WrongDimensionError, NonFiniteError, NoConvergenceError
+    StateTypeError, WrongDimensionError, NonFiniteError, NoConvergenceError
     """
-    m = np.ascontiguousarray(m, dtype=np.complex128)
+    m = _complex_entries(m, "matrix entries")
     if m.shape != (2, 2):
         raise WrongDimensionError(f"expected a 2x2 matrix, got {m.shape}")
     if not np.isfinite(m).all():

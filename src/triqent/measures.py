@@ -8,21 +8,27 @@ the multiplicative Q, eta3 and the 3-tangle are pure-state only.
 
 Every measure is computed once, in ``measure_set``; the scalar
 functions below are views of its fields.  Pure and mixed states each
-go through one routine on a stack of states (``_pure_measure_sets``,
-``_mixed_measure_sets``), a single state being a stack of one.  A pure
-state uses closed forms on its amplitudes:
+go through one routine on a stack of states (``_pure_measure_table``,
+``_mixed_measure_table``), which returns an (N, 16) or (N, 13) table
+whose columns are the MeasureSet fields in order; a single state is a
+stack of one.  A pure state uses closed forms on its amplitudes:
 
 - one-vs-two negativity 2*s1*s2 and single-qubit entropies from the
   Schmidt coefficients of each cut, with s1^2 s2^2 the sum of the
   squared 2x2 minors of the 2x4 unfolding (Cauchy-Binet);
 - the 3-tangle 4|Det|, Cayley's hyperdeterminant (Coffman, Kundu &
-  Wootters, PRA 61, 052306, 2000), bounded by every one-vs-two tangle.
+  Wootters, PRA 61, 052306, 2000), bounded by every one-vs-two tangle;
+- each reduced concurrence s1 - s2, where s1 >= s2 are the singular
+  values of the symmetric 2x2 spin-flip product f = X^T (sy x sy) X of
+  the pair's 4x2 amplitude block X (Wootters, PRL 80, 2245, 1998).
+  The entries of f are amplitude products, and s1 - s2 is taken as
+  (s1^2 - s2^2) / (s1 + s2), both read from f without an SVD.
 
-Both routines take the pair measures from a factor X of each pair
-reduction rho = X X^dagger: the 4x2 amplitude block for a pure state,
-V sqrt(w) from the pair's eigendecomposition for a mixed one.  The
-reduced concurrence is s1 - s2 - ... from the singular values of
-X^T (sy x sy) X (Wootters, PRL 80, 2245, 1998).
+The reduced negativities come from the partial transpose of each pair
+reduction rho = X X^dagger: X is the 4x2 amplitude block for a pure
+state, V sqrt(w) from the pair's eigendecomposition for a mixed one.
+A mixed state's reduced concurrence is s1 - s2 - ... from the singular
+values of X^T (sy x sy) X, one batched SVD per stack.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import StateTypeError, WrongDimensionError
+from .errors import ParamOutOfDomainError, StateTypeError, WrongDimensionError
 from .states import (
     DensityMatrix,
     PureState,
@@ -75,6 +81,16 @@ _MINORS = np.array([
 _HYPERDET_PIECES = np.array([
     [[[0, 7], [1, 6]], [[4, 3], [5, 2]]],
     [[[0, 3], [1, 2]], [[4, 7], [5, 6]]],
+])
+#: the spin-flip product f = X^T (sy x sy) X of each pair (BC, AC, AB),
+#: where X = [v w] holds the pair amplitudes at the traced qubit's 0 and 1
+#: (the rows of that qubit's unfolding): f is symmetric, with
+#: f00 = 2 (v1 v2 - v0 v3), f11 = 2 (w1 w2 - w0 w3) and
+#: f01 = (v1 w2 - v0 w3) + (v2 w1 - v3 w0), from these four differences
+_SPIN_FLIP_PIECES = np.array([
+    [[[v[1], v[2]], [v[0], v[3]]], [[w[1], w[2]], [w[0], w[3]]],
+     [[v[1], w[2]], [v[0], w[3]]], [[v[2], w[1]], [v[3], w[0]]]]
+    for v, w in _UNFOLD
 ])
 
 
@@ -123,10 +139,10 @@ def tripartite_negativity(rho: DensityMatrix) -> float:
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
-    """Two-qubit Wootters concurrence, from the eigen-factor of rho (see ``_pair_measures``)."""
+    """Two-qubit Wootters concurrence, from the eigen-factor of rho (see ``_pair_concurrence``)."""
     if _require_density(rho, "concurrence_2q").dim != 4:
         raise WrongDimensionError(f"concurrence needs a two-qubit state, got dim {rho.dim}")
-    return float(_pair_measures(_psd_factor(rho.matrix))[1])
+    return float(_pair_concurrence(_psd_factor(rho.matrix)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -163,8 +179,8 @@ def additive_measure(psi: PureState, base: str) -> float:
     geometric-mean measures, this can be nonzero on biseparable states.
     """
     _require_pure(psi, "additive measure")
-    if base not in ("negativity", "tangle", "entropy"):
-        raise ValueError(f"unknown base {base!r}; use negativity, tangle or entropy")
+    if not isinstance(base, str) or base not in ("negativity", "tangle", "entropy"):
+        raise ParamOutOfDomainError(f"unknown base {base!r}; use negativity, tangle or entropy")
     ms = measure_set(psi)
     if base == "entropy":
         vals = [ms.s_a, ms.s_b, ms.s_c]
@@ -207,8 +223,8 @@ _MEASURE_NAMES = tuple(f.name for f in fields(MeasureSet))
 def measure_set(state: PureState | DensityMatrix) -> MeasureSet:
     """Compute the full MeasureSet of a pure state or a dim-8 mixed state.
 
-    Either is a stack of one: a pure state for the closed forms of
-    ``_pure_measure_sets``, a mixed state for ``_mixed_measure_sets``.
+    Either is a stack of one: row 0 of ``_pure_measure_table`` for a
+    pure state, of ``_mixed_measure_table`` for a mixed one.
     """
     if isinstance(state, PureState):
         return _pure_measure_sets(state.amplitudes[np.newaxis])[0]
@@ -219,47 +235,78 @@ def measure_set(state: PureState | DensityMatrix) -> MeasureSet:
     return _mixed_measure_sets(state.matrix[np.newaxis])[0]
 
 
+def _measure_sets(table: np.ndarray) -> list[MeasureSet]:
+    """One MeasureSet per row of a measure table; a 13-column (mixed) row leaves the pure-only fields None."""
+    return [MeasureSet(*row) for row in table.tolist()]
+
+
 def _psd_factor(m: np.ndarray) -> np.ndarray:
     """X = V sqrt(w) with X X^dagger = m for stacked PSD m; negative rounding noise in w is dropped."""
     w, v = np.linalg.eigh(m)
     return v * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :]
 
 
-def _pair_measures(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Negativity (transpose on the first qubit) and concurrence of pairs rho = X X^dagger, X (..., 4, k)."""
-    xt = x.swapaxes(-1, -2)
-    rho = x @ xt.conj()
-    negativity = _negativity_of_spectrum(np.linalg.eigvalsh(_partial_transpose(rho, 2, 0)))
-    sv = np.linalg.svd(xt @ _SIGMA_YY @ x, compute_uv=False)
-    concurrence = np.clip(sv[..., 0] - sv[..., 1:].sum(axis=-1), 0.0, 1.0)
-    return negativity, concurrence
+def _pair_negativity(x: np.ndarray) -> np.ndarray:
+    """Negativity of pairs rho = X X^dagger, X of shape (..., 4, k), transposed on the first qubit."""
+    rho = x @ x.swapaxes(-1, -2).conj()
+    return _negativity_of_spectrum(np.linalg.eigvalsh(_partial_transpose(rho, 2, 0)))
 
 
-def _mixed_measure_sets(matrices: np.ndarray) -> list[MeasureSet]:
-    """MeasureSets of a stack of validated three-qubit density matrices, shape (N, 8, 8).
+def _pair_concurrence(x: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of pairs rho = X X^dagger, from the singular values of X^T (sy x sy) X."""
+    sv = np.linalg.svd(x.swapaxes(-1, -2) @ _SIGMA_YY @ x, compute_uv=False)
+    return np.clip(sv[..., 0] - sv[..., 1:].sum(axis=-1), 0.0, 1.0)
 
-    The LAPACK work is one batched call per kind of spectrum: the cut
-    transposes, the pair eigen-factors, the pair transposes, the
-    spin-flip SVD and the one-qubit reductions.
+
+def _pure_pair_concurrence(amps: np.ndarray) -> np.ndarray:
+    """Concurrence s1 - s2 of the pairs BC, AC, AB of pure states, shape (N, 3), with no SVD.
+
+    For the symmetric spin-flip product f (see ``_SPIN_FLIP_PIECES``),
+    s1^2 - s2^2 is the eigenvalue gap of f^dagger f, read from its
+    entries, and (s1 + s2)^2 = ||f||_F^2 + 2 |det f|.  Their quotient
+    has no cancellation near zero, where s1 - s2 computed from the two
+    singular values would carry their rounding error.
+    """
+    d = _product_differences(amps, _SPIN_FLIP_PIECES)
+    f00, f11, f01 = 2.0 * d[..., 0], 2.0 * d[..., 1], d[..., 2] + d[..., 3]
+    p00, p11, p01 = np.abs(f00) ** 2, np.abs(f11) ** 2, np.abs(f01) ** 2
+    gap = np.sqrt((p00 - p11) ** 2 + 4.0 * np.abs(f00.conj() * f01 + f01.conj() * f11) ** 2)
+    total = np.sqrt(p00 + p11 + 2.0 * p01 + 2.0 * np.abs(f00 * f11 - f01 * f01))
+    c = np.divide(gap, total, out=np.zeros_like(gap), where=total > 0.0)  # f = 0: a product pair
+    return np.minimum(c, 1.0)
+
+
+def _mixed_measure_table(matrices: np.ndarray) -> np.ndarray:
+    """The (N, 13) measure table of validated three-qubit density matrices, shape (N, 8, 8).
+
+    Its columns are the MeasureSet fields up to ``s_c``.  The LAPACK work
+    is one batched call per kind of spectrum: the cut transposes, the
+    pair eigen-factors, the pair transposes, the spin-flip SVD and the
+    one-qubit reductions.
     """
     cuts = np.stack([_partial_transpose(matrices, 3, ax) for ax in range(3)], axis=1)
     n_side = _negativity_of_spectrum(np.linalg.eigvalsh(cuts))
     pairs = np.stack([_partial_trace(matrices, 3, ax) for ax in range(3)], axis=1)  # BC, AC, AB
-    n_red, c_red = _pair_measures(_psd_factor(pairs))
+    x = _psd_factor(pairs)
+    n_red, c_red = _pair_negativity(x), _pair_concurrence(x)
     # rho_A and rho_B from rho_AB, rho_C from rho_BC
     singles = np.stack([_partial_trace(pairs[:, i], 2, ax) for i, ax in ((2, 1), (2, 0), (0, 0))], axis=1)
     entropy = _entropy_of_spectrum(np.linalg.eigvalsh(singles))
     n_abc = _geometric_mean3(n_side)[:, np.newaxis]
-    table = np.concatenate([n_side, n_abc, n_red, c_red, entropy], axis=1)
-    return [MeasureSet(*row) for row in table.tolist()]
+    return np.concatenate([n_side, n_abc, n_red, c_red, entropy], axis=1)
 
 
-def _pure_measure_sets(amps: np.ndarray) -> list[MeasureSet]:
-    """MeasureSets of a stack of validated pure states, amplitudes of shape (N, 8).
+def _mixed_measure_sets(matrices: np.ndarray) -> list[MeasureSet]:
+    """MeasureSets of a stack of validated three-qubit density matrices, rows of ``_mixed_measure_table``."""
+    return _measure_sets(_mixed_measure_table(matrices))
 
-    Every field comes from closed forms on the amplitudes (see the module
-    docstring); the only LAPACK work is one batched SVD of the (N, 3, 2, 2)
-    spin-flip products and one batched eigensolve of the (N, 3, 4, 4)
+
+def _pure_measure_table(amps: np.ndarray) -> np.ndarray:
+    """The (N, 16) measure table of validated pure states, amplitudes of shape (N, 8).
+
+    Its columns are the MeasureSet fields in order.  Every field comes
+    from closed forms on the amplitudes (see the module docstring); the
+    only LAPACK work is one batched eigensolve of the (N, 3, 4, 4)
     partial-transposed pair reductions.
     """
     n = amps.shape[0]
@@ -278,7 +325,8 @@ def _pure_measure_sets(amps: np.ndarray) -> list[MeasureSet]:
 
     n_side = _negativity_of_spectrum(cut_spectrum)
     # each pair reduction is M^T M^*: the 4x2 block M^T is a factor of it
-    n_red, c_red = _pair_measures(m.swapaxes(-1, -2))
+    n_red = _pair_negativity(m.swapaxes(-1, -2))
+    c_red = _pure_pair_concurrence(amps)
 
     pieces = _product_differences(amps, _HYPERDET_PIECES)
     lin = pieces[:, 0, 0] + pieces[:, 0, 1]
@@ -289,7 +337,11 @@ def _pure_measure_sets(amps: np.ndarray) -> list[MeasureSet]:
     tangle = np.minimum(np.minimum(1.0, 4.0 * np.abs(hyperdet)), cut_tangle.min(axis=-1))
 
     means = _geometric_mean3(np.concatenate([n_side, cut_tangle, entropy], axis=1).reshape(n, 3, 3))
-    table = np.concatenate(
+    return np.concatenate(
         [n_side, means[:, :1], n_red, c_red, entropy, means[:, 1:], tangle[:, np.newaxis]], axis=1
     )
-    return [MeasureSet(*row) for row in table.tolist()]
+
+
+def _pure_measure_sets(amps: np.ndarray) -> list[MeasureSet]:
+    """MeasureSets of a stack of validated pure states, rows of ``_pure_measure_table``."""
+    return _measure_sets(_pure_measure_table(amps))

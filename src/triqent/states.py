@@ -202,6 +202,7 @@ def _require_density(rho, what: str) -> DensityMatrix:
 
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| on the full [A, B, C] layout."""
+    _require_pure(psi, "to_density")
     return DensityMatrix._derived(np.outer(psi.amplitudes, psi.amplitudes.conj()), QUBITS)
 
 
@@ -218,28 +219,40 @@ def _partial_transpose(m: np.ndarray, n: int, ax: int) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(m.shape))
 
 
+def _qubit_index(qubits: tuple[str, ...], q) -> int:
+    """Position of label ``q`` in a layout; QubitNotPresentError for anything else."""
+    if not isinstance(q, str) or q not in qubits:
+        raise QubitNotPresentError(f"qubit {q!r} not in layout {qubits!r}")
+    return qubits.index(q)
+
+
 def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
     """Discard one qubit; the layout drops the traced label."""
     _require_density(rho, "partial_trace")
-    if traced not in rho.qubits:
-        raise QubitNotPresentError(f"qubit {traced!r} not in layout {rho.qubits!r}")
+    ax = _qubit_index(rho.qubits, traced)
     n = len(rho.qubits)
     if n < 2:
         raise WrongDimensionError("cannot trace the last remaining qubit")
     keep = tuple(q for q in rho.qubits if q != traced)
-    return DensityMatrix._derived(_partial_trace(rho.matrix, n, rho.qubits.index(traced)), keep)
+    return DensityMatrix._derived(_partial_trace(rho.matrix, n, ax), keep)
 
 
 def transpose_qubit(matrix: np.ndarray, qubits: tuple[str, ...], side: str) -> np.ndarray:
-    """Partial transpose of a raw matrix over one qubit of the layout."""
-    if side not in qubits:
-        raise QubitNotPresentError(f"qubit {side!r} not in layout {qubits!r}")
+    """Partial transpose of a raw matrix over one qubit of the layout.
+
+    The layout is checked as ``DensityMatrix`` checks it, and the matrix
+    must be finite numbers of the layout's shape.
+    """
+    qubits = _layout(qubits)
+    ax = _qubit_index(qubits, side)
     n = len(qubits)
     d = 2**n
-    m = np.asarray(matrix, dtype=complex)
+    m = _complex_entries(matrix, "matrix entries")
     if m.shape != (d, d):
         raise WrongDimensionError(f"layout {qubits!r} needs shape {(d, d)}, got {m.shape}")
-    return _partial_transpose(m, n, qubits.index(side))
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix holds a NaN or infinite entry")
+    return _partial_transpose(m, n, ax)
 
 
 def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
@@ -249,11 +262,11 @@ def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
     plain array is returned rather than a DensityMatrix.
     """
     _require_density(rho, "partial_transpose")
-    return transpose_qubit(rho.matrix, rho.qubits, side)
+    return _partial_transpose(rho.matrix, len(rho.qubits), _qubit_index(rho.qubits, side))
 
 
 def _check_unitary(u, name: str) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
+    u = _complex_entries(u, name)
     if u.shape != (2, 2):
         raise WrongDimensionError(f"{name} must be 2x2, got {u.shape}")
     if not np.isfinite(u).all():
@@ -280,10 +293,12 @@ def _haar_draws(seeds) -> np.ndarray:
     Each row is drawn and normalized exactly as ``sample_haar_pure``
     does it, so a stack of seeds needs no ``PureState`` per seed.
     """
-    z = np.empty((len(seeds), 8), dtype=complex)
+    # one draw of 16 per seed is the stream of two draws of 8: the real
+    # parts, then the imaginary parts
+    x = np.empty((len(seeds), 16))
     for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        z[i] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        np.random.default_rng(seed).standard_normal(out=x[i])
+    z = x[:, :8] + 1j * x[:, 8:]
     return z / np.sqrt((np.abs(z) ** 2).sum(axis=-1, keepdims=True))
 
 

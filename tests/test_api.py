@@ -1,0 +1,199 @@
+"""Every callable public name of ``triqent`` rejects malformed arguments with a typed error.
+
+Each entry of ``SLOTS`` names the arguments of one call: valid values,
+built before the test patches LAPACK, and for each argument the kind
+of value it must reject.  Each rejection must be a ``TriqentError``
+raised before any ``np.linalg`` eigensolve or SVD runs.  A public
+callable with no entry (and not in ``EXEMPT``) fails
+``test_every_public_callable_is_covered``, so new entry points are
+covered too.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import triqent
+from triqent import (
+    FamilySpec,
+    GsdForm,
+    TriqentError,
+    default_grid,
+    ghz,
+    gsd,
+    partial_trace,
+    rho_zero,
+)
+
+NAN = math.nan
+KINDS = ("wrong_type", "nan", "string", "none", "wrong_shape")
+
+
+def pure():
+    return {"wrong_type": rho_zero(), "nan": NAN, "string": "x", "none": None, "wrong_shape": np.zeros(5)}
+
+
+def density():
+    return {"wrong_type": ghz(), "nan": NAN, "string": "x", "none": None, "wrong_shape": np.eye(8) / 8}
+
+
+def three_qubit_state():
+    # a DensityMatrix over two qubits is the wrong shape for a three-qubit call
+    return {"wrong_type": object(), "nan": NAN, "string": "x", "none": None,
+            "wrong_shape": partial_trace(rho_zero(), "A")}
+
+
+def real():
+    return {"wrong_type": 0.5j, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.full(2, 0.5)}
+
+
+def complex_number():
+    return {"wrong_type": [0.5], "nan": complex(NAN, 0.0), "string": "x", "none": None,
+            "wrong_shape": np.full(2, 0.5)}
+
+
+def name():
+    return {"wrong_type": 1, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.array(["A", "B"])}
+
+
+def integer():
+    return {"wrong_type": 1.5, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.arange(2)}
+
+
+def layout():
+    return {"wrong_type": 3, "nan": NAN, "string": "x", "none": None, "wrong_shape": ("A", "B", "C", "A")}
+
+
+def matrix(shape):
+    return {"wrong_type": object(), "nan": np.full(shape, NAN), "string": "x", "none": None,
+            "wrong_shape": np.eye(shape[0] + 1)}
+
+
+def spec():
+    return {"wrong_type": default_grid("ghz_like", 3).grid, "nan": FamilySpec("ghz_like", ((NAN,),)),
+            "string": "x", "none": None, "wrong_shape": FamilySpec("ghz_like", ((0.5, 0.5),))}
+
+
+def form():
+    nan_form = GsdForm(NAN, 0j, 0j, 0j, 0j, "raw", np.eye(2), np.eye(2), np.eye(2))
+    return {"wrong_type": ghz(), "nan": nan_form, "string": "x", "none": None, "wrong_shape": np.zeros(5)}
+
+
+def vector(n):
+    return {"wrong_type": object(), "nan": np.full(n, NAN), "string": "x", "none": None,
+            "wrong_shape": np.full(n + 1, 1 / np.sqrt(n + 1))}
+
+
+W = (1 / np.sqrt(3),) * 3
+GSD = (0.6, 0.0, 0.0, 0.0, 0.8)
+
+
+#: public name -> (valid arguments, malformed values of each argument);
+#: both are built by functions, so LAPACK can run before it is patched
+SLOTS = {
+    "PureState": (lambda: (ghz().amplitudes,), lambda: [vector(8)]),
+    "DensityMatrix": (lambda: (np.eye(8) / 8, ("A", "B", "C")), lambda: [matrix((8, 8)), layout()]),
+    "apply_local_unitary": (lambda: (ghz(), np.eye(2), np.eye(2), np.eye(2)),
+                            lambda: [pure(), matrix((2, 2)), matrix((2, 2)), matrix((2, 2))]),
+    "partial_trace": (lambda: (rho_zero(), "A"), lambda: [density(), name()]),
+    "partial_transpose": (lambda: (rho_zero(), "A"), lambda: [density(), name()]),
+    "transpose_qubit": (lambda: (np.eye(8) / 8, ("A", "B", "C"), "A"),
+                        lambda: [matrix((8, 8)), layout(), name()]),
+    "to_density": (lambda: (ghz(),), lambda: [pure()]),
+    "sample_haar_pure": (lambda: (3,), lambda: [integer()]),
+    "sample_hs_mixed": (lambda: (3, ("A", "B", "C")), lambda: [integer(), layout()]),
+    "measure_set": (lambda: (ghz(),), lambda: [three_qubit_state()]),
+    "negativity": (lambda: (rho_zero(), "A"), lambda: [density(), name()]),
+    "tripartite_negativity": (lambda: (rho_zero(),), lambda: [three_qubit_state()]),
+    "concurrence_2q": (lambda: (partial_trace(rho_zero(), "A"),), lambda: [density()]),
+    "von_neumann_entropy": (lambda: (rho_zero(),), lambda: [density()]),
+    "q_multiplicative": (lambda: (ghz(),), lambda: [pure()]),
+    "eta3_multiplicative": (lambda: (ghz(),), lambda: [pure()]),
+    "three_tangle": (lambda: (ghz(),), lambda: [pure()]),
+    "additive_measure": (lambda: (ghz(), "tangle"), lambda: [pure(), name()]),
+    "classify_pure": (lambda: (ghz(), 1e-8), lambda: [pure(), real()]),
+    "classify_mixed": (lambda: (rho_zero(), 1e-8), lambda: [three_qubit_state(), real()]),
+    "gsd": (lambda: (ghz(), "raw"), lambda: [pure(), name()]),
+    "classify_gsd_pattern": (lambda: (gsd(ghz()), 1e-8), lambda: [form(), real()]),
+    "svd_2x2": (lambda: (np.eye(2),), lambda: [matrix((2, 2))]),
+    "make_state": (lambda: ("ghz_like", 0.5), lambda: [name(), real()]),
+    "oracle": (lambda: ("ghz_like", 0.5), lambda: [name(), real()]),
+    "default_grid": (lambda: ("ghz_like", 3), lambda: [name(), integer()]),
+    "sweep": (lambda: (default_grid("ghz_like", 3),), lambda: [spec()]),
+    "ghz": (lambda: (0.0,), lambda: [real()]),
+    "ghz_like": (lambda: (0.5,), lambda: [real()]),
+    "ghz_noise": (lambda: (0.5,), lambda: [real()]),
+    "ghz_w_mix": (lambda: (0.5,), lambda: [real()]),
+    "rho_epsilon": (lambda: (0.5,), lambda: [real()]),
+    "sigma_b": (lambda: (0.5,), lambda: [real()]),
+    "w_canonical": (lambda: W, lambda: [complex_number()] * 3),
+    "from_gsd_coefficients": (lambda: GSD, lambda: [complex_number()] * 5),
+}
+
+#: public callables that take no argument a caller could get wrong
+EXEMPT = {
+    "rho_zero": "takes no arguments",
+    "w_prime": "takes no arguments",
+    "w_state": "takes no arguments",
+    # plain records: results of the calls above, or their input (FamilySpec
+    # and GsdForm), which sweep and classify_gsd_pattern check
+    "Certificate": "result record",
+    "GsdPattern": "result record",
+    "MeasureSet": "result record",
+    "MixedVerdict": "result record",
+    "PureClassification": "result record",
+    "SubtypeLabel": "result record",
+    "SweepRow": "result record",
+    "FamilySpec": "input record, checked by sweep",
+    "GsdForm": "input record, checked by classify_gsd_pattern",
+}
+
+
+def public_callables():
+    names = []
+    for attr in dir(triqent):
+        obj = getattr(triqent, attr)
+        if attr.startswith("_") or not callable(obj):
+            continue
+        if isinstance(obj, type) and issubclass(obj, TriqentError):
+            continue  # the error types themselves
+        names.append(attr)
+    return names
+
+
+def test_every_public_callable_is_covered():
+    names = set(public_callables())
+    assert names - set(SLOTS) - set(EXEMPT) == set()
+    assert set(SLOTS) | set(EXEMPT) <= names  # no stale entries
+    assert not set(SLOTS) & set(EXEMPT)
+
+
+CASES = [
+    pytest.param(attr, slot, kind, id=f"{attr}-{slot}-{kind}")
+    for attr, (_, bad) in SLOTS.items()
+    for slot in range(len(bad()))
+    for kind in KINDS
+]
+
+
+@pytest.mark.parametrize("attr, slot, kind", CASES)
+def test_malformed_argument_raises_typed_error(attr, slot, kind, monkeypatch):
+    valid, bad = SLOTS[attr]
+    args = list(valid())
+    args[slot] = bad()[slot][kind]
+
+    def fail(*a, **k):
+        raise AssertionError("np.linalg ran on a malformed argument")
+
+    for lapack in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, lapack, fail)
+    with pytest.raises(TriqentError):
+        getattr(triqent, attr)(*args)
+
+
+@pytest.mark.parametrize("attr", sorted(SLOTS))
+def test_valid_arguments_accepted(attr):
+    # the malformed cases above differ from these in one argument only
+    valid, _ = SLOTS[attr]
+    getattr(triqent, attr)(*valid())

@@ -13,16 +13,22 @@ from triqent import (
     classify_gsd_pattern,
     classify_mixed,
     classify_pure,
+    default_grid,
     from_gsd_coefficients,
     ghz,
     ghz_noise,
     gsd,
+    make_state,
     rho_zero,
     sample_haar_pure,
+    sample_hs_mixed,
     sigma_b,
     to_density,
     w_prime,
 )
+from triqent.classify import _CLAIMS, _certify_table, _classify_table
+from triqent.measures import MeasureSet, _mixed_measure_table, _pure_measure_table
+from triqent.states import QUBITS
 from helpers import near_separable_corpus, random_biseparable, random_product_state, random_unitary
 
 
@@ -126,10 +132,10 @@ class TestClassifyPure:
         assert ambiguous > 0  # the corpus reaches the 1e-9..1e-7 decade
 
     def test_rejects_mixed_state_before_measuring(self, monkeypatch):
-        def fail(state):
-            raise AssertionError("measure_set called on mixed input")
+        def fail(amps):
+            raise AssertionError("measure table built for mixed input")
 
-        monkeypatch.setattr(triqent.classify, "measure_set", fail)
+        monkeypatch.setattr(triqent.classify, "_pure_measure_table", fail)
         with pytest.raises(MixedStateUnsupportedError):
             classify_pure(rho_zero())
 
@@ -223,3 +229,131 @@ class TestClassifyMixed:
                 assert "GHZ-distillable" in claims
             for pair in res.label.entangled_pairs:
                 assert f"reduced pair {pair} entangled" in claims
+
+
+def reference_pure_decision(ms, zero_tol):
+    """(code, separable qubit, entangled pairs, margins, ambiguous) by the per-state rule, one comparison at a time."""
+    # the correctly rounded square: Python's v**2 goes through libm pow
+    impurity = {q: 0.5 * (v * v) for q, v in zip("ABC", (ms.n_a_bc, ms.n_b_ac, ms.n_c_ab))}
+    margins = {f"factorizable_{q}": impurity[q] for q in "ABC"}
+    pairs = []
+    for name, v in zip(("BC", "AC", "AB"), (ms.n_red_bc, ms.n_red_ac, ms.n_red_ab)):
+        margins[f"pair_{name}"] = v
+        if v > zero_tol:
+            pairs.append(name)
+    facts = [q for q in "ABC" if impurity[q] < zero_tol]
+    ambiguous = False
+    if not facts:
+        label = (f"2-{len(pairs)}", None, tuple(pairs))
+    elif len(facts) == 1:
+        for single in "ABC".replace(facts[0], ""):
+            margins[f"single_purity_{single}"] = impurity[single]
+        label = ("1^1-1", facts[0], tuple(pairs))
+    elif len(facts) == 3 or all(impurity[q] < 10.0 * zero_tol for q in "ABC"):
+        label = ("0-0", None, ())
+    else:
+        ambiguous = True
+        label = ("1^1-1", min(facts, key=lambda q: impurity[q]), tuple(pairs))
+    ambiguous = ambiguous or any(zero_tol / 10.0 <= v <= zero_tol * 10.0 for v in margins.values())
+    return (*label, margins, ambiguous)
+
+
+def reference_certificates(ms, zero_tol):
+    """(claim, witness) pairs by the per-state rule of classify_mixed."""
+    n_red = {"BC": ms.n_red_bc, "AC": ms.n_red_ac, "AB": ms.n_red_ab}
+    n_side = {"A": ms.n_a_bc, "B": ms.n_b_ac, "C": ms.n_c_ab}
+    certs = [(f"reduced pair {p} entangled", v) for p, v in n_red.items() if v > zero_tol]
+    certs += [(f"not simply biseparable w.r.t. {q}", v) for q, v in n_side.items() if v > zero_tol]
+    if any(v > zero_tol for v in n_side.values()):
+        certs.append(("not fully separable", max(n_side.values())))
+    if min(n_side.values()) > zero_tol:
+        certs.append(("GHZ-distillable", ms.n_abc))
+    certs.append(("undetermined: generalized biseparable vs fully inseparable", ms.n_abc))
+    return certs
+
+
+def w_canonical_grid():
+    """w_canonical points with every coefficient drawn from exact zeros, tiny, small and large magnitudes."""
+    mags = (0.0, 1e-6, 1e-3, 0.05, 0.2, 0.5, 1.0)
+    rows = [np.array([a, e, d]) for a in mags for e in mags for d in mags if a or e or d]
+    return [make_state("w_canonical", *(r / np.linalg.norm(r))) for r in rows]
+
+
+@pytest.fixture(scope="module")
+def pure_stacks():
+    return {
+        "haar": [sample_haar_pure(seed) for seed in range(300)],
+        "near": near_separable_corpus(np.random.default_rng(71), 600),
+        "grid": [make_state("ghz_like", *p) for p in default_grid("ghz_like", 101).grid] + w_canonical_grid(),
+    }
+
+
+def bits(x):
+    return float(x).hex()
+
+
+class TestStackedDecisions:
+    """The masked decisions on a measure table against the per-state classifiers, row by row."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
+    @pytest.mark.parametrize("kind", ["haar", "near", "grid"])
+    def test_classify_table_equals_classify_pure(self, pure_stacks, kind, tol):
+        states = pure_stacks[kind]
+        table = _pure_measure_table(np.array([psi.amplitudes for psi in states]))
+        d = _classify_table(table, tol)
+        for i, psi in enumerate(states):
+            res = classify_pure(psi, zero_tol=tol)
+            code, separable, pairs, margins, ambiguous = reference_pure_decision(res.measures, tol)
+            label = res.label
+            assert (label.code, label.separable_qubit, label.entangled_pairs) == (code, separable, pairs), i
+            assert res.ambiguous is ambiguous, i
+            assert {k: bits(v) for k, v in res.margins.items()} == {k: bits(v) for k, v in margins.items()}, i
+            assert str(d.codes[i]) == code and bool(d.ambiguous[i]) is ambiguous, i
+            assert [bits(v) for v in d.margins[i]] == [bits(v) for v in list(margins.values())[:6]], i
+            assert [bits(v) for v in table[i]] == [bits(v) for v in res.measures.as_dict().values()], i
+
+    def test_two_factorizable_branch_fires(self, pure_stacks):
+        # two factorizable qubits and a third just above zero_tol: a 0-0? label
+        seen = set()
+        for tol in (1e-8, 1e-3, 0.1):
+            states = pure_stacks["grid"] + pure_stacks["near"]
+            d = _classify_table(_pure_measure_table(np.array([psi.amplitudes for psi in states])), tol)
+            two = d.factorizable.sum(axis=1) == 2
+            seen |= {str(c) + "?" * bool(a) for c, a in zip(d.codes[two], d.ambiguous[two])}
+        assert seen == {"0-0?"}
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
+    def test_classify_table_on_synthetic_tables(self, tol):
+        # decision quantities scattered log-uniformly over four decades each
+        # side of zero_tol reach every branch, the inconsistent
+        # two-factorizable pattern (1^1-1?) included
+        rng = np.random.default_rng(83)
+        table = np.zeros((4000, 16))
+        table[:, 0:3] = np.sqrt(2.0 * tol * 10.0 ** rng.uniform(-4.0, 4.0, (4000, 3)))
+        table[:, 4:7] = tol * 10.0 ** rng.uniform(-4.0, 4.0, (4000, 3))
+        d = _classify_table(table, tol)
+        shown = set()
+        for i, row in enumerate(table.tolist()):
+            code, separable, pairs, margins, ambiguous = reference_pure_decision(MeasureSet(*row), tol)
+            assert str(d.codes[i]) == code and bool(d.ambiguous[i]) is ambiguous, i
+            assert (QUBITS[d.separable[i]] if d.separable[i] >= 0 else None) == separable, i
+            assert tuple(p for p, on in zip(("BC", "AC", "AB"), d.pairs[i]) if on) == pairs, i
+            assert [bits(v) for v in d.margins[i]] == [bits(v) for v in list(margins.values())[:6]], i
+            shown.add(code + "?" * ambiguous)
+        assert {"0-0", "0-0?", "1^1-1", "1^1-1?", "2-0", "2-1", "2-2", "2-3"} <= shown
+        assert ((d.factorizable.sum(axis=1) == 2) & (d.codes == "1^1-1")).any()
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
+    def test_certify_table_equals_classify_mixed(self, tol):
+        states = [sample_hs_mixed(seed) for seed in range(100)]
+        states += [to_density(sample_haar_pure(seed)) for seed in range(100)]
+        states += [make_state(f, *p) for f in ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
+                   for p in default_grid(f).grid]
+        table = _mixed_measure_table(np.array([rho.matrix for rho in states]))
+        held, witness = _certify_table(table, tol)
+        for i, rho in enumerate(states):
+            verdict = classify_mixed(rho, zero_tol=tol)
+            expected = [(c, bits(w)) for c, w in reference_certificates(verdict.measures, tol)]
+            assert [(c.claim, bits(c.witness)) for c in verdict.certificates] == expected, i
+            stacked = [(c, bits(w)) for c, h, w in zip(_CLAIMS, held[i], witness[i]) if h]
+            assert stacked == expected, i

@@ -249,13 +249,16 @@ class TestRandomCommand:
                 hist[code] = int(count)
         assert hist.get("2-3", 0) > sum(hist.values()) / 2
 
-    def test_chunked_report_matches_per_state_loop(self, tmp_path):
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
+    def test_chunked_report_matches_per_state_loop(self, tol, tmp_path):
+        # 1e-3 and 0.1 put ambiguous (?) and separable codes into the report
         count, seed = STACK_CHUNK + 3, 7  # spans a chunk boundary
         out = tmp_path / "r.txt"
-        assert main(["random", "--count", str(count), "--seed", str(seed), "--out", str(out)]) == 0
+        argv = ["random", "--count", str(count), "--seed", str(seed), "--tol", repr(tol), "--out", str(out)]
+        assert main(argv) == 0
         lines, histogram = [], {}
         for i in range(count):
-            res = classify_pure(sample_haar_pure(seed + i))
+            res = classify_pure(sample_haar_pure(seed + i), zero_tol=tol)
             code = res.label.code + ("?" if res.ambiguous else "")
             histogram[code] = histogram.get(code, 0) + 1
             ms = res.measures

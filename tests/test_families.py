@@ -202,8 +202,8 @@ class TestSweep:
         assert measure_set(rho_zero()).n_red_bc < 1e-12
 
     @pytest.mark.parametrize("family, routine", [
-        ("ghz_like", "_pure_measure_sets"),
-        ("ghz_w_mix", "_mixed_measure_sets"),
+        ("ghz_like", "_pure_measure_table"),
+        ("ghz_w_mix", "_mixed_measure_table"),
     ], ids=["ghz_like", "ghz_w_mix"])
     def test_one_stack_call_per_grid(self, family, routine, monkeypatch):
         calls = spy_on_stacks(monkeypatch, routine)
@@ -251,8 +251,8 @@ class TestSweepStack:
             assert all(dev < 1e-9 for dev in row.deviations.values())
 
     @pytest.mark.parametrize("family, routine", [
-        ("ghz_like", "_pure_measure_sets"),
-        ("sigma_b", "_mixed_measure_sets"),
+        ("ghz_like", "_pure_measure_table"),
+        ("sigma_b", "_mixed_measure_table"),
     ], ids=["ghz_like", "sigma_b"])
     def test_chunked_grid(self, family, routine, monkeypatch):
         calls = spy_on_stacks(monkeypatch, routine)

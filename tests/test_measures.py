@@ -385,6 +385,24 @@ class TestPureFastPath:
                 residual = general.n_a_bc**2 - general.c_red_ab**2 - general.c_red_ac**2
                 assert abs(ms.three_tangle - residual) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["haar", "near", "family"])
+    def test_concurrence_matches_sqrt_rho_route(self, corpus, kind):
+        # the closed form against the square-root route on each pair reduction,
+        # at the tolerances of test_matches_general_path
+        c_tol = 1e-12 if kind == "haar" else np.sqrt(NEG_EIG_FLOOR)
+        for psi in corpus[kind]:
+            ms = measure_set(psi)
+            for q, name in zip(QUBITS, CONCURRENCE_FIELDS):
+                reference = sqrt_rho_concurrence(partial_trace(to_density(psi), q).matrix)
+                assert abs(getattr(ms, name) - reference) <= c_tol, name
+
+    def test_concurrence_exactly_zero_on_ghz_like(self):
+        # every pair of alpha|000> + omega|111> is separable, and the spin-flip
+        # product has f00 = f11 = 0, so no rounding reaches the closed form
+        for params in default_grid("ghz_like", 1001).grid:
+            ms = measure_set(make_state("ghz_like", *params))
+            assert [getattr(ms, name) for name in CONCURRENCE_FIELDS] == [0.0, 0.0, 0.0], params
+
     def test_stack_equals_single_calls(self, corpus):
         states = corpus["haar"] + corpus["near"][:300]
         stack = _pure_measure_sets(np.array([psi.amplitudes for psi in states]))
@@ -396,18 +414,22 @@ class TestPureFastPath:
 
     def test_no_general_eigensolve(self, monkeypatch, capsys):
         # the one eigensolve of the pure path is the batched spectrum of the
-        # partial-transposed pair reductions, (N, 3, 4, 4) per stack
+        # partial-transposed pair reductions, (N, 3, 4, 4) per stack; the
+        # concurrences are closed forms, with no SVD
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
-        def fail(*args, **kwargs):
-            raise AssertionError("eigh called on the pure path")
+        def fail(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called on the pure path")
+            return call
 
         def spy(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail("eigh"))
+        monkeypatch.setattr(np.linalg, "svd", fail("svd"))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         psi = sample_haar_pure(5)
         measure_set(psi)

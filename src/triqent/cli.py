@@ -9,9 +9,9 @@ invalid input, 3 ambiguous-near-threshold (report still printed).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -25,7 +25,7 @@ from .errors import (
     StateFileError,
     TriqentError,
 )
-from .families import SWEEPABLE, default_grid, sweep
+from .families import SWEEPABLE, _sweep_chunks, default_grid
 from .gsd import classify_gsd_pattern, gsd
 from .measures import _MEASURE_NAMES, STACK_CHUNK, MeasureSet, _pure_measure_table, measure_set
 from .states import DensityMatrix, PureState, _check_seed, _haar_draws, _validated_amplitudes
@@ -52,6 +52,8 @@ CSV_HEADER = (
 _REPORT_FIELDS = ("n_abc", "q_mult", "eta_mult", "three_tangle")
 _REPORT_LINE = "%d\t%s\t" + "\t".join(f"{name}=%.12g" for name in _REPORT_FIELDS) + "\n"
 _REPORT_COLUMNS = [_MEASURE_NAMES.index(name) for name in _REPORT_FIELDS]
+#: the measure-table column of each MEASURE_FIELDS entry, in CSV order
+_SWEEP_COLUMNS = [_MEASURE_NAMES.index(name) for name in MEASURE_FIELDS]
 
 
 def _fmt(value) -> str:
@@ -207,20 +209,39 @@ def _cmd_gsd(args) -> int:
     return 3 if ambiguous else 0
 
 
+def _write_sweep_chunk(fh, family: str, chunk) -> None:
+    """The CSV lines of one chunk of ``families._sweep_chunks``, through one %-template.
+
+    Numbers are formatted as ``_fmt`` formats them.  A measure the table
+    lacks (a pure-only one, for a mixed family) and an oracle field the
+    family lacks are blank cells.  No cell needs quoting: the family
+    names, numbers and verdicts hold no comma, quote or line break.
+    """
+    width = chunk.table.shape[1]
+    fields = [f for f in ORACLE_FIELDS if f in chunk.oracle]
+    oracle_cells = ["%.12g" if f in chunk.oracle else "" for f in ORACLE_FIELDS]
+    measure_cells = ["%.12g" if c < width else "" for c in _SWEEP_COLUMNS]
+    line = ",".join([family, "%.12g", *measure_cells, "%s", *oracle_cells, *oracle_cells]) + "\n"
+    n = len(chunk.params)
+    head = np.column_stack([[p[0] for p in chunk.params], chunk.table[:, [c for c in _SWEEP_COLUMNS if c < width]]])
+    tail = np.array([chunk.oracle[f] for f in fields] + [chunk.deviations[f] for f in fields], dtype=float)
+    tail = tail.reshape(2 * len(fields), n).T
+    fh.write("".join([line % (*h, v, *t) for h, v, t in zip(head.tolist(), chunk.verdicts, tail.tolist())]))
+
+
 def _cmd_sweep(args) -> int:
     spec = default_grid(args.family, args.points)
-    rows = sweep(spec)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            cells = [spec.family, _fmt(row.params[0])]
-            cells += [_fmt(getattr(row.measures, f)) for f in MEASURE_FIELDS]
-            cells.append(row.verdict)
-            cells += [_fmt(row.oracle_values.get(f)) for f in ORACLE_FIELDS]
-            cells += [_fmt(row.deviations.get(f)) for f in ORACLE_FIELDS]
-            writer.writerow(cells)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    # each chunk's lines are written as they are made, so memory stays
+    # bounded for any --points; a sweep that fails removes its partial file
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(CSV_HEADER) + "\n")
+            for chunk in _sweep_chunks(spec):
+                _write_sweep_chunk(fh, spec.family, chunk)
+    except TriqentError:
+        os.remove(args.out)
+        raise
+    print(f"wrote {len(spec.grid)} rows to {args.out}")
     return 0
 
 

@@ -5,11 +5,17 @@ parameter rows: ``_build`` checks the rows against the family's domain
 (vectorized, so a NaN parameter is rejected too) and returns (N, 8)
 amplitudes for a pure family or (N, 8, 8) matrices for a mixed one.
 The scalar constructors (``ghz_like(alpha)``, ``sigma_b(b)``, ...) and
-``make_state`` are that closed form on a stack of one.  ``oracle``
-evaluates whatever closed forms are known for a family's measures,
-keyed by MeasureSet field names, and ``sweep`` tabulates computed
-measures against those oracles over a parameter grid, which it builds,
-validates, measures and classifies as one stack per STACK_CHUNK points.
+``make_state`` are that closed form on a stack of one.
+
+The known closed forms of a family's measures are written once too, as
+columns over the same rows (``_oracle_columns``), and ``oracle`` is
+that routine on a stack of one.  A sweep is a table per STACK_CHUNK
+grid points (``_sweep_chunks``): each chunk is built, validated,
+measured, classified and compared with its oracle columns as one
+stack, and only then is the next one made.  ``sweep`` turns the chunks
+into SweepRows; the ``triqent sweep`` command writes each chunk's CSV
+lines straight from its columns, so its memory does not grow with the
+grid.
 """
 
 from __future__ import annotations
@@ -17,12 +23,20 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
 from .classify import _CLAIMS, DEFAULT_ZERO_TOL, _certify_table, _classify_table
 from .errors import NoOracleError, ParamOutOfDomainError
-from .measures import STACK_CHUNK, MeasureSet, _measure_sets, _mixed_measure_table, _pure_measure_table
+from .measures import (
+    _MEASURE_NAMES,
+    STACK_CHUNK,
+    MeasureSet,
+    _measure_sets,
+    _mixed_measure_table,
+    _pure_measure_table,
+)
 from .states import (
     QUBITS,
     DensityMatrix,
@@ -189,20 +203,36 @@ def _known(family) -> bool:
     return isinstance(family, str) and family in _FAMILIES
 
 
-def _build(family: str, grid, where=None) -> np.ndarray:
-    """The family's closed form on a grid of parameter tuples, domain-checked but not yet validated."""
+def _length(params) -> int | None:
+    """``len(params)``, or None for an object without a length, such as a number."""
+    try:
+        return len(params)
+    except TypeError:
+        return None
+
+
+def _arity_message(family: str, arity: int, params) -> str:
+    n = _length(params)
+    got = f"{params!r}, not a tuple" if n is None else n
+    return f"family {family!r} takes {arity} parameter(s), got {got}"
+
+
+def _build(family: str, grid, where=None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, stack): the (N, arity) parameter rows of a grid of parameter tuples, and the
+    family's closed form on them, domain-checked but not yet validated."""
     _raise_first(np.full(len(grid), not _known(family)), ParamOutOfDomainError,
                  lambda i: f"unknown family {family!r}; known: {', '.join(FAMILIES)}", where)
     arity, closed_form = _FAMILIES[family]
-    _raise_first(np.array([len(params) != arity for params in grid]), ParamOutOfDomainError,
-                 lambda i: f"family {family!r} takes {arity} parameter(s), got {len(grid[i])}", where)
+    _raise_first(np.array([_length(params) != arity for params in grid]), ParamOutOfDomainError,
+                 lambda i: _arity_message(family, arity, grid[i]), where)
     kind = numbers.Complex if family in _COMPLEX_FAMILIES else numbers.Real
-    return closed_form(_numeric_rows(grid, kind, where).reshape(len(grid), arity), where)
+    rows = _numeric_rows(grid, kind, where).reshape(len(grid), arity)
+    return rows, closed_form(rows, where)
 
 
 def make_state(family: str, *params) -> PureState | DensityMatrix:
     """Build the named state or family member for the given parameters."""
-    stack = _build(family, [params])
+    _, stack = _build(family, [params])
     return PureState(stack[0]) if stack.ndim == 2 else DensityMatrix(stack[0], QUBITS)
 
 
@@ -275,61 +305,66 @@ FAMILIES = tuple(sorted(_FAMILIES))
 SWEEPABLE = ("ghz_like", "ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
 
 
-def _ghz_w_mix_negativity(p: float) -> float:
-    return (
-        np.sqrt(41 * p * p - 64 * p + 32) + 2 * np.sqrt(10 * p * p - 2 * p + 1) - p - 2
-    ) / 6.0
+def _symmetric(n_cut: np.ndarray, n_red: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Oracle columns of a family symmetric under qubit permutations.
 
-
-def oracle(family: str, *params) -> dict[str, float]:
-    """Closed-form values for a family, keyed by MeasureSet field name.
-
-    Raises NoOracleError for a family with no closed form, and what
-    ``make_state`` raises for parameters outside the family's domain.
+    ``n_cut`` is every one-vs-two negativity and their mean n_abc, and
+    ``n_red``, when given, every reduced-pair negativity.
     """
-    if not _known(family):
-        raise NoOracleError(f"no closed form registered for family {family!r}")
-    _build(family, [params])
-    return _oracle(family, params)
+    out = {"n_a_bc": n_cut, "n_b_ac": n_cut, "n_c_ab": n_cut, "n_abc": n_cut}
+    if n_red is not None:
+        out.update({"n_red_bc": n_red, "n_red_ac": n_red, "n_red_ab": n_red})
+    return out
 
 
-def _oracle(family: str, params) -> dict[str, float]:
-    """``oracle`` on parameters already checked against the family's domain."""
+def _oracle_columns(family: str, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """The family's closed forms over an (N, arity) stack of grid rows ``_build`` has checked.
+
+    Returns one (N,) column per known measure, keyed by MeasureSet field
+    name, and raises NoOracleError for a family with no closed form.
+    """
+    n = len(rows)
     if family == "ghz":
-        return {"n_a_bc": 1.0, "n_b_ac": 1.0, "n_c_ab": 1.0, "n_abc": 1.0,
-                "n_red_bc": 0.0, "n_red_ac": 0.0, "n_red_ab": 0.0}
+        return _symmetric(np.ones(n), np.zeros(n))
     if family in ("w", "w_prime"):
-        n = 2.0 * np.sqrt(2.0) / 3.0
-        r = (np.sqrt(5.0) - 1.0) / 3.0
-        return {"n_a_bc": n, "n_b_ac": n, "n_c_ab": n, "n_abc": n,
-                "n_red_bc": r, "n_red_ac": r, "n_red_ab": r}
+        return _symmetric(np.full(n, 2.0 * np.sqrt(2.0) / 3.0), np.full(n, (np.sqrt(5.0) - 1.0) / 3.0))
     if family == "ghz_like":
-        (alpha,) = params
-        n = 2.0 * abs(alpha) * np.sqrt(max(0.0, 1.0 - alpha * alpha))
-        return {"n_a_bc": n, "n_b_ac": n, "n_c_ab": n, "n_abc": n,
-                "n_red_bc": 0.0, "n_red_ac": 0.0, "n_red_ab": 0.0}
+        alpha = rows[:, 0]
+        return _symmetric(2.0 * np.abs(alpha) * np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)), np.zeros(n))
     if family == "w_canonical":
-        a, e, d = (abs(x) for x in params)
+        a, e, d = np.hypot(rows.real, rows.imag).T  # as Python's abs of a complex
         return {
             "n_red_bc": np.sqrt(a**4 + 4 * (e * d) ** 2) - a**2,
             "n_red_ac": np.sqrt(d**4 + 4 * (e * a) ** 2) - d**2,
             "n_red_ab": np.sqrt(e**4 + 4 * (a * d) ** 2) - e**2,
         }
     if family == "ghz_w_mix":
-        (p,) = params
-        n = _ghz_w_mix_negativity(p)
-        return {"n_a_bc": n, "n_b_ac": n, "n_c_ab": n, "n_abc": n}
+        p = rows[:, 0]
+        return _symmetric((np.sqrt(41 * p * p - 64 * p + 32) + 2 * np.sqrt(10 * p * p - 2 * p + 1) - p - 2) / 6.0)
     if family == "ghz_noise":
-        (p,) = params
-        return {"n_abc": 0.0 if p <= 0.2 else (5.0 * p - 1.0) / 4.0}
+        p = rows[:, 0]
+        return {"n_abc": np.where(p <= 0.2, 0.0, (5.0 * p - 1.0) / 4.0)}
     if family == "sigma_b":
-        (b,) = params
-        n = (np.sqrt(3.0 * b * b + 1.0) - 2.0 * b) / (7.0 * b + 1.0)
-        return {"n_a_bc": 0.0, "n_b_ac": n, "n_c_ab": n, "n_abc": 0.0}
+        b = rows[:, 0]
+        n_cut = (np.sqrt(3.0 * b * b + 1.0) - 2.0 * b) / (7.0 * b + 1.0)
+        return {"n_a_bc": np.zeros(n), "n_b_ac": n_cut, "n_c_ab": n_cut, "n_abc": np.zeros(n)}
     if family == "rho_epsilon":
-        (eps,) = params
-        return {"n_a_bc": 0.0, "n_red_bc": abs(eps)}
+        return {"n_a_bc": np.zeros(n), "n_red_bc": np.abs(rows[:, 0])}
     raise NoOracleError(f"no closed form registered for family {family!r}")
+
+
+def oracle(family: str, *params) -> dict[str, float]:
+    """Closed-form values for a family, keyed by MeasureSet field name.
+
+    It is ``_oracle_columns`` on a stack of one, the routine ``sweep``
+    reads for its grid.  Raises NoOracleError for a family with no
+    closed form, and what ``make_state`` raises for parameters outside
+    the family's domain.
+    """
+    if not _known(family):
+        raise NoOracleError(f"no closed form registered for family {family!r}")
+    rows, _ = _build(family, [params])
+    return {k: float(v[0]) for k, v in _oracle_columns(family, rows).items()}
 
 
 @dataclass(frozen=True)
@@ -374,38 +409,98 @@ def _failed_at(family: str, grid):
     return lambda i: f"sweep of {family!r} failed at params {grid[i]}"
 
 
-def sweep(spec: FamilySpec) -> list[SweepRow]:
-    """One row per grid point, in grid order, with oracle deviations.
+#: a distinct power of two per claim, so ``held @ _CLAIM_BITS`` numbers each set of held claims
+_CLAIM_BITS = 1 << np.arange(len(_CLAIMS))
 
-    The grid is built from the family's closed form, validated, measured
-    and classified as one stack per chunk of STACK_CHUNK points, so
-    memory stays bounded for any grid; each row equals what
-    ``classify_pure`` or ``classify_mixed`` gives on
-    ``make_state(family, *params)``.  A domain or validation error names
-    the params of the first grid point that fails.
+
+class _SweepChunk(NamedTuple):
+    """Up to STACK_CHUNK consecutive grid points of a sweep, as columns.
+
+    ``params`` is the slice of the grid as given; ``table`` the (N, 16)
+    pure or (N, 13) mixed measure table; ``verdicts`` one string per
+    point; ``oracle`` and ``deviations`` (N,) columns keyed by MeasureSet
+    field, the deviation being |table column - oracle column|.
+    """
+
+    params: tuple
+    table: np.ndarray
+    verdicts: list[str]
+    oracle: dict[str, np.ndarray]
+    deviations: dict[str, np.ndarray]
+
+
+def _sweep_chunk(family: str, grid) -> _SweepChunk:
+    """Up to STACK_CHUNK grid points, built, validated, measured, classified and compared as one stack."""
+    where = _failed_at(family, grid)
+    rows, stack = _build(family, grid, where)
+    if stack.ndim == 2:
+        table = _pure_measure_table(_validated_amplitudes(stack, where))
+        verdicts = _classify_table(table, DEFAULT_ZERO_TOL).codes.tolist()
+    else:
+        table = _mixed_measure_table(_validated_matrices(stack, where))
+        # one verdict string per distinct set of held claims, shared by its rows
+        held = _certify_table(table, DEFAULT_ZERO_TOL)[0]
+        _, first, index = np.unique(held @ _CLAIM_BITS, return_index=True, return_inverse=True)
+        names = ["; ".join(compress(_CLAIMS, row)) for row in held[first].tolist()]
+        verdicts = [names[i] for i in index.tolist()]
+    try:
+        oracle_columns = _oracle_columns(family, rows)
+    except NoOracleError:
+        oracle_columns = {}
+    deviations = {k: np.abs(table[:, _MEASURE_NAMES.index(k)] - v) for k, v in oracle_columns.items()}
+    return _SweepChunk(grid, table, verdicts, oracle_columns, deviations)
+
+
+def _sweep_chunks(spec: FamilySpec):
+    """The grid of ``spec`` as one _SweepChunk per STACK_CHUNK points, in grid order.
+
+    A chunk is made when it is asked for, and its state stack is dropped
+    once its table is made, so a caller that writes each chunk out needs
+    memory for about one chunk, however long the grid.  A grid that is
+    not a nonempty sequence of parameter tuples raises
+    ParamOutOfDomainError before any chunk is made.
     """
     if not isinstance(spec, FamilySpec):
         raise ParamOutOfDomainError(f"sweep needs a FamilySpec, got {type(spec).__name__}")
-    if not spec.grid:
-        raise ParamOutOfDomainError("sweep needs a nonempty grid")
+    try:
+        points = tuple(spec.grid)
+    except TypeError:  # not iterable, such as a number
+        points = ()
+    if not points:
+        raise ParamOutOfDomainError(f"sweep needs a nonempty grid of parameter tuples, got {spec.grid!r}")
+    for start in range(0, len(points), STACK_CHUNK):
+        yield _sweep_chunk(spec.family, points[start:start + STACK_CHUNK])
+
+
+def _row_dicts(columns: dict[str, np.ndarray], n: int) -> list[dict[str, float]]:
+    """The n rows of a dict of (n,) columns, one dict of floats per row."""
+    values = np.array(list(columns.values()), dtype=float).reshape(len(columns), n).T.tolist()
+    return [dict(zip(columns, row)) for row in values]
+
+
+def sweep(spec: FamilySpec) -> list[SweepRow]:
+    """One row per grid point, in grid order, with oracle deviations.
+
+    The rows are read off ``_sweep_chunks``: the grid is built from the
+    family's closed form, validated, measured, classified and compared
+    with the oracle columns as one stack per chunk of STACK_CHUNK
+    points.  Each row equals what ``classify_pure`` or ``classify_mixed``
+    gives on ``make_state(family, *params)``, and its oracle values what
+    ``oracle(family, *params)`` gives.  The list holds every row, so its
+    size grows with the grid; the ``triqent sweep`` command streams the
+    chunks instead.  A grid that is not a nonempty sequence of parameter
+    tuples, or a point outside the family's domain, raises
+    ParamOutOfDomainError; a domain or validation error names the params
+    of the first grid point that fails.
+    """
     rows = []
-    for start in range(0, len(spec.grid), STACK_CHUNK):
-        grid = spec.grid[start:start + STACK_CHUNK]
-        where = _failed_at(spec.family, grid)
-        stack = _build(spec.family, grid, where)
-        if stack.ndim == 2:
-            table = _pure_measure_table(_validated_amplitudes(stack, where))
-            verdicts = _classify_table(table, DEFAULT_ZERO_TOL).codes.tolist()
-        else:
-            table = _mixed_measure_table(_validated_matrices(stack, where))
-            held = _certify_table(table, DEFAULT_ZERO_TOL)[0]
-            verdicts = ["; ".join(compress(_CLAIMS, row)) for row in held.tolist()]
-        for params, ms, verdict in zip(grid, _measure_sets(table), verdicts):
-            # the grid was checked by _build, so the closed forms need no second check
-            try:
-                oracle_values = _oracle(spec.family, params)
-            except NoOracleError:
-                oracle_values = {}
-            deviations = {k: abs(getattr(ms, k) - v) for k, v in oracle_values.items()}
-            rows.append(SweepRow(tuple(params), ms, verdict, oracle_values, deviations))
+    for chunk in _sweep_chunks(spec):
+        n = len(chunk.params)
+        rows += [
+            SweepRow(tuple(params), ms, verdict, oracle_values, deviations)
+            for params, ms, verdict, oracle_values, deviations in zip(
+                chunk.params, _measure_sets(chunk.table), chunk.verdicts,
+                _row_dicts(chunk.oracle, n), _row_dicts(chunk.deviations, n),
+            )
+        ]
     return rows

@@ -39,6 +39,7 @@ rounding level.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,7 +339,8 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_PATTERN_TOL) -
     beta*omega = delta*epsilon: the star S'' centred on A, completing S
     (centre C) and S' (centre B).
 
-    Raises NonFiniteError when a coefficient is NaN or infinite, and
+    Raises StateTypeError when a coefficient is not a number,
+    NonFiniteError when one is NaN or infinite, and
     AmbiguousNearThresholdError when any coefficient magnitude or the
     product difference |beta*omega - delta*epsilon| falls within a
     factor of 10 of zero_tol, since the caller must then decide which
@@ -348,6 +350,8 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_PATTERN_TOL) -
         raise StateTypeError(f"classify_gsd_pattern needs a GsdForm, got {type(form).__name__}")
     check_zero_tol(zero_tol)
     coefficients = (form.alpha, form.beta, form.delta, form.epsilon, form.omega)
+    if not all(isinstance(c, numbers.Complex) for c in coefficients):
+        raise StateTypeError(f"canonical coefficients must be complex numbers, got {coefficients}")
     if not all(cmath.isfinite(c) for c in coefficients):
         raise NonFiniteError(f"canonical coefficients must be finite, got {coefficients}")
     mags = {

@@ -130,3 +130,47 @@ def sqrt_rho_concurrence(matrix):
     lam = np.where(lam < 1e-13 * max(1.0, lam[0]), 0.0, lam)
     s = np.sqrt(lam)
     return float(min(1.0, max(0.0, s[0] - s[1:].sum())))
+
+
+def reference_oracle(family, params):
+    """The closed-form oracle values of one family member, one Python evaluation per point.
+
+    The reference for ``families._oracle_columns``: each formula is the
+    one written out per family, on the parameter tuple ``params``.
+    Returns None for a family with no closed form.
+    """
+    if family == "ghz":
+        return {"n_a_bc": 1.0, "n_b_ac": 1.0, "n_c_ab": 1.0, "n_abc": 1.0,
+                "n_red_bc": 0.0, "n_red_ac": 0.0, "n_red_ab": 0.0}
+    if family in ("w", "w_prime"):
+        n = 2.0 * np.sqrt(2.0) / 3.0
+        r = (np.sqrt(5.0) - 1.0) / 3.0
+        return {"n_a_bc": n, "n_b_ac": n, "n_c_ab": n, "n_abc": n,
+                "n_red_bc": r, "n_red_ac": r, "n_red_ab": r}
+    if family == "ghz_like":
+        (alpha,) = params
+        n = 2.0 * abs(alpha) * np.sqrt(max(0.0, 1.0 - alpha * alpha))
+        return {"n_a_bc": n, "n_b_ac": n, "n_c_ab": n, "n_abc": n,
+                "n_red_bc": 0.0, "n_red_ac": 0.0, "n_red_ab": 0.0}
+    if family == "w_canonical":
+        a, e, d = (abs(x) for x in params)
+        return {
+            "n_red_bc": np.sqrt(a**4 + 4 * (e * d) ** 2) - a**2,
+            "n_red_ac": np.sqrt(d**4 + 4 * (e * a) ** 2) - d**2,
+            "n_red_ab": np.sqrt(e**4 + 4 * (a * d) ** 2) - e**2,
+        }
+    if family == "ghz_w_mix":
+        (p,) = params
+        n = (np.sqrt(41 * p * p - 64 * p + 32) + 2 * np.sqrt(10 * p * p - 2 * p + 1) - p - 2) / 6.0
+        return {"n_a_bc": n, "n_b_ac": n, "n_c_ab": n, "n_abc": n}
+    if family == "ghz_noise":
+        (p,) = params
+        return {"n_abc": 0.0 if p <= 0.2 else (5.0 * p - 1.0) / 4.0}
+    if family == "sigma_b":
+        (b,) = params
+        n = (np.sqrt(3.0 * b * b + 1.0) - 2.0 * b) / (7.0 * b + 1.0)
+        return {"n_a_bc": 0.0, "n_b_ac": n, "n_c_ab": n, "n_abc": 0.0}
+    if family == "rho_epsilon":
+        (eps,) = params
+        return {"n_a_bc": 0.0, "n_red_bc": abs(eps)}
+    return None

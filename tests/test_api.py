@@ -18,12 +18,16 @@ import triqent
 from triqent import (
     FamilySpec,
     GsdForm,
+    ParamOutOfDomainError,
+    StateTypeError,
     TriqentError,
+    classify_gsd_pattern,
     default_grid,
     ghz,
     gsd,
     partial_trace,
     rho_zero,
+    sweep,
 )
 
 NAN = math.nan
@@ -137,7 +141,8 @@ EXEMPT = {
     "w_prime": "takes no arguments",
     "w_state": "takes no arguments",
     # plain records: results of the calls above, or their input (FamilySpec
-    # and GsdForm), which sweep and classify_gsd_pattern check
+    # and GsdForm), whose fields sweep and classify_gsd_pattern check (see
+    # RECORD_FIELDS)
     "Certificate": "result record",
     "GsdPattern": "result record",
     "MeasureSet": "result record",
@@ -197,3 +202,47 @@ def test_valid_arguments_accepted(attr):
     # the malformed cases above differ from these in one argument only
     valid, _ = SLOTS[attr]
     getattr(triqent, attr)(*valid())
+
+
+def gsd_form(**fields):
+    """The GHZ canonical form with the given coefficients replaced."""
+    coefficients = dict(alpha=1 / np.sqrt(2), beta=0j, delta=0j, epsilon=0j, omega=1 / np.sqrt(2)) | fields
+    return GsdForm(**coefficients, mode="raw", u_a=np.eye(2), u_b=np.eye(2), u_c=np.eye(2))
+
+
+#: a malformed field of an input record -> (the call that reads it, the error it must raise)
+RECORD_FIELDS = {
+    "FamilySpec-family-number": (lambda: sweep(FamilySpec(1, ((0.5,),))), ParamOutOfDomainError),
+    "FamilySpec-family-none": (lambda: sweep(FamilySpec(None, ((0.5,),))), ParamOutOfDomainError),
+    "FamilySpec-grid-number": (lambda: sweep(FamilySpec("ghz_like", 5)), ParamOutOfDomainError),
+    "FamilySpec-grid-none": (lambda: sweep(FamilySpec("ghz_like", None)), ParamOutOfDomainError),
+    "FamilySpec-grid-empty": (lambda: sweep(FamilySpec("ghz_like", ())), ParamOutOfDomainError),
+    "FamilySpec-point-number": (lambda: sweep(FamilySpec("ghz_like", ((0.5,), 5))), ParamOutOfDomainError),
+    "FamilySpec-point-none": (lambda: sweep(FamilySpec("ghz_like", ((0.5,), None))), ParamOutOfDomainError),
+    "FamilySpec-point-string": (lambda: sweep(FamilySpec("ghz_like", ((0.5,), "x"))), ParamOutOfDomainError),
+    **{
+        f"GsdForm-{name}-{kind}": (lambda name=name, value=value: classify_gsd_pattern(gsd_form(**{name: value})),
+                                   StateTypeError)
+        for name in ("alpha", "beta", "delta", "epsilon", "omega")
+        for kind, value in (("string", "x"), ("none", None), ("list", [0.5]))
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_FIELDS))
+def test_malformed_record_field_raises_typed_error(case, monkeypatch):
+    call, error = RECORD_FIELDS[case]
+
+    def fail(*a, **k):
+        raise AssertionError("np.linalg ran on a malformed record field")
+
+    for lapack in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, lapack, fail)
+    with pytest.raises(error):
+        call()
+
+
+def test_well_formed_records_accepted():
+    # the malformed records above differ from these in one field only
+    assert len(sweep(FamilySpec("ghz_like", ((0.5,), (0.25,))))) == 2
+    assert classify_gsd_pattern(gsd_form()).pattern == "GHZ"

@@ -10,12 +10,26 @@ import numpy as np
 import pytest
 
 import triqent.cli
-from triqent import classify_pure, ghz, measure_set, rho_epsilon, sample_haar_pure, w_prime
-from triqent.classify import DEFAULT_ZERO_TOL
+import triqent.families
+from triqent import (
+    SWEEPABLE,
+    classify_pure,
+    default_grid,
+    ghz,
+    measure_set,
+    rho_epsilon,
+    sample_haar_pure,
+    sweep,
+    w_prime,
+)
+from triqent.classify import _CLAIMS, _DESCRIPTION, DEFAULT_ZERO_TOL
 from triqent.measures import STACK_CHUNK
 from triqent.cli import (
     CSV_HEADER,
+    MEASURE_FIELDS,
+    ORACLE_FIELDS,
     _build_parser,
+    _fmt,
     load_state_file,
     main,
     save_state_file,
@@ -225,6 +239,75 @@ class TestSweepCommand:
     def test_unwritable_path(self):
         assert main(["sweep", "--family", "ghz_like", "--points", "3",
                      "--out", "/nonexistent/dir/x.csv"]) == 2
+
+
+def reference_sweep_csv(family, points):
+    """The sweep CSV of a family as a csv.writer over the rows of ``sweep``, one _fmt call per cell."""
+    spec = default_grid(family, points)
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in sweep(spec):
+        cells = [spec.family, _fmt(row.params[0])]
+        cells += [_fmt(getattr(row.measures, f)) for f in MEASURE_FIELDS]
+        cells.append(row.verdict)
+        cells += [_fmt(row.oracle_values.get(f)) for f in ORACLE_FIELDS]
+        cells += [_fmt(row.deviations.get(f)) for f in ORACLE_FIELDS]
+        writer.writerow(cells)
+    return fh.getvalue()
+
+
+class TestSweepTemplate:
+    """The streamed, templated CSV equals a csv.writer over the ``sweep`` rows, byte for byte."""
+
+    @pytest.mark.parametrize("points", [1, 101, 2500])  # 2500 crosses two chunk boundaries
+    @pytest.mark.parametrize("family", SWEEPABLE)
+    def test_matches_csv_writer(self, family, points, tmp_path):
+        out = tmp_path / f"{family}.csv"
+        assert main(["sweep", "--family", family, "--points", str(points), "--out", str(out)]) == 0
+        raw = out.read_bytes()
+        assert raw == reference_sweep_csv(family, points).encode("utf-8")
+        with open(out, encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert len(table) == points + 1
+        assert all(len(row) == len(CSV_HEADER) for row in table)
+
+    def test_no_cell_needs_quoting(self):
+        # the template writes cells unquoted, so no family name, pure subtype
+        # code or mixed claim may hold a separator, a quote or a line break
+        # (a %.12g number holds none of them)
+        for text in (*SWEEPABLE, *_DESCRIPTION, *_CLAIMS, *CSV_HEADER):
+            assert not set(text) & set(',"\r\n'), text
+
+    def test_failed_sweep_leaves_no_file(self, tmp_path, monkeypatch):
+        # a closed form that is not a state beyond p = 0.9, in the third chunk
+        # of 2500 points, after two chunks of lines are written
+        arity, closed_form = triqent.families._FAMILIES["ghz_noise"]
+
+        def broken(rows, where=None):
+            m = closed_form(rows, where)
+            m[rows[:, 0] > 0.9] = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0])
+            return m
+
+        monkeypatch.setitem(triqent.families._FAMILIES, "ghz_noise", (arity, broken))
+        out = tmp_path / "n.csv"
+        assert main(["sweep", "--family", "ghz_noise", "--points", "2500", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_memory_bounded(self, tmp_path, capsys):
+        # each chunk's lines are written as they are made, so three more
+        # chunks of rows are never held at once
+        out = tmp_path / "n.csv"
+        assert main(["sweep", "--family", "ghz_noise", "--points", "8", "--out", str(out)]) == 0
+        peaks = []
+        for points in (STACK_CHUNK, 4 * STACK_CHUNK):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--family", "ghz_noise", "--points", str(points), "--out", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.15 * peaks[0]
 
 
 class TestRandomCommand:

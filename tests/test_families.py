@@ -27,7 +27,10 @@ from triqent import (
     to_density,
     w_canonical,
 )
+from triqent.families import _build, _oracle_columns
 from triqent.measures import STACK_CHUNK
+
+from helpers import nonzero_coefficients, reference_oracle
 
 
 def bits(ms):
@@ -150,6 +153,67 @@ class TestOracles:
         ms = measure_set(make_state(family, *params))
         for key, expected in oracle(family, *params).items():
             assert getattr(ms, key) == pytest.approx(expected, abs=1e-9), key
+
+
+def hex_rows(columns, n):
+    """The (N,) columns of ``_oracle_columns`` as one dict of exact bit patterns per point."""
+    return [{k: float(v[i]).hex() for k, v in columns.items()} for i in range(n)]
+
+
+def hex_reference(family, grid):
+    return [{k: float(v).hex() for k, v in reference_oracle(family, params).items()} for params in grid]
+
+
+class TestOracleColumns:
+    """``_oracle_columns`` against the per-point formulas of ``helpers.reference_oracle``."""
+
+    @pytest.mark.parametrize("points", [1, 101, 1001])
+    @pytest.mark.parametrize("family", SWEEPABLE)
+    def test_sweep_grids_bit_for_bit(self, family, points):
+        grid = default_grid(family, points).grid
+        rows, _ = _build(family, grid)
+        assert hex_rows(_oracle_columns(family, rows), points) == hex_reference(family, grid)
+
+    @pytest.mark.parametrize("family, low, high", [
+        ("ghz_like", 0.0, 1.0),
+        ("ghz_w_mix", 0.0, 1.0),
+        ("ghz_noise", 0.0, 1.0),
+        ("sigma_b", 1e-12, 1.0 - 1e-12),
+        ("rho_epsilon", -1.0, 1.0),
+    ])
+    def test_random_parameters_bit_for_bit(self, family, low, high):
+        grid = [(float(x),) for x in np.random.default_rng(17).uniform(low, high, 2000)]
+        rows, _ = _build(family, grid)
+        assert hex_rows(_oracle_columns(family, rows), len(grid)) == hex_reference(family, grid)
+
+    @pytest.mark.parametrize("family", ["ghz", "w", "w_prime"])
+    def test_fixed_states_bit_for_bit(self, family):
+        grid = [()] * 3
+        rows, _ = _build(family, grid)
+        assert hex_rows(_oracle_columns(family, rows), 3) == hex_reference(family, grid)
+
+    def test_w_canonical_within_4_ulp(self):
+        # numpy's array power may differ from Python's float ** by an ulp,
+        # so each term, and the difference of the two, moves by a few ulp of
+        # the square-root term
+        rng = np.random.default_rng(23)
+        grid = [tuple(nonzero_coefficients(rng, 3, min_mag=0.0).tolist()) for _ in range(2000)]
+        rows, _ = _build("w_canonical", grid)
+        got = _oracle_columns("w_canonical", rows)
+        subtracted = {"n_red_bc": 0, "n_red_ac": 2, "n_red_ab": 1}  # the coefficient squared after the root
+        for i, params in enumerate(grid):
+            expected = reference_oracle("w_canonical", params)
+            assert list(got) == list(expected)
+            for key, value in expected.items():
+                root_term = value + abs(params[subtracted[key]]) ** 2
+                assert abs(got[key][i] - value) <= 4 * np.spacing(root_term), (key, params)
+
+    def test_no_closed_form(self):
+        rows, _ = _build("rho0", [()])
+        with pytest.raises(NoOracleError):
+            _oracle_columns("rho0", rows)
+        with pytest.raises(NoOracleError):
+            oracle("rho0")
 
 
 class TestSweep:

@@ -62,15 +62,28 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
+#: the types ``json.load`` gives a JSON number; ``bool`` is not one of them
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def _pairs_to_complex(entries, what: str) -> list[complex]:
+    """``[real, imaginary]`` pairs of JSON numbers as complex numbers.
+
+    A JSON string, boolean or null is not a number, even where Python's
+    ``float()`` would take it, so it raises StateFileError.
+    """
     out = []
     for e in entries:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise StateFileError(f"{what} entries must be [real, imaginary] pairs")
+        re, im = e
+        if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
+            bad = re if type(re) not in _JSON_NUMBERS else im
+            raise StateFileError(f"non-numeric value in {what}: {json.dumps(bad)}")
         try:
-            out.append(complex(float(e[0]), float(e[1])))
-        except (TypeError, ValueError) as exc:
-            raise StateFileError(f"non-numeric value in {what}: {exc}") from exc
+            out.append(complex(re, im))
+        except OverflowError as exc:  # an integer beyond the float range
+            raise StateFileError(f"value out of range in {what}: {exc}") from exc
     return out
 
 
@@ -81,7 +94,7 @@ def load_state_file(path: str) -> PureState | DensityMatrix:
             data = json.load(fh)
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert, or bytes not UTF-8
         raise StateFileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("kind") not in ("pure", "mixed"):
         raise StateFileError('state file needs "kind": "pure" or "mixed"')

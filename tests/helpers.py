@@ -5,6 +5,17 @@ import numpy as np
 from triqent import PureState
 
 
+def default_rng_haar_amplitudes(seed):
+    """The amplitudes of Haar state ``seed`` drawn by ``np.random.default_rng`` itself.
+
+    The 16 normals are the real parts, then the imaginary parts, normalized
+    as ``sample_haar_pure`` normalizes them.
+    """
+    x = np.random.default_rng(seed).standard_normal(16)
+    z = x[:8] + 1j * x[8:]
+    return z / np.sqrt((np.abs(z) ** 2).sum())
+
+
 def random_unitary(rng, n=2):
     """Haar-random unitary via QR with positive diagonal phase fix."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -13,6 +13,8 @@ import triqent.cli
 import triqent.families
 from triqent import (
     SWEEPABLE,
+    PureState,
+    StateFileError,
     classify_pure,
     default_grid,
     ghz,
@@ -34,6 +36,7 @@ from triqent.cli import (
     main,
     save_state_file,
 )
+from helpers import default_rng_haar_amplitudes
 
 
 @pytest.fixture
@@ -75,7 +78,7 @@ class TestStateFiles:
 
     def test_non_finite_pure_file(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
-        path.write_text(json.dumps({"kind": "pure", "amplitudes": [["NaN", 0.0]] + [[0.0, 0.0]] * 7}))
+        path.write_text(json.dumps({"kind": "pure", "amplitudes": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7}))
         assert main(["classify", str(path)]) == 2
         assert "NaN or infinite" in capsys.readouterr().err
 
@@ -86,6 +89,46 @@ class TestStateFiles:
         path.write_text(json.dumps({"kind": "mixed", "matrix": rows}))
         assert main(["classify", str(path)]) == 2
         assert "NaN or infinite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    @pytest.mark.parametrize("value", ["1", "NaN", True, False, None])
+    def test_non_number_entry_rejected(self, kind, value, tmp_path, capsys):
+        # a JSON string, boolean or null is not a number, even where float()
+        # would read it; the state would otherwise be |000> or rho_zero
+        if kind == "pure":
+            what, data = "amplitudes", {"kind": kind, "amplitudes": [[value, 0]] + [[0, 0]] * 7}
+        else:
+            rows = [[[1 if i == j == 0 else 0, 0] for j in range(8)] for i in range(8)]
+            rows[0][0] = [1, value]
+            what, data = "matrix", {"kind": kind, "matrix": rows}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(StateFileError, match="non-numeric value"):
+            load_state_file(str(path))
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: non-numeric value in {what}: {json.dumps(value)}\n"
+
+    def test_integer_entries_accepted(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "pure", "amplitudes": [[1, 0]] + [[0, 0]] * 7}))
+        assert np.array_equal(load_state_file(str(path)).amplitudes, np.eye(8)[0])
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"kind": "pure", "amplitudes": [[1' + "0" * 400 + ', 0]' + ", [0, 0]" * 7 + "]}")
+        with pytest.raises(StateFileError, match="out of range"):
+            load_state_file(str(path))
+
+    @pytest.mark.parametrize("content", [
+        ('{"kind": "pure", "amplitudes": [[1' + "0" * 5000 + ', 0]' + ", [0, 0]" * 7 + "]}").encode(),
+        b'{"kind": "pure", "amplitudes": "\xff"}',
+    ], ids=["integer-beyond-str-digits-limit", "not-utf8"])
+    def test_unreadable_json_rejected(self, content, tmp_path, capsys):
+        # json.load raises a plain ValueError for these, not JSONDecodeError
+        path = tmp_path / "s.json"
+        path.write_bytes(content)
+        assert main(["classify", str(path)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_non_finite_tolerance(self, ghz_file, capsys):
         assert main(["classify", ghz_file, "--tol", "nan"]) == 2
@@ -310,6 +353,21 @@ class TestSweepTemplate:
         assert peaks[1] < 1.15 * peaks[0]
 
 
+def _per_state_report(seed: int, count: int, tol: float) -> list[str]:
+    """The lines of ``random``, each state drawn by ``default_rng(seed + i)`` itself and classified alone."""
+    lines, histogram = [], {}
+    for i in range(count):
+        res = classify_pure(PureState(default_rng_haar_amplitudes(seed + i)), zero_tol=tol)
+        code = res.label.code + ("?" if res.ambiguous else "")
+        histogram[code] = histogram.get(code, 0) + 1
+        ms = res.measures
+        values = {k: format(getattr(ms, k), ".12g") for k in ("n_abc", "q_mult", "eta_mult", "three_tangle")}
+        lines.append(f"{i}\t{code}\t" + "\t".join(f"{k}={v}" for k, v in values.items()))
+    lines.append("subtype histogram:")
+    lines += [f"  {code}\t{histogram[code]}" for code in sorted(histogram)]
+    return lines
+
+
 class TestRandomCommand:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -334,22 +392,15 @@ class TestRandomCommand:
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
     def test_chunked_report_matches_per_state_loop(self, tol, tmp_path):
-        # 1e-3 and 0.1 put ambiguous (?) and separable codes into the report
-        count, seed = STACK_CHUNK + 3, 7  # spans a chunk boundary
-        out = tmp_path / "r.txt"
-        argv = ["random", "--count", str(count), "--seed", str(seed), "--tol", repr(tol), "--out", str(out)]
-        assert main(argv) == 0
-        lines, histogram = [], {}
-        for i in range(count):
-            res = classify_pure(sample_haar_pure(seed + i), zero_tol=tol)
-            code = res.label.code + ("?" if res.ambiguous else "")
-            histogram[code] = histogram.get(code, 0) + 1
-            ms = res.measures
-            values = {k: format(getattr(ms, k), ".12g") for k in ("n_abc", "q_mult", "eta_mult", "three_tangle")}
-            lines.append(f"{i}\t{code}\t" + "\t".join(f"{k}={v}" for k, v in values.items()))
-        lines.append("subtype histogram:")
-        lines += [f"  {code}\t{histogram[code]}" for code in sorted(histogram)]
-        assert out.read_text().splitlines() == lines
+        # 1e-3 and 0.1 put ambiguous (?) and separable codes into the report;
+        # the first chunk of the large seeds crosses 2**32 or 2**64, where
+        # the seeds gain a 32-bit word
+        count = STACK_CHUNK + 3  # spans a chunk boundary
+        for seed in (7, 2**32 - 500, 2**64 - 500):
+            out = tmp_path / f"r{seed}.txt"
+            argv = ["random", "--count", str(count), "--seed", str(seed), "--tol", repr(tol), "--out", str(out)]
+            assert main(argv) == 0
+            assert out.read_text().splitlines() == _per_state_report(seed, count, tol), seed
 
     def test_report_memory_bounded(self):
         # each chunk's lines are written as they are made, so nine more

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +43,12 @@ from triqent import (
     w_canonical,
 )
 from triqent.states import EIG_FLOOR, _haar_draws, _validated_amplitudes, _validated_matrices
-from helpers import random_biseparable, random_product_state, random_unitary
+from helpers import default_rng_haar_amplitudes, random_biseparable, random_product_state, random_unitary
+
+
+def _bits(a: np.ndarray) -> list:
+    """The bits of a complex array, so that equality is bit identity."""
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
 
 
 def basis_state(i, j, k):
@@ -379,12 +387,13 @@ class TestSampling:
             assert np.array_equal(row, expected)
             assert np.array_equal(sample_haar_pure(seed).amplitudes, expected)
 
-    @pytest.mark.parametrize("seed", [-1, -5, 1.5, "3", None, np.int64(-2)])
+    @pytest.mark.parametrize("seed", [-1, -5, 1.5, "3", None, np.int64(-2), True])
     def test_bad_seed_rejected_before_drawing(self, seed, monkeypatch):
         def no_draws(*args, **kwargs):
             raise AssertionError("drew with a bad seed")
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(triqent.states, "_haar_draws", no_draws)
         for sample in (sample_haar_pure, sample_hs_mixed):
             with pytest.raises(ParamOutOfDomainError, match="non-negative integer"):
                 sample(seed)
@@ -392,6 +401,61 @@ class TestSampling:
     def test_numpy_integer_seed_accepted(self):
         assert np.array_equal(sample_haar_pure(np.int64(5)).amplitudes, sample_haar_pure(5).amplitudes)
         assert np.array_equal(sample_hs_mixed(np.uint8(5)).matrix, sample_hs_mixed(5).matrix)
+        for seed in (np.uint8(200), np.int64(2**40), np.uint64(2**64 - 1)):
+            assert _bits(sample_haar_pure(seed).amplitudes) == _bits(default_rng_haar_amplitudes(int(seed)))
+            assert _bits(_haar_draws([seed, 3])[0]) == _bits(default_rng_haar_amplitudes(int(seed)))
+
+    @pytest.mark.parametrize("around", [0, 2**32, 2**64, 2**128, 2**160])
+    def test_draws_bit_identical_to_default_rng(self, around):
+        # each range holds seeds of two word counts of SeedSequence's hash,
+        # one stack, drawn against default_rng itself
+        seeds = range(max(0, around - 40), around + 40)
+        draws = _haar_draws(seeds)
+        for seed, row in zip(seeds, draws):
+            assert _bits(row) == _bits(default_rng_haar_amplitudes(seed)), seed
+
+    def test_draws_of_mixed_word_counts_in_one_stack(self):
+        # the seeds beyond four words take SeedSequence's extra-entropy loop
+        # once per extra word, so a stack mixes rows that take it 0-3 times
+        seeds = [2**200 + 7, 3, 2**128 - 1, 2**160, 2**128 + 5, 2**32, 2**224 - 1, 0, 2**192 + 2**31, 2**64 + 9]
+        draws = _haar_draws(seeds)
+        for seed, row in zip(seeds, draws):
+            assert _bits(row) == _bits(default_rng_haar_amplitudes(seed)), seed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0), min_size=1, max_size=6))
+    def test_draws_match_default_rng_hypothesis(self, seeds):
+        draws = _haar_draws(seeds)
+        for seed, row in zip(seeds, draws):
+            assert _bits(row) == _bits(default_rng_haar_amplitudes(seed))
+
+    def test_concurrent_draws_match_serial_draws(self):
+        # each call makes its own generator, so two threads drawing at once
+        # get what one thread drawing alone gets
+        ranges = (range(10_000, 10_200), range(2**64 - 100, 2**64 + 100))
+        serial = [_bits(_haar_draws(r)) for r in ranges]
+        barrier = threading.Barrier(len(ranges), timeout=60)
+        results = [[] for _ in ranges]
+
+        def draw(k):
+            barrier.wait()
+            for _ in range(50):
+                results[k].append(_bits(_haar_draws(ranges[k])))
+
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(len(ranges))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(len(ranges)):
+            assert len(results[k]) == 50
+            assert all(bits == serial[k] for bits in results[k])
 
     def test_hs_mixed_valid(self):
         rho = sample_hs_mixed(9)

@@ -83,7 +83,8 @@ class MixedVerdict:
         return tuple(c.claim for c in self.certificates)
 
 
-#: the reduced pairs in measure-table order (n_red_bc, n_red_ac, n_red_ab)
+#: the reduced pairs in measure-table order (c_red_bc, c_red_ac, c_red_ab, and
+#: n_red_* likewise); both classifiers decide a pair on its concurrence
 _PAIRS = ("BC", "AC", "AB")
 #: the columns of ``_PureDecisions.margins``
 _MARGIN_NAMES = tuple(f"factorizable_{q}" for q in QUBITS) + tuple(f"pair_{p}" for p in _PAIRS)
@@ -95,8 +96,9 @@ _FULLY_INSEPARABLE = np.array(["2-0", "2-1", "2-2", "2-3"])
 class _PureDecisions:
     """The decisions of ``_classify_table`` for a stack of N pure states, one row each.
 
-    ``factorizable`` and ``margins`` are the raw comparisons (impurities
-    of A, B, C, then reduced negativities of BC, AC, AB); ``pairs`` marks
+    ``factorizable`` and ``margins`` are the raw comparisons (one-vs-two
+    negativities n_q of A, B, C, then reduced concurrences c_red of BC,
+    AC, AB, each against zero_tol); ``pairs`` marks
     the entangled pairs the label names, none for a fully separable
     state; ``separable`` indexes QUBITS for a 1^1-1 label and is -1
     otherwise.
@@ -111,21 +113,26 @@ class _PureDecisions:
 
 
 def _classify_table(table: np.ndarray, zero_tol: float) -> _PureDecisions:
-    """The decision of ``classify_pure`` on an (N, 16) pure measure table, as masks over its columns."""
-    impurity = 0.5 * table[:, 0:3] ** 2
-    n_red = table[:, 4:7]
-    margins = np.concatenate([impurity, n_red], axis=1)
-    factorizable = impurity < zero_tol
+    """The decision of ``classify_pure`` on an (N, 16) pure measure table, as masks over its columns.
+
+    It reads the columns n_q (0:3) and c_red_* (7:10) only, so a table
+    whose n_red_* columns were never filled (see
+    ``measures._pure_closed_form_table``) decides the same.
+    """
+    n_side = table[:, 0:3]
+    c_red = table[:, 7:10]
+    margins = np.concatenate([n_side, c_red], axis=1)
+    factorizable = n_side < zero_tol
     count = factorizable.sum(axis=1)
     # two factorizable qubits cannot happen analytically: either the
     # state is fully separable (all three factorizable) or rounding
     # produced an inconsistent pattern, labelled by the purest qubit
-    near_product = (impurity < 10.0 * zero_tol).all(axis=1)
+    near_product = (n_side < 10.0 * zero_tol).all(axis=1)
     product = (count == 3) | ((count == 2) & near_product)
     inconsistent = (count == 2) & ~near_product
-    purest = np.argmin(np.where(factorizable, impurity, np.inf), axis=1)
+    purest = np.argmin(np.where(factorizable, n_side, np.inf), axis=1)
     separable = np.where(product | (count == 0), -1, purest)
-    pairs = (n_red > zero_tol) & ~product[:, np.newaxis]
+    pairs = (c_red > zero_tol) & ~product[:, np.newaxis]
     codes = np.where(product, "0-0", np.where(separable >= 0, "1^1-1", _FULLY_INSEPARABLE[pairs.sum(axis=1)]))
     ambiguous = inconsistent | ((zero_tol / 10.0 <= margins) & (margins <= zero_tol * 10.0)).any(axis=1)
     return _PureDecisions(codes, ambiguous, separable, factorizable, pairs, margins)
@@ -134,19 +141,23 @@ def _classify_table(table: np.ndarray, zero_tol: float) -> _PureDecisions:
 def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureClassification:
     """Assign the subtype of a pure state.
 
-    A qubit is factorizable exactly when the reduced state of the other
-    two is pure, that is (Schmidt decomposition) when its own reduced
-    state is pure.  With no factorizable qubit the state is fully
-    inseparable and the subtype 2-k counts the entangled reduced pairs.
+    A qubit is factorizable exactly when its reduced state is pure
+    (Schmidt decomposition), that is when its one-vs-two negativity
+    n_q = 2 sqrt(det rho_q) is zero.  With no factorizable qubit the
+    state is fully inseparable and the subtype 2-k counts the entangled
+    reduced pairs; a pair is entangled exactly when its Wootters
+    concurrence c_red is nonzero.
 
     Every thresholded comparison is recorded in ``margins`` as its raw
-    decision quantity, each compared against zero_tol: an impurity
-    1 - Tr rho_q^2 or a reduced negativity.  For a pure state
-    1 - Tr rho_q^2 = 2 det rho_q = n_q^2 / 2, so each impurity is read
-    from the one-vs-two negativity n_q of the MeasureSet rather than
-    from a reduced density matrix.  A quantity within a factor of 10 of
-    zero_tol flags the result as ambiguous; the label is still returned.
-    The decision is ``_classify_table`` on a stack of one.
+    decision quantity, each compared against zero_tol: n_q for
+    ``factorizable_q`` and c_red for ``pair_P``.  Both are linear in a
+    small entangling amplitude, as the canonical-form coefficients that
+    ``classify_gsd_pattern`` thresholds are (C_AB = 2|alpha delta|,
+    Acin et al., PRL 85, 1560, 2000), and ``classify_mixed`` certifies
+    on the same two quantities, so the three read one threshold scale.
+    A quantity within a factor of 10 of zero_tol flags the result as
+    ambiguous; the label is still returned.  The decision is
+    ``_classify_table`` on a stack of one.
     """
     _require_pure(psi, "classify_pure")
     check_zero_tol(zero_tol)
@@ -173,34 +184,37 @@ _CLAIMS = (
 def _certify_table(table: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The certificates of ``classify_mixed`` on an (N, 13) mixed measure table.
 
-    Returns (held, witness), both (N, len(_CLAIMS)): row i certifies claim
+    It reads the columns n_q (0:3), n_abc (3) and c_red_* (7:10).  Returns (held, witness), both (N, len(_CLAIMS)): row i certifies claim
     j with witness[i, j] exactly when held[i, j].
     """
-    n_side, n_abc, n_red = table[:, 0:3], table[:, 3:4], table[:, 4:7]
+    n_side, n_abc, c_red = table[:, 0:3], table[:, 3:4], table[:, 7:10]
     sides = n_side > zero_tol
     held = np.concatenate([
-        n_red > zero_tol,
+        c_red > zero_tol,
         sides,
         sides.any(axis=1, keepdims=True),
         sides.all(axis=1, keepdims=True),
         np.ones_like(n_abc, dtype=bool),
     ], axis=1)
-    witness = np.concatenate([n_red, n_side, n_side.max(axis=1, keepdims=True), n_abc, n_abc], axis=1)
+    witness = np.concatenate([c_red, n_side, n_side.max(axis=1, keepdims=True), n_abc, n_abc], axis=1)
     return held, witness
 
 
 def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> MixedVerdict:
     """Emit witnessed exclusion certificates for a mixed three-qubit state.
 
-    Positive claims always carry a negativity witness above zero_tol.
-    GHZ-distillability needs every one-vs-two negativity above zero_tol;
-    its witness is their geometric mean n_abc, which is not compared
-    itself because the cube root lifts a tiny cut above any threshold.
-    Full separability or biseparability is never asserted, only
-    excluded; the gap between generalized biseparability and full
-    inseparability stays undetermined.  The decision is
-    ``_certify_table`` on a stack of one, so ``sweep`` certifies a grid
-    measured as one stack the same way.
+    Positive claims always carry a witness above zero_tol: the reduced
+    concurrence c_red for "reduced pair P entangled" (for two qubits
+    C > 0 exactly when N > 0, and c_red is linear in a small canonical
+    amplitude where the reduced negativity is quadratic), a one-vs-two
+    negativity otherwise.  GHZ-distillability needs every one-vs-two
+    negativity above zero_tol; its witness is their geometric mean
+    n_abc, which is not compared itself because the cube root lifts a
+    tiny cut above any threshold.  Full separability or biseparability
+    is never asserted, only excluded; the gap between generalized
+    biseparability and full inseparability stays undetermined.  The
+    decision is ``_certify_table`` on a stack of one, so ``sweep``
+    certifies a grid measured as one stack the same way.
     """
     if len(_require_density(rho, "classify_mixed").qubits) != 3:
         raise WrongDimensionError("classify_mixed needs a dim-8 density matrix over [A, B, C]")

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .families import SWEEPABLE, _sweep_chunks, default_grid
 from .gsd import classify_gsd_pattern, gsd
-from .measures import _MEASURE_NAMES, STACK_CHUNK, MeasureSet, _pure_measure_table, measure_set
+from .measures import _MEASURE_NAMES, STACK_CHUNK, MeasureSet, _pure_closed_form_table, measure_set
 from .states import DensityMatrix, PureState, _check_seed, _haar_draws, _validated_amplitudes
 
 MEASURE_FIELDS = (
@@ -271,9 +271,10 @@ def _cmd_random(args) -> int:
         for start in range(0, args.count, STACK_CHUNK):
             stop = min(args.count, start + STACK_CHUNK)
             # the draws of sample_haar_pure, validated, measured and
-            # classified as one stack
+            # classified as one stack; the report and the decision read
+            # closed-form columns only, so no eigensolve is made
             amps = _validated_amplitudes(_haar_draws(range(args.seed + start, args.seed + stop)))
-            table = _pure_measure_table(amps)
+            table = _pure_closed_form_table(amps)
             decisions = _classify_table(table, args.tol)
             codes = [c + "?" if a else c for c, a in zip(decisions.codes.tolist(), decisions.ambiguous.tolist())]
             histogram.update(codes)

@@ -29,6 +29,12 @@ reduction rho = X X^dagger: X is the 4x2 amplitude block for a pure
 state, V sqrt(w) from the pair's eigendecomposition for a mixed one.
 A mixed state's reduced concurrence is s1 - s2 - ... from the singular
 values of X^T (sy x sy) X, one batched SVD per stack.
+
+The pure table is made in two stages: ``_pure_closed_form_table`` fills
+every column but n_red_* with no LAPACK call, and
+``_pure_measure_table`` adds n_red_* from one batched eigensolve.  The
+classifiers decide on n_q and c_red_*, so ``random``, which prints no
+n_red_*, stops after the first stage.
 """
 
 from __future__ import annotations
@@ -301,16 +307,15 @@ def _mixed_measure_sets(matrices: np.ndarray) -> list[MeasureSet]:
     return _measure_sets(_mixed_measure_table(matrices))
 
 
-def _pure_measure_table(amps: np.ndarray) -> np.ndarray:
-    """The (N, 16) measure table of validated pure states, amplitudes of shape (N, 8).
+def _pure_closed_form_table(amps: np.ndarray) -> np.ndarray:
+    """The (N, 16) measure table of validated pure states, amplitudes of shape (N, 8), with no LAPACK call.
 
-    Its columns are the MeasureSet fields in order.  Every field comes
-    from closed forms on the amplitudes (see the module docstring); the
-    only LAPACK work is one batched eigensolve of the (N, 3, 4, 4)
-    partial-transposed pair reductions.
+    Every column but n_red_* (4:7) comes from closed forms on the
+    amplitudes (see the module docstring); those three are NaN until
+    ``_pure_measure_table`` fills them.  ``random`` classifies on this
+    table: the decision reads n_q and c_red_* only.
     """
     n = amps.shape[0]
-    m = amps[:, _UNFOLD]
     # Cauchy-Binet: s1^2 s2^2 = det(M M^dagger) = sum of the squared 2x2
     # minors, which stays accurate near zero where det(rho_q) cancels
     det = (np.abs(_product_differences(amps, _MINORS)) ** 2).sum(axis=-1, keepdims=True)
@@ -324,8 +329,6 @@ def _pure_measure_table(amps: np.ndarray) -> np.ndarray:
     entropy = _entropy_of_spectrum(cut_spectrum[..., :2])
 
     n_side = _negativity_of_spectrum(cut_spectrum)
-    # each pair reduction is M^T M^*: the 4x2 block M^T is a factor of it
-    n_red = _pair_negativity(m.swapaxes(-1, -2))
     c_red = _pure_pair_concurrence(amps)
 
     pieces = _product_differences(amps, _HYPERDET_PIECES)
@@ -337,9 +340,24 @@ def _pure_measure_table(amps: np.ndarray) -> np.ndarray:
     tangle = np.minimum(np.minimum(1.0, 4.0 * np.abs(hyperdet)), cut_tangle.min(axis=-1))
 
     means = _geometric_mean3(np.concatenate([n_side, cut_tangle, entropy], axis=1).reshape(n, 3, 3))
+    n_red = np.full((n, 3), np.nan)
     return np.concatenate(
         [n_side, means[:, :1], n_red, c_red, entropy, means[:, 1:], tangle[:, np.newaxis]], axis=1
     )
+
+
+def _pure_measure_table(amps: np.ndarray) -> np.ndarray:
+    """The (N, 16) measure table of validated pure states, amplitudes of shape (N, 8).
+
+    Its columns are the MeasureSet fields in order: the closed forms of
+    ``_pure_closed_form_table``, and n_red_* from the only LAPACK work of
+    the pure path, one batched eigensolve of the (N, 3, 4, 4)
+    partial-transposed pair reductions.
+    """
+    table = _pure_closed_form_table(amps)
+    # each pair reduction is M^T M^*: the 4x2 block M^T of the unfolding M is a factor of it
+    table[:, 4:7] = _pair_negativity(amps[:, _UNFOLD].swapaxes(-1, -2))
+    return table
 
 
 def _pure_measure_sets(amps: np.ndarray) -> list[MeasureSet]:

@@ -92,6 +92,22 @@ def near_swap_w_state(rng):
     return PureState(u @ amps)
 
 
+def bell_bc_plus(delta):
+    """|0>_A Bell_BC + delta |101>, normalized: a W-class state with n_A and c_AB, c_AC linear in delta."""
+    v = np.zeros(8, dtype=complex)
+    v[0] = v[3] = 1 / np.sqrt(2)
+    v[5] = delta
+    return PureState(v / np.linalg.norm(v))
+
+
+def hidden_canonical_corpus(rng, count):
+    """``count`` each of hidden W states, near-swap W states, and near-separable states under random local unitaries."""
+    states = [hidden_w_state(rng) for _ in range(count)]
+    states += [near_swap_w_state(rng) for _ in range(count)]
+    states += [PureState(random_local_unitary(rng) @ psi.amplitudes) for psi in near_separable_corpus(rng, count)]
+    return states
+
+
 def nonzero_coefficients(rng, n, min_mag=0.1):
     """n complex coefficients, normalized, all magnitudes >= min_mag."""
     while True:
@@ -105,7 +121,8 @@ def near_separable_state(rng, exponent):
     """A random product or biseparable state plus a random perturbation of norm 10**-exponent.
 
     The separable qubit (or full product) is drawn at random.  Exponents
-    from 2 to 16 sweep the impurities and reduced negativities through
+    from 2 to 16 sweep the one-vs-two negativities and reduced
+    concurrences, which are of the order of the perturbation, through
     the 1e-9..1e-7 decade around the default zero tolerance, where
     classify_pure flags its verdicts as ambiguous.
     """

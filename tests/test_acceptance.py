@@ -33,6 +33,9 @@ from triqent import (
     w_state,
 )
 from helpers import (
+    bell_bc_plus,
+    hidden_canonical_corpus,
+    near_separable_corpus,
     nonzero_coefficients,
     random_biseparable,
     random_product_state,
@@ -219,6 +222,9 @@ def test_criterion_10e_classifier_pattern_agreement(haar_corpus):
         states = [psi for psi, _, _, _ in haar_corpus[:200]]
         states += [random_biseparable(rng, q) for q in "ABC" for _ in range(20)]
         states += [random_product_state(rng) for _ in range(20)]
+        # near-separable states, where the entangling amplitude is small,
+        # hidden canonical-class states and |0>_A Bell_BC + 1e-5 |101>
+        states += near_separable_corpus(rng, 300) + hidden_canonical_corpus(rng, 50) + [bell_bc_plus(1e-5)]
         for psi in states:
             res = classify_pure(psi)
             if res.ambiguous:

@@ -4,6 +4,7 @@ import pytest
 import triqent.classify
 from triqent import (
     AmbiguousNearThresholdError,
+    DensityMatrix,
     MixedStateUnsupportedError,
     NonFiniteError,
     ParamOutOfDomainError,
@@ -26,10 +27,17 @@ from triqent import (
     to_density,
     w_prime,
 )
-from triqent.classify import _CLAIMS, _certify_table, _classify_table
+from triqent.classify import _CLAIMS, DEFAULT_ZERO_TOL, SubtypeLabel, _certify_table, _classify_table
 from triqent.measures import MeasureSet, _mixed_measure_table, _pure_measure_table
 from triqent.states import QUBITS
-from helpers import near_separable_corpus, random_biseparable, random_product_state, random_unitary
+from helpers import (
+    bell_bc_plus,
+    hidden_canonical_corpus,
+    near_separable_corpus,
+    random_biseparable,
+    random_product_state,
+    random_unitary,
+)
 
 
 class TestClassifyPure:
@@ -64,7 +72,7 @@ class TestClassifyPure:
         assert set(res.margins) >= {"factorizable_A", "pair_BC", "pair_AC", "pair_AB"}
 
     def test_near_threshold_flagged_ambiguous(self):
-        # reduced BC negativity lands right at the zero tolerance
+        # the reduced BC concurrence lands right at the zero tolerance
         amps = np.zeros(8, dtype=complex)
         amps[0], amps[4], amps[7] = 0.8, 8.333333e-9, 0.6
         res = classify_pure(PureState(amps / np.linalg.norm(amps)))
@@ -111,15 +119,22 @@ class TestClassifyPure:
             if res.label.code.startswith("2-"):
                 assert pat.subtype.entangled_pairs == res.label.entangled_pairs
 
-    def test_impurity_is_reduced_state_impurity(self):
-        # the factorizability margins are n_q^2 / 2; they must equal
-        # 1 - Tr rho_q^2 of the reduced states, near the zero tolerance too
+    def test_margins_are_linear_measures(self):
+        # the decision quantities are the one-vs-two negativities n_q and the
+        # reduced concurrences c_red, both linear in a small canonical
+        # amplitude; n_q^2 / 2 is still the impurity 1 - Tr rho_q^2 of the
+        # reduced states, near the zero tolerance too
         rng = np.random.default_rng(43)
         cases = [sample_haar_pure(s) for s in range(50)] + near_separable_corpus(rng, 400)
         ambiguous = 0
         for psi in cases:
             res = classify_pure(psi)
+            ms = res.measures
             ambiguous += res.ambiguous
+            for q, n_q in zip("ABC", (ms.n_a_bc, ms.n_b_ac, ms.n_c_ab)):
+                assert res.margins[f"factorizable_{q}"] == n_q, q
+            for p, c in zip(("BC", "AC", "AB"), (ms.c_red_bc, ms.c_red_ac, ms.c_red_ab)):
+                assert res.margins[f"pair_{p}"] == c, p
             t = psi.tensor
             singles = {
                 "A": np.einsum("ijk,ljk->il", t, t.conj()),
@@ -128,7 +143,7 @@ class TestClassifyPure:
             }
             for q, rho in singles.items():
                 impurity = 1.0 - np.trace(rho @ rho).real
-                assert abs(res.margins[f"factorizable_{q}"] - impurity) < 1e-14, q
+                assert abs(0.5 * res.margins[f"factorizable_{q}"] ** 2 - impurity) < 1e-14, q
         assert ambiguous > 0  # the corpus reaches the 1e-9..1e-7 decade
 
     def test_rejects_mixed_state_before_measuring(self, monkeypatch):
@@ -209,10 +224,7 @@ class TestClassifyMixed:
     def test_tiny_cut_not_ghz_distillable(self, delta):
         # |0>_A Bell_BC + delta |101>: the A-BC cut negativity is about
         # delta, far below zero_tol, while its cube root in n_abc is not
-        v = np.zeros(8, dtype=complex)
-        v[0] = v[3] = 1 / np.sqrt(2)
-        v[5] = delta
-        psi = PureState(v / np.linalg.norm(v))
+        psi = bell_bc_plus(delta)
         verdict = classify_mixed(to_density(psi))
         assert verdict.measures.n_a_bc < 1e-8 < verdict.measures.n_abc
         assert "GHZ-distillable" not in verdict.claims()
@@ -231,38 +243,145 @@ class TestClassifyMixed:
                 assert f"reduced pair {pair} entangled" in claims
 
 
+@pytest.fixture(scope="module")
+def agreement_corpus():
+    """Pure states by kind, each with its classify_pure result, its projector's claims and its GSD pattern.
+
+    The pattern is None where ``classify_gsd_pattern`` calls it ambiguous.
+    """
+    def row(psi):
+        try:
+            pattern = classify_gsd_pattern(gsd(psi))
+        except AmbiguousNearThresholdError:
+            pattern = None
+        return psi, classify_pure(psi), classify_mixed(to_density(psi)).claims(), pattern
+
+    kinds = {
+        "haar": [sample_haar_pure(seed) for seed in range(300)],
+        "near": near_separable_corpus(np.random.default_rng(2024), 1200),
+        "hidden": hidden_canonical_corpus(np.random.default_rng(77), 200),
+        "example": [bell_bc_plus(delta) for delta in (1e-5, 1e-6, 1e-3)],
+    }
+    return {kind: [row(psi) for psi in states] for kind, states in kinds.items()}
+
+
+AGREEMENT_KINDS = ["haar", "near", "hidden", "example"]
+
+
+class TestOneThresholdScale:
+    """classify_pure, classify_mixed on the projector and the GSD pattern decide on linear quantities alike.
+
+    Factorizability is read from n_q and pair entanglement from c_red on
+    both sides, and the canonical coefficients are linear too, so none of
+    the three contradicts another away from the ambiguity band.
+    """
+
+    @pytest.mark.parametrize("kind", AGREEMENT_KINDS)
+    def test_separable_qubit_not_contradicted(self, agreement_corpus, kind):
+        for i, (_, res, claims, _) in enumerate(agreement_corpus[kind]):
+            q = res.label.separable_qubit
+            if q is not None:
+                assert f"not simply biseparable w.r.t. {q}" not in claims, i
+            if res.label.code == "0-0":
+                assert not [c for c in claims if c.startswith("not ")], i
+
+    @pytest.mark.parametrize("kind", AGREEMENT_KINDS)
+    def test_label_equals_gsd_pattern_unless_ambiguous(self, agreement_corpus, kind):
+        decided = 0
+        for i, (_, res, _, pattern) in enumerate(agreement_corpus[kind]):
+            if res.ambiguous or pattern is None:
+                continue
+            decided += 1
+            assert pattern.subtype == res.label, i
+        assert decided >= 0.8 * len(agreement_corpus[kind])
+
+    @pytest.mark.parametrize("kind", AGREEMENT_KINDS)
+    def test_pair_claims_equal_label_unless_ambiguous(self, agreement_corpus, kind):
+        for i, (_, res, claims, _) in enumerate(agreement_corpus[kind]):
+            certified = tuple(p for p in ("BC", "AC", "AB") if f"reduced pair {p} entangled" in claims)
+            assert certified == res.label.entangled_pairs or res.ambiguous, i
+
+    def test_bell_pair_plus_small_amplitude(self, agreement_corpus):
+        # |0>_A Bell_BC + 1e-5 |101> is W-class: n_A = 2e-5 and c_AB = c_AC =
+        # sqrt(2) 1e-5, where the impurity n_A^2 / 2 = 2e-10 and the reduced
+        # negativities are quadratic, below zero_tol; it was labelled 1^1-1
+        # with A separable while its projector was certified not biseparable
+        # w.r.t. A
+        psi, res, claims, pattern = agreement_corpus["example"][0]
+        assert res.label == SubtypeLabel("2-3", None, ("BC", "AC", "AB")) == pattern.subtype
+        assert not res.ambiguous
+        assert res.margins["factorizable_A"] == pytest.approx(2e-5, rel=1e-6)
+        assert res.margins["pair_AB"] == pytest.approx(np.sqrt(2.0) * 1e-5, rel=1e-6)
+        assert res.measures.n_red_ab < DEFAULT_ZERO_TOL
+        assert {"not simply biseparable w.r.t. A", "reduced pair AB entangled"} <= set(claims)
+
+
+def separable_pair_cases(rng, count):
+    """(density matrix, pairs separable by construction) for product and biseparable projectors and their mixtures.
+
+    Each of ``count`` product states and ``count`` biseparable states per
+    separable qubit is taken as a projector and mixed with white noise,
+    p |psi><psi| + (1 - p) I / 8; a pair holding the separable qubit stays
+    separable.  The eps = 0 Bell mixture has three separable pairs.
+    """
+    pairs = ("BC", "AC", "AB")
+    states = [(random_product_state(rng), pairs) for _ in range(count)]
+    states += [(random_biseparable(rng, q), tuple(p for p in pairs if q in p)) for q in "ABC" for _ in range(count)]
+    cases = [(rho_zero(), pairs), (make_state("rho_epsilon", 0.0), pairs)]
+    for psi, separable in states:
+        proj = to_density(psi)
+        cases.append((proj, separable))
+        cases += [(DensityMatrix(p * proj.matrix + (1.0 - p) * np.eye(8) / 8.0), separable) for p in (0.999, 0.5)]
+    return cases
+
+
+def test_separable_pair_never_certified_entangled():
+    # near separability the mixed c_red carries up to about 1e-8 of error,
+    # the square root of rounding noise (see test_matches_general_path in
+    # test_measures.py); on a pair that is exactly separable it stays at
+    # rounding level, so no threshold down to 1e-12 certifies it entangled
+    for i, (rho, separable) in enumerate(separable_pair_cases(np.random.default_rng(91), 150)):
+        for tol in (DEFAULT_ZERO_TOL, 1e-12):
+            claims = classify_mixed(rho, zero_tol=tol).claims()
+            for p in separable:
+                assert f"reduced pair {p} entangled" not in claims, (i, p, tol)
+
+
 def reference_pure_decision(ms, zero_tol):
-    """(code, separable qubit, entangled pairs, margins, ambiguous) by the per-state rule, one comparison at a time."""
-    # the correctly rounded square: Python's v**2 goes through libm pow
-    impurity = {q: 0.5 * (v * v) for q, v in zip("ABC", (ms.n_a_bc, ms.n_b_ac, ms.n_c_ab))}
-    margins = {f"factorizable_{q}": impurity[q] for q in "ABC"}
+    """(code, separable qubit, entangled pairs, margins, ambiguous) by the per-state rule, one comparison at a time.
+
+    Factorizability is decided on the one-vs-two negativities n_q, pair
+    entanglement on the reduced concurrences c_red.
+    """
+    n_side = dict(zip("ABC", (ms.n_a_bc, ms.n_b_ac, ms.n_c_ab)))
+    margins = {f"factorizable_{q}": n_side[q] for q in "ABC"}
     pairs = []
-    for name, v in zip(("BC", "AC", "AB"), (ms.n_red_bc, ms.n_red_ac, ms.n_red_ab)):
+    for name, v in zip(("BC", "AC", "AB"), (ms.c_red_bc, ms.c_red_ac, ms.c_red_ab)):
         margins[f"pair_{name}"] = v
         if v > zero_tol:
             pairs.append(name)
-    facts = [q for q in "ABC" if impurity[q] < zero_tol]
+    facts = [q for q in "ABC" if n_side[q] < zero_tol]
     ambiguous = False
     if not facts:
         label = (f"2-{len(pairs)}", None, tuple(pairs))
     elif len(facts) == 1:
         for single in "ABC".replace(facts[0], ""):
-            margins[f"single_purity_{single}"] = impurity[single]
+            margins[f"single_purity_{single}"] = n_side[single]
         label = ("1^1-1", facts[0], tuple(pairs))
-    elif len(facts) == 3 or all(impurity[q] < 10.0 * zero_tol for q in "ABC"):
+    elif len(facts) == 3 or all(n_side[q] < 10.0 * zero_tol for q in "ABC"):
         label = ("0-0", None, ())
     else:
         ambiguous = True
-        label = ("1^1-1", min(facts, key=lambda q: impurity[q]), tuple(pairs))
+        label = ("1^1-1", min(facts, key=lambda q: n_side[q]), tuple(pairs))
     ambiguous = ambiguous or any(zero_tol / 10.0 <= v <= zero_tol * 10.0 for v in margins.values())
     return (*label, margins, ambiguous)
 
 
 def reference_certificates(ms, zero_tol):
-    """(claim, witness) pairs by the per-state rule of classify_mixed."""
-    n_red = {"BC": ms.n_red_bc, "AC": ms.n_red_ac, "AB": ms.n_red_ab}
+    """(claim, witness) pairs by the per-state rule of classify_mixed; a pair is certified on its concurrence."""
+    c_red = {"BC": ms.c_red_bc, "AC": ms.c_red_ac, "AB": ms.c_red_ab}
     n_side = {"A": ms.n_a_bc, "B": ms.n_b_ac, "C": ms.n_c_ab}
-    certs = [(f"reduced pair {p} entangled", v) for p, v in n_red.items() if v > zero_tol]
+    certs = [(f"reduced pair {p} entangled", v) for p, v in c_red.items() if v > zero_tol]
     certs += [(f"not simply biseparable w.r.t. {q}", v) for q, v in n_side.items() if v > zero_tol]
     if any(v > zero_tol for v in n_side.values()):
         certs.append(("not fully separable", max(n_side.values())))
@@ -329,8 +448,9 @@ class TestStackedDecisions:
         # two-factorizable pattern (1^1-1?) included
         rng = np.random.default_rng(83)
         table = np.zeros((4000, 16))
-        table[:, 0:3] = np.sqrt(2.0 * tol * 10.0 ** rng.uniform(-4.0, 4.0, (4000, 3)))
-        table[:, 4:7] = tol * 10.0 ** rng.uniform(-4.0, 4.0, (4000, 3))
+        table[:, 0:3] = tol * 10.0 ** rng.uniform(-4.0, 4.0, (4000, 3))
+        table[:, 7:10] = tol * 10.0 ** rng.uniform(-4.0, 4.0, (4000, 3))
+        table[:, 4:7] = np.nan  # the reduced negativities are not read
         d = _classify_table(table, tol)
         shown = set()
         for i, row in enumerate(table.tolist()):

@@ -414,8 +414,10 @@ class TestPureFastPath:
 
     def test_no_general_eigensolve(self, monkeypatch, capsys):
         # the one eigensolve of the pure path is the batched spectrum of the
-        # partial-transposed pair reductions, (N, 3, 4, 4) per stack; the
-        # concurrences are closed forms, with no SVD
+        # partial-transposed pair reductions, (N, 3, 4, 4) per stack, for
+        # n_red_*; the concurrences are closed forms, with no SVD.  random
+        # prints no n_red_* and decides on n_q and c_red_*, so it makes no
+        # LAPACK call at all
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -434,9 +436,10 @@ class TestPureFastPath:
         psi = sample_haar_pure(5)
         measure_set(psi)
         classify_pure(psi)
+        assert shapes == [(1, 3, 4, 4), (1, 3, 4, 4)]
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail("eigvalsh"))
         assert main(["random", "--count", "5"]) == 0
         assert "subtype histogram" in capsys.readouterr().out
-        assert shapes == [(1, 3, 4, 4), (1, 3, 4, 4), (5, 3, 4, 4)]
 
 
 MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")

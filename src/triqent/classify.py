@@ -27,10 +27,10 @@ def check_zero_tol(zero_tol: float) -> None:
     comparison one way.  A zero or negative one (ParamOutOfDomainError)
     would count exact zeros as nonzero: with zero_tol = -1 the product
     state |000> would be labelled W-like and its projector certified
-    GHZ-distillable.  Anything but a real number, such as a string or
-    None, is a ParamOutOfDomainError too.
+    GHZ-distillable.  Anything but a real number, such as a string,
+    None or a boolean, is a ParamOutOfDomainError too.
     """
-    if not isinstance(zero_tol, numbers.Real):
+    if not isinstance(zero_tol, numbers.Real) or isinstance(zero_tol, bool):
         raise ParamOutOfDomainError(f"zero_tol must be a real number, got {zero_tol!r}")
     if not math.isfinite(zero_tol):
         raise NonFiniteError(f"zero_tol must be finite, got {zero_tol}")

@@ -5,30 +5,31 @@ parameter rows: ``_build`` checks the rows against the family's domain
 (vectorized, so a NaN parameter is rejected too) and returns (N, 8)
 amplitudes for a pure family or (N, 8, 8) matrices for a mixed one.
 The scalar constructors (``ghz_like(alpha)``, ``sigma_b(b)``, ...) and
-``make_state`` are that closed form on a stack of one.
+``make_state`` are that closed form on a stack of one.  Only the
+parameters are checked: the closed form of an in-domain row is a state
+by construction, so like ``to_density`` it is not validated again.
 
 The known closed forms of a family's measures are written once too, as
 columns over the same rows (``_oracle_columns``), and ``oracle`` is
 that routine on a stack of one.  A sweep is a table per STACK_CHUNK
-grid points (``_sweep_chunks``): each chunk is built, validated,
-measured, classified and compared with its oracle columns as one
-stack, and only then is the next one made.  ``sweep`` turns the chunks
-into SweepRows; the ``triqent sweep`` command writes each chunk's CSV
-lines straight from its columns, so its memory does not grow with the
-grid.
+grid points (``_sweep_chunks``): each chunk is built, measured,
+classified and compared with its oracle columns as one stack, and only
+then is the next one made.  ``sweep`` turns the chunks into SweepRows;
+the ``triqent sweep`` command writes each chunk's CSV lines straight
+from its columns, so its memory does not grow with the grid.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .classify import _CLAIMS, DEFAULT_ZERO_TOL, _certify_table, _classify_table
-from .errors import NoOracleError, ParamOutOfDomainError
+from .errors import NoOracleError, ParamOutOfDomainError, TriqentError
 from .measures import (
     _MEASURE_NAMES,
     STACK_CHUNK,
@@ -42,8 +43,6 @@ from .states import (
     DensityMatrix,
     PureState,
     _raise_first,
-    _validated_amplitudes,
-    _validated_matrices,
 )
 
 _SQRT3 = np.sqrt(3.0)
@@ -57,22 +56,22 @@ def _amplitudes(n: int, indexed: dict) -> np.ndarray:
     return amps
 
 
-def _check_domain(inside: np.ndarray, rows: np.ndarray, template: str, where=None) -> None:
+def _check_domain(inside: np.ndarray, rows: np.ndarray, template: str) -> None:
     """ParamOutOfDomainError for the first row not ``inside``, its values filling ``template``.
 
     ``inside`` is built from comparisons, which are False on NaN, so a
     NaN parameter is outside every domain.
     """
-    _raise_first(~inside, ParamOutOfDomainError, lambda i: template.format(*rows[i]), where)
+    _raise_first(~inside, ParamOutOfDomainError, lambda i: template.format(*rows[i]))
 
 
 def _ghz_rows(phase: np.ndarray) -> np.ndarray:
     return _amplitudes(len(phase), {0: 1 / np.sqrt(2), 7: np.exp(1j * phase) / np.sqrt(2)})
 
 
-def _ghz_like_rows(rows: np.ndarray, where=None) -> np.ndarray:
+def _ghz_like_rows(rows: np.ndarray) -> np.ndarray:
     alpha = rows[:, 0]
-    _check_domain((0.0 <= alpha) & (alpha <= 1.0), rows, "ghz_like needs alpha in [0, 1], got {}", where)
+    _check_domain((0.0 <= alpha) & (alpha <= 1.0), rows, "ghz_like needs alpha in [0, 1], got {}")
     return _amplitudes(len(rows), {0: alpha, 7: np.sqrt(1.0 - alpha * alpha)})
 
 
@@ -80,13 +79,13 @@ def _w_prime_rows(n: int) -> np.ndarray:
     return _amplitudes(n, {1: 1 / _SQRT3, 2: 1 / _SQRT3, 4: 1 / _SQRT3})
 
 
-def _check_normalized(rows: np.ndarray, message: str, where=None) -> None:
+def _check_normalized(rows: np.ndarray, message: str) -> None:
     norm_dev = np.abs((np.abs(rows) ** 2).sum(axis=1) - 1.0)
-    _check_domain(norm_dev <= 1e-10, rows, message, where)
+    _check_domain(norm_dev <= 1e-10, rows, message)
 
 
-def _w_canonical_rows(rows: np.ndarray, where=None) -> np.ndarray:
-    _check_normalized(rows, "w_canonical coefficients must be normalized", where)
+def _w_canonical_rows(rows: np.ndarray) -> np.ndarray:
+    _check_normalized(rows, "w_canonical coefficients must be normalized")
     return _amplitudes(len(rows), {0: rows[:, 0], 5: rows[:, 1], 6: rows[:, 2]})
 
 
@@ -115,23 +114,23 @@ _RHO_EPS_PLUS = np.kron(np.diag([0.0, 1.0]), _projector(_bell(1.0)))
 _RHO_EPS_MINUS = np.kron(np.diag([1.0, 0.0]), _projector(_bell(-1.0)))
 
 
-def _rho_epsilon_rows(rows: np.ndarray, where=None) -> np.ndarray:
+def _rho_epsilon_rows(rows: np.ndarray) -> np.ndarray:
     eps = rows[:, 0]
-    _check_domain((-1.0 <= eps) & (eps <= 1.0), rows, "rho_epsilon needs |eps| <= 1, got {}", where)
+    _check_domain((-1.0 <= eps) & (eps <= 1.0), rows, "rho_epsilon needs |eps| <= 1, got {}")
     eps = eps[:, np.newaxis, np.newaxis]
     return 0.5 * (1 + eps) * _RHO_EPS_PLUS + 0.5 * (1 - eps) * _RHO_EPS_MINUS
 
 
-def _ghz_w_mix_rows(rows: np.ndarray, where=None) -> np.ndarray:
+def _ghz_w_mix_rows(rows: np.ndarray) -> np.ndarray:
     p = rows[:, 0]
-    _check_domain((0.0 <= p) & (p <= 1.0), rows, "ghz_w_mix needs p in [0, 1], got {}", where)
+    _check_domain((0.0 <= p) & (p <= 1.0), rows, "ghz_w_mix needs p in [0, 1], got {}")
     p = p[:, np.newaxis, np.newaxis]
     return p * _GHZ_RHO + (1 - p) * _W_PRIME_RHO
 
 
-def _ghz_noise_rows(rows: np.ndarray, where=None) -> np.ndarray:
+def _ghz_noise_rows(rows: np.ndarray) -> np.ndarray:
     p = rows[:, 0]
-    _check_domain((0.0 <= p) & (p <= 1.0), rows, "ghz_noise needs p in [0, 1], got {}", where)
+    _check_domain((0.0 <= p) & (p <= 1.0), rows, "ghz_noise needs p in [0, 1], got {}")
     p = p[:, np.newaxis, np.newaxis]
     return p * _GHZ_RHO + (1 - p) / 8.0 * np.eye(8)
 
@@ -150,9 +149,9 @@ _SIGMA_B_FORM = np.array([list(row) for row in (
 )])
 
 
-def _sigma_b_rows(rows: np.ndarray, where=None) -> np.ndarray:
+def _sigma_b_rows(rows: np.ndarray) -> np.ndarray:
     b = rows[:, 0]
-    _check_domain((0.0 < b) & (b < 1.0), rows, "sigma_b needs b in (0, 1), got {}", where)
+    _check_domain((0.0 < b) & (b < 1.0), rows, "sigma_b needs b in (0, 1), got {}")
     m = np.zeros((len(b), 8, 8), dtype=complex)
     for name, value in (("b", b), ("h", (1.0 + b) / 2.0), ("s", np.sqrt(1.0 - b * b) / 2.0)):
         m[:, _SIGMA_B_FORM == name] = value[:, np.newaxis]
@@ -160,12 +159,12 @@ def _sigma_b_rows(rows: np.ndarray, where=None) -> np.ndarray:
 
 
 #: family name -> (number of parameters, closed form over an (N, arity)
-#: stack of parameter rows, given the optional ``where`` of ``_raise_first``)
+#: stack of parameter rows)
 _FAMILIES = {
-    "ghz": (0, lambda rows, where=None: _ghz_rows(np.zeros(len(rows)))),
-    "w": (0, lambda rows, where=None: _w_canonical_rows(np.full((len(rows), 3), 1 / _SQRT3), where)),
-    "w_prime": (0, lambda rows, where=None: _w_prime_rows(len(rows))),
-    "rho0": (0, lambda rows, where=None: _rho_epsilon_rows(np.zeros((len(rows), 1)), where)),
+    "ghz": (0, lambda rows: _ghz_rows(np.zeros(len(rows)))),
+    "w": (0, lambda rows: _w_canonical_rows(np.full((len(rows), 3), 1 / _SQRT3))),
+    "w_prime": (0, lambda rows: _w_prime_rows(len(rows))),
+    "rho0": (0, lambda rows: _rho_epsilon_rows(np.zeros((len(rows), 1)))),
     "ghz_like": (1, _ghz_like_rows),
     "w_canonical": (3, _w_canonical_rows),
     "ghz_w_mix": (1, _ghz_w_mix_rows),
@@ -177,24 +176,28 @@ _FAMILIES = {
 
 #: the only family whose parameters are complex; every other one takes reals
 _COMPLEX_FAMILIES = ("w_canonical",)
+#: numpy reads a boolean as the number 0 or 1, also inside a grid of floats
+_BOOLS = frozenset((bool, np.bool_))
 
 
-def _numeric_rows(grid, kind: type, where=None) -> np.ndarray:
+def _numeric_rows(grid, kind: type) -> np.ndarray:
     """``np.array(grid)`` of ``kind`` (numbers.Real or numbers.Complex) numbers.
 
-    A grid that numpy cannot make a two-dimensional numeric array of is
-    checked entry by entry: ParamOutOfDomainError names the first row
-    holding a parameter not of ``kind``, such as a string, None or an
-    array.
+    A grid that numpy cannot make a two-dimensional numeric array of, or
+    that holds a boolean, is checked entry by entry: ParamOutOfDomainError
+    names the first row holding a parameter not of ``kind``, such as a
+    string, None, an array or a boolean.
     """
     try:
         rows = np.array(grid)
     except ValueError:  # a ragged nesting
         rows = np.array(None)
-    if rows.ndim != 2 or rows.dtype.kind not in ("biufc" if kind is numbers.Complex else "biuf"):
-        _raise_first(np.array([not all(isinstance(v, kind) for v in params) for params in grid]),
+    if (rows.ndim != 2 or rows.dtype.kind not in ("iufc" if kind is numbers.Complex else "iuf")
+            or not _BOOLS.isdisjoint(map(type, chain.from_iterable(grid)))):
+        _raise_first(np.array([not all(isinstance(v, kind) and type(v) not in _BOOLS for v in params)
+                               for params in grid]),
                      ParamOutOfDomainError,
-                     lambda i: f"parameters must be {kind.__name__.lower()} numbers, got {grid[i]}", where)
+                     lambda i: f"parameters must be {kind.__name__.lower()} numbers, got {grid[i]}")
         rows = rows.astype(complex if kind is numbers.Complex else float)
     return rows
 
@@ -217,23 +220,23 @@ def _arity_message(family: str, arity: int, params) -> str:
     return f"family {family!r} takes {arity} parameter(s), got {got}"
 
 
-def _build(family: str, grid, where=None) -> tuple[np.ndarray, np.ndarray]:
+def _build(family: str, grid) -> tuple[np.ndarray, np.ndarray]:
     """(rows, stack): the (N, arity) parameter rows of a grid of parameter tuples, and the
-    family's closed form on them, domain-checked but not yet validated."""
+    family's closed form on them; only the rows are checked (see the module docstring)."""
     _raise_first(np.full(len(grid), not _known(family)), ParamOutOfDomainError,
-                 lambda i: f"unknown family {family!r}; known: {', '.join(FAMILIES)}", where)
+                 lambda i: f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     arity, closed_form = _FAMILIES[family]
     _raise_first(np.array([_length(params) != arity for params in grid]), ParamOutOfDomainError,
-                 lambda i: _arity_message(family, arity, grid[i]), where)
+                 lambda i: _arity_message(family, arity, grid[i]))
     kind = numbers.Complex if family in _COMPLEX_FAMILIES else numbers.Real
-    rows = _numeric_rows(grid, kind, where).reshape(len(grid), arity)
-    return rows, closed_form(rows, where)
+    rows = _numeric_rows(grid, kind).reshape(len(grid), arity)
+    return rows, closed_form(rows)
 
 
 def make_state(family: str, *params) -> PureState | DensityMatrix:
     """Build the named state or family member for the given parameters."""
     _, stack = _build(family, [params])
-    return PureState(stack[0]) if stack.ndim == 2 else DensityMatrix(stack[0], QUBITS)
+    return PureState(stack[0]) if stack.ndim == 2 else DensityMatrix._derived(stack[0], QUBITS)
 
 
 def ghz(phase: float = 0.0) -> PureState:
@@ -377,7 +380,7 @@ class FamilySpec:
 
 def default_grid(family: str, points: int = 101) -> FamilySpec:
     """Uniform grid over the family's parameter domain."""
-    if not isinstance(points, (int, np.integer)) or points < 1:
+    if not isinstance(points, (int, np.integer)) or isinstance(points, bool) or points < 1:
         raise ParamOutOfDomainError(f"points must be an integer >= 1, got {points!r}")
     if not isinstance(family, str):
         raise ParamOutOfDomainError(f"family must be a name, got {family!r}")
@@ -404,11 +407,6 @@ class SweepRow:
     deviations: dict[str, float]
 
 
-def _failed_at(family: str, grid):
-    """The ``where`` of ``_raise_first`` for a chunk of a sweep grid."""
-    return lambda i: f"sweep of {family!r} failed at params {grid[i]}"
-
-
 #: a distinct power of two per claim, so ``held @ _CLAIM_BITS`` numbers each set of held claims
 _CLAIM_BITS = 1 << np.arange(len(_CLAIMS))
 
@@ -430,14 +428,18 @@ class _SweepChunk(NamedTuple):
 
 
 def _sweep_chunk(family: str, grid) -> _SweepChunk:
-    """Up to STACK_CHUNK grid points, built, validated, measured, classified and compared as one stack."""
-    where = _failed_at(family, grid)
-    rows, stack = _build(family, grid, where)
+    """Up to STACK_CHUNK grid points, built, measured, classified and compared as one stack."""
+    try:
+        rows, stack = _build(family, grid)
+    except TriqentError as exc:
+        if hasattr(exc, "_row"):  # see _raise_first
+            exc.args = (f"sweep of {family!r} failed at params {grid[exc._row]}: {exc}",)
+        raise
     if stack.ndim == 2:
-        table = _pure_measure_table(_validated_amplitudes(stack, where))
+        table = _pure_measure_table(stack)
         verdicts = _classify_table(table, DEFAULT_ZERO_TOL).codes.tolist()
     else:
-        table = _mixed_measure_table(_validated_matrices(stack, where))
+        table = _mixed_measure_table(stack)
         # one verdict string per distinct set of held claims, shared by its rows
         held = _certify_table(table, DEFAULT_ZERO_TOL)[0]
         _, first, index = np.unique(held @ _CLAIM_BITS, return_index=True, return_inverse=True)
@@ -482,16 +484,16 @@ def sweep(spec: FamilySpec) -> list[SweepRow]:
     """One row per grid point, in grid order, with oracle deviations.
 
     The rows are read off ``_sweep_chunks``: the grid is built from the
-    family's closed form, validated, measured, classified and compared
-    with the oracle columns as one stack per chunk of STACK_CHUNK
-    points.  Each row equals what ``classify_pure`` or ``classify_mixed``
-    gives on ``make_state(family, *params)``, and its oracle values what
+    family's closed form, measured, classified and compared with the
+    oracle columns as one stack per chunk of STACK_CHUNK points.  Each
+    row equals what ``classify_pure`` or ``classify_mixed`` gives on
+    ``make_state(family, *params)``, and its oracle values what
     ``oracle(family, *params)`` gives.  The list holds every row, so its
     size grows with the grid; the ``triqent sweep`` command streams the
     chunks instead.  A grid that is not a nonempty sequence of parameter
     tuples, or a point outside the family's domain, raises
-    ParamOutOfDomainError; a domain or validation error names the params
-    of the first grid point that fails.
+    ParamOutOfDomainError, whose message names the params of the first
+    grid point that fails.
     """
     rows = []
     for chunk in _sweep_chunks(spec):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import SubtypeLabel, check_zero_tol
+from .classify import DEFAULT_ZERO_TOL, SubtypeLabel, check_zero_tol
 from .errors import (
     AmbiguousNearThresholdError,
     NonFiniteError,
@@ -67,8 +67,8 @@ _DOUBLE_ROOT_RTOL = 1e-6
 _LAMBDA_TIE_TOL = 1e-12
 #: canonical zero amplitudes must come out below this
 _ZERO_RESIDUAL_TOL = 1e-10
-
-DEFAULT_PATTERN_TOL = 1e-8
+#: a coefficient below this fixes no phase knob
+_PHASE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,18 +239,18 @@ def _refine_direction(x0, x1, t0, t1) -> tuple[complex, complex]:
     return x0, x1
 
 
-def _phase_angles(alpha, delta, epsilon, omega, tol=1e-12):
+def _phase_angles(alpha, delta, epsilon, omega):
     """Phase knobs (global g, per-qubit a, b, c) zeroing the target phases.
 
     Coefficient c_ijk picks up the phase g + i*a + j*b + k*c; the knobs
     are chosen so alpha, delta, epsilon and omega become real >= 0.
-    Coefficients below tol impose no condition.  a is needed only when
+    Coefficients below _PHASE_TOL impose no condition.  a is needed only when
     delta, epsilon and omega are all set; otherwise delta fixes b,
     epsilon fixes c, and omega fixes whichever of the two is left, c
     first.
     """
-    g = -np.angle(alpha) if abs(alpha) > tol else 0.0
-    d_nz, e_nz, w_nz = abs(delta) > tol, abs(epsilon) > tol, abs(omega) > tol
+    g = -np.angle(alpha) if abs(alpha) > _PHASE_TOL else 0.0
+    d_nz, e_nz, w_nz = abs(delta) > _PHASE_TOL, abs(epsilon) > _PHASE_TOL, abs(omega) > _PHASE_TOL
     phd, phe, phw = np.angle(delta), np.angle(epsilon), np.angle(omega)
     a = phw - phd - phe - g if d_nz and e_nz and w_nz else 0.0
     b = -g - a - phd if d_nz else 0.0
@@ -330,7 +330,7 @@ _PATTERNS_WITH_OMEGA = {
 }
 
 
-def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_PATTERN_TOL) -> GsdPattern:
+def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> GsdPattern:
     """Match the zero/nonzero coefficient pattern against the canonical catalog.
 
     The pair concurrences of a canonical form are C_AB = 2|alpha delta|,

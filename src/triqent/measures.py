@@ -233,12 +233,12 @@ def measure_set(state: PureState | DensityMatrix) -> MeasureSet:
     pure state, of ``_mixed_measure_table`` for a mixed one.
     """
     if isinstance(state, PureState):
-        return _pure_measure_sets(state.amplitudes[np.newaxis])[0]
+        return _measure_sets(_pure_measure_table(state.amplitudes[np.newaxis]))[0]
     if not isinstance(state, DensityMatrix):
         raise StateTypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
     if len(state.qubits) != 3:
         raise WrongDimensionError(f"need a three-qubit state, got layout {state.qubits!r}")
-    return _mixed_measure_sets(state.matrix[np.newaxis])[0]
+    return _measure_sets(_mixed_measure_table(state.matrix[np.newaxis]))[0]
 
 
 def _measure_sets(table: np.ndarray) -> list[MeasureSet]:
@@ -302,11 +302,6 @@ def _mixed_measure_table(matrices: np.ndarray) -> np.ndarray:
     return np.concatenate([n_side, n_abc, n_red, c_red, entropy], axis=1)
 
 
-def _mixed_measure_sets(matrices: np.ndarray) -> list[MeasureSet]:
-    """MeasureSets of a stack of validated three-qubit density matrices, rows of ``_mixed_measure_table``."""
-    return _measure_sets(_mixed_measure_table(matrices))
-
-
 def _pure_closed_form_table(amps: np.ndarray) -> np.ndarray:
     """The (N, 16) measure table of validated pure states, amplitudes of shape (N, 8), with no LAPACK call.
 
@@ -358,8 +353,3 @@ def _pure_measure_table(amps: np.ndarray) -> np.ndarray:
     # each pair reduction is M^T M^*: the 4x2 block M^T of the unfolding M is a factor of it
     table[:, 4:7] = _pair_negativity(amps[:, _UNFOLD].swapaxes(-1, -2))
     return table
-
-
-def _pure_measure_sets(amps: np.ndarray) -> list[MeasureSet]:
-    """MeasureSets of a stack of validated pure states, rows of ``_pure_measure_table``."""
-    return _measure_sets(_pure_measure_table(amps))

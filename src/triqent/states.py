@@ -37,31 +37,33 @@ EIG_FLOOR = -1e-10
 UNITARY_ATOL = 1e-10
 
 
-def _raise_first(bad: np.ndarray, error: type, message, where=None) -> None:
+def _raise_first(bad: np.ndarray, error: type, message) -> None:
     """Raise ``error(message(i))`` for the first row i flagged in ``bad``, if any.
 
-    ``where(i)``, when given, names row i and prefixes the message, so a
-    caller validating a stack can say which of its inputs failed.
+    The error records i as its ``_row``, so a caller checking a stack
+    can say which of its inputs failed.
     """
     if bad.any():
         i = int(np.argmax(bad))
-        raise error(f"{where(i)}: {message(i)}" if where else message(i))
+        exc = error(message(i))
+        exc._row = i
+        raise exc
 
 
-def _validated_amplitudes(amps: np.ndarray, where=None) -> np.ndarray:
+def _validated_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Check a stack of amplitude vectors, shape (N, 8), and return it read-only.
 
     ``PureState`` validation is this routine on a stack of one; an
     invalid row raises what the scalar path raises, for the first such
-    row (see ``_raise_first`` for ``where``).
+    row, and the error records that row (see ``_raise_first``).
     """
     norm = np.sqrt((np.abs(amps) ** 2).sum(axis=-1))
     norm_dev = np.abs(norm - 1.0)
     if not norm_dev.max() <= NORM_ATOL:  # a NaN or infinite amplitude fails this too
         _raise_first(~np.isfinite(amps).all(axis=-1), NonFiniteError,
-                     lambda i: "amplitudes hold a NaN or infinite entry", where)
+                     lambda i: "amplitudes hold a NaN or infinite entry")
         _raise_first(norm_dev > NORM_ATOL, NotNormalizedError,
-                     lambda i: f"norm is {norm[i]:.12g}, expected 1", where)
+                     lambda i: f"norm is {norm[i]:.12g}, expected 1")
     amps.setflags(write=False)
     return amps
 
@@ -113,7 +115,7 @@ def _require_pure(psi, what: str) -> PureState:
     return psi
 
 
-def _validated_matrices(m: np.ndarray, where=None) -> np.ndarray:
+def _validated_matrices(m: np.ndarray) -> np.ndarray:
     """Check a stack of density matrices, shape (N, d, d); return the validated stack.
 
     The checks are those of ``DensityMatrix``, which is this routine on
@@ -123,21 +125,21 @@ def _validated_matrices(m: np.ndarray, where=None) -> np.ndarray:
     Hermitian part (m + m^dagger) / 2 of each matrix, so derived
     matrices are exactly Hermitian.  Only the rows whose smallest
     eigenvalue lies in [EIG_FLOOR, 0) are rebuilt from their spectrum
-    clamped at zero and renormalized to unit trace.  An invalid row
-    raises what the scalar path raises, for the first such row (see
-    ``_raise_first`` for ``where``).  The result is read-only.
+    clamped at zero and renormalized to unit trace.  The first invalid
+    row raises what the scalar path raises, and the error records the
+    row (see ``_raise_first``).  The result is read-only.
     """
     if not np.isfinite(m).all():
         _raise_first(~np.isfinite(m).all(axis=(-2, -1)), NonFiniteError,
-                     lambda i: "density matrix holds a NaN or infinite entry", where)
+                     lambda i: "density matrix holds a NaN or infinite entry")
     m_h = m.conj().swapaxes(-1, -2)
     herm_dev = np.abs(m - m_h).max(axis=(-2, -1))
     _raise_first(herm_dev > HERM_ATOL, NotHermitianError,
-                 lambda i: f"Hermiticity deviation {herm_dev[i]:.3e} exceeds {HERM_ATOL:.1e}", where)
+                 lambda i: f"Hermiticity deviation {herm_dev[i]:.3e} exceeds {HERM_ATOL:.1e}")
     m = (m + m_h) / 2.0
     tr = m.trace(axis1=-2, axis2=-1).real
     _raise_first(np.abs(tr - 1.0) > NORM_ATOL, NotNormalizedError,
-                 lambda i: f"trace is {tr[i]:.12g}, expected 1", where)
+                 lambda i: f"trace is {tr[i]:.12g}, expected 1")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -148,7 +150,7 @@ def _validated_matrices(m: np.ndarray, where=None) -> np.ndarray:
     clamp = low < 0.0
     if clamp.any():
         _raise_first(low < EIG_FLOOR, NotPSDError,
-                     lambda i: f"minimum eigenvalue {low[i]:.3e} below {EIG_FLOOR:.1e}", where)
+                     lambda i: f"minimum eigenvalue {low[i]:.3e} below {EIG_FLOOR:.1e}")
         v = v[clamp]
         c = (v * np.clip(w[clamp], 0.0, None)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
         c = (c + c.conj().swapaxes(-1, -2)) / 2.0
@@ -182,7 +184,8 @@ class DensityMatrix:
 
     @classmethod
     def _derived(cls, matrix: np.ndarray, qubits: tuple[str, ...]) -> DensityMatrix:
-        """Wrap a matrix derived from an already-validated state, skipping validation."""
+        """Wrap a matrix derived from checked input, skipping validation: a reduction
+        of a validated state, or a family's closed form on in-domain parameters."""
         matrix.setflags(write=False)
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", matrix)

@@ -31,7 +31,10 @@ from triqent import (
 )
 
 NAN = math.nan
-KINDS = ("wrong_type", "nan", "string", "none", "wrong_shape")
+
+# each function below gives the malformed values of one kind of argument:
+# a wrong type, NaN, a string, None and a wrong shape, and for a number
+# also a boolean, which Python counts as an int and numpy as 0 or 1
 
 
 def pure():
@@ -49,12 +52,13 @@ def three_qubit_state():
 
 
 def real():
-    return {"wrong_type": 0.5j, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.full(2, 0.5)}
+    return {"wrong_type": 0.5j, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.full(2, 0.5),
+            "boolean": True}
 
 
 def complex_number():
     return {"wrong_type": [0.5], "nan": complex(NAN, 0.0), "string": "x", "none": None,
-            "wrong_shape": np.full(2, 0.5)}
+            "wrong_shape": np.full(2, 0.5), "boolean": True}
 
 
 def name():
@@ -62,7 +66,8 @@ def name():
 
 
 def integer():
-    return {"wrong_type": 1.5, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.arange(2)}
+    return {"wrong_type": 1.5, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.arange(2),
+            "boolean": True}
 
 
 def layout():
@@ -76,7 +81,8 @@ def matrix(shape):
 
 def spec():
     return {"wrong_type": default_grid("ghz_like", 3).grid, "nan": FamilySpec("ghz_like", ((NAN,),)),
-            "string": "x", "none": None, "wrong_shape": FamilySpec("ghz_like", ((0.5, 0.5),))}
+            "string": "x", "none": None, "wrong_shape": FamilySpec("ghz_like", ((0.5, 0.5),)),
+            "boolean": FamilySpec("ghz_like", ((0.5,), (True,)))}
 
 
 def form():
@@ -177,8 +183,8 @@ def test_every_public_callable_is_covered():
 CASES = [
     pytest.param(attr, slot, kind, id=f"{attr}-{slot}-{kind}")
     for attr, (_, bad) in SLOTS.items()
-    for slot in range(len(bad()))
-    for kind in KINDS
+    for slot, values in enumerate(bad())
+    for kind in values
 ]
 
 

@@ -322,20 +322,21 @@ class TestSweepTemplate:
         for text in (*SWEEPABLE, *_DESCRIPTION, *_CLAIMS, *CSV_HEADER):
             assert not set(text) & set(',"\r\n'), text
 
-    def test_failed_sweep_leaves_no_file(self, tmp_path, monkeypatch):
-        # a closed form that is not a state beyond p = 0.9, in the third chunk
-        # of 2500 points, after two chunks of lines are written
+    def test_failed_sweep_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # a domain that ends at p = 0.9, in the third chunk of 2500 points,
+        # after two chunks of lines are written
         arity, closed_form = triqent.families._FAMILIES["ghz_noise"]
 
-        def broken(rows, where=None):
-            m = closed_form(rows, where)
-            m[rows[:, 0] > 0.9] = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0])
-            return m
+        def broken(rows):
+            triqent.families._check_domain(rows[:, 0] <= 0.9, rows, "broken ghz_noise needs p <= 0.9, got {}")
+            return closed_form(rows)
 
         monkeypatch.setitem(triqent.families._FAMILIES, "ghz_noise", (arity, broken))
         out = tmp_path / "n.csv"
         assert main(["sweep", "--family", "ghz_noise", "--points", "2500", "--out", str(out)]) == 2
         assert not out.exists()
+        first = 2250 / 2499  # the first grid point beyond 0.9
+        assert f"failed at params ({first!r},): broken ghz_noise needs p <= 0.9" in capsys.readouterr().err
 
     def test_memory_bounded(self, tmp_path, capsys):
         # each chunk's lines are written as they are made, so three more

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import triqent.families
+import triqent.states
 from triqent import (
     SWEEPABLE,
     DensityMatrix,
     FamilySpec,
     NoOracleError,
-    NotPSDError,
     ParamOutOfDomainError,
     PureState,
     classify_mixed,
@@ -29,6 +29,7 @@ from triqent import (
 )
 from triqent.families import _build, _oracle_columns
 from triqent.measures import STACK_CHUNK
+from triqent.states import EIG_FLOOR, NORM_ATOL, _validated_amplitudes, _validated_matrices
 
 from helpers import nonzero_coefficients, reference_oracle
 
@@ -342,14 +343,63 @@ class TestSweepStack:
         with pytest.raises(ParamOutOfDomainError, match=r"failed at params \(0\.5, 0\.5\): family 'ghz_like' takes 1"):
             sweep(FamilySpec("ghz_like", ((0.5,), (0.5, 0.5))))
 
-    def test_validation_error_names_failing_point(self, monkeypatch):
-        # a closed form that is not a state at its third point
-        def broken(rows, where=None):
-            m = np.array([np.eye(8) / 8] * len(rows), dtype=complex)
-            m[2] = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0])
-            return m
 
-        monkeypatch.setitem(triqent.families._FAMILIES, "ghz_noise", (1, broken))
-        grid = tuple((p,) for p in (0.1, 0.2, 0.3, 0.4))
-        with pytest.raises(NotPSDError, match=r"'ghz_noise' failed at params \(0\.3,\): minimum eigenvalue"):
-            sweep(FamilySpec("ghz_noise", grid))
+#: each family's domain as (low, high, open); the grid holds both ends, or
+#: the nearest floats inside an open domain
+DOMAINS = {
+    "ghz_like": (0.0, 1.0, False),
+    "ghz_w_mix": (0.0, 1.0, False),
+    "ghz_noise": (0.0, 1.0, False),
+    "rho_epsilon": (-1.0, 1.0, False),
+    "sigma_b": (0.0, 1.0, True),
+}
+MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
+
+
+def domain_grid(family, n=2000, seed=0):
+    """The family's endpoints, its middle and ``n`` uniform points inside its domain."""
+    low, high, is_open = DOMAINS[family]
+    ends = [np.nextafter(low, high), np.nextafter(high, low)] if is_open else [low, high]
+    inside = np.random.default_rng(seed).uniform(low, high, n)
+    return tuple((float(p),) for p in (*ends, (low + high) / 2, *inside))
+
+
+class TestClosedFormsAreStates:
+    """A family's closed form on in-domain parameters is a state, so a sweep does not validate it again."""
+
+    @pytest.mark.parametrize("family", SWEEPABLE)
+    def test_state_by_construction(self, family):
+        _, stack = _build(family, domain_grid(family))
+        if stack.ndim == 2:
+            norm = np.sqrt((np.abs(stack) ** 2).sum(axis=-1))
+            assert np.abs(norm - 1.0).max() <= NORM_ATOL
+            assert np.array_equal(_validated_amplitudes(stack.copy()), stack)
+            return
+        assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+        assert np.abs(stack.trace(axis1=-2, axis2=-1) - 1.0).max() <= NORM_ATOL
+        assert np.linalg.eigvalsh(stack)[:, 0].min() >= EIG_FLOOR
+        assert np.abs(_validated_matrices(stack.copy()) - stack).max() <= 1e-14
+
+    @pytest.mark.parametrize("family", MIXED_FAMILIES)
+    def test_verdicts_equal_validated_path(self, family):
+        spec = default_grid(family, 1001)
+        _, stack = _build(family, spec.grid)
+        for row, m in zip(sweep(spec), stack):
+            res = classify_mixed(DensityMatrix(m))
+            assert row.verdict == "; ".join(res.claims()), row.params
+            for name, value in res.measures.as_dict().items():
+                if value is not None:
+                    assert abs(getattr(row.measures, name) - value) <= 1e-13, (row.params, name)
+
+    def test_validators_not_called(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("stacked validator called on a family's closed form")
+
+        monkeypatch.setattr(triqent.states, "_validated_amplitudes", fail)
+        monkeypatch.setattr(triqent.states, "_validated_matrices", fail)
+        for family in SWEEPABLE:
+            assert len(sweep(default_grid(family, 11))) == 11
+        for family in MIXED_FAMILIES:
+            rho = make_state(family, 0.5)
+            assert isinstance(rho, DensityMatrix) and not rho.matrix.flags.writeable
+        assert isinstance(make_state("rho0"), DensityMatrix)

@@ -43,7 +43,7 @@ from triqent import (
     w_state,
 )
 from triqent.cli import main
-from triqent.measures import NEG_EIG_FLOOR, _mixed_measure_sets, _pure_measure_sets
+from triqent.measures import NEG_EIG_FLOOR, _measure_sets, _mixed_measure_table, _pure_measure_table
 from triqent.states import COMPLEMENT, QUBITS
 from helpers import (
     near_separable_corpus,
@@ -405,7 +405,7 @@ class TestPureFastPath:
 
     def test_stack_equals_single_calls(self, corpus):
         states = corpus["haar"] + corpus["near"][:300]
-        stack = _pure_measure_sets(np.array([psi.amplitudes for psi in states]))
+        stack = _measure_sets(_pure_measure_table(np.array([psi.amplitudes for psi in states])))
         assert len(stack) == len(states) == 500
         for ms, psi in zip(stack, states):
             single = measure_set(psi).as_dict()
@@ -466,7 +466,7 @@ class TestMixedStack:
     @pytest.mark.parametrize("kind", ["hs", "projector", "family"])
     def test_stack_equals_single_calls(self, mixed_corpus, kind):
         states = mixed_corpus[kind]
-        stack = _mixed_measure_sets(np.array([rho.matrix for rho in states]))
+        stack = _measure_sets(_mixed_measure_table(np.array([rho.matrix for rho in states])))
         assert len(stack) == len(states)
         for ms, rho in zip(stack, states):
             single = measure_set(rho).as_dict()
@@ -546,7 +546,7 @@ def test_wrong_state_type_rejected_before_numeric_work(call, bad, error, monkeyp
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, fail)
-    for name in ("_psd_factor", "_mixed_measure_sets", "_pure_measure_sets"):
+    for name in ("_psd_factor", "_mixed_measure_table", "_pure_measure_table"):
         monkeypatch.setattr(triqent.measures, name, fail)
     monkeypatch.setattr(triqent.states, "transpose_qubit", fail)
     with pytest.raises(error):

@@ -193,8 +193,9 @@ class TestStackedValidation:
             DensityMatrix(bad_density(kind))
         stack = np.array([np.eye(8) / 8] * 3 + [bad_density(kind)] + [np.eye(8) / 8], dtype=complex)
         with pytest.raises(error) as stacked:
-            _validated_matrices(stack, where=lambda i: f"row {i}")
-        assert str(stacked.value) == f"row 3: {scalar.value}"
+            _validated_matrices(stack)
+        assert stacked.value._row == 3
+        assert str(stacked.value) == str(scalar.value)
 
     @pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteError), (2.0, NotNormalizedError)])
     def test_amplitude_errors_match_scalar_path(self, bad, error):
@@ -203,8 +204,9 @@ class TestStackedValidation:
         with pytest.raises(error) as scalar:
             PureState(amps[2])
         with pytest.raises(error) as stacked:
-            _validated_amplitudes(amps, where=lambda i: f"row {i}")
-        assert str(stacked.value) == f"row 2: {scalar.value}"
+            _validated_amplitudes(amps)
+        assert stacked.value._row == 2
+        assert str(stacked.value) == str(scalar.value)
 
     def test_eig_floor_bounds_the_clamp(self):
         u = random_unitary(np.random.default_rng(5), 8)

@@ -262,7 +262,8 @@ def _cmd_random(args) -> int:
     if args.count < 1:
         raise ParamOutOfDomainError("--count must be >= 1")
     check_zero_tol(args.tol)
-    _check_seed(args.seed)  # the smallest of the consecutive seeds
+    _check_seed(args.seed)
+    rng = np.random.default_rng(args.seed)
     histogram: Counter = Counter()
     # each chunk's lines are written as they are made, so memory stays
     # bounded for any --count
@@ -270,10 +271,10 @@ def _cmd_random(args) -> int:
     with out as fh:
         for start in range(0, args.count, STACK_CHUNK):
             stop = min(args.count, start + STACK_CHUNK)
-            # the draws of sample_haar_pure, validated, measured and
+            # the chunk's rows of the one stream, validated, measured and
             # classified as one stack; the report and the decision read
             # closed-form columns only, so no eigensolve is made
-            amps = _validated_amplitudes(_haar_draws(range(args.seed + start, args.seed + stop)))
+            amps = _validated_amplitudes(_haar_draws(rng, stop - start))
             table = _pure_closed_form_table(amps)
             decisions = _classify_table(table, args.tol)
             codes = [c + "?" if a else c for c, a in zip(decisions.codes.tolist(), decisions.ambiguous.tolist())]
@@ -323,7 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="classify Haar-random pure states")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="state i is row i of numpy's default_rng(SEED).standard_normal((COUNT, 16)): "
+                        "8 real parts, then 8 imaginary parts, normalized (default 0)")
     p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help=tol_help)
     p.add_argument("--out", help="write the report to a file instead of stdout")
     p.set_defaults(func=_cmd_random)

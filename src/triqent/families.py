@@ -22,6 +22,7 @@ from its columns, so its memory does not grow with the grid.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress
 from typing import NamedTuple
@@ -184,9 +185,10 @@ def _numeric_rows(grid, kind: type) -> np.ndarray:
     """``np.array(grid)`` of ``kind`` (numbers.Real or numbers.Complex) numbers.
 
     A grid that numpy cannot make a two-dimensional numeric array of, or
-    that holds a boolean, is checked entry by entry: ParamOutOfDomainError
-    names the first row holding a parameter not of ``kind``, such as a
-    string, None, an array or a boolean.
+    that holds a boolean, is checked row by row: ParamOutOfDomainError
+    names the first row that is not a sequence, such as a dict or a set,
+    or that holds a parameter not of ``kind``, such as a string, None, an
+    array or a boolean.
     """
     try:
         rows = np.array(grid)
@@ -194,7 +196,8 @@ def _numeric_rows(grid, kind: type) -> np.ndarray:
         rows = np.array(None)
     if (rows.ndim != 2 or rows.dtype.kind not in ("iufc" if kind is numbers.Complex else "iuf")
             or not _BOOLS.isdisjoint(map(type, chain.from_iterable(grid)))):
-        _raise_first(np.array([not all(isinstance(v, kind) and type(v) not in _BOOLS for v in params)
+        _raise_first(np.array([not (isinstance(params, (Sequence, np.ndarray))
+                                    and all(isinstance(v, kind) and type(v) not in _BOOLS for v in params))
                                for params in grid]),
                      ParamOutOfDomainError,
                      lambda i: f"parameters must be {kind.__name__.lower()} numbers, got {grid[i]}")

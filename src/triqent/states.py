@@ -69,13 +69,18 @@ def _validated_amplitudes(amps: np.ndarray) -> np.ndarray:
 
 
 def _complex_entries(x, what: str) -> np.ndarray:
-    """``x`` as a new complex array; StateTypeError unless every entry is a number."""
+    """``x`` as a new complex array; StateTypeError unless every entry is a number.
+
+    A boolean is not a number here, although Python counts it as an int
+    and numpy casts it to 0 or 1.
+    """
     try:
         a = np.asarray(x)
     except ValueError:  # a ragged nesting
         a = np.asarray(None)
     # an object array is checked entry by entry: numpy would cast None to NaN
-    if a.dtype.kind in "biufc" or (a.dtype == object and all(isinstance(v, numbers.Number) for v in a.flat)):
+    if a.dtype.kind in "iufc" or (a.dtype == object and all(
+            isinstance(v, numbers.Number) and not isinstance(v, bool) for v in a.flat)):
         return a.astype(complex)
     raise StateTypeError(f"{what} must be numbers, got {x!r:.80}")
 
@@ -290,132 +295,14 @@ def apply_local_unitary(psi: PureState, u_a, u_b, u_c) -> PureState:
     return PureState(out.reshape(8))
 
 
-# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 seeding
-# constants, from numpy/random/bit_generator.pyx and pcg64.h
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_SHIFT = np.uint32(16)
+def _haar_draws(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The next ``n`` Haar-random states of ``rng``, as an (n, 8) stack of amplitudes.
 
-
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """The (xor, multiplier) constants of ``n`` successive ``hashmix`` calls, shape (2, n).
-
-    ``hashmix`` xors its value with the running constant, advances the
-    constant and multiplies by the new one.  The constant advances by
-    call, not by value, so one sequence serves every row of a stack.
+    Row i is row i of ``rng.standard_normal((n, 16))``: 8 real parts, then
+    8 imaginary parts, normalized to unit length.  Successive calls read
+    on along one stream, so stacks of 1024 and 452 rows equal one of 1476.
     """
-    consts = [init]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & _MASK32)
-    out = np.array([consts[:-1], consts[1:]], dtype=np.uint32)
-    out.setflags(write=False)
-    return out
-
-
-def _spread_constants(consts: np.ndarray) -> np.ndarray:
-    """The calls that mix each pool word into the other three, shape (pool, 2, pool).
-
-    Entry [s, :, d] holds the constants of the call that mixes word s
-    into word d, in the order SeedSequence makes them; the entry with
-    d == s is no call and stays 0.
-    """
-    table = np.zeros((_POOL_SIZE, 2, _POOL_SIZE), dtype=np.uint32)
-    calls = iter(consts.T)
-    for s in range(_POOL_SIZE):
-        for d in range(_POOL_SIZE):
-            if d != s:
-                table[s, :, d] = next(calls)
-    table.setflags(write=False)
-    return table
-
-
-# the entropy mix's first 16 calls: four fill the pool with the first four
-# words, twelve spread each pool word into the others; four calls per
-# entropy word beyond the pool follow
-_POOL_CONSTS = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL_SIZE)
-_SPREAD_CONSTS = _spread_constants(_POOL_CONSTS[:, _POOL_SIZE:])
-#: generate_state(4, uint64) draws eight words, cycling over the pool
-_OUTPUT_CONSTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``hashmix`` on uint32 columns, one call per column of ``consts``.
-
-    ``value`` holds one column per call, or one column that every call
-    mixes.  Array arithmetic wraps modulo 2**32 without a warning.
-    """
-    value = (value ^ consts[0]) * consts[1]
-    return value ^ (value >> _SHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _SHIFT)
-
-
-def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The PCG64 ``(state, inc)`` of ``default_rng(seed)`` for each seed of an object array of ints.
-
-    This is ``SeedSequence(seed).generate_state(4, np.uint64)`` followed
-    by PCG64's ``srandom``, for the whole stack at once: the hash runs on
-    an (N, words) uint32 array of the seeds' little-endian 32-bit words,
-    the 128-bit step on Python ints in object arrays.
-    """
-    n_words = max(_POOL_SIZE, -(-int(seeds.max()).bit_length() // 32))
-    shifts = np.array(range(0, 32 * n_words, 32), dtype=object)
-    # SeedSequence pads a seed of fewer words than the pool with zero
-    # words, which is what these columns hold for it
-    entropy = ((seeds[:, None] >> shifts) & _MASK32).astype(np.uint32)
-    pool = _hashmix(entropy[:, :_POOL_SIZE], _POOL_CONSTS[:, :_POOL_SIZE])
-    for src in range(_POOL_SIZE):
-        spread = _mix(pool, _hashmix(pool[:, src:src + 1], _SPREAD_CONSTS[src]))
-        spread[:, src] = pool[:, src]
-        pool = spread
-    # the words beyond the pool, each mixed into every pool word; a row
-    # takes word k only if its seed has that word
-    const = int(_POOL_CONSTS[1, -1])
-    for k in range(_POOL_SIZE, n_words):
-        consts = _hash_constants(const, _MULT_A, _POOL_SIZE)
-        const = int(consts[1, -1])
-        mixed = _mix(pool, _hashmix(entropy[:, k:k + 1], consts))
-        pool = np.where((seeds >= 1 << 32 * k)[:, None], mixed, pool)
-    # generate_state's eight words, paired little-endian into
-    # (init_hi, init_lo, seq_hi, seq_lo)
-    words = _hashmix(np.concatenate([pool, pool], axis=1), _OUTPUT_CONSTS)
-    u = words.astype("<u4").view("<u8").astype(np.uint64).astype(object)
-    init, seq = ((u[:, 0::2] << 64) | u[:, 1::2]).T
-    inc = ((seq << 1) | 1) & _MASK128
-    return ((inc + init) * _PCG64_MULT + inc) & _MASK128, inc
-
-
-def _haar_draws(seeds) -> np.ndarray:
-    """Normalized i.i.d. standard complex Gaussian amplitudes, one seed per row.
-
-    Row i is ``np.random.default_rng(seeds[i]).standard_normal(16)``, bit
-    for bit, as 8 complex amplitudes (the real parts, then the imaginary
-    parts) normalized to unit length.  Each seed becomes the PCG64 state
-    that ``default_rng`` gives it: numpy's SeedSequence hash of the seed's
-    32-bit words, then PCG64's seeding step, both computed for the whole
-    stack at once (``_pcg64_states``).  What is left per seed is setting
-    the state of one generator and drawing 16 normals.  The tier-1 suite
-    pins the rows against ``default_rng`` of the installed numpy, so a
-    numpy release that changes its seeding fails it.  The generator is
-    made in each call, so concurrent callers share none.
-    ``sample_haar_pure`` is this routine on a stack of one.
-    """
-    states, incs = _pcg64_states(np.array([int(s) for s in seeds], dtype=object))
-    # the seed 0 is overwritten by each row's state
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    x = np.empty((len(states), 16))
-    for i, (state, inc) in enumerate(zip(states.tolist(), incs.tolist())):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        generator.standard_normal(out=x[i])
+    x = rng.standard_normal((n, 16))
     z = x[:, :8] + 1j * x[:, 8:]
     return z / np.sqrt((np.abs(z) ** 2).sum(axis=-1, keepdims=True))
 
@@ -432,13 +319,14 @@ def _check_seed(seed) -> None:
 def sample_haar_pure(seed: int) -> PureState:
     """Haar-random pure state: i.i.d. standard complex Gaussian amplitudes, normalized.
 
-    The amplitudes are ``_haar_draws([seed])``: the 16 normals of
-    ``np.random.default_rng(seed).standard_normal(16)``, bit for bit,
-    as real then imaginary parts.  Raises ParamOutOfDomainError unless
-    seed is a non-negative integer.
+    The amplitudes are ``_haar_draws`` on a stack of one: the 16 normals
+    of ``np.random.default_rng(seed).standard_normal(16)``, bit for bit,
+    as real then imaginary parts.  This is state 0 of ``triqent random
+    --seed seed``.  Raises ParamOutOfDomainError unless seed is a
+    non-negative integer.
     """
     _check_seed(seed)
-    return PureState(_haar_draws([seed])[0])
+    return PureState(_haar_draws(np.random.default_rng(seed), 1)[0])
 
 
 def sample_hs_mixed(seed: int, qubits: tuple[str, ...] = QUBITS) -> DensityMatrix:

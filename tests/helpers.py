@@ -16,6 +16,17 @@ def default_rng_haar_amplitudes(seed):
     return z / np.sqrt((np.abs(z) ** 2).sum())
 
 
+def default_rng_haar_stack(seed, count):
+    """States 0 .. count - 1 of ``random --seed seed``, drawn by ``np.random.default_rng`` itself.
+
+    Row i is row i of ``default_rng(seed).standard_normal((count, 16))``:
+    the real parts, then the imaginary parts, each row normalized alone.
+    """
+    x = np.random.default_rng(seed).standard_normal((count, 16))
+    z = x[:, :8] + 1j * x[:, 8:]
+    return np.array([row / np.sqrt((np.abs(row) ** 2).sum()) for row in z])
+
+
 def random_unitary(rng, n=2):
     """Haar-random unitary via QR with positive diagonal phase fix."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -33,8 +33,9 @@ from triqent import (
 NAN = math.nan
 
 # each function below gives the malformed values of one kind of argument:
-# a wrong type, NaN, a string, None and a wrong shape, and for a number
-# also a boolean, which Python counts as an int and numpy as 0 or 1
+# a wrong type, NaN, a string, None and a wrong shape, and for a number,
+# vector or matrix also booleans, which Python counts as ints and numpy
+# casts to 0 or 1
 
 
 def pure():
@@ -75,14 +76,17 @@ def layout():
 
 
 def matrix(shape):
+    # cast to numbers, the boolean matrix would be valid: the identity for
+    # a 2x2 unitary, |000><000| for an 8x8 density matrix
+    boolean = np.eye(2, dtype=bool) if shape == (2, 2) else np.diag(np.arange(shape[0]) == 0)
     return {"wrong_type": object(), "nan": np.full(shape, NAN), "string": "x", "none": None,
-            "wrong_shape": np.eye(shape[0] + 1)}
+            "wrong_shape": np.eye(shape[0] + 1), "boolean": boolean}
 
 
 def spec():
     return {"wrong_type": default_grid("ghz_like", 3).grid, "nan": FamilySpec("ghz_like", ((NAN,),)),
             "string": "x", "none": None, "wrong_shape": FamilySpec("ghz_like", ((0.5, 0.5),)),
-            "boolean": FamilySpec("ghz_like", ((0.5,), (True,)))}
+            "boolean": FamilySpec("ghz_like", ((0.5,), (True,))), "mapping": FamilySpec("ghz_like", ({0.5: 1},))}
 
 
 def form():
@@ -92,7 +96,7 @@ def form():
 
 def vector(n):
     return {"wrong_type": object(), "nan": np.full(n, NAN), "string": "x", "none": None,
-            "wrong_shape": np.full(n + 1, 1 / np.sqrt(n + 1))}
+            "wrong_shape": np.full(n + 1, 1 / np.sqrt(n + 1)), "boolean": [True] + [False] * (n - 1)}
 
 
 W = (1 / np.sqrt(3),) * 3

@@ -36,7 +36,7 @@ from triqent.cli import (
     main,
     save_state_file,
 )
-from helpers import default_rng_haar_amplitudes
+from helpers import default_rng_haar_stack
 
 
 @pytest.fixture
@@ -354,11 +354,11 @@ class TestSweepTemplate:
         assert peaks[1] < 1.15 * peaks[0]
 
 
-def _per_state_report(seed: int, count: int, tol: float) -> list[str]:
-    """The lines of ``random``, each state drawn by ``default_rng(seed + i)`` itself and classified alone."""
+def _per_state_report(amplitudes, tol: float) -> list[str]:
+    """The lines of a ``random`` report on these amplitude rows, each state classified alone."""
     lines, histogram = [], {}
-    for i in range(count):
-        res = classify_pure(PureState(default_rng_haar_amplitudes(seed + i)), zero_tol=tol)
+    for i, amps in enumerate(amplitudes):
+        res = classify_pure(PureState(amps), zero_tol=tol)
         code = res.label.code + ("?" if res.ambiguous else "")
         histogram[code] = histogram.get(code, 0) + 1
         ms = res.measures
@@ -394,14 +394,30 @@ class TestRandomCommand:
     @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
     def test_chunked_report_matches_per_state_loop(self, tol, tmp_path):
         # 1e-3 and 0.1 put ambiguous (?) and separable codes into the report;
-        # the first chunk of the large seeds crosses 2**32 or 2**64, where
-        # the seeds gain a 32-bit word
+        # the seeds span one to six 32-bit words
         count = STACK_CHUNK + 3  # spans a chunk boundary
-        for seed in (7, 2**32 - 500, 2**64 - 500):
+        for seed in (7, 2**32 - 500, 2**64 - 500, 2**128 + 5, 2**160):
             out = tmp_path / f"r{seed}.txt"
             argv = ["random", "--count", str(count), "--seed", str(seed), "--tol", repr(tol), "--out", str(out)]
             assert main(argv) == 0
-            assert out.read_text().splitlines() == _per_state_report(seed, count, tol), seed
+            assert out.read_text().splitlines() == _per_state_report(default_rng_haar_stack(seed, count), tol), seed
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**160])
+    def test_line_zero_is_sample_haar_pure(self, seed, capsys):
+        assert main(["random", "--count", "1", "--seed", str(seed)]) == 0
+        expected = _per_state_report([sample_haar_pure(seed).amplitudes], DEFAULT_ZERO_TOL)
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_adjacent_seeds_share_no_state(self, tmp_path):
+        # each seed is its own stream, so seed 42 does not replay seed 41
+        # from its second state on
+        states = []
+        for seed in (41, 42):
+            out = tmp_path / f"r{seed}.txt"
+            assert main(["random", "--count", "50", "--seed", str(seed), "--out", str(out)]) == 0
+            states.append({line.split("\t", 1)[1] for line in out.read_text().splitlines()[:50]})
+        assert len(states[0]) == len(states[1]) == 50
+        assert not states[0] & states[1]
 
     def test_report_memory_bounded(self):
         # each chunk's lines are written as they are made, so nine more
@@ -423,10 +439,11 @@ class TestRandomCommand:
 
     @pytest.mark.parametrize("count, seed", [(2, -5), (1, -1), (2 * STACK_CHUNK + 5, -STACK_CHUNK - 3)])
     def test_negative_seed_rejected_before_drawing(self, count, seed, tmp_path, capsys, monkeypatch):
-        # the last case spans three chunks, and only its last chunk holds no negative seed
-        def no_draws(seeds):
+        # the last case spans three chunks; no generator is made, nor any chunk drawn
+        def no_draws(*args, **kwargs):
             raise AssertionError("drew with a negative seed")
 
+        monkeypatch.setattr(triqent.cli.np.random, "default_rng", no_draws)
         monkeypatch.setattr(triqent.cli, "_haar_draws", no_draws)
         out = tmp_path / "r.txt"
         assert main(["random", "--count", str(count), "--seed", str(seed), "--out", str(out)]) == 2

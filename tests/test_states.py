@@ -43,7 +43,13 @@ from triqent import (
     w_canonical,
 )
 from triqent.states import EIG_FLOOR, _haar_draws, _validated_amplitudes, _validated_matrices
-from helpers import default_rng_haar_amplitudes, random_biseparable, random_product_state, random_unitary
+from helpers import (
+    default_rng_haar_amplitudes,
+    default_rng_haar_stack,
+    random_biseparable,
+    random_product_state,
+    random_unitary,
+)
 
 
 def _bits(a: np.ndarray) -> list:
@@ -177,7 +183,7 @@ class TestStackedValidation:
             assert np.array_equal(row, DensityMatrix(m).matrix)
 
     def test_amplitude_rows_equal_scalar_path(self):
-        amps = _haar_draws(range(300))
+        amps = _haar_draws(np.random.default_rng(0), 300)
         validated = _validated_amplitudes(amps.copy())
         for row, a in zip(validated, amps):
             assert np.array_equal(row, PureState(a).amplitudes)
@@ -380,13 +386,16 @@ class TestSampling:
         assert abs(total / n - 2.0 / 3.0) < 0.01
 
     def test_stacked_draws_match_per_seed_draws(self):
-        # the one-seed-per-state draws, normalized one vector at a time
-        draws = _haar_draws(range(1000, 3000))
-        for seed, row in zip(range(1000, 3000), draws):
+        # each seed's stack against its stream drawn as one array and
+        # normalized one vector at a time; row 0 is sample_haar_pure(seed),
+        # the seed's 16 normals drawn alone
+        for seed in range(1000, 1100):
+            draws = _haar_draws(np.random.default_rng(seed), 20)
+            assert np.array_equal(draws, default_rng_haar_stack(seed, 20))
             rng = np.random.default_rng(seed)
             z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             expected = z / np.sqrt((np.abs(z) ** 2).sum())
-            assert np.array_equal(row, expected)
+            assert np.array_equal(draws[0], expected)
             assert np.array_equal(sample_haar_pure(seed).amplitudes, expected)
 
     @pytest.mark.parametrize("seed", [-1, -5, 1.5, "3", None, np.int64(-2), True])
@@ -405,46 +414,47 @@ class TestSampling:
         assert np.array_equal(sample_hs_mixed(np.uint8(5)).matrix, sample_hs_mixed(5).matrix)
         for seed in (np.uint8(200), np.int64(2**40), np.uint64(2**64 - 1)):
             assert _bits(sample_haar_pure(seed).amplitudes) == _bits(default_rng_haar_amplitudes(int(seed)))
-            assert _bits(_haar_draws([seed, 3])[0]) == _bits(default_rng_haar_amplitudes(int(seed)))
+            assert _bits(_haar_draws(np.random.default_rng(seed), 2)) == _bits(default_rng_haar_stack(int(seed), 2))
 
     @pytest.mark.parametrize("around", [0, 2**32, 2**64, 2**128, 2**160])
     def test_draws_bit_identical_to_default_rng(self, around):
-        # each range holds seeds of two word counts of SeedSequence's hash,
-        # one stack, drawn against default_rng itself
-        seeds = range(max(0, around - 40), around + 40)
-        draws = _haar_draws(seeds)
-        for seed, row in zip(seeds, draws):
-            assert _bits(row) == _bits(default_rng_haar_amplitudes(seed)), seed
+        # seeds on both sides of a 32-bit word boundary, each stack drawn in
+        # three calls on one generator against one default_rng array
+        for seed in range(max(0, around - 3), around + 3):
+            rng = np.random.default_rng(seed)
+            draws = np.concatenate([_haar_draws(rng, n) for n in (1, 40, 9)])
+            assert _bits(draws) == _bits(default_rng_haar_stack(seed, 50)), seed
 
     def test_draws_of_mixed_word_counts_in_one_stack(self):
-        # the seeds beyond four words take SeedSequence's extra-entropy loop
-        # once per extra word, so a stack mixes rows that take it 0-3 times
+        # seeds of one to seven 32-bit words, each drawing one stack of its
+        # own stream
         seeds = [2**200 + 7, 3, 2**128 - 1, 2**160, 2**128 + 5, 2**32, 2**224 - 1, 0, 2**192 + 2**31, 2**64 + 9]
-        draws = _haar_draws(seeds)
-        for seed, row in zip(seeds, draws):
-            assert _bits(row) == _bits(default_rng_haar_amplitudes(seed)), seed
+        for seed in seeds:
+            assert _bits(_haar_draws(np.random.default_rng(seed), 10)) == _bits(default_rng_haar_stack(seed, 10)), seed
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(min_value=0), min_size=1, max_size=6))
-    def test_draws_match_default_rng_hypothesis(self, seeds):
-        draws = _haar_draws(seeds)
-        for seed, row in zip(seeds, draws):
-            assert _bits(row) == _bits(default_rng_haar_amplitudes(seed))
+    @given(st.integers(min_value=0), st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4))
+    def test_draws_match_default_rng_hypothesis(self, seed, sizes):
+        # stacks of any sizes drawn in turn read on along one stream
+        rng = np.random.default_rng(seed)
+        draws = np.concatenate([_haar_draws(rng, n) for n in sizes])
+        assert _bits(draws) == _bits(default_rng_haar_stack(seed, sum(sizes)))
 
     def test_concurrent_draws_match_serial_draws(self):
-        # each call makes its own generator, so two threads drawing at once
-        # get what one thread drawing alone gets
-        ranges = (range(10_000, 10_200), range(2**64 - 100, 2**64 + 100))
-        serial = [_bits(_haar_draws(r)) for r in ranges]
-        barrier = threading.Barrier(len(ranges), timeout=60)
-        results = [[] for _ in ranges]
+        # each thread makes its own generator, as each random command does,
+        # so two threads drawing at once get what one thread drawing alone gets
+        streams = ((10_000, 200), (2**64 - 100, 200))
+        serial = [_bits(_haar_draws(np.random.default_rng(seed), n)) for seed, n in streams]
+        barrier = threading.Barrier(len(streams), timeout=60)
+        results = [[] for _ in streams]
 
         def draw(k):
+            seed, n = streams[k]
             barrier.wait()
             for _ in range(50):
-                results[k].append(_bits(_haar_draws(ranges[k])))
+                results[k].append(_bits(_haar_draws(np.random.default_rng(seed), n)))
 
-        threads = [threading.Thread(target=draw, args=(k,)) for k in range(len(ranges))]
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(len(streams))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
         try:
@@ -455,7 +465,7 @@ class TestSampling:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for k in range(len(ranges)):
+        for k in range(len(streams)):
             assert len(results[k]) == 50
             assert all(bits == serial[k] for bits in results[k])
 

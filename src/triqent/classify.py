@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ParamOutOfDomainError, WrongDimensionError
 from .measures import MeasureSet, _mixed_measure_table, _pure_measure_table
-from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _require_density, _require_pure
+from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _is_number, _require_density, _require_pure
 
 DEFAULT_ZERO_TOL = 1e-8
 
@@ -30,7 +30,7 @@ def check_zero_tol(zero_tol: float) -> None:
     GHZ-distillable.  Anything but a real number, such as a string,
     None or a boolean, is a ParamOutOfDomainError too.
     """
-    if not isinstance(zero_tol, numbers.Real) or isinstance(zero_tol, bool):
+    if not _is_number(zero_tol, numbers.Real):
         raise ParamOutOfDomainError(f"zero_tol must be a real number, got {zero_tol!r}")
     if not math.isfinite(zero_tol):
         raise NonFiniteError(f"zero_tol must be finite, got {zero_tol}")

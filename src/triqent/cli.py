@@ -2,8 +2,9 @@
 
 State files are JSON: {"kind": "pure", "amplitudes": [[re, im] * 8]}
 ordered by basis index 4i + 2j + k, or {"kind": "mixed", "matrix":
-8x8 nested [re, im] pairs, row-major}.  Exit codes: 0 success, 2
-invalid input, 3 ambiguous-near-threshold (report still printed).
+8x8 nested [re, im] pairs, row-major}.  Exit codes: 0 success (also
+when the reader of the output closes it early), 2 invalid input, 3
+ambiguous-near-threshold (report still printed).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import numbers
 import os
 import sys
 from collections import Counter
@@ -28,7 +30,7 @@ from .errors import (
 from .families import SWEEPABLE, _sweep_chunks, default_grid
 from .gsd import classify_gsd_pattern, gsd
 from .measures import _MEASURE_NAMES, STACK_CHUNK, MeasureSet, _pure_closed_form_table, measure_set
-from .states import DensityMatrix, PureState, _check_seed, _haar_draws, _validated_amplitudes
+from .states import DensityMatrix, PureState, _check_seed, _haar_draws, _is_number, _numbers, _validated_amplitudes
 
 MEASURE_FIELDS = (
     "n_a_bc", "n_b_ac", "n_c_ab", "n_abc",
@@ -62,29 +64,23 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-#: the types ``json.load`` gives a JSON number; ``bool`` is not one of them
-_JSON_NUMBERS = frozenset((int, float))
+def _pairs_to_complex(entries: list, what: str) -> np.ndarray:
+    """A list of ``[real, imaginary]`` pairs of JSON numbers as a complex array.
 
-
-def _pairs_to_complex(entries, what: str) -> list[complex]:
-    """``[real, imaginary]`` pairs of JSON numbers as complex numbers.
-
-    A JSON string, boolean or null is not a number, even where Python's
-    ``float()`` would take it, so it raises StateFileError.
+    A JSON string, boolean, null or list is not a number, even where
+    Python's ``float()`` would take it, so it raises StateFileError.
     """
-    out = []
-    for e in entries:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise StateFileError(f"{what} entries must be [real, imaginary] pairs")
-        re, im = e
-        if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
-            bad = re if type(re) not in _JSON_NUMBERS else im
-            raise StateFileError(f"non-numeric value in {what}: {json.dumps(bad)}")
-        try:
-            out.append(complex(re, im))
-        except OverflowError as exc:  # an integer beyond the float range
-            raise StateFileError(f"value out of range in {what}: {exc}") from exc
-    return out
+    if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in entries):
+        raise StateFileError(f"{what} entries must be [real, imaginary] pairs")
+    try:
+        pairs = _numbers(entries, numbers.Real)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise StateFileError(f"value out of range in {what}: {exc}") from exc
+    if pairs is None or pairs.ndim != 2:  # a pair whose parts are lists makes a deeper array
+        bad = next(v for e in entries for v in e if not _is_number(v, numbers.Real))
+        raise StateFileError(f"non-numeric value in {what}: {json.dumps(bad)}")
+    # each C-ordered (real, imaginary) row of float64 is one complex128
+    return pairs.view(complex)[:, 0]
 
 
 def load_state_file(path: str) -> PureState | DensityMatrix:
@@ -94,7 +90,7 @@ def load_state_file(path: str) -> PureState | DensityMatrix:
             data = json.load(fh)
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also an integer literal too long to convert, or bytes not UTF-8
+    except (ValueError, RecursionError) as exc:  # also an overlong integer, bytes not UTF-8, too deep a nesting
         raise StateFileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("kind") not in ("pure", "mixed"):
         raise StateFileError('state file needs "kind": "pure" or "mixed"')
@@ -103,7 +99,7 @@ def load_state_file(path: str) -> PureState | DensityMatrix:
             amps = data.get("amplitudes")
             if not isinstance(amps, list) or len(amps) != 8:
                 raise StateFileError("pure state needs 8 amplitude pairs")
-            return PureState(np.array(_pairs_to_complex(amps, "amplitudes")))
+            return PureState(_pairs_to_complex(amps, "amplitudes"))
         rows = data.get("matrix")
         if (
             not isinstance(rows, list)
@@ -111,8 +107,7 @@ def load_state_file(path: str) -> PureState | DensityMatrix:
             or any(not isinstance(r, list) or len(r) != 8 for r in rows)
         ):
             raise StateFileError("mixed state needs an 8x8 matrix of pairs")
-        m = np.array([_pairs_to_complex(r, "matrix") for r in rows])
-        return DensityMatrix(m)
+        return DensityMatrix(_pairs_to_complex([e for r in rows for e in r], "matrix").reshape(8, 8))
     except TriqentError as exc:
         if isinstance(exc, StateFileError):
             raise
@@ -336,7 +331,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a report still in the buffer meets a closed pipe here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed early, which ends the output
+        # stdout goes to devnull, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (TriqentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,9 +22,8 @@ from its columns, so its memory does not grow with the grid.
 from __future__ import annotations
 
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +42,8 @@ from .states import (
     QUBITS,
     DensityMatrix,
     PureState,
+    _is_number,
+    _numbers,
     _raise_first,
 )
 
@@ -177,31 +178,22 @@ _FAMILIES = {
 
 #: the only family whose parameters are complex; every other one takes reals
 _COMPLEX_FAMILIES = ("w_canonical",)
-#: numpy reads a boolean as the number 0 or 1, also inside a grid of floats
-_BOOLS = frozenset((bool, np.bool_))
 
 
 def _numeric_rows(grid, kind: type) -> np.ndarray:
-    """``np.array(grid)`` of ``kind`` (numbers.Real or numbers.Complex) numbers.
+    """The grid as an (N, arity) array of ``kind`` (numbers.Real or numbers.Complex) numbers.
 
-    A grid that numpy cannot make a two-dimensional numeric array of, or
-    that holds a boolean, is checked row by row: ParamOutOfDomainError
-    names the first row that is not a sequence, such as a dict or a set,
-    or that holds a parameter not of ``kind``, such as a string, None, an
-    array or a boolean.
+    A grid that is not a two-dimensional array of such numbers is checked
+    row by row: ParamOutOfDomainError names the first row that is not a
+    sequence of them, such as a dict, a set, or a row holding a string,
+    None, an array or a boolean (see ``_numbers``).
     """
-    try:
-        rows = np.array(grid)
-    except ValueError:  # a ragged nesting
-        rows = np.array(None)
-    if (rows.ndim != 2 or rows.dtype.kind not in ("iufc" if kind is numbers.Complex else "iuf")
-            or not _BOOLS.isdisjoint(map(type, chain.from_iterable(grid)))):
-        _raise_first(np.array([not (isinstance(params, (Sequence, np.ndarray))
-                                    and all(isinstance(v, kind) and type(v) not in _BOOLS for v in params))
-                               for params in grid]),
+    rows = _numbers(grid, kind)
+    if rows is None or rows.ndim != 2:
+        # None, for a row that is not numbers, has no ndim
+        _raise_first(np.array([getattr(_numbers(params, kind), "ndim", None) != 1 for params in grid]),
                      ParamOutOfDomainError,
                      lambda i: f"parameters must be {kind.__name__.lower()} numbers, got {grid[i]}")
-        rows = rows.astype(complex if kind is numbers.Complex else float)
     return rows
 
 
@@ -383,7 +375,7 @@ class FamilySpec:
 
 def default_grid(family: str, points: int = 101) -> FamilySpec:
     """Uniform grid over the family's parameter domain."""
-    if not isinstance(points, (int, np.integer)) or isinstance(points, bool) or points < 1:
+    if not _is_number(points, numbers.Integral) or points < 1:
         raise ParamOutOfDomainError(f"points must be an integer >= 1, got {points!r}")
     if not isinstance(family, str):
         raise ParamOutOfDomainError(f"family must be a name, got {family!r}")

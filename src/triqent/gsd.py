@@ -38,8 +38,6 @@ rounding level.
 
 from __future__ import annotations
 
-import cmath
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +45,13 @@ import numpy as np
 from .classify import DEFAULT_ZERO_TOL, SubtypeLabel, check_zero_tol
 from .errors import (
     AmbiguousNearThresholdError,
-    NonFiniteError,
     NumericalDegeneracyError,
     ParamOutOfDomainError,
     StateTypeError,
 )
 from .families import from_gsd_coefficients
 from .linalg import svd_2x2
-from .states import PureState, _require_pure
+from .states import PureState, _complex_entries, _require_pure
 
 #: polynomial coefficients below this are treated as identically zero
 _COEFF_TOL = 1e-13
@@ -349,11 +346,7 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> G
     if not isinstance(form, GsdForm):
         raise StateTypeError(f"classify_gsd_pattern needs a GsdForm, got {type(form).__name__}")
     check_zero_tol(zero_tol)
-    coefficients = (form.alpha, form.beta, form.delta, form.epsilon, form.omega)
-    if not all(isinstance(c, numbers.Complex) for c in coefficients):
-        raise StateTypeError(f"canonical coefficients must be complex numbers, got {coefficients}")
-    if not all(cmath.isfinite(c) for c in coefficients):
-        raise NonFiniteError(f"canonical coefficients must be finite, got {coefficients}")
+    _complex_entries((form.alpha, form.beta, form.delta, form.epsilon, form.omega), "canonical coefficients", (5,))
     mags = {
         "alpha": abs(form.alpha),
         "beta": abs(form.beta),

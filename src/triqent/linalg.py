@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonFiniteError, WrongDimensionError
+from .errors import NoConvergenceError
 from .states import _complex_entries
 
 
@@ -29,11 +29,7 @@ def svd_2x2(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ------
     StateTypeError, WrongDimensionError, NonFiniteError, NoConvergenceError
     """
-    m = _complex_entries(m, "matrix entries")
-    if m.shape != (2, 2):
-        raise WrongDimensionError(f"expected a 2x2 matrix, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise NonFiniteError("matrix holds a NaN or infinite entry")
+    m = _complex_entries(m, "matrix", (2, 2))
     try:
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:

@@ -6,12 +6,15 @@ The tripartite negativity is the geometric mean of the three one-vs-two
 bipartite negativities and is defined for pure and mixed states alike;
 the multiplicative Q, eta3 and the 3-tangle are pure-state only.
 
-Every measure is computed once, in ``measure_set``; the scalar
-functions below are views of its fields.  Pure and mixed states each
-go through one routine on a stack of states (``_pure_measure_table``,
-``_mixed_measure_table``), which returns an (N, 16) or (N, 13) table
-whose columns are the MeasureSet fields in order; a single state is a
-stack of one.  A pure state uses closed forms on its amplitudes:
+``measure_set`` computes every measure; five scalar functions below are
+views of its fields, while ``negativity``, ``concurrence_2q`` and
+``von_neumann_entropy`` compute their own values from one matrix, as the
+references the stacked routines are tested against.  Pure and mixed
+states each go through one routine on a stack of states
+(``_pure_measure_table``, ``_mixed_measure_table``), which returns an
+(N, 16) or (N, 13) table whose columns are the MeasureSet fields in
+order; a single state is a stack of one.  A pure state uses closed
+forms on its amplitudes:
 
 - one-vs-two negativity 2*s1*s2 and single-qubit entropies from the
   Schmidt coefficients of each cut, with s1^2 s2^2 the sum of the

@@ -61,28 +61,62 @@ def _validated_amplitudes(amps: np.ndarray) -> np.ndarray:
     norm_dev = np.abs(norm - 1.0)
     if not norm_dev.max() <= NORM_ATOL:  # a NaN or infinite amplitude fails this too
         _raise_first(~np.isfinite(amps).all(axis=-1), NonFiniteError,
-                     lambda i: "amplitudes hold a NaN or infinite entry")
+                     lambda i: "NaN or infinite entry in amplitudes")
         _raise_first(norm_dev > NORM_ATOL, NotNormalizedError,
                      lambda i: f"norm is {norm[i]:.12g}, expected 1")
     amps.setflags(write=False)
     return amps
 
 
-def _complex_entries(x, what: str) -> np.ndarray:
-    """``x`` as a new complex array; StateTypeError unless every entry is a number.
+#: the builtin types that are numbers of each kind, tested before the slower ABC check
+_BUILTIN_NUMBERS = {numbers.Integral: (int,), numbers.Real: (int, float), numbers.Complex: (int, float, complex)}
+
+
+def _is_number(v, kind: type) -> bool:
+    """Whether the scalar ``v`` is a number of ``kind``: numbers.Integral, Real or Complex.
 
     A boolean is not a number here, although Python counts it as an int
     and numpy casts it to 0 or 1.
     """
+    return type(v) in _BUILTIN_NUMBERS[kind] or (isinstance(v, kind) and not isinstance(v, bool))
+
+
+def _numbers(x, kind: type) -> np.ndarray | None:
+    """``x`` as a new float (numbers.Real) or complex (numbers.Complex) array, or
+    None unless every entry is a number of ``kind``.
+
+    A numeric array is taken whole.  Anything else is read entry by entry,
+    because numpy casts a boolean among floats to 0 or 1; an entry that is
+    a 0-d array counts as the number it holds.
+    """
+    codes, dtype = ("iufc", complex) if kind is numbers.Complex else ("iuf", float)
+    if isinstance(x, np.ndarray) and x.dtype.kind in codes:
+        return x.astype(dtype)
     try:
-        a = np.asarray(x)
-    except ValueError:  # a ragged nesting
-        a = np.asarray(None)
-    # an object array is checked entry by entry: numpy would cast None to NaN
-    if a.dtype.kind in "iufc" or (a.dtype == object and all(
-            isinstance(v, numbers.Number) and not isinstance(v, bool) for v in a.flat)):
-        return a.astype(complex)
-    raise StateTypeError(f"{what} must be numbers, got {x!r:.80}")
+        a = np.array(x, dtype=object)
+    except ValueError:  # a ragged nesting numpy cannot hold
+        return None
+    if set(map(type, a.flat)).issubset(_BUILTIN_NUMBERS[kind]) or all(
+            _is_number(v[()] if isinstance(v, np.ndarray) else v, kind) for v in a.flat):
+        return a.astype(dtype)
+    return None
+
+
+def _complex_entries(x, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``x`` as a new complex array of finite numbers, of ``shape`` when that is given.
+
+    Raises StateTypeError unless every entry is a number,
+    WrongDimensionError for another shape and NonFiniteError for a NaN
+    or infinite entry.
+    """
+    a = _numbers(x, numbers.Complex)
+    if a is None:
+        raise StateTypeError(f"{what} must be numbers, got {x!r:.80}")
+    if shape is not None and a.shape != shape:
+        raise WrongDimensionError(f"{what} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"NaN or infinite entry in {what}")
+    return a
 
 
 def _layout(qubits) -> tuple[str, ...]:
@@ -136,7 +170,7 @@ def _validated_matrices(m: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(m).all():
         _raise_first(~np.isfinite(m).all(axis=(-2, -1)), NonFiniteError,
-                     lambda i: "density matrix holds a NaN or infinite entry")
+                     lambda i: "NaN or infinite entry in density matrix")
     m_h = m.conj().swapaxes(-1, -2)
     herm_dev = np.abs(m - m_h).max(axis=(-2, -1))
     _raise_first(herm_dev > HERM_ATOL, NotHermitianError,
@@ -180,10 +214,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         qubits = _layout(self.qubits)
-        dim = 2 ** len(qubits)
-        m = _complex_entries(self.matrix, "density matrix entries")
-        if m.shape != (dim, dim):
-            raise WrongDimensionError(f"layout {qubits!r} needs shape {(dim, dim)}, got {m.shape}")
+        m = _complex_entries(self.matrix, "density matrix", (2 ** len(qubits),) * 2)
         object.__setattr__(self, "matrix", _validated_matrices(m[np.newaxis])[0])
         object.__setattr__(self, "qubits", qubits)
 
@@ -253,14 +284,8 @@ def transpose_qubit(matrix: np.ndarray, qubits: tuple[str, ...], side: str) -> n
     """
     qubits = _layout(qubits)
     ax = _qubit_index(qubits, side)
-    n = len(qubits)
-    d = 2**n
-    m = _complex_entries(matrix, "matrix entries")
-    if m.shape != (d, d):
-        raise WrongDimensionError(f"layout {qubits!r} needs shape {(d, d)}, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise NonFiniteError("matrix holds a NaN or infinite entry")
-    return _partial_transpose(m, n, ax)
+    m = _complex_entries(matrix, "matrix", (2 ** len(qubits),) * 2)
+    return _partial_transpose(m, len(qubits), ax)
 
 
 def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
@@ -274,11 +299,7 @@ def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
 
 
 def _check_unitary(u, name: str) -> np.ndarray:
-    u = _complex_entries(u, name)
-    if u.shape != (2, 2):
-        raise WrongDimensionError(f"{name} must be 2x2, got {u.shape}")
-    if not np.isfinite(u).all():
-        raise NonFiniteError(f"{name} holds a NaN or infinite entry")
+    u = _complex_entries(u, name, (2, 2))
     dev = np.abs(u.conj().T @ u - np.eye(2)).max()
     if dev > UNITARY_ATOL:
         raise NotUnitaryError(f"{name} deviates from unitary by {dev:.3e}")
@@ -308,11 +329,8 @@ def _haar_draws(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _check_seed(seed) -> None:
-    """Reject a seed that is not a non-negative integer before anything is drawn.
-
-    ``bool`` is an ``int`` subclass, but ``True`` is not a seed.
-    """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+    """Reject a seed that is not a non-negative integer before anything is drawn."""
+    if not _is_number(seed, numbers.Integral) or seed < 0:
         raise ParamOutOfDomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 

@@ -54,12 +54,12 @@ def three_qubit_state():
 
 def real():
     return {"wrong_type": 0.5j, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.full(2, 0.5),
-            "boolean": True}
+            "boolean": True, "zero_d_boolean": np.array(True)}
 
 
 def complex_number():
     return {"wrong_type": [0.5], "nan": complex(NAN, 0.0), "string": "x", "none": None,
-            "wrong_shape": np.full(2, 0.5), "boolean": True}
+            "wrong_shape": np.full(2, 0.5), "boolean": True, "zero_d_boolean": np.array(True)}
 
 
 def name():
@@ -76,11 +76,14 @@ def layout():
 
 
 def matrix(shape):
-    # cast to numbers, the boolean matrix would be valid: the identity for
-    # a 2x2 unitary, |000><000| for an 8x8 density matrix
-    boolean = np.eye(2, dtype=bool) if shape == (2, 2) else np.diag(np.arange(shape[0]) == 0)
+    # cast to numbers, the boolean matrices would be valid: the identity for
+    # a 2x2 unitary, |000><000| for an 8x8 density matrix; numpy casts the
+    # nested list with one True among floats to a float array
+    valid = np.eye(2) if shape == (2, 2) else np.diag(np.arange(shape[0]) == 0).astype(float)
+    mixed_boolean = valid.tolist()
+    mixed_boolean[0][0] = True
     return {"wrong_type": object(), "nan": np.full(shape, NAN), "string": "x", "none": None,
-            "wrong_shape": np.eye(shape[0] + 1), "boolean": boolean}
+            "wrong_shape": np.eye(shape[0] + 1), "boolean": valid.astype(bool), "mixed_boolean": mixed_boolean}
 
 
 def spec():
@@ -91,12 +94,17 @@ def spec():
 
 def form():
     nan_form = GsdForm(NAN, 0j, 0j, 0j, 0j, "raw", np.eye(2), np.eye(2), np.eye(2))
-    return {"wrong_type": ghz(), "nan": nan_form, "string": "x", "none": None, "wrong_shape": np.zeros(5)}
+    # read as the number 1, True would make this the product form |000>
+    boolean_form = GsdForm(True, 0j, 0j, 0j, 0j, "raw", np.eye(2), np.eye(2), np.eye(2))
+    return {"wrong_type": ghz(), "nan": nan_form, "string": "x", "none": None, "wrong_shape": np.zeros(5),
+            "boolean": boolean_form}
 
 
 def vector(n):
+    # numpy casts the list with one True among floats to a float array
     return {"wrong_type": object(), "nan": np.full(n, NAN), "string": "x", "none": None,
-            "wrong_shape": np.full(n + 1, 1 / np.sqrt(n + 1)), "boolean": [True] + [False] * (n - 1)}
+            "wrong_shape": np.full(n + 1, 1 / np.sqrt(n + 1)), "boolean": [True] + [False] * (n - 1),
+            "mixed_boolean": [True] + [0.0] * (n - 1)}
 
 
 W = (1 / np.sqrt(3),) * 3
@@ -212,6 +220,21 @@ def test_valid_arguments_accepted(attr):
     # the malformed cases above differ from these in one argument only
     valid, _ = SLOTS[attr]
     getattr(triqent, attr)(*valid())
+
+
+def state_entries(state):
+    return state.amplitudes if isinstance(state, triqent.PureState) else state.matrix
+
+
+@pytest.mark.parametrize("call, value", [
+    (triqent.ghz_like, 0.5),
+    (lambda x: triqent.make_state("ghz_noise", x), 0.5),
+    (lambda x: triqent.w_canonical(x, *W[1:]), W[0]),
+    (lambda x: triqent.PureState([x] + [0.0] * 7), 1.0),
+], ids=["ghz_like", "make_state", "w_canonical", "PureState"])
+def test_zero_d_numeric_array_counts_as_its_number(call, value):
+    # a 0-d boolean array is rejected: the zero_d_boolean kind above
+    assert np.array_equal(state_entries(call(np.array(value))), state_entries(call(value)))
 
 
 def gsd_form(**fields):

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -108,6 +110,26 @@ class TestStateFiles:
         assert main(["classify", str(path)]) == 2
         assert capsys.readouterr().err == f"error: non-numeric value in {what}: {json.dumps(value)}\n"
 
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    @pytest.mark.parametrize("part", [lambda v: [v], lambda v: [v, 0]], ids=["one", "two"])
+    def test_list_parts_rejected(self, kind, part, tmp_path, capsys):
+        # with every part of every pair a list of one length, numpy reads
+        # the pairs as a three-dimensional array of numbers
+        def pair(re):
+            return [part(re), part(0)]
+
+        if kind == "pure":
+            what, data = "amplitudes", {"kind": kind, "amplitudes": [pair(1)] + [pair(0)] * 7}
+        else:
+            rows = [[pair(int(i == j == 0)) for j in range(8)] for i in range(8)]
+            what, data = "matrix", {"kind": kind, "matrix": rows}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(StateFileError, match="non-numeric value"):
+            load_state_file(str(path))
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: non-numeric value in {what}: {json.dumps(part(1))}\n"
+
     def test_integer_entries_accepted(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"kind": "pure", "amplitudes": [[1, 0]] + [[0, 0]] * 7}))
@@ -153,6 +175,15 @@ class TestStateFiles:
         with pytest.raises(SystemExit):
             main([argv[0], "--help"])
         assert f"default {DEFAULT_ZERO_TOL:g}" in capsys.readouterr().out
+
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        # json.load raises RecursionError, not ValueError, for this nesting
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(StateFileError, match="is not valid JSON"):
+            load_state_file(str(path))
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -453,6 +484,40 @@ class TestRandomCommand:
     def test_zero_seed_accepted(self, capsys):
         assert main(["random", "--count", "2", "--seed", "0"]) == 0
         assert capsys.readouterr().out.startswith("0\t")
+
+    @staticmethod
+    def cli_process(*argv, stdout):
+        """``python -m triqent.cli ARGV`` as a subprocess, importing this package.
+
+        Its stdout is block-buffered, as Python's default is for a pipe,
+        even where PYTHONUNBUFFERED is set.
+        """
+        src = os.path.dirname(os.path.dirname(triqent.cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "triqent.cli", *argv]
+        return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    def test_closed_pipe_ends_the_output(self):
+        # the report is far larger than a pipe's buffer, so the writer is
+        # still writing when its reader closes after one line
+        with self.cli_process("random", "--count", "5000", "--seed", "7", stdout=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"0\t")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+
+    def test_closed_pipe_ends_a_short_report(self):
+        # the reader is gone before the one-line report leaves stdout's
+        # buffer, so the write fails only when that buffer is flushed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with self.cli_process("random", "--count", "1", stdout=write_end) as proc:
+            os.close(write_end)
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
 
     def test_non_integer_seed_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -28,11 +28,16 @@ def check_zero_tol(zero_tol: float) -> None:
     would count exact zeros as nonzero: with zero_tol = -1 the product
     state |000> would be labelled W-like and its projector certified
     GHZ-distillable.  Anything but a real number, such as a string,
-    None or a boolean, is a ParamOutOfDomainError too.
+    None or a boolean, is a ParamOutOfDomainError too, and an int beyond
+    the float range a NonFiniteError.
     """
     if not _is_number(zero_tol, numbers.Real):
         raise ParamOutOfDomainError(f"zero_tol must be a real number, got {zero_tol!r}")
-    if not math.isfinite(zero_tol):
+    try:
+        finite = math.isfinite(zero_tol)
+    except OverflowError:
+        raise NonFiniteError("zero_tol must be finite, got an int beyond the float range") from None
+    if not finite:
         raise NonFiniteError(f"zero_tol must be finite, got {zero_tol}")
     if not zero_tol > 0:
         raise ParamOutOfDomainError(f"zero_tol must be positive, got {zero_tol}")

@@ -72,10 +72,7 @@ def _pairs_to_complex(entries: list, what: str) -> np.ndarray:
     """
     if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in entries):
         raise StateFileError(f"{what} entries must be [real, imaginary] pairs")
-    try:
-        pairs = _numbers(entries, numbers.Real)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise StateFileError(f"value out of range in {what}: {exc}") from exc
+    pairs = _numbers(entries, numbers.Real)  # NonFiniteError for an int beyond the float range
     if pairs is None or pairs.ndim != 2:  # a pair whose parts are lists makes a deeper array
         bad = next(v for e in entries for v in e if not _is_number(v, numbers.Real))
         raise StateFileError(f"non-numeric value in {what}: {json.dumps(bad)}")

@@ -22,6 +22,7 @@ from its columns, so its memory does not grow with the grid.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
@@ -375,8 +376,9 @@ class FamilySpec:
 
 def default_grid(family: str, points: int = 101) -> FamilySpec:
     """Uniform grid over the family's parameter domain."""
-    if not _is_number(points, numbers.Integral) or points < 1:
-        raise ParamOutOfDomainError(f"points must be an integer >= 1, got {points!r}")
+    # beyond sys.maxsize no array holds the grid: numpy would raise a raw error
+    if not _is_number(points, numbers.Integral) or not 1 <= points <= sys.maxsize:
+        raise ParamOutOfDomainError(f"points must be an integer from 1 to sys.maxsize, got {points!r:.40}")
     if not isinstance(family, str):
         raise ParamOutOfDomainError(f"family must be a name, got {family!r}")
     if family == "ghz_like":

@@ -10,20 +10,22 @@ on the two 2x2 slices T0, T1 of the amplitude tensor (T_i[j, k] is the
 |ijk> amplitude):
 
 1. find a unit vector x = (x0, x1) with det T(x) = 0, where
-   T(x) = x0 T0 + x1 T1.  One routine solves the pencil in local
-   coordinates, det(T(x) + t T(y)) = 0 with y orthogonal to x.  At
-   x = (1, 0) this is det(T0 + z T1) = 0 in z = x1/x0; of its roots,
-   the one whose slice has the largest Frobenius norm (its top singular
-   value, since the slice is singular) is picked.  Around the picked x
-   the same routine corrects x in one step, plus a step to the vertex
-   when the two local roots coincide (the W class);
+   T(x) = x0 T0 + x1 T1, whose slice has the largest top singular value
+   lambda (its Frobenius norm, since the slice is singular): the
+   largest-lambda rule.  From the principal direction, the x of largest
+   |T(x)|, one exact solve of the pencil in local coordinates,
+   det(T(x) + t T(y)) = 0 with y orthogonal to x, takes the root of
+   smallest |t|, which is the largest-lambda one; x then steps to the
+   vertex when the two local roots coincide (the W class);
 2. rotate qubit A by the unitary whose first row is (x0, x1), making
    the new T0 slice singular;
 3. SVD that rank-1 slice, T0 = lambda u1 v1^dagger, and absorb the
    factors into qubits B and C, leaving T0 = diag(lambda, 0).  Only u1
    and v are defined by the slice; the second row of u_b is the exact
    orthonormal completion of u1, so no phase is read from the rounding
-   noise in the zero singular value;
+   noise in the zero singular value.  When lambda is at rounding level
+   (alpha ~ 0, qubit A separable) the slice defines neither, and the
+   SVD of the other slice gives the BC Schmidt form (delta = epsilon = 0);
 4. optionally (normal-phase mode) multiply diagonal phase unitaries
    into all three qubits so that alpha, delta, epsilon and omega are
    real and nonnegative; only beta may keep a phase.
@@ -33,11 +35,16 @@ orthogonality) within a canonical class instead of collapsing them.
 Its phases are fixed by the SVD's column convention (largest entry of
 each column of v real >= 0) and the completion above, so they are a
 function of the state: a perturbation at rounding level moves them at
-rounding level.
+rounding level.  Where the form itself jumps, no rule can keep it still:
+a W-class double root splits as the square root of a perturbation, and
+near a biseparable or product state two directions have lambdas that a
+1e-14 perturbation can reorder.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +62,8 @@ from .states import PureState, _complex_entries, _require_pure
 
 #: polynomial coefficients below this are treated as identically zero
 _COEFF_TOL = 1e-13
-#: relative cutoff between the quadratic / linear / constant branches
-_BRANCH_RTOL = 1e-12
 #: local roots this close (relative to max(1, |t|)) are a double root
 _DOUBLE_ROOT_RTOL = 1e-6
-#: two root candidates whose top singular values differ by less than
-#: this are tied; the tie goes to the smaller |z|
-_LAMBDA_TIE_TOL = 1e-12
 #: canonical zero amplitudes must come out below this
 _ZERO_RESIDUAL_TOL = 1e-10
 #: a coefficient below this fixes no phase knob
@@ -99,141 +101,88 @@ class GsdPattern:
     subtype: SubtypeLabel
 
 
-def _det2(m) -> complex:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def _singular_values(m) -> tuple[float, float]:
+    """Both singular values of the 2x2 matrix m = (m00, m01, m10, m11), from |m|_F and |det m|.
 
-
-def _solve_quadratic(a: complex, b: complex, c: complex) -> list[complex]:
-    """Both roots of a z^2 + b z + c with a != 0, cancellation-safe; a double root twice."""
-    disc = b * b - 4.0 * a * c
-    # a numerically double root is located by the vertex: the usual
-    # formula would inject the sqrt of the discriminant's rounding noise
-    if abs(disc) <= 100.0 * np.finfo(float).eps * max(abs(b * b), abs(4.0 * a * c)):
-        return [-b / (2.0 * a)] * 2
-    s = np.sqrt(complex(disc))
-    if abs(b - s) > abs(b + s):
-        s = -s
-    q = -(b + s) / 2.0
-    z1 = q / a
-    z2 = c / q if abs(q) > 0.0 else z1
-    if abs(z1 - z2) <= 1e-12 * max(1.0, abs(z1)):
-        return [z1] * 2
-    return [z1, z2]
-
-
-def _unit_pair(x0: complex, x1: complex) -> tuple[complex, complex]:
-    n = np.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
-    return x0 / n, x1 / n
-
-
-def _frobenius_top_direction(t0: np.ndarray, t1: np.ndarray) -> tuple[complex, complex]:
-    # when every direction is singular the slices span rank-1 matrices
-    # only, so maximizing the Frobenius norm maximizes lambda as well:
-    # the top right singular vector of [vec T0, vec T1]
-    top = np.linalg.svd(np.column_stack([t0.ravel(), t1.ravel()]))[2][0].conj()
-    return _unit_pair(top[0], top[1])
-
-
-def _local_pencil(m: np.ndarray, my: np.ndarray):
-    """Coefficients and finite roots of det(m + t my) = d2 t^2 + d1 t + d0.
-
-    With m = T(x) and my = T(y) this is the pencil in local coordinates
-    around the direction x.  A coefficient at or below _BRANCH_RTOL of the
-    largest drops the degree, and each root lost that way sits at
-    t = infinity, that is, at y itself.
+    s1^2 = (|m|_F^2 + sqrt(|m|_F^4 - 4 |det m|^2)) / 2 and s2 = |det m| / s1,
+    so s2 carries an absolute error of about eps * s1, as an SVD's does.
     """
-    d0 = _det2(m)
-    d2 = _det2(my)
-    d1 = m[0, 0] * my[1, 1] + my[0, 0] * m[1, 1] - m[0, 1] * my[1, 0] - my[0, 1] * m[1, 0]
-    scale = max(abs(d0), abs(d1), abs(d2))
-    if abs(d2) > _BRANCH_RTOL * scale:
-        roots = _solve_quadratic(d2, d1, d0)
-    elif abs(d1) > _BRANCH_RTOL * scale:
-        roots = [-d0 / d1]
-    else:
-        roots = []
-    return (d0, d1, d2), roots
+    a, b, c, d = m
+    f2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    det = abs(a * d - b * c)
+    s1 = math.sqrt((f2 + math.sqrt(max(f2 * f2 - 4.0 * det * det, 0.0))) / 2.0)
+    return s1, det / s1 if s1 else 0.0
 
 
-def _singular_directions(t0: np.ndarray, t1: np.ndarray) -> list[tuple[complex, complex]]:
-    # the local pencil at x = (1, 0), y = (0, 1) is det(T0 + z T1)
-    (c0, c1, c2), roots = _local_pencil(t0, t1)
-    if max(abs(c0), abs(c1), abs(c2)) < _COEFF_TOL:
-        return [_frobenius_top_direction(t0, t1)]
-    directions = [_unit_pair(1.0, z) for z in roots]
-    if len(roots) < 2:
-        # det T1 ~ 0: the root at infinity
-        directions.append((0.0 + 0.0j, 1.0 + 0.0j))
-    return directions
+def _slice_entries(slices: np.ndarray, *directions) -> list:
+    """The entries (m00, m01, m10, m11) of T(x) for each direction x, as Python numbers.
 
-
-def _pick_direction(candidates, t0, t1) -> tuple[complex, complex]:
-    """Largest lambda wins; ties go to the smaller |x1/x0|.
-
-    Every candidate slice is singular, so its Frobenius norm is its top
-    singular value lambda.
+    slices holds T0 and T1 as the rows of a (2, 4) array.
     """
-    best = None
-    for x0, x1 in candidates:
-        lam = float(np.linalg.norm(x0 * t0 + x1 * t1))
-        zmag = abs(x1) / abs(x0) if abs(x0) > 1e-15 else np.inf
-        if best is None or lam > best[0] + _LAMBDA_TIE_TOL:
-            best = (lam, zmag, x0, x1)
-        elif abs(lam - best[0]) <= _LAMBDA_TIE_TOL and zmag < best[1]:
-            best = (lam, zmag, x0, x1)
-    return best[2], best[3]
+    return (np.array(directions) @ slices).tolist()
 
 
-def _step(x0, x1, y0, y1, t, t0, t1):
-    """The unit direction x + t y and the singular values of its slice."""
-    nx0, nx1 = _unit_pair(x0 + t * y0, x1 + t * y1)
-    return nx0, nx1, np.linalg.svd(nx0 * t0 + nx1 * t1, compute_uv=False)
+def _local(x, slices):
+    """y, the singular values of T(x), and the local pencil around x.
 
-
-def _refine_direction(x0, x1, t0, t1) -> tuple[complex, complex]:
-    """Re-solve the singularity condition in local coordinates around x.
-
-    States within ~1e-8 of a biseparable form defeat the global
-    polynomial: locating its (near-coincident) roots requires resolving
-    a cancellation below the evaluation noise.  Expanding around the
-    current direction x along its orthogonal complement y,
-
-        det(T(x) + t T(y)) = d2 t^2 + d1 t + d0,
-
-    is well scaled instead: T(x) is computed first with only entrywise
-    rounding, so the smallest-|t| root corrects x to machine precision.
-    The pencil is exactly quadratic in t, so one step is all there is;
-    it is taken only when it lowers the second singular value s2 of
-    T(x), which the SVD resolves down to about eps * s1, and skipped
-    whenever x is already singular enough.
-
-    At a double root (W class) s2 grows only as the square of the
-    direction error, so that guard passes x within about 1e-7, and the
-    two local roots split by the square root of the rounding noise in
-    d0.  When they agree to _DOUBLE_ROOT_RTOL, x then steps to the
-    vertex -d1 / (2 d2), which d1 and d2 give to rounding accuracy; the
-    step is kept unless it raises s2 above rounding level.  A d2 below
-    _COEFF_TOL is rounding noise (every direction is singular, as for a
-    product state), and then there is no vertex to step to.
+    det(T(x) + t T(y)) = d2 t^2 + d1 t + d0 with y = (-x1*, x0*).  q is
+    -(d1 +- sqrt(d1^2 - 4 d0 d2)) / 2 with the sign of larger modulus, so
+    the roots are d0 / q, the smaller, and q / d2, without cancellation.
     """
-    m = x0 * t0 + x1 * t1
-    y0, y1 = -x1.conjugate(), x0.conjugate()
-    s = np.linalg.svd(m, compute_uv=False)
-    d, roots = _local_pencil(m, y0 * t0 + y1 * t1)
-    if s[1] > 1e-14 * max(1.0, s[0]) and roots:
-        nx0, nx1, ns = _step(x0, x1, y0, y1, min(roots, key=abs), t0, t1)
-        if ns[1] < s[1]:
-            x0, x1, s = nx0, nx1, ns
-            y0, y1 = -x1.conjugate(), x0.conjugate()
-            d, roots = _local_pencil(x0 * t0 + x1 * t1, y0 * t0 + y1 * t1)
-    double = len(roots) == 2 and abs(roots[0] - roots[1]) <= _DOUBLE_ROOT_RTOL * max(
-        1.0, abs(roots[0]), abs(roots[1])
-    )
-    if double and abs(d[2]) >= _COEFF_TOL:
-        nx0, nx1, ns = _step(x0, x1, y0, y1, -d[1] / (2.0 * d[2]), t0, t1)
-        if ns[1] <= max(s[1], 1e-15 * s[0]):
-            x0, x1 = nx0, nx1
-    return x0, x1
+    y = (-x[1].conjugate(), x[0].conjugate())
+    (a, b, c, d), (e, f, g, h) = _slice_entries(slices, x, y)
+    d0, d1, d2 = a * d - b * c, a * h + e * d - b * g - f * c, e * h - f * g
+    s = cmath.sqrt(d1 * d1 - 4.0 * d0 * d2)
+    q = -(d1 + s) / 2.0 if abs(d1 + s) >= abs(d1 - s) else -(d1 - s) / 2.0
+    return y, _singular_values((a, b, c, d)), (d0, d1, d2), q
+
+
+def _guarded_step(x, w, s, slices):
+    """w as a unit direction, unless its slice is less singular than x's.
+
+    The phase is fixed as for every direction: x0 real >= 0, and x1 real
+    > 0 when x0 = 0.  The step is kept while its s2 stays below
+    max(s2 of x, 1e-15 * s1 of x), which the closed form resolves.
+    """
+    p = w[0] if w[0] else w[1]
+    scale = abs(p) / p / math.hypot(abs(w[0]), abs(w[1]))
+    w = (w[0] * scale, w[1] * scale)
+    return w if _singular_values(_slice_entries(slices, w)[0])[1] <= max(s[1], 1e-15 * s[0]) else x
+
+
+def _direction(slices: np.ndarray) -> tuple[complex, complex]:
+    """The singular direction x (det T(x) = 0) whose slice has the largest lambda.
+
+    slices holds T0 and T1 as the rows of a (2, 4) array.  The search
+    starts at the principal direction, the top eigenvector of the Gram matrix
+    [[|T0|^2, <T0, T1>], [conj, |T1|^2]], where T(x) and T(y) are
+    orthogonal with norms sigma1 >= sigma2.  So along x + t y the unit
+    slice has lambda(t)^2 = (sigma1^2 + |t|^2 sigma2^2) / (1 + |t|^2),
+    which falls as |t| grows: the smallest root t of the local pencil is
+    the largest-lambda direction, and a root at t = infinity (q = 0) is y
+    itself.  The pencil is exactly quadratic, so one step locates it.
+    The step is skipped when d0 = 0 (x is singular already), and when the
+    pencil is below _COEFF_TOL and T(x) is singular to rounding: then
+    every direction is singular, as for a product state, and the
+    principal direction has the largest lambda.
+
+    At a double root (W class) the two local roots split by the square
+    root of the rounding noise in d0.  When they agree to
+    _DOUBLE_ROOT_RTOL, x steps to the vertex -d1 / (2 d2), which d1 and
+    d2 give to rounding accuracy; below _COEFF_TOL, d2 is rounding noise
+    and there is no vertex to step to.
+    """
+    (n0, gram), (_, n1) = (slices.conj() @ slices.T).tolist()
+    theta = math.atan2(abs(gram), (n0.real - n1.real) / 2.0) / 2.0
+    x = (complex(math.cos(theta)), math.sin(theta) * cmath.exp(-1j * cmath.phase(gram)))
+    y, s, (d0, d1, d2), q = _local(x, slices)
+    if d0 and (max(abs(d0), abs(d1), abs(d2)) >= _COEFF_TOL or s[1] > 1e-14 * max(1.0, s[0])):
+        x = _guarded_step(x, (q * x[0] + d0 * y[0], q * x[1] + d0 * y[1]), s, slices)
+        y, s, (d0, d1, d2), q = _local(x, slices)
+    # |q / d2 - d0 / q| <= rtol * max(1, |q / d2|), multiplied out
+    if abs(d2) >= _COEFF_TOL and abs(q * q - d0 * d2) <= _DOUBLE_ROOT_RTOL * max(abs(q * d2), abs(q) ** 2):
+        x = _guarded_step(x, (2.0 * d2 * x[0] - d1 * y[0], 2.0 * d2 * x[1] - d1 * y[1]), s, slices)
+    return x
 
 
 def _phase_angles(alpha, delta, epsilon, omega):
@@ -270,16 +219,15 @@ def gsd(psi: PureState, mode: str = "raw") -> GsdForm:
     if not isinstance(mode, str) or mode not in ("raw", "normal"):
         raise ParamOutOfDomainError(f"mode must be 'raw' or 'normal', got {mode!r}")
     t = psi.tensor
-    t0, t1 = t[0].astype(complex), t[1].astype(complex)
-
-    x0, x1 = _pick_direction(_singular_directions(t0, t1), t0, t1)
-    x0, x1 = _refine_direction(x0, x1, t0, t1)
+    x0, x1 = _direction(t.reshape(2, 4))
     u_a = np.array([[x0, x1], [-x1.conjugate(), x0.conjugate()]])
     ta = np.einsum("ia,ajk->ijk", u_a, t)
 
     # ta[0] has rank <= 1, so only u1 and v are defined by it; the
-    # second row of u_b is the exact completion of u1
-    u, _, v = svd_2x2(ta[0])
+    # second row of u_b is the exact completion of u1.  When ta[0] is
+    # zero up to rounding (alpha ~ 0, qubit A separable) it defines
+    # neither, and the SVD of ta[1] gives the BC Schmidt form instead
+    u, _, v = svd_2x2(ta[1] if np.abs(ta[0]).max() <= 1e-14 else ta[0])
     u1 = u[:, 0]
     u_b = np.array([u1.conj(), [-u1[1], u1[0]]])
     u_c = v.T

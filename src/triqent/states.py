@@ -87,7 +87,8 @@ def _numbers(x, kind: type) -> np.ndarray | None:
 
     A numeric array is taken whole.  Anything else is read entry by entry,
     because numpy casts a boolean among floats to 0 or 1; an entry that is
-    a 0-d array counts as the number it holds.
+    a 0-d array counts as the number it holds.  An int beyond the float
+    range raises NonFiniteError, since as a float it would be infinite.
     """
     codes, dtype = ("iufc", complex) if kind is numbers.Complex else ("iuf", float)
     if isinstance(x, np.ndarray) and x.dtype.kind in codes:
@@ -98,7 +99,10 @@ def _numbers(x, kind: type) -> np.ndarray | None:
         return None
     if set(map(type, a.flat)).issubset(_BUILTIN_NUMBERS[kind]) or all(
             _is_number(v[()] if isinstance(v, np.ndarray) else v, kind) for v in a.flat):
-        return a.astype(dtype)
+        try:
+            return a.astype(dtype)
+        except OverflowError as exc:
+            raise NonFiniteError(f"value out of range: {exc}") from exc
     return None
 
 

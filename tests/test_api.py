@@ -35,7 +35,10 @@ NAN = math.nan
 # each function below gives the malformed values of one kind of argument:
 # a wrong type, NaN, a string, None and a wrong shape, and for a number,
 # vector or matrix also booleans, which Python counts as ints and numpy
-# casts to 0 or 1
+# casts to 0 or 1, and an int beyond the float range (not for integer():
+# a seed may be arbitrarily large)
+
+HUGE = 10**400
 
 
 def pure():
@@ -54,12 +57,12 @@ def three_qubit_state():
 
 def real():
     return {"wrong_type": 0.5j, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.full(2, 0.5),
-            "boolean": True, "zero_d_boolean": np.array(True)}
+            "boolean": True, "zero_d_boolean": np.array(True), "huge_integer": HUGE}
 
 
 def complex_number():
     return {"wrong_type": [0.5], "nan": complex(NAN, 0.0), "string": "x", "none": None,
-            "wrong_shape": np.full(2, 0.5), "boolean": True, "zero_d_boolean": np.array(True)}
+            "wrong_shape": np.full(2, 0.5), "boolean": True, "zero_d_boolean": np.array(True), "huge_integer": HUGE}
 
 
 def name():
@@ -80,10 +83,11 @@ def matrix(shape):
     # a 2x2 unitary, |000><000| for an 8x8 density matrix; numpy casts the
     # nested list with one True among floats to a float array
     valid = np.eye(2) if shape == (2, 2) else np.diag(np.arange(shape[0]) == 0).astype(float)
-    mixed_boolean = valid.tolist()
-    mixed_boolean[0][0] = True
+    mixed_boolean, huge = valid.tolist(), valid.tolist()
+    mixed_boolean[0][0], huge[0][0] = True, HUGE
     return {"wrong_type": object(), "nan": np.full(shape, NAN), "string": "x", "none": None,
-            "wrong_shape": np.eye(shape[0] + 1), "boolean": valid.astype(bool), "mixed_boolean": mixed_boolean}
+            "wrong_shape": np.eye(shape[0] + 1), "boolean": valid.astype(bool), "mixed_boolean": mixed_boolean,
+            "huge_integer": huge}
 
 
 def spec():
@@ -104,7 +108,7 @@ def vector(n):
     # numpy casts the list with one True among floats to a float array
     return {"wrong_type": object(), "nan": np.full(n, NAN), "string": "x", "none": None,
             "wrong_shape": np.full(n + 1, 1 / np.sqrt(n + 1)), "boolean": [True] + [False] * (n - 1),
-            "mixed_boolean": [True] + [0.0] * (n - 1)}
+            "mixed_boolean": [True] + [0.0] * (n - 1), "huge_integer": [HUGE] + [0] * (n - 1)}
 
 
 W = (1 / np.sqrt(3),) * 3
@@ -235,6 +239,13 @@ def state_entries(state):
 def test_zero_d_numeric_array_counts_as_its_number(call, value):
     # a 0-d boolean array is rejected: the zero_d_boolean kind above
     assert np.array_equal(state_entries(call(np.array(value))), state_entries(call(value)))
+
+
+def test_point_count_beyond_an_index_rejected():
+    # integer() has no huge_integer kind, since a seed may be arbitrarily
+    # large; a grid count is bounded by what an array can hold
+    with pytest.raises(ParamOutOfDomainError):
+        default_grid("ghz_like", HUGE)
 
 
 def gsd_form(**fields):

@@ -181,13 +181,21 @@ class TestGsdInvariants:
 
     def test_raw_mode_continuous(self):
         # raw phases are a function of the state: a rounding-level
-        # perturbation must not flip them
+        # perturbation must not flip them.  On an A-separable state the
+        # picked slice is zero, so u_b and u_c come from the other one
+        # (the BC Schmidt form); a 1e-14 perturbation there makes alpha
+        # ~1e-14 and may move the largest-lambda direction itself
         rng = np.random.default_rng(13)
-        for seed in range(200):
-            psi = sample_haar_pure(seed)
-            z = psi.amplitudes + 1e-14 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+
+        def assert_still(psi, size):
+            z = psi.amplitudes + size * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
             moved = gsd(PureState(z / np.linalg.norm(z)), mode="raw")
             assert np.abs(moved.coefficients - gsd(psi, mode="raw").coefficients).max() < 1e-10
+
+        for seed in range(200):
+            assert_still(sample_haar_pure(seed), 1e-14)
+        for _ in range(200):
+            assert_still(random_biseparable(rng, "A"), 1e-16)
 
     def test_repeat_calls_bit_identical(self):
         for seed in range(20):
@@ -199,17 +207,52 @@ class TestGsdInvariants:
                     assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_no_general_eigensolve(self, monkeypatch, tmp_path, capsys):
+        # the direction and the singular values of its slices are closed
+        # forms, so each call makes one LAPACK call: svd_2x2 of one slice
         def fail(*args, **kwargs):
             raise AssertionError("eigensolve called on the gsd path")
+
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
 
         path = tmp_path / "psi.json"
         save_state_file(path, sample_haar_pure(3))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, fail)
-        for mode in ("raw", "normal"):
-            classify_gsd_pattern(gsd(sample_haar_pure(4), mode=mode))
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rng = np.random.default_rng(14)
+        states = [sample_haar_pure(4), hidden_w_state(rng), random_product_state(rng)]
+        states += [random_biseparable(rng, q) for q in "ABC"]
+        for psi in states:
+            for mode in ("raw", "normal"):
+                calls.clear()
+                classify_gsd_pattern(gsd(psi, mode=mode))
+                assert len(calls) == 1
         assert main(["gsd", str(path), "--mode", "raw"]) == 0
         assert "alpha" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_largest_lambda_root(self, seed):
+        # det(T0 + z T1) = z (alpha omega + z (beta omega - delta epsilon))
+        # on a canonical form: z = 0 gives lambda = |alpha|, and the second
+        # root its own lambda; gsd must return the larger.  With |alpha|
+        # at 1e-9..1e-6 both lambdas are that small, so comparing them
+        # needs each root located far below that scale
+        rng = np.random.default_rng(seed)
+        for _ in range(400):
+            mag = 10.0 ** rng.uniform(-9.0, -6.0)
+            alpha = mag * np.exp(2j * np.pi * rng.uniform())
+            beta, delta, epsilon, omega = nonzero_coefficients(rng, 4, min_mag=0.2) * np.sqrt(1 - mag**2)
+            canonical = from_gsd_coefficients(alpha, beta, delta, epsilon, omega)
+            t0, t1 = canonical.tensor
+            z = -alpha * omega / (beta * omega - delta * epsilon)
+            lam2 = np.linalg.norm(t0 + z * t1) / np.sqrt(1 + abs(z) ** 2)
+            psi = PureState(random_local_unitary(rng) @ canonical.amplitudes)
+            assert abs(gsd(psi).alpha) == pytest.approx(max(mag, lam2), rel=1e-3)
 
     def test_ghz_phase_preserved_in_raw_mode(self):
         for phi in (0.0, np.pi / 2, np.pi):

@@ -14,22 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ParamOutOfDomainError, WrongDimensionError
-from .measures import MeasureSet, _mixed_measure_table, _pure_measure_table
+from .measures import NEG_EIG_FLOOR, MeasureSet, _mixed_measure_table, _pure_measure_table
 from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _is_number, _require_density, _require_pure
 
 DEFAULT_ZERO_TOL = 1e-8
 
 
 def check_zero_tol(zero_tol: float) -> None:
-    """Reject a threshold that is not a finite positive real number.
+    """Reject a threshold that is not a finite real number of at least NEG_EIG_FLOOR.
 
     A NaN or infinite threshold (NonFiniteError) would decide every
     comparison one way.  A zero or negative one (ParamOutOfDomainError)
     would count exact zeros as nonzero: with zero_tol = -1 the product
     state |000> would be labelled W-like and its projector certified
-    GHZ-distillable.  Anything but a real number, such as a string,
-    None or a boolean, is a ParamOutOfDomainError too, and an int beyond
-    the float range a NonFiniteError.
+    GHZ-distillable.  A positive one below NEG_EIG_FLOOR, the accuracy
+    the measures are computed to, is a ParamOutOfDomainError too: it
+    would read rounding noise as a decision, as a pair concurrence of
+    1e-16 on the projector of a product state.  Anything but a real
+    number, such as a string, None or a boolean, is a
+    ParamOutOfDomainError, and an int beyond the float range a
+    NonFiniteError.
     """
     if not _is_number(zero_tol, numbers.Real):
         raise ParamOutOfDomainError(f"zero_tol must be a real number, got {zero_tol!r}")
@@ -41,6 +45,8 @@ def check_zero_tol(zero_tol: float) -> None:
         raise NonFiniteError(f"zero_tol must be finite, got {zero_tol}")
     if not zero_tol > 0:
         raise ParamOutOfDomainError(f"zero_tol must be positive, got {zero_tol}")
+    if zero_tol < NEG_EIG_FLOOR:
+        raise ParamOutOfDomainError(f"zero_tol must be at least {NEG_EIG_FLOOR:g}, the accuracy floor, got {zero_tol}")
 
 
 _DESCRIPTION = {

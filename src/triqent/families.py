@@ -7,7 +7,9 @@ amplitudes for a pure family or (N, 8, 8) matrices for a mixed one.
 The scalar constructors (``ghz_like(alpha)``, ``sigma_b(b)``, ...) and
 ``make_state`` are that closed form on a stack of one.  Only the
 parameters are checked: the closed form of an in-domain row is a state
-by construction, so like ``to_density`` it is not validated again.
+by construction, so ``sweep`` measures it as built, and ``make_state``
+wraps a matrix unvalidated, as ``to_density`` does (amplitudes still
+pass ``PureState``).
 
 The known closed forms of a family's measures are written once too, as
 columns over the same rows (``_oracle_columns``), and ``oracle`` is
@@ -376,9 +378,9 @@ class FamilySpec:
 
 def default_grid(family: str, points: int = 101) -> FamilySpec:
     """Uniform grid over the family's parameter domain."""
-    # beyond sys.maxsize no array holds the grid: numpy would raise a raw error
-    if not _is_number(points, numbers.Integral) or not 1 <= points <= sys.maxsize:
-        raise ParamOutOfDomainError(f"points must be an integer from 1 to sys.maxsize, got {points!r:.40}")
+    # from about sys.maxsize // 8 points numpy cannot size the grid (a raw error)
+    if not _is_number(points, numbers.Integral) or not 1 <= points <= sys.maxsize // 16:
+        raise ParamOutOfDomainError(f"points must be an integer from 1 to sys.maxsize // 16, got {points!r:.40}")
     if not isinstance(family, str):
         raise ParamOutOfDomainError(f"family must be a name, got {family!r}")
     if family == "ghz_like":
@@ -402,10 +404,6 @@ class SweepRow:
     verdict: str
     oracle_values: dict[str, float]
     deviations: dict[str, float]
-
-
-#: a distinct power of two per claim, so ``held @ _CLAIM_BITS`` numbers each set of held claims
-_CLAIM_BITS = 1 << np.arange(len(_CLAIMS))
 
 
 class _SweepChunk(NamedTuple):
@@ -437,11 +435,8 @@ def _sweep_chunk(family: str, grid) -> _SweepChunk:
         verdicts = _classify_table(table, DEFAULT_ZERO_TOL).codes.tolist()
     else:
         table = _mixed_measure_table(stack)
-        # one verdict string per distinct set of held claims, shared by its rows
         held = _certify_table(table, DEFAULT_ZERO_TOL)[0]
-        _, first, index = np.unique(held @ _CLAIM_BITS, return_index=True, return_inverse=True)
-        names = ["; ".join(compress(_CLAIMS, row)) for row in held[first].tolist()]
-        verdicts = [names[i] for i in index.tolist()]
+        verdicts = ["; ".join(compress(_CLAIMS, row)) for row in held.tolist()]
     try:
         oracle_columns = _oracle_columns(family, rows)
     except NoOracleError:

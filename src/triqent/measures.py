@@ -17,7 +17,7 @@ order; a single state is a stack of one.  A pure state uses closed
 forms on its amplitudes:
 
 - one-vs-two negativity 2*s1*s2 and single-qubit entropies from the
-  Schmidt coefficients of each cut, with s1^2 s2^2 the sum of the
+  Schmidt weights s1^2, s2^2 of each cut, with s1^2 s2^2 the sum of the
   squared 2x2 minors of the 2x4 unfolding (Cauchy-Binet);
 - the 3-tangle 4|Det|, Cayley's hyperdeterminant (Coffman, Kundu &
   Wootters, PRA 61, 052306, 2000), bounded by every one-vs-two tangle;
@@ -31,7 +31,8 @@ The reduced negativities come from the partial transpose of each pair
 reduction rho = X X^dagger: X is the 4x2 amplitude block for a pure
 state, V sqrt(w) from the pair's eigendecomposition for a mixed one.
 A mixed state's reduced concurrence is s1 - s2 - ... from the singular
-values of X^T (sy x sy) X, one batched SVD per stack.
+values of X^T (sy x sy) X, one batched SVD per stack.  Either takes its
+one-qubit spectra from their trace and determinant (``_spectrum_2x2``).
 
 The pure table is made in two stages: ``_pure_closed_form_table`` fills
 every column but n_red_* with no LAPACK call, and
@@ -126,6 +127,12 @@ def _entropy_of_spectrum(w: np.ndarray) -> np.ndarray:
     p = np.where(w > ENTROPY_FLOOR, w, 1.0)  # log2(1) = 0: dropped weights add nothing
     s = -(p * np.log2(p)).sum(axis=-1)
     return np.where(s > 1e-12, s, 0.0)
+
+
+def _spectrum_2x2(trace: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Eigenvalues [larger, det / larger] of stacked 2x2 PSD matrices, from trace and det of shape (..., 1)."""
+    larger = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0)))
+    return np.concatenate([larger, det / larger], axis=-1)
 
 
 def _geometric_mean3(values: np.ndarray) -> np.ndarray:
@@ -289,9 +296,8 @@ def _mixed_measure_table(matrices: np.ndarray) -> np.ndarray:
     """The (N, 13) measure table of validated three-qubit density matrices, shape (N, 8, 8).
 
     Its columns are the MeasureSet fields up to ``s_c``.  The LAPACK work
-    is one batched call per kind of spectrum: the cut transposes, the
-    pair eigen-factors, the pair transposes, the spin-flip SVD and the
-    one-qubit reductions.
+    is one batched call per kind of spectrum: the cut transposes, the pair
+    eigen-factors, the pair transposes and the spin-flip SVD.
     """
     cuts = np.stack([_partial_transpose(matrices, 3, ax) for ax in range(3)], axis=1)
     n_side = _negativity_of_spectrum(np.linalg.eigvalsh(cuts))
@@ -300,7 +306,8 @@ def _mixed_measure_table(matrices: np.ndarray) -> np.ndarray:
     n_red, c_red = _pair_negativity(x), _pair_concurrence(x)
     # rho_A and rho_B from rho_AB, rho_C from rho_BC
     singles = np.stack([_partial_trace(pairs[:, i], 2, ax) for i, ax in ((2, 1), (2, 0), (0, 0))], axis=1)
-    entropy = _entropy_of_spectrum(np.linalg.eigvalsh(singles))
+    r00, r11, r01 = singles[..., 0, :1].real, singles[..., 1, 1:].real, singles[..., 0, 1:]
+    entropy = _entropy_of_spectrum(_spectrum_2x2(r00 + r11, r00 * r11 - np.abs(r01) ** 2))
     n_abc = _geometric_mean3(n_side)[:, np.newaxis]
     return np.concatenate([n_side, n_abc, n_red, c_red, entropy], axis=1)
 
@@ -319,11 +326,8 @@ def _pure_closed_form_table(amps: np.ndarray) -> np.ndarray:
     det = (np.abs(_product_differences(amps, _MINORS)) ** 2).sum(axis=-1, keepdims=True)
     schmidt = np.sqrt(det)
     trace = (np.abs(amps) ** 2).sum(axis=-1)[:, np.newaxis, np.newaxis]
-    lam_max = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0)))
-    lam_min = det / lam_max
-    # the nonzero spectrum of the partial transpose on one qubit of a pure
-    # state: the Schmidt weights lam_max, lam_min of rho_q and +-s1 s2
-    cut_spectrum = np.concatenate([lam_max, lam_min, schmidt, -schmidt], axis=-1)
+    # a pure state's partial transpose on one qubit has the nonzero spectrum s1^2, s2^2, +-s1 s2
+    cut_spectrum = np.concatenate([_spectrum_2x2(trace, det), schmidt, -schmidt], axis=-1)
     entropy = _entropy_of_spectrum(cut_spectrum[..., :2])
 
     n_side = _negativity_of_spectrum(cut_spectrum)

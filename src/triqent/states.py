@@ -311,13 +311,17 @@ def _check_unitary(u, name: str) -> np.ndarray:
 
 
 def apply_local_unitary(psi: PureState, u_a, u_b, u_c) -> PureState:
-    """Apply u_a (x) u_b (x) u_c; all entanglement measures are invariant."""
+    """Apply u_a (x) u_b (x) u_c; all entanglement measures are invariant.
+
+    The product is renormalized: each factor may deviate from unitary by
+    UNITARY_ATOL, and three such deviations can exceed NORM_ATOL.
+    """
     _require_pure(psi, "apply_local_unitary")
     u_a = _check_unitary(u_a, "u_a")
     u_b = _check_unitary(u_b, "u_b")
     u_c = _check_unitary(u_c, "u_c")
-    out = np.einsum("ia,jb,kc,abc->ijk", u_a, u_b, u_c, psi.tensor)
-    return PureState(out.reshape(8))
+    out = np.einsum("ia,jb,kc,abc->ijk", u_a, u_b, u_c, psi.tensor).reshape(8)
+    return PureState(out / np.sqrt((np.abs(out) ** 2).sum()))
 
 
 def _haar_draws(rng: np.random.Generator, n: int) -> np.ndarray:

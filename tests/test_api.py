@@ -10,6 +10,7 @@ covered too.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,11 @@ def three_qubit_state():
 def real():
     return {"wrong_type": 0.5j, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.full(2, 0.5),
             "boolean": True, "zero_d_boolean": np.array(True), "huge_integer": HUGE}
+
+
+def tolerance():
+    # a family parameter may lie below the accuracy floor, a zero_tol may not
+    return real() | {"below_floor": 1e-14}
 
 
 def complex_number():
@@ -138,10 +144,10 @@ SLOTS = {
     "eta3_multiplicative": (lambda: (ghz(),), lambda: [pure()]),
     "three_tangle": (lambda: (ghz(),), lambda: [pure()]),
     "additive_measure": (lambda: (ghz(), "tangle"), lambda: [pure(), name()]),
-    "classify_pure": (lambda: (ghz(), 1e-8), lambda: [pure(), real()]),
-    "classify_mixed": (lambda: (rho_zero(), 1e-8), lambda: [three_qubit_state(), real()]),
+    "classify_pure": (lambda: (ghz(), 1e-8), lambda: [pure(), tolerance()]),
+    "classify_mixed": (lambda: (rho_zero(), 1e-8), lambda: [three_qubit_state(), tolerance()]),
     "gsd": (lambda: (ghz(), "raw"), lambda: [pure(), name()]),
-    "classify_gsd_pattern": (lambda: (gsd(ghz()), 1e-8), lambda: [form(), real()]),
+    "classify_gsd_pattern": (lambda: (gsd(ghz()), 1e-8), lambda: [form(), tolerance()]),
     "svd_2x2": (lambda: (np.eye(2),), lambda: [matrix((2, 2))]),
     "make_state": (lambda: ("ghz_like", 0.5), lambda: [name(), real()]),
     "oracle": (lambda: ("ghz_like", 0.5), lambda: [name(), real()]),
@@ -243,9 +249,13 @@ def test_zero_d_numeric_array_counts_as_its_number(call, value):
 
 def test_point_count_beyond_an_index_rejected():
     # integer() has no huge_integer kind, since a seed may be arbitrarily
-    # large; a grid count is bounded by what an array can hold
-    with pytest.raises(ParamOutOfDomainError):
-        default_grid("ghz_like", HUGE)
+    # large; a grid count is bounded by what an array can hold.  numpy
+    # raised IndexError or ValueError for the two smaller counts, and
+    # sigma_b's grid at sys.maxsize came out empty; none of them allocates
+    for family in triqent.SWEEPABLE:
+        for points in (HUGE, sys.maxsize, 2**60):
+            with pytest.raises(ParamOutOfDomainError):
+                default_grid(family, points)
 
 
 def gsd_form(**fields):

@@ -28,7 +28,7 @@ from triqent import (
     w_prime,
 )
 from triqent.classify import _CLAIMS, DEFAULT_ZERO_TOL, SubtypeLabel, _certify_table, _classify_table
-from triqent.measures import MeasureSet, _mixed_measure_table, _pure_measure_table
+from triqent.measures import NEG_EIG_FLOOR, MeasureSet, _mixed_measure_table, _pure_measure_table
 from triqent.states import QUBITS
 from helpers import (
     bell_bc_plus,
@@ -174,6 +174,19 @@ def test_non_positive_tolerance_rejected(tol):
     with pytest.raises(ParamOutOfDomainError, match="zero_tol must be positive"):
         classify_mixed(to_density(product), zero_tol=tol)
     with pytest.raises(ParamOutOfDomainError, match="zero_tol must be positive"):
+        classify_gsd_pattern(gsd(product), zero_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-16, 1e-20, 5e-324])
+def test_tolerance_below_the_accuracy_floor_rejected(tol):
+    # at 1e-16 the projector of a product state was certified to hold an
+    # entangled pair, and at 1e-20 gsd patterns of product states read S''
+    product = PureState(np.eye(8)[0])
+    with pytest.raises(ParamOutOfDomainError, match="accuracy floor"):
+        classify_pure(product, zero_tol=tol)
+    with pytest.raises(ParamOutOfDomainError, match="accuracy floor"):
+        classify_mixed(to_density(product), zero_tol=tol)
+    with pytest.raises(ParamOutOfDomainError, match="accuracy floor"):
         classify_gsd_pattern(gsd(product), zero_tol=tol)
 
 
@@ -339,9 +352,10 @@ def test_separable_pair_never_certified_entangled():
     # near separability the mixed c_red carries up to about 1e-8 of error,
     # the square root of rounding noise (see test_matches_general_path in
     # test_measures.py); on a pair that is exactly separable it stays at
-    # rounding level, so no threshold down to 1e-12 certifies it entangled
+    # rounding level, so no accepted threshold, down to the accuracy floor,
+    # certifies it entangled
     for i, (rho, separable) in enumerate(separable_pair_cases(np.random.default_rng(91), 150)):
-        for tol in (DEFAULT_ZERO_TOL, 1e-12):
+        for tol in (DEFAULT_ZERO_TOL, 1e-12, NEG_EIG_FLOOR):
             claims = classify_mixed(rho, zero_tol=tol).claims()
             for p in separable:
                 assert f"reduced pair {p} entangled" not in claims, (i, p, tol)

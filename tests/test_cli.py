@@ -169,6 +169,12 @@ class TestStateFiles:
         err = capsys.readouterr().err
         assert err.count("error: zero_tol must be positive") == 3
 
+    def test_tolerance_below_the_accuracy_floor(self, ghz_file, capsys):
+        # at --tol 1e-16 a product projector was certified to hold an entangled pair
+        assert main(["classify", ghz_file, "--tol", "1e-16"]) == 2
+        assert main(["random", "--count", "2", "--tol", "1e-14"]) == 2
+        assert capsys.readouterr().err.count("error: zero_tol must be at least 1e-13, the accuracy floor") == 2
+
     @pytest.mark.parametrize("argv", [["classify", "s.json"], ["random", "--count", "1"]])
     def test_tolerance_default_is_the_library_default(self, argv, capsys):
         assert _build_parser().parse_args(argv).tol == DEFAULT_ZERO_TOL
@@ -305,6 +311,14 @@ class TestSweepCommand:
         main(["sweep", "--family", "ghz_like", "--points", "3", "--out", str(out)])
         raw = out.read_bytes()
         assert b"\r" not in raw
+
+    @pytest.mark.parametrize("family", ["ghz_like", "sigma_b"])
+    def test_point_count_beyond_an_index(self, family, tmp_path, capsys):
+        # ghz_like printed numpy's IndexError, and sigma_b's grid came out empty
+        out = tmp_path / "huge.csv"
+        assert main(["sweep", "--family", family, "--points", str(sys.maxsize), "--out", str(out)]) == 2
+        assert "error: points must be an integer from 1 to sys.maxsize // 16" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_family_exits_nonzero(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -5,9 +5,11 @@ import pytest
 
 from triqent import (
     AmbiguousNearThresholdError,
+    GsdForm,
     MixedStateUnsupportedError,
     NonFiniteError,
     PureState,
+    SubtypeLabel,
     apply_local_unitary,
     classify_gsd_pattern,
     classify_pure,
@@ -21,6 +23,7 @@ from triqent import (
     w_prime,
 )
 from triqent.cli import main, save_state_file
+from triqent.measures import NEG_EIG_FLOOR
 from helpers import (
     hidden_w_state,
     near_swap_w_state,
@@ -285,6 +288,29 @@ class TestPatternClassifier:
         pat = classify_gsd_pattern(gsd(psi))
         assert pat.pattern == "product"
         assert pat.subtype.code == "0-0"
+
+    def test_balanced_alpha_zero_form_is_product(self):
+        # a form with alpha = 0 and beta*omega = delta*epsilon, as given,
+        # not as gsd returns it: |1>_A (|0> + |1>)_B (|0> + |1>)_C / 2
+        form = GsdForm(0j, 0.5, 0.5, 0.5, 0.5, "raw", np.eye(2), np.eye(2), np.eye(2))
+        pat = classify_gsd_pattern(form)
+        assert pat.pattern == "product"
+        assert pat.subtype == SubtypeLabel("0-0")
+
+    @pytest.mark.parametrize("mode", ["raw", "normal"])
+    def test_separable_patterns_at_the_accuracy_floor(self, mode):
+        # rounding leaves the zero coefficients of a product or biseparable
+        # form near 1e-16, a decade below the ambiguity band of the floor
+        # tolerance, so each pattern is decided, and decided right
+        rng = np.random.default_rng(44)
+        for kind in ("product", "A", "B", "C"):
+            for _ in range(200):
+                psi = random_product_state(rng) if kind == "product" else random_biseparable(rng, kind)
+                label = classify_gsd_pattern(gsd(psi, mode=mode), zero_tol=NEG_EIG_FLOOR).subtype
+                if kind == "product":
+                    assert label.code == "0-0"
+                else:
+                    assert (label.code, label.separable_qubit) == ("1^1-1", kind)
 
     def test_b_form(self):
         rng = np.random.default_rng(12)

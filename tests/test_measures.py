@@ -34,6 +34,7 @@ from triqent import (
     sample_haar_pure,
     sample_hs_mixed,
     sigma_b,
+    sweep,
     three_tangle,
     to_density,
     tripartite_negativity,
@@ -510,6 +511,36 @@ class TestMixedStack:
         measure_set(rho)
         classify_mixed(rho)
         concurrence_2q(pair)
+
+    def test_one_lapack_call_per_pair_or_cut_spectrum(self, mixed_corpus, monkeypatch):
+        # a stack of N states makes four LAPACK calls: the spectra of the
+        # cut transposes, the pair eigen-factors, the spectra of the pair
+        # transposes and the spin-flip SVD; the one-qubit spectra are
+        # closed forms, so no call has a trailing (2, 2)
+        calls = []
+
+        def spy(name):
+            real = getattr(np.linalg, name)
+
+            def call(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return real(a, *args, **kwargs)
+            return call
+
+        def expected(n):
+            return [("eigvalsh", (n, 3, 8, 8)), ("eigh", (n, 3, 4, 4)),
+                    ("eigvalsh", (n, 3, 4, 4)), ("svd", (n, 3, 4, 4))]
+
+        rho = mixed_corpus["hs"][0]
+        spec = default_grid("sigma_b")
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        measure_set(rho)
+        classify_mixed(rho)
+        assert calls == 2 * expected(1)
+        calls.clear()
+        sweep(spec)
+        assert calls == expected(len(spec.grid))
 
 
 def apply_non_unitaries(state):

@@ -270,6 +270,10 @@ class TestPartialTrace:
         with pytest.raises(QubitNotPresentError):
             partial_trace(sample_hs_mixed(1, ("B", "C")), "A")
 
+    def test_last_qubit_not_traced(self):
+        with pytest.raises(WrongDimensionError):
+            partial_trace(sample_hs_mixed(1, ("B",)), "B")
+
     def test_preserves_trace_and_psd(self):
         for seed in range(500):
             rho = sample_hs_mixed(seed)
@@ -343,6 +347,15 @@ class TestLocalUnitary:
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         out = apply_local_unitary(basis_state(0, 0, 0), x, x, x)
         np.testing.assert_allclose(out.amplitudes, basis_state(1, 1, 1).amplitudes)
+
+    def test_accepts_unitaries_within_tolerance(self):
+        # each factor deviates from unitary by 9.8e-11, within UNITARY_ATOL;
+        # the three together scaled |111> to norm 1.00000000015, beyond
+        # NORM_ATOL, before the product was renormalized
+        u = np.diag([1.0, 1.0 + 4.9e-11])
+        assert np.abs(u.conj().T @ u - np.eye(2)).max() <= triqent.states.UNITARY_ATOL
+        out = apply_local_unitary(basis_state(1, 1, 1), u, u, u)
+        np.testing.assert_allclose(out.amplitudes, basis_state(1, 1, 1).amplitudes, rtol=0, atol=1e-15)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):

@@ -18,6 +18,14 @@ from .measures import NEG_EIG_FLOOR, MeasureSet, _mixed_measure_table, _pure_mea
 from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _is_number, _require_density, _require_pure
 
 DEFAULT_ZERO_TOL = 1e-8
+#: a decision quantity within this factor of zero_tol, on either side,
+#: makes its decision ambiguous
+AMBIGUITY_BAND = 10.0
+
+
+def _near_threshold(x, zero_tol: float):
+    """Whether ``x`` (a number, or elementwise an array) lies within AMBIGUITY_BAND of zero_tol."""
+    return (zero_tol / AMBIGUITY_BAND <= x) & (x <= zero_tol * AMBIGUITY_BAND)
 
 
 def check_zero_tol(zero_tol: float) -> None:
@@ -87,8 +95,13 @@ class Certificate:
 
 @dataclass(frozen=True)
 class MixedVerdict:
+    """The certificates of ``classify_mixed``; ``ambiguous`` is set when a
+    compared witness (a one-vs-two negativity n_q or a reduced
+    concurrence c_red) lies within AMBIGUITY_BAND of zero_tol."""
+
     certificates: tuple[Certificate, ...]
     measures: MeasureSet
+    ambiguous: bool = False
 
     def claims(self) -> tuple[str, ...]:
         return tuple(c.claim for c in self.certificates)
@@ -138,14 +151,14 @@ def _classify_table(table: np.ndarray, zero_tol: float) -> _PureDecisions:
     # two factorizable qubits cannot happen analytically: either the
     # state is fully separable (all three factorizable) or rounding
     # produced an inconsistent pattern, labelled by the purest qubit
-    near_product = (n_side < 10.0 * zero_tol).all(axis=1)
+    near_product = (n_side < AMBIGUITY_BAND * zero_tol).all(axis=1)
     product = (count == 3) | ((count == 2) & near_product)
     inconsistent = (count == 2) & ~near_product
     purest = np.argmin(np.where(factorizable, n_side, np.inf), axis=1)
     separable = np.where(product | (count == 0), -1, purest)
     pairs = (c_red > zero_tol) & ~product[:, np.newaxis]
     codes = np.where(product, "0-0", np.where(separable >= 0, "1^1-1", _FULLY_INSEPARABLE[pairs.sum(axis=1)]))
-    ambiguous = inconsistent | ((zero_tol / 10.0 <= margins) & (margins <= zero_tol * 10.0)).any(axis=1)
+    ambiguous = inconsistent | _near_threshold(margins, zero_tol).any(axis=1)
     return _PureDecisions(codes, ambiguous, separable, factorizable, pairs, margins)
 
 
@@ -192,11 +205,14 @@ _CLAIMS = (
 )
 
 
-def _certify_table(table: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _certify_table(table: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The certificates of ``classify_mixed`` on an (N, 13) mixed measure table.
 
-    It reads the columns n_q (0:3), n_abc (3) and c_red_* (7:10).  Returns (held, witness), both (N, len(_CLAIMS)): row i certifies claim
-    j with witness[i, j] exactly when held[i, j].
+    It reads the columns n_q (0:3), n_abc (3) and c_red_* (7:10).
+    Returns (held, witness, ambiguous): held and witness are (N,
+    len(_CLAIMS)), and row i certifies claim j with witness[i, j] exactly
+    when held[i, j]; ambiguous (N,) marks the rows with an n_q or c_red,
+    the witnesses compared with zero_tol, within AMBIGUITY_BAND of it.
     """
     n_side, n_abc, c_red = table[:, 0:3], table[:, 3:4], table[:, 7:10]
     sides = n_side > zero_tol
@@ -208,7 +224,8 @@ def _certify_table(table: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.n
         np.ones_like(n_abc, dtype=bool),
     ], axis=1)
     witness = np.concatenate([c_red, n_side, n_side.max(axis=1, keepdims=True), n_abc, n_abc], axis=1)
-    return held, witness
+    ambiguous = _near_threshold(np.concatenate([n_side, c_red], axis=1), zero_tol).any(axis=1)
+    return held, witness, ambiguous
 
 
 def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> MixedVerdict:
@@ -225,12 +242,16 @@ def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Mi
     is never asserted, only excluded; the gap between generalized
     biseparability and full inseparability stays undetermined.  The
     decision is ``_certify_table`` on a stack of one, so ``sweep``
-    certifies a grid measured as one stack the same way.
+    certifies a grid measured as one stack the same way.  As in
+    ``classify_pure``, a compared witness (n_q or c_red) within a factor
+    of AMBIGUITY_BAND of zero_tol sets ``ambiguous``; the certificates
+    are still returned.  The state must be laid out as ("A", "B", "C"):
+    any other layout, a permutation too, raises WrongDimensionError.
     """
-    if len(_require_density(rho, "classify_mixed").qubits) != 3:
+    if _require_density(rho, "classify_mixed").qubits != QUBITS:
         raise WrongDimensionError("classify_mixed needs a dim-8 density matrix over [A, B, C]")
     check_zero_tol(zero_tol)
     table = _mixed_measure_table(rho.matrix[np.newaxis])
-    held, witness = _certify_table(table, zero_tol)
+    held, witness, ambiguous = _certify_table(table, zero_tol)
     certs = tuple(Certificate(c, w) for c, h, w in zip(_CLAIMS, held[0].tolist(), witness[0].tolist()) if h)
-    return MixedVerdict(certs, MeasureSet(*table[0].tolist()))
+    return MixedVerdict(certs, MeasureSet(*table[0].tolist()), bool(ambiguous[0]))

@@ -20,7 +20,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .classify import DEFAULT_ZERO_TOL, _classify_table, check_zero_tol, classify_mixed, classify_pure
+from .classify import AMBIGUITY_BAND, DEFAULT_ZERO_TOL, _classify_table, check_zero_tol, classify_mixed, classify_pure
 from .errors import (
     AmbiguousNearThresholdError,
     ParamOutOfDomainError,
@@ -56,6 +56,10 @@ _REPORT_LINE = "%d\t%s\t" + "\t".join(f"{name}=%.12g" for name in _REPORT_FIELDS
 _REPORT_COLUMNS = [_MEASURE_NAMES.index(name) for name in _REPORT_FIELDS]
 #: the measure-table column of each MEASURE_FIELDS entry, in CSV order
 _SWEEP_COLUMNS = [_MEASURE_NAMES.index(name) for name in MEASURE_FIELDS]
+
+
+#: the line ``classify`` prints for an ambiguous verdict, pure or mixed
+_AMBIGUOUS_WARNING = f"warning: a decision margin is within {AMBIGUITY_BAND:g}x of the zero tolerance"
 
 
 def _fmt(value) -> str:
@@ -155,7 +159,7 @@ def _cmd_classify(args) -> int:
             if res.label.entangled_pairs:
                 print(f"entangled reduced pairs: {', '.join(res.label.entangled_pairs)}")
             if res.ambiguous:
-                print("warning: a decision margin is within 10x of the zero tolerance")
+                print(_AMBIGUOUS_WARNING)
             print("measures:")
             _print_measures(res.measures, sys.stdout)
             print("margins:")
@@ -168,15 +172,18 @@ def _cmd_classify(args) -> int:
         print(json.dumps({
             "kind": "mixed",
             "certificates": [[c.claim, c.witness] for c in verdict.certificates],
+            "ambiguous": verdict.ambiguous,
             "measures": verdict.measures.as_dict(),
         }))
     else:
         print("mixed-state verdict:")
         for c in verdict.certificates:
             print(f"  {c.claim} (witness {_fmt(c.witness)})")
+        if verdict.ambiguous:
+            print(_AMBIGUOUS_WARNING)
         print("measures:")
         _print_measures(verdict.measures, sys.stdout)
-    return 0
+    return 3 if verdict.ambiguous else 0
 
 
 def _cmd_measure(args) -> int:
@@ -228,7 +235,7 @@ def _write_sweep_chunk(fh, family: str, chunk) -> None:
     measure_cells = ["%.12g" if c < width else "" for c in _SWEEP_COLUMNS]
     line = ",".join([family, "%.12g", *measure_cells, "%s", *oracle_cells, *oracle_cells]) + "\n"
     n = len(chunk.params)
-    head = np.column_stack([[p[0] for p in chunk.params], chunk.table[:, [c for c in _SWEEP_COLUMNS if c < width]]])
+    head = np.column_stack([chunk.params[:, 0], chunk.table[:, [c for c in _SWEEP_COLUMNS if c < width]]])
     tail = np.array([chunk.oracle[f] for f in fields] + [chunk.deviations[f] for f in fields], dtype=float)
     tail = tail.reshape(2 * len(fields), n).T
     fh.write("".join([line % (*h, v, *t) for h, v, t in zip(head.tolist(), chunk.verdicts, tail.tolist())]))

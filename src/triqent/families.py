@@ -1,30 +1,38 @@
 """Named states, parametric families and their closed-form reference values.
 
-Each family is written once, as a closed form over a stack of
-parameter rows: ``_build`` checks the rows against the family's domain
-(vectorized, so a NaN parameter is rejected too) and returns (N, 8)
-amplitudes for a pure family or (N, 8, 8) matrices for a mixed one.
-The scalar constructors (``ghz_like(alpha)``, ``sigma_b(b)``, ...) and
-``make_state`` are that closed form on a stack of one.  Only the
-parameters are checked: the closed form of an in-domain row is a state
-by construction, so ``sweep`` measures it as built, and ``make_state``
-wraps a matrix unvalidated, as ``to_density`` does (amplitudes still
-pass ``PureState``).
+Each family is described once, as one ``_Family`` record in
+``_FAMILIES``: its number of parameters, their kind (real or complex),
+its closed form over an (N, arity) stack of parameter rows, its known
+closed-form measures (oracle columns) over the same rows, and the
+values of its default sweep grid.  ``FAMILIES``, ``SWEEPABLE``,
+``make_state``, ``oracle``, ``default_grid`` and ``sweep`` all read
+that record.  The closed form checks the rows against the family's
+domain (vectorized, so a NaN parameter is rejected too) and returns
+(N, 8) amplitudes for a pure family or (N, 8, 8) matrices for a mixed
+one.  The scalar constructors (``ghz_like(alpha)``, ``sigma_b(b)``,
+...), ``make_state`` and ``oracle`` are that closed form on a stack of
+one.  Only the parameters are checked: the closed form of an in-domain
+row is a state by construction, so ``sweep`` measures it as built, and
+``make_state`` wraps a matrix unvalidated, as ``to_density`` does
+(amplitudes still pass ``PureState``).
 
-The known closed forms of a family's measures are written once too, as
-columns over the same rows (``_oracle_columns``), and ``oracle`` is
-that routine on a stack of one.  A sweep is a table per STACK_CHUNK
-grid points (``_sweep_chunks``): each chunk is built, measured,
-classified and compared with its oracle columns as one stack, and only
-then is the next one made.  ``sweep`` turns the chunks into SweepRows;
-the ``triqent sweep`` command writes each chunk's CSV lines straight
-from its columns, so its memory does not grow with the grid.
+A grid is checked once, as one (N, arity) array of numbers
+(``_parameter_rows``); its points are walked only when that fails, to
+name the first bad one.  ``default_grid`` returns a read-only (N, 1)
+float array, 8 bytes a point.  A sweep is a table per STACK_CHUNK grid
+rows (``_sweep_chunks``): each slice of the checked rows is built,
+measured, classified and compared with its oracle columns as one stack,
+and only then is the next one made.  ``sweep`` turns the chunks into
+SweepRows; the ``triqent sweep`` command writes each chunk's CSV lines
+straight from its columns, so beyond the grid its memory does not grow
+with the number of points.
 """
 
 from __future__ import annotations
 
 import numbers
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
@@ -163,83 +171,151 @@ def _sigma_b_rows(rows: np.ndarray) -> np.ndarray:
     return m / (7.0 * b + 1.0)[:, np.newaxis, np.newaxis]
 
 
-#: family name -> (number of parameters, closed form over an (N, arity)
-#: stack of parameter rows)
+class _Family(NamedTuple):
+    """Everything known about one family, over (N, arity) stacks of parameter rows.
+
+    ``kind`` is the kind of number a parameter is (numbers.Real or
+    numbers.Complex).  ``closed_form`` checks the rows against the
+    family's domain and returns (N, 8) amplitudes or (N, 8, 8) matrices;
+    ``oracle``, when the family has known closed-form measures, returns
+    one (N,) column per measure, keyed by MeasureSet field name;
+    ``grid``, for a family with a one-parameter domain, returns the
+    ``points`` values of its default sweep grid.
+    """
+
+    arity: int
+    kind: type
+    closed_form: Callable[[np.ndarray], np.ndarray]
+    oracle: Callable[[np.ndarray], dict[str, np.ndarray]] | None
+    grid: Callable[[int], np.ndarray] | None
+
+
+def _symmetric(n_cut: np.ndarray, n_red: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Oracle columns of a family symmetric under qubit permutations.
+
+    ``n_cut`` is every one-vs-two negativity and their mean n_abc, and
+    ``n_red``, when given, every reduced-pair negativity.
+    """
+    out = {"n_a_bc": n_cut, "n_b_ac": n_cut, "n_c_ab": n_cut, "n_abc": n_cut}
+    if n_red is not None:
+        out.update({"n_red_bc": n_red, "n_red_ac": n_red, "n_red_ab": n_red})
+    return out
+
+
+def _w_oracle(rows: np.ndarray) -> dict[str, np.ndarray]:
+    n = len(rows)
+    return _symmetric(np.full(n, 2.0 * np.sqrt(2.0) / 3.0), np.full(n, (np.sqrt(5.0) - 1.0) / 3.0))
+
+
+def _ghz_like_oracle(rows: np.ndarray) -> dict[str, np.ndarray]:
+    alpha = rows[:, 0]
+    return _symmetric(2.0 * np.abs(alpha) * np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)), np.zeros(len(rows)))
+
+
+def _w_canonical_oracle(rows: np.ndarray) -> dict[str, np.ndarray]:
+    a, e, d = np.hypot(rows.real, rows.imag).T  # as Python's abs of a complex
+    return {
+        "n_red_bc": np.sqrt(a**4 + 4 * (e * d) ** 2) - a**2,
+        "n_red_ac": np.sqrt(d**4 + 4 * (e * a) ** 2) - d**2,
+        "n_red_ab": np.sqrt(e**4 + 4 * (a * d) ** 2) - e**2,
+    }
+
+
+def _ghz_w_mix_oracle(rows: np.ndarray) -> dict[str, np.ndarray]:
+    p = rows[:, 0]
+    return _symmetric((np.sqrt(41 * p * p - 64 * p + 32) + 2 * np.sqrt(10 * p * p - 2 * p + 1) - p - 2) / 6.0)
+
+
+def _sigma_b_oracle(rows: np.ndarray) -> dict[str, np.ndarray]:
+    b = rows[:, 0]
+    n_cut = (np.sqrt(3.0 * b * b + 1.0) - 2.0 * b) / (7.0 * b + 1.0)
+    return {"n_a_bc": np.zeros(len(b)), "n_b_ac": n_cut, "n_c_ab": n_cut, "n_abc": np.zeros(len(b))}
+
+
+def _interior(points: int) -> np.ndarray:
+    """``points`` evenly spaced values inside the open interval (0, 1)."""
+    vals = np.arange(1.0, points + 1)
+    vals /= points + 1.0
+    return vals
+
+
+#: family name -> its record; SWEEPABLE lists the families with a grid, in this order
 _FAMILIES = {
-    "ghz": (0, lambda rows: _ghz_rows(np.zeros(len(rows)))),
-    "w": (0, lambda rows: _w_canonical_rows(np.full((len(rows), 3), 1 / _SQRT3))),
-    "w_prime": (0, lambda rows: _w_prime_rows(len(rows))),
-    "rho0": (0, lambda rows: _rho_epsilon_rows(np.zeros((len(rows), 1)))),
-    "ghz_like": (1, _ghz_like_rows),
-    "w_canonical": (3, _w_canonical_rows),
-    "ghz_w_mix": (1, _ghz_w_mix_rows),
-    "ghz_noise": (1, _ghz_noise_rows),
-    "sigma_b": (1, _sigma_b_rows),
-    "rho_epsilon": (1, _rho_epsilon_rows),
+    "ghz": _Family(0, numbers.Real, lambda rows: _ghz_rows(np.zeros(len(rows))),
+                   lambda rows: _symmetric(np.ones(len(rows)), np.zeros(len(rows))), None),
+    "w": _Family(0, numbers.Real, lambda rows: _w_canonical_rows(np.full((len(rows), 3), 1 / _SQRT3)),
+                 _w_oracle, None),
+    "w_prime": _Family(0, numbers.Real, lambda rows: _w_prime_rows(len(rows)), _w_oracle, None),
+    "rho0": _Family(0, numbers.Real, lambda rows: _rho_epsilon_rows(np.zeros((len(rows), 1))), None, None),
+    "ghz_like": _Family(1, numbers.Real, _ghz_like_rows, _ghz_like_oracle,
+                        lambda points: np.linspace(0.0, 1.0 / np.sqrt(2.0), points)),
+    "w_canonical": _Family(3, numbers.Complex, _w_canonical_rows, _w_canonical_oracle, None),
+    "ghz_w_mix": _Family(1, numbers.Real, _ghz_w_mix_rows, _ghz_w_mix_oracle,
+                         lambda points: np.linspace(0.0, 1.0, points)),
+    "ghz_noise": _Family(1, numbers.Real, _ghz_noise_rows,
+                         lambda rows: {"n_abc": np.where(rows[:, 0] <= 0.2, 0.0, (5.0 * rows[:, 0] - 1.0) / 4.0)},
+                         lambda points: np.linspace(0.0, 1.0, points)),
+    "rho_epsilon": _Family(1, numbers.Real, _rho_epsilon_rows,
+                           lambda rows: {"n_a_bc": np.zeros(len(rows)), "n_red_bc": np.abs(rows[:, 0])},
+                           lambda points: np.linspace(-1.0, 1.0, points)),
+    "sigma_b": _Family(1, numbers.Real, _sigma_b_rows, _sigma_b_oracle, _interior),
 }
 
-
-#: the only family whose parameters are complex; every other one takes reals
-_COMPLEX_FAMILIES = ("w_canonical",)
-
-
-def _numeric_rows(grid, kind: type) -> np.ndarray:
-    """The grid as an (N, arity) array of ``kind`` (numbers.Real or numbers.Complex) numbers.
-
-    A grid that is not a two-dimensional array of such numbers is checked
-    row by row: ParamOutOfDomainError names the first row that is not a
-    sequence of them, such as a dict, a set, or a row holding a string,
-    None, an array or a boolean (see ``_numbers``).
-    """
-    rows = _numbers(grid, kind)
-    if rows is None or rows.ndim != 2:
-        # None, for a row that is not numbers, has no ndim
-        _raise_first(np.array([getattr(_numbers(params, kind), "ndim", None) != 1 for params in grid]),
-                     ParamOutOfDomainError,
-                     lambda i: f"parameters must be {kind.__name__.lower()} numbers, got {grid[i]}")
-    return rows
+FAMILIES = tuple(sorted(_FAMILIES))
+#: families with a one-parameter domain and hence a default sweep grid
+SWEEPABLE = tuple(name for name, record in _FAMILIES.items() if record.grid is not None)
 
 
-def _known(family) -> bool:
-    return isinstance(family, str) and family in _FAMILIES
+def _family(family) -> _Family:
+    """The record of a family name; ParamOutOfDomainError for any other value."""
+    if isinstance(family, str) and family in _FAMILIES:
+        return _FAMILIES[family]
+    raise ParamOutOfDomainError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
 
 
-def _length(params) -> int | None:
-    """``len(params)``, or None for an object without a length, such as a number."""
+def _point_problem(params, family: str, arity: int, kind: type) -> str | None:
+    """Why ``params`` is not one parameter row of ``family``, or None when it is."""
     try:
-        return len(params)
-    except TypeError:
-        return None
+        n = len(params)
+    except TypeError:  # not a sequence, such as a number
+        return f"family {family!r} takes {arity} parameter(s), got {params!r}, not a tuple"
+    if n != arity:
+        return f"family {family!r} takes {arity} parameter(s), got {n}"
+    if getattr(_numbers(params, kind), "ndim", None) != 1:  # None, for a row that is not numbers
+        return f"parameters must be {kind.__name__.lower()} numbers, got {params}"
+    return None
 
 
-def _arity_message(family: str, arity: int, params) -> str:
-    n = _length(params)
-    got = f"{params!r}, not a tuple" if n is None else n
-    return f"family {family!r} takes {arity} parameter(s), got {got}"
+def _parameter_rows(points, family: str, arity: int, kind: type) -> np.ndarray:
+    """A nonempty sequence of parameter rows, or an (N, arity) array, as an (N, arity) array of
+    ``kind`` (numbers.Real or numbers.Complex) numbers, checked as one.
 
-
-def _build(family: str, grid) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, stack): the (N, arity) parameter rows of a grid of parameter tuples, and the
-    family's closed form on them; only the rows are checked (see the module docstring)."""
-    _raise_first(np.full(len(grid), not _known(family)), ParamOutOfDomainError,
-                 lambda i: f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    arity, closed_form = _FAMILIES[family]
-    _raise_first(np.array([_length(params) != arity for params in grid]), ParamOutOfDomainError,
-                 lambda i: _arity_message(family, arity, grid[i]))
-    kind = numbers.Complex if family in _COMPLEX_FAMILIES else numbers.Real
-    rows = _numeric_rows(grid, kind).reshape(len(grid), arity)
-    return rows, closed_form(rows)
+    An array of the kind's dtype is taken as it is, without a copy.
+    Only when the whole is not such an array are the points walked:
+    ParamOutOfDomainError names the first one that is not a sequence of
+    ``arity`` numbers of the kind, such as a number, a dict, or a row
+    holding a string, None, an array or a boolean (see ``_numbers``),
+    and records its index (see ``_raise_first``).  The family's domain
+    is checked by its closed form.
+    """
+    dtype = complex if kind is numbers.Complex else float
+    rows = points if isinstance(points, np.ndarray) and points.dtype == dtype else _numbers(points, kind)
+    if rows is None or rows.ndim != 2 or rows.shape[1] != arity:
+        _raise_first(np.array([_point_problem(p, family, arity, kind) is not None for p in points]),
+                     ParamOutOfDomainError, lambda i: _point_problem(points[i], family, arity, kind))
+    return rows
 
 
 def make_state(family: str, *params) -> PureState | DensityMatrix:
     """Build the named state or family member for the given parameters."""
-    _, stack = _build(family, [params])
+    record = _family(family)
+    stack = record.closed_form(_parameter_rows([params], family, record.arity, record.kind))
     return PureState(stack[0]) if stack.ndim == 2 else DensityMatrix._derived(stack[0], QUBITS)
 
 
 def ghz(phase: float = 0.0) -> PureState:
     """(|000> + e^{i phase} |111>) / sqrt(2); mixtures below pin phase = 0."""
-    return PureState(_ghz_rows(_numeric_rows([(phase,)], numbers.Real)[:, 0])[0])
+    return PureState(_ghz_rows(_parameter_rows([(phase,)], "ghz", 1, numbers.Real)[:, 0])[0])
 
 
 def ghz_like(alpha: float) -> PureState:
@@ -264,7 +340,8 @@ def w_state() -> PureState:
 
 def from_gsd_coefficients(alpha, beta, delta, epsilon, omega) -> PureState:
     """Pure state with the five canonical amplitudes and zeros elsewhere."""
-    return PureState(_gsd_rows(_numeric_rows([(alpha, beta, delta, epsilon, omega)], numbers.Complex))[0])
+    rows = _parameter_rows([(alpha, beta, delta, epsilon, omega)], "canonical", 5, numbers.Complex)
+    return PureState(_gsd_rows(rows)[0])
 
 
 def rho_epsilon(eps: float) -> DensityMatrix:
@@ -301,100 +378,48 @@ def sigma_b(b: float) -> DensityMatrix:
     return make_state("sigma_b", b)
 
 
-FAMILIES = tuple(sorted(_FAMILIES))
-#: families with a one-parameter domain and hence a default sweep grid
-SWEEPABLE = ("ghz_like", "ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
-
-
-def _symmetric(n_cut: np.ndarray, n_red: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Oracle columns of a family symmetric under qubit permutations.
-
-    ``n_cut`` is every one-vs-two negativity and their mean n_abc, and
-    ``n_red``, when given, every reduced-pair negativity.
-    """
-    out = {"n_a_bc": n_cut, "n_b_ac": n_cut, "n_c_ab": n_cut, "n_abc": n_cut}
-    if n_red is not None:
-        out.update({"n_red_bc": n_red, "n_red_ac": n_red, "n_red_ab": n_red})
-    return out
-
-
-def _oracle_columns(family: str, rows: np.ndarray) -> dict[str, np.ndarray]:
-    """The family's closed forms over an (N, arity) stack of grid rows ``_build`` has checked.
-
-    Returns one (N,) column per known measure, keyed by MeasureSet field
-    name, and raises NoOracleError for a family with no closed form.
-    """
-    n = len(rows)
-    if family == "ghz":
-        return _symmetric(np.ones(n), np.zeros(n))
-    if family in ("w", "w_prime"):
-        return _symmetric(np.full(n, 2.0 * np.sqrt(2.0) / 3.0), np.full(n, (np.sqrt(5.0) - 1.0) / 3.0))
-    if family == "ghz_like":
-        alpha = rows[:, 0]
-        return _symmetric(2.0 * np.abs(alpha) * np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)), np.zeros(n))
-    if family == "w_canonical":
-        a, e, d = np.hypot(rows.real, rows.imag).T  # as Python's abs of a complex
-        return {
-            "n_red_bc": np.sqrt(a**4 + 4 * (e * d) ** 2) - a**2,
-            "n_red_ac": np.sqrt(d**4 + 4 * (e * a) ** 2) - d**2,
-            "n_red_ab": np.sqrt(e**4 + 4 * (a * d) ** 2) - e**2,
-        }
-    if family == "ghz_w_mix":
-        p = rows[:, 0]
-        return _symmetric((np.sqrt(41 * p * p - 64 * p + 32) + 2 * np.sqrt(10 * p * p - 2 * p + 1) - p - 2) / 6.0)
-    if family == "ghz_noise":
-        p = rows[:, 0]
-        return {"n_abc": np.where(p <= 0.2, 0.0, (5.0 * p - 1.0) / 4.0)}
-    if family == "sigma_b":
-        b = rows[:, 0]
-        n_cut = (np.sqrt(3.0 * b * b + 1.0) - 2.0 * b) / (7.0 * b + 1.0)
-        return {"n_a_bc": np.zeros(n), "n_b_ac": n_cut, "n_c_ab": n_cut, "n_abc": np.zeros(n)}
-    if family == "rho_epsilon":
-        return {"n_a_bc": np.zeros(n), "n_red_bc": np.abs(rows[:, 0])}
-    raise NoOracleError(f"no closed form registered for family {family!r}")
-
-
 def oracle(family: str, *params) -> dict[str, float]:
     """Closed-form values for a family, keyed by MeasureSet field name.
 
-    It is ``_oracle_columns`` on a stack of one, the routine ``sweep``
-    reads for its grid.  Raises NoOracleError for a family with no
-    closed form, and what ``make_state`` raises for parameters outside
+    It is the family's oracle columns on a stack of one, the routine
+    ``sweep`` reads for its grid.  Raises NoOracleError for a family with
+    no closed form, and what ``make_state`` raises for parameters outside
     the family's domain.
     """
-    if not _known(family):
+    record = _FAMILIES.get(family) if isinstance(family, str) else None
+    if record is None or record.oracle is None:
         raise NoOracleError(f"no closed form registered for family {family!r}")
-    rows, _ = _build(family, [params])
-    return {k: float(v[0]) for k, v in _oracle_columns(family, rows).items()}
+    rows = _parameter_rows([params], family, record.arity, record.kind)
+    record.closed_form(rows)  # checks the domain
+    return {k: float(v[0]) for k, v in record.oracle(rows).items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilySpec:
-    """Family identifier plus the parameter grid to evaluate it on."""
+    """Family identifier plus the parameter grid to evaluate it on.
+
+    The grid is a sequence of parameter tuples or an (N, arity) array of
+    parameter rows.  Like the other records that hold an array, two
+    specs are equal only when they are the same object.
+    """
 
     family: str
-    grid: tuple[tuple[float, ...], ...]
+    grid: Sequence[Sequence[float]] | np.ndarray
 
 
 def default_grid(family: str, points: int = 101) -> FamilySpec:
-    """Uniform grid over the family's parameter domain."""
+    """Uniform grid over the family's parameter domain, as a read-only (points, 1) float array."""
     # from about sys.maxsize // 8 points numpy cannot size the grid (a raw error)
     if not _is_number(points, numbers.Integral) or not 1 <= points <= sys.maxsize // 16:
         raise ParamOutOfDomainError(f"points must be an integer from 1 to sys.maxsize // 16, got {points!r:.40}")
     if not isinstance(family, str):
         raise ParamOutOfDomainError(f"family must be a name, got {family!r}")
-    if family == "ghz_like":
-        vals = np.linspace(0.0, 1.0 / np.sqrt(2.0), points)
-    elif family in ("ghz_w_mix", "ghz_noise"):
-        vals = np.linspace(0.0, 1.0, points)
-    elif family == "rho_epsilon":
-        vals = np.linspace(-1.0, 1.0, points)
-    elif family == "sigma_b":
-        # open domain: interior points only
-        vals = np.arange(1, points + 1) / (points + 1.0)
-    else:
+    values = getattr(_FAMILIES.get(family), "grid", None)
+    if values is None:
         raise ParamOutOfDomainError(f"family {family!r} has no default sweep grid")
-    return FamilySpec(family, tuple((float(v),) for v in vals))
+    grid = values(points).reshape(points, 1)
+    grid.setflags(write=False)
+    return FamilySpec(family, grid)
 
 
 @dataclass(frozen=True)
@@ -409,27 +434,22 @@ class SweepRow:
 class _SweepChunk(NamedTuple):
     """Up to STACK_CHUNK consecutive grid points of a sweep, as columns.
 
-    ``params`` is the slice of the grid as given; ``table`` the (N, 16)
-    pure or (N, 13) mixed measure table; ``verdicts`` one string per
-    point; ``oracle`` and ``deviations`` (N,) columns keyed by MeasureSet
-    field, the deviation being |table column - oracle column|.
+    ``params`` is the (N, arity) slice of the checked grid rows; ``table``
+    the (N, 16) pure or (N, 13) mixed measure table; ``verdicts`` one
+    string per point; ``oracle`` and ``deviations`` (N,) columns keyed by
+    MeasureSet field, the deviation being |table column - oracle column|.
     """
 
-    params: tuple
+    params: np.ndarray
     table: np.ndarray
     verdicts: list[str]
     oracle: dict[str, np.ndarray]
     deviations: dict[str, np.ndarray]
 
 
-def _sweep_chunk(family: str, grid) -> _SweepChunk:
-    """Up to STACK_CHUNK grid points, built, measured, classified and compared as one stack."""
-    try:
-        rows, stack = _build(family, grid)
-    except TriqentError as exc:
-        if hasattr(exc, "_row"):  # see _raise_first
-            exc.args = (f"sweep of {family!r} failed at params {grid[exc._row]}: {exc}",)
-        raise
+def _sweep_chunk(record: _Family, rows: np.ndarray) -> _SweepChunk:
+    """Up to STACK_CHUNK checked grid rows, built, measured, classified and compared as one stack."""
+    stack = record.closed_form(rows)
     if stack.ndim == 2:
         table = _pure_measure_table(stack)
         verdicts = _classify_table(table, DEFAULT_ZERO_TOL).codes.tolist()
@@ -437,33 +457,45 @@ def _sweep_chunk(family: str, grid) -> _SweepChunk:
         table = _mixed_measure_table(stack)
         held = _certify_table(table, DEFAULT_ZERO_TOL)[0]
         verdicts = ["; ".join(compress(_CLAIMS, row)) for row in held.tolist()]
-    try:
-        oracle_columns = _oracle_columns(family, rows)
-    except NoOracleError:
-        oracle_columns = {}
+    oracle_columns = record.oracle(rows) if record.oracle else {}
     deviations = {k: np.abs(table[:, _MEASURE_NAMES.index(k)] - v) for k, v in oracle_columns.items()}
-    return _SweepChunk(grid, table, verdicts, oracle_columns, deviations)
+    return _SweepChunk(rows, table, verdicts, oracle_columns, deviations)
 
 
 def _sweep_chunks(spec: FamilySpec):
     """The grid of ``spec`` as one _SweepChunk per STACK_CHUNK points, in grid order.
 
-    A chunk is made when it is asked for, and its state stack is dropped
+    The family and the whole grid are checked first, as one (N, arity)
+    array (see ``_parameter_rows``), and the chunks are slices of it.  A
+    chunk is made when it is asked for, and its state stack is dropped
     once its table is made, so a caller that writes each chunk out needs
-    memory for about one chunk, however long the grid.  A grid that is
-    not a nonempty sequence of parameter tuples raises
-    ParamOutOfDomainError before any chunk is made.
+    memory for the grid and about one chunk, however long the grid.  A
+    grid that is not a nonempty sequence of parameter tuples raises
+    ParamOutOfDomainError before any chunk is made; a point outside the
+    family's domain raises it when its chunk is made.  Either message
+    names the params of the first point that fails.
     """
     if not isinstance(spec, FamilySpec):
         raise ParamOutOfDomainError(f"sweep needs a FamilySpec, got {type(spec).__name__}")
+    record = _family(spec.family)
     try:
-        points = tuple(spec.grid)
+        points = spec.grid if isinstance(spec.grid, np.ndarray) and spec.grid.ndim else tuple(spec.grid)
     except TypeError:  # not iterable, such as a number
         points = ()
-    if not points:
+    if not len(points):
         raise ParamOutOfDomainError(f"sweep needs a nonempty grid of parameter tuples, got {spec.grid!r}")
-    for start in range(0, len(points), STACK_CHUNK):
-        yield _sweep_chunk(spec.family, points[start:start + STACK_CHUNK])
+    start = 0
+    try:
+        rows = _parameter_rows(points, spec.family, record.arity, record.kind)
+        for start in range(0, len(rows), STACK_CHUNK):
+            yield _sweep_chunk(record, rows[start:start + STACK_CHUNK])
+    except TriqentError as exc:
+        if hasattr(exc, "_row"):  # see _raise_first
+            params = points[start + exc._row]
+            if isinstance(params, np.ndarray):
+                params = tuple(params.tolist())
+            exc.args = (f"sweep of {spec.family!r} failed at params {params}: {exc}",)
+        raise
 
 
 def _row_dicts(columns: dict[str, np.ndarray], n: int) -> list[dict[str, float]]:
@@ -480,12 +512,13 @@ def sweep(spec: FamilySpec) -> list[SweepRow]:
     oracle columns as one stack per chunk of STACK_CHUNK points.  Each
     row equals what ``classify_pure`` or ``classify_mixed`` gives on
     ``make_state(family, *params)``, and its oracle values what
-    ``oracle(family, *params)`` gives.  The list holds every row, so its
-    size grows with the grid; the ``triqent sweep`` command streams the
-    chunks instead.  A grid that is not a nonempty sequence of parameter
-    tuples, or a point outside the family's domain, raises
-    ParamOutOfDomainError, whose message names the params of the first
-    grid point that fails.
+    ``oracle(family, *params)`` gives; its params are the point's
+    parameters as Python numbers.  The list holds every row, so its size
+    grows with the grid; the ``triqent sweep`` command streams the
+    chunks instead.  An unknown family, a grid that is not a nonempty
+    sequence of parameter tuples, or a point outside the family's domain
+    raises ParamOutOfDomainError, whose message names the params of the
+    first grid point that fails.
     """
     rows = []
     for chunk in _sweep_chunks(spec):
@@ -493,7 +526,7 @@ def sweep(spec: FamilySpec) -> list[SweepRow]:
         rows += [
             SweepRow(tuple(params), ms, verdict, oracle_values, deviations)
             for params, ms, verdict, oracle_values, deviations in zip(
-                chunk.params, _measure_sets(chunk.table), chunk.verdicts,
+                chunk.params.tolist(), _measure_sets(chunk.table), chunk.verdicts,
                 _row_dicts(chunk.oracle, n), _row_dicts(chunk.deviations, n),
             )
         ]

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import DEFAULT_ZERO_TOL, SubtypeLabel, check_zero_tol
+from .classify import DEFAULT_ZERO_TOL, SubtypeLabel, _near_threshold, check_zero_tol
 from .errors import (
     AmbiguousNearThresholdError,
     NumericalDegeneracyError,
@@ -304,7 +304,7 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> G
         "beta*omega - delta*epsilon": abs(form.beta * form.omega - form.delta * form.epsilon),
     }
     for name, value in mags.items():
-        if zero_tol / 10.0 <= value <= zero_tol * 10.0:
+        if _near_threshold(value, zero_tol):
             raise AmbiguousNearThresholdError(
                 f"|{name}| = {value:.3e} is within a decade of zero_tol = {zero_tol:.1e}"
             )

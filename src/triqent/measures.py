@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import ParamOutOfDomainError, StateTypeError, WrongDimensionError
 from .states import (
+    QUBITS,
     DensityMatrix,
     PureState,
     _partial_trace,
@@ -148,10 +149,7 @@ def negativity(rho: DensityMatrix, side: str) -> float:
 
 def tripartite_negativity(rho: DensityMatrix) -> float:
     """Geometric mean of the three one-vs-two negativities; zero if any factor is."""
-    _require_density(rho, "tripartite_negativity")
-    if len(rho.qubits) != 3:
-        raise WrongDimensionError(f"need a full three-qubit state, got layout {rho.qubits!r}")
-    return measure_set(rho).n_abc
+    return measure_set(_require_density(rho, "tripartite_negativity")).n_abc
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
@@ -240,14 +238,17 @@ def measure_set(state: PureState | DensityMatrix) -> MeasureSet:
     """Compute the full MeasureSet of a pure state or a dim-8 mixed state.
 
     Either is a stack of one: row 0 of ``_pure_measure_table`` for a
-    pure state, of ``_mixed_measure_table`` for a mixed one.
+    pure state, of ``_mixed_measure_table`` for a mixed one.  A mixed
+    state must be laid out as ("A", "B", "C"): the measure table reads
+    its rows and columns in that order, so any other layout, a
+    permutation too, raises WrongDimensionError.
     """
     if isinstance(state, PureState):
         return _measure_sets(_pure_measure_table(state.amplitudes[np.newaxis]))[0]
     if not isinstance(state, DensityMatrix):
         raise StateTypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    if len(state.qubits) != 3:
-        raise WrongDimensionError(f"need a three-qubit state, got layout {state.qubits!r}")
+    if state.qubits != QUBITS:
+        raise WrongDimensionError(f"need a three-qubit state over {QUBITS!r}, got layout {state.qubits!r}")
     return _measure_sets(_mixed_measure_table(state.matrix[np.newaxis]))[0]
 
 

@@ -9,6 +9,7 @@ callable with no entry (and not in ``EXEMPT``) fails
 covered too.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -181,6 +182,18 @@ EXEMPT = {
     "FamilySpec": "input record, checked by sweep",
     "GsdForm": "input record, checked by classify_gsd_pattern",
 }
+
+
+def test_result_records_flag_ambiguity():
+    # both classifiers' records carry the flag; MixedVerdict's has a default,
+    # so a verdict built without it, as before the flag, reads as decided
+    assert "ambiguous" in {f.name for f in dataclasses.fields(triqent.PureClassification)}
+    assert [f.name for f in dataclasses.fields(triqent.MixedVerdict)] == ["certificates", "measures", "ambiguous"]
+    verdict = triqent.classify_mixed(rho_zero())
+    assert verdict.ambiguous is False
+    assert triqent.MixedVerdict(verdict.certificates, verdict.measures) == verdict
+    near = triqent.classify_mixed(triqent.ghz_noise(0.2 + 4e-8))
+    assert near.ambiguous is True and "GHZ-distillable" in near.claims()
 
 
 def public_callables():

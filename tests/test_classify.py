@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,14 @@ from triqent import (
     ghz_noise,
     gsd,
     make_state,
+    measure_set,
+    rho_epsilon,
     rho_zero,
     sample_haar_pure,
     sample_hs_mixed,
     sigma_b,
     to_density,
+    tripartite_negativity,
     w_prime,
 )
 from triqent.classify import _CLAIMS, DEFAULT_ZERO_TOL, SubtypeLabel, _certify_table, _classify_table
@@ -196,6 +201,50 @@ class TestClassifyMixed:
 
         with pytest.raises(WrongDimensionError):
             classify_mixed(partial_trace(rho_zero(), "A"))
+
+    def test_permuted_layout_rejected(self):
+        # |0>_A x Bell_BC: in the layout (B, C, A) the same matrix has B
+        # separable and the pair CA entangled, which a reading as A, B, C
+        # would swap; only the layout A, B, C is accepted
+        rho = to_density(bell_bc_plus(0.0))
+        for layout in itertools.permutations(QUBITS):
+            permuted = DensityMatrix(rho.matrix, layout)
+            calls = (classify_mixed, measure_set, tripartite_negativity)
+            if layout == QUBITS:
+                assert classify_mixed(permuted) == classify_mixed(rho)
+                assert measure_set(permuted) == measure_set(rho)
+                assert tripartite_negativity(permuted) == tripartite_negativity(rho)
+                continue
+            for call in calls:
+                with pytest.raises(WrongDimensionError):
+                    call(permuted)
+
+    @pytest.mark.parametrize("state, witness, ambiguous", [
+        (lambda: ghz_noise(0.2 + 4e-8), "n_abc", True),  # n_q = 5.0e-8, certified GHZ-distillable
+        (lambda: rho_epsilon(2e-8), "c_red_bc", True),  # pair BC certified at 2.0e-8
+        (lambda: rho_epsilon(1e-5), "c_red_bc", False),
+        (lambda: ghz_noise(0.5), "n_abc", False),
+        (lambda: rho_zero(), "n_b_ac", False),
+    ], ids=["ghz_noise_near", "rho_epsilon_near", "rho_epsilon_far", "ghz_noise_far", "rho_zero"])
+    def test_near_threshold_flagged_ambiguous(self, state, witness, ambiguous):
+        verdict = classify_mixed(state())
+        assert verdict.ambiguous is ambiguous
+        assert verdict.certificates  # the verdict is still returned
+        value = getattr(verdict.measures, witness)
+        assert (DEFAULT_ZERO_TOL / 10 <= value <= DEFAULT_ZERO_TOL * 10) is ambiguous
+
+    def test_one_band_for_every_classifier(self, monkeypatch):
+        # the band is one module-level name: widened, it flags calls of
+        # classify_pure, classify_mixed and classify_gsd_pattern alike
+        coefficients = np.array([0.8, 0.0, 1e-5, 0.0, 0.6])
+        psi = from_gsd_coefficients(*coefficients / np.linalg.norm(coefficients))  # c_red_ab = 2|alpha delta|
+        rho = rho_epsilon(1e-5)
+        assert not classify_pure(psi).ambiguous and not classify_mixed(rho).ambiguous
+        classify_gsd_pattern(gsd(psi))
+        monkeypatch.setattr(triqent.classify, "AMBIGUITY_BAND", 1e4)
+        assert classify_pure(psi).ambiguous and classify_mixed(rho).ambiguous
+        with pytest.raises(AmbiguousNearThresholdError):
+            classify_gsd_pattern(gsd(psi))
 
     def test_bell_mixture_has_separable_reduction(self):
         verdict = classify_mixed(rho_zero())
@@ -405,6 +454,12 @@ def reference_certificates(ms, zero_tol):
     return certs
 
 
+def reference_ambiguous(ms, zero_tol):
+    """Whether a witness classify_mixed compares with zero_tol (n_q or c_red) lies within 10x of it."""
+    compared = (ms.n_a_bc, ms.n_b_ac, ms.n_c_ab, ms.c_red_bc, ms.c_red_ac, ms.c_red_ab)
+    return any(zero_tol / 10 <= v <= zero_tol * 10 for v in compared)
+
+
 def w_canonical_grid():
     """w_canonical points with every coefficient drawn from exact zeros, tiny, small and large magnitudes."""
     mags = (0.0, 1e-6, 1e-3, 0.05, 0.2, 0.5, 1.0)
@@ -484,10 +539,14 @@ class TestStackedDecisions:
         states += [make_state(f, *p) for f in ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
                    for p in default_grid(f).grid]
         table = _mixed_measure_table(np.array([rho.matrix for rho in states]))
-        held, witness = _certify_table(table, tol)
+        held, witness, ambiguous = _certify_table(table, tol)
+        flagged = 0
         for i, rho in enumerate(states):
             verdict = classify_mixed(rho, zero_tol=tol)
             expected = [(c, bits(w)) for c, w in reference_certificates(verdict.measures, tol)]
             assert [(c.claim, bits(c.witness)) for c in verdict.certificates] == expected, i
             stacked = [(c, bits(w)) for c, h, w in zip(_CLAIMS, held[i], witness[i]) if h]
             assert stacked == expected, i
+            assert verdict.ambiguous is bool(ambiguous[i]) is reference_ambiguous(verdict.measures, tol), i
+            flagged += verdict.ambiguous
+        assert flagged > 0 if tol > 1e-8 else flagged == 0

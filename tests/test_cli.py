@@ -20,6 +20,7 @@ from triqent import (
     classify_pure,
     default_grid,
     ghz,
+    ghz_noise,
     measure_set,
     rho_epsilon,
     sample_haar_pure,
@@ -228,6 +229,21 @@ class TestClassifyCommand:
         assert main(["classify", str(path)]) == 3
         assert "subtype:" in capsys.readouterr().out  # report still printed
 
+    @pytest.mark.parametrize("state, code", [
+        (lambda: ghz_noise(0.2 + 4e-8), 3),  # every n_q is 5.0e-8
+        (lambda: rho_epsilon(2e-8), 3),  # c_red_bc is 2.0e-8
+        (lambda: rho_epsilon(1e-5), 0),
+    ], ids=["ghz_noise", "rho_epsilon_near", "rho_epsilon_far"])
+    def test_mixed_ambiguous_exit_code(self, state, code, tmp_path, capsys):
+        path = tmp_path / "mixed.json"
+        save_state_file(path, state())
+        assert main(["classify", str(path)]) == code
+        out = capsys.readouterr().out
+        assert out.startswith("mixed-state verdict:")  # report still printed
+        assert ("warning: a decision margin is within 10x of the zero tolerance" in out) == (code == 3)
+        assert main(["classify", str(path), "--json"]) == code
+        assert json.loads(capsys.readouterr().out)["ambiguous"] is (code == 3)
+
 
 class TestMeasureCommand:
     def test_json_output(self, ghz_file, capsys):
@@ -370,13 +386,13 @@ class TestSweepTemplate:
     def test_failed_sweep_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # a domain that ends at p = 0.9, in the third chunk of 2500 points,
         # after two chunks of lines are written
-        arity, closed_form = triqent.families._FAMILIES["ghz_noise"]
+        record = triqent.families._FAMILIES["ghz_noise"]
 
         def broken(rows):
             triqent.families._check_domain(rows[:, 0] <= 0.9, rows, "broken ghz_noise needs p <= 0.9, got {}")
-            return closed_form(rows)
+            return record.closed_form(rows)
 
-        monkeypatch.setitem(triqent.families._FAMILIES, "ghz_noise", (arity, broken))
+        monkeypatch.setitem(triqent.families._FAMILIES, "ghz_noise", record._replace(closed_form=broken))
         out = tmp_path / "n.csv"
         assert main(["sweep", "--family", "ghz_noise", "--points", "2500", "--out", str(out)]) == 2
         assert not out.exists()

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,7 @@ from triqent import (
     to_density,
     w_canonical,
 )
-from triqent.families import _build, _oracle_columns
+from triqent.families import _FAMILIES, _parameter_rows, _sweep_chunks
 from triqent.measures import STACK_CHUNK
 from triqent.states import EIG_FLOOR, NORM_ATOL, _validated_amplitudes, _validated_matrices
 
@@ -156,8 +159,14 @@ class TestOracles:
             assert getattr(ms, key) == pytest.approx(expected, abs=1e-9), key
 
 
+def oracle_columns(family, grid):
+    """The oracle columns of the family's record over the grid's points, checked as ``sweep`` checks them."""
+    record = _FAMILIES[family]
+    return record.oracle(_parameter_rows(grid, family, record.arity, record.kind))
+
+
 def hex_rows(columns, n):
-    """The (N,) columns of ``_oracle_columns`` as one dict of exact bit patterns per point."""
+    """The (N,) columns of a record's oracle as one dict of exact bit patterns per point."""
     return [{k: float(v[i]).hex() for k, v in columns.items()} for i in range(n)]
 
 
@@ -166,14 +175,14 @@ def hex_reference(family, grid):
 
 
 class TestOracleColumns:
-    """``_oracle_columns`` against the per-point formulas of ``helpers.reference_oracle``."""
+    """Each record's oracle against the per-point formulas of ``helpers.reference_oracle``."""
 
     @pytest.mark.parametrize("points", [1, 101, 1001])
     @pytest.mark.parametrize("family", SWEEPABLE)
     def test_sweep_grids_bit_for_bit(self, family, points):
         grid = default_grid(family, points).grid
-        rows, _ = _build(family, grid)
-        assert hex_rows(_oracle_columns(family, rows), points) == hex_reference(family, grid)
+        # the reference evaluates Python floats, not numpy scalars
+        assert hex_rows(oracle_columns(family, grid), points) == hex_reference(family, grid.tolist())
 
     @pytest.mark.parametrize("family, low, high", [
         ("ghz_like", 0.0, 1.0),
@@ -184,14 +193,12 @@ class TestOracleColumns:
     ])
     def test_random_parameters_bit_for_bit(self, family, low, high):
         grid = [(float(x),) for x in np.random.default_rng(17).uniform(low, high, 2000)]
-        rows, _ = _build(family, grid)
-        assert hex_rows(_oracle_columns(family, rows), len(grid)) == hex_reference(family, grid)
+        assert hex_rows(oracle_columns(family, grid), len(grid)) == hex_reference(family, grid)
 
     @pytest.mark.parametrize("family", ["ghz", "w", "w_prime"])
     def test_fixed_states_bit_for_bit(self, family):
         grid = [()] * 3
-        rows, _ = _build(family, grid)
-        assert hex_rows(_oracle_columns(family, rows), 3) == hex_reference(family, grid)
+        assert hex_rows(oracle_columns(family, grid), 3) == hex_reference(family, grid)
 
     def test_w_canonical_within_4_ulp(self):
         # numpy's array power may differ from Python's float ** by an ulp,
@@ -199,8 +206,7 @@ class TestOracleColumns:
         # the square-root term
         rng = np.random.default_rng(23)
         grid = [tuple(nonzero_coefficients(rng, 3, min_mag=0.0).tolist()) for _ in range(2000)]
-        rows, _ = _build("w_canonical", grid)
-        got = _oracle_columns("w_canonical", rows)
+        got = oracle_columns("w_canonical", grid)
         subtracted = {"n_red_bc": 0, "n_red_ac": 2, "n_red_ab": 1}  # the coefficient squared after the root
         for i, params in enumerate(grid):
             expected = reference_oracle("w_canonical", params)
@@ -210,9 +216,7 @@ class TestOracleColumns:
                 assert abs(got[key][i] - value) <= 4 * np.spacing(root_term), (key, params)
 
     def test_no_closed_form(self):
-        rows, _ = _build("rho0", [()])
-        with pytest.raises(NoOracleError):
-            _oracle_columns("rho0", rows)
+        assert _FAMILIES["rho0"].oracle is None
         with pytest.raises(NoOracleError):
             oracle("rho0")
 
@@ -220,9 +224,10 @@ class TestOracleColumns:
 class TestSweep:
     def test_grid_shapes(self):
         spec = default_grid("ghz_like", points=11)
-        assert len(spec.grid) == 11
-        assert spec.grid[0] == (0.0,)
-        assert spec.grid[-1][0] == pytest.approx(1 / np.sqrt(2))
+        assert spec.grid.shape == (11, 1) and spec.grid.dtype == np.float64
+        assert not spec.grid.flags.writeable
+        assert spec.grid[0, 0] == 0.0
+        assert spec.grid[-1, 0] == pytest.approx(1 / np.sqrt(2))
 
     def test_sigma_b_grid_is_interior(self):
         spec = default_grid("sigma_b", points=9)
@@ -343,6 +348,88 @@ class TestSweepStack:
         with pytest.raises(ParamOutOfDomainError, match=r"failed at params \(0\.5, 0\.5\): family 'ghz_like' takes 1"):
             sweep(FamilySpec("ghz_like", ((0.5,), (0.5, 0.5))))
 
+    def test_unknown_family_reported_once(self):
+        # not blamed on the first grid point, whatever the grid holds
+        for grid in (((0.5,),), ((0.5,), (0.25,)), ("x",)):
+            with pytest.raises(ParamOutOfDomainError) as info:
+                sweep(FamilySpec("nope", grid))
+            assert str(info.value).startswith("unknown family 'nope'; known: ghz, ")
+            assert "params" not in str(info.value)
+
+    def test_first_bad_point_named_after_a_valid_array(self):
+        grid = np.array([[0.5], [0.25], [2.0]])
+        with pytest.raises(ParamOutOfDomainError, match=r"failed at params \(2\.0,\): ghz_like needs alpha"):
+            sweep(FamilySpec("ghz_like", grid))
+        with pytest.raises(ParamOutOfDomainError, match=r"failed at params \(0\.5, 0\.5\): family 'ghz_like' takes 1"):
+            sweep(FamilySpec("ghz_like", np.full((2, 2), 0.5)))
+
+
+def parent_grid_values(family, points):
+    """The default grid as it was built before it became an array: one Python float per point."""
+    if family == "ghz_like":
+        vals = np.linspace(0.0, 1.0 / np.sqrt(2.0), points)
+    elif family in ("ghz_w_mix", "ghz_noise"):
+        vals = np.linspace(0.0, 1.0, points)
+    elif family == "rho_epsilon":
+        vals = np.linspace(-1.0, 1.0, points)
+    else:  # sigma_b, on its open domain
+        vals = np.arange(1, points + 1) / (points + 1.0)
+    return [float(v).hex() for v in vals]
+
+
+class TestDefaultGrid:
+    """``default_grid`` reads the family's record and returns a read-only (N, 1) float array."""
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 101, 1025])
+    @pytest.mark.parametrize("family", SWEEPABLE)
+    def test_values_bit_for_bit(self, family, points):
+        grid = default_grid(family, points).grid
+        assert isinstance(grid, np.ndarray) and grid.shape == (points, 1) and grid.dtype == np.float64
+        assert not grid.flags.writeable
+        assert [float(v).hex() for v in grid[:, 0]] == parent_grid_values(family, points)
+
+    def test_eight_bytes_a_point(self):
+        # a tuple of 1-tuples of Python floats took about 80 MB here
+        tracemalloc.start()
+        try:
+            spec = default_grid("ghz_like", 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(spec.grid) == 10**6
+        assert peak < 10 * 2**20
+
+    def test_sweepable_read_off_the_records(self):
+        assert SWEEPABLE == ("ghz_like", "ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
+        assert [f for f in triqent.FAMILIES if _FAMILIES[f].grid is not None] == sorted(SWEEPABLE)
+        for family in set(_FAMILIES) - set(SWEEPABLE):
+            with pytest.raises(ParamOutOfDomainError, match="has no default sweep grid"):
+                default_grid(family)
+
+    def test_spec_equality_is_identity(self):
+        # a spec holds an array, so == compares the objects, as for PureState
+        spec = default_grid("ghz_like", 3)
+        assert spec == spec and spec != default_grid("ghz_like", 3)
+        assert len({spec, default_grid("ghz_like", 3)}) == 2
+
+    @pytest.mark.parametrize("family", SWEEPABLE)
+    def test_tuple_grid_gives_the_same_rows(self, family):
+        spec = default_grid(family, 101)
+        as_tuples = FamilySpec(family, tuple(map(tuple, spec.grid.tolist())))
+        for array_row, tuple_row in zip(sweep(spec), sweep(as_tuples), strict=True):
+            assert array_row.params == tuple_row.params
+            assert all(type(p) is float for p in array_row.params)
+            assert bits(array_row.measures) == bits(tuple_row.measures)
+            assert (array_row.verdict, array_row.oracle_values, array_row.deviations) == (
+                tuple_row.verdict, tuple_row.oracle_values, tuple_row.deviations)
+
+    def test_chunks_slice_the_grid(self):
+        # the checked rows of a default grid are the grid itself, not a copy
+        spec = default_grid("ghz_noise", 2500)
+        chunks = list(_sweep_chunks(spec))
+        assert [len(c.params) for c in chunks] == [STACK_CHUNK, STACK_CHUNK, 2500 - 2 * STACK_CHUNK]
+        assert all(np.shares_memory(c.params, spec.grid) for c in chunks)
+
 
 #: each family's domain as (low, high, open); the grid holds both ends, or
 #: the nearest floats inside an open domain
@@ -369,7 +456,7 @@ class TestClosedFormsAreStates:
 
     @pytest.mark.parametrize("family", SWEEPABLE)
     def test_state_by_construction(self, family):
-        _, stack = _build(family, domain_grid(family))
+        stack = _FAMILIES[family].closed_form(np.array(domain_grid(family)))
         if stack.ndim == 2:
             norm = np.sqrt((np.abs(stack) ** 2).sum(axis=-1))
             assert np.abs(norm - 1.0).max() <= NORM_ATOL
@@ -383,7 +470,7 @@ class TestClosedFormsAreStates:
     @pytest.mark.parametrize("family", MIXED_FAMILIES)
     def test_verdicts_equal_validated_path(self, family):
         spec = default_grid(family, 1001)
-        _, stack = _build(family, spec.grid)
+        stack = _FAMILIES[family].closed_form(spec.grid)
         for row, m in zip(sweep(spec), stack):
             res = classify_mixed(DensityMatrix(m))
             assert row.verdict == "; ".join(res.claims()), row.params

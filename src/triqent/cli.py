@@ -29,7 +29,7 @@ from .errors import (
 )
 from .families import SWEEPABLE, _sweep_chunks, default_grid
 from .gsd import classify_gsd_pattern, gsd
-from .measures import _MEASURE_NAMES, STACK_CHUNK, MeasureSet, _pure_closed_form_table, measure_set
+from .measures import _MEASURE_NAMES, STACK_CHUNK, MeasureSet, _pure_closed_form_table, _require_state, measure_set
 from .states import DensityMatrix, PureState, _check_seed, _haar_draws, _is_number, _numbers, _validated_amplitudes
 
 MEASURE_FIELDS = (
@@ -116,8 +116,8 @@ def load_state_file(path: str) -> PureState | DensityMatrix:
 
 
 def save_state_file(path: str, state: PureState | DensityMatrix) -> None:
-    """Write a state as JSON; floats round-trip exactly."""
-    if isinstance(state, PureState):
+    """Write a state as JSON; floats round-trip exactly.  Checked as measure_set checks it, before the file opens."""
+    if isinstance(_require_state(state), PureState):
         data = {"kind": "pure", "amplitudes": [[z.real, z.imag] for z in state.amplitudes]}
     else:
         data = {

@@ -19,26 +19,28 @@ on the two 2x2 slices T0, T1 of the amplitude tensor (T_i[j, k] is the
    vertex when the two local roots coincide (the W class);
 2. rotate qubit A by the unitary whose first row is (x0, x1), making
    the new T0 slice singular;
-3. SVD that rank-1 slice, T0 = lambda u1 v1^dagger, and absorb the
-   factors into qubits B and C, leaving T0 = diag(lambda, 0).  Only u1
-   and v are defined by the slice; the second row of u_b is the exact
-   orthonormal completion of u1, so no phase is read from the rounding
-   noise in the zero singular value.  When lambda is at rounding level
-   (alpha ~ 0, qubit A separable) the slice defines neither, and the
-   SVD of the other slice gives the BC Schmidt form (delta = epsilon = 0);
+3. factor that rank-1 slice in closed form, T0 = lambda u1 v1^dagger
+   (v1 by the rule of step 1 on T0^dagger T0), and absorb the factors
+   into qubits B and C, leaving T0 = diag(lambda, 0).  Only u1 and v are
+   defined by the slice; the second row of u_b is the exact orthonormal
+   completion of u1, so no phase is read from the rounding noise in the
+   zero singular value.  When lambda is at rounding level (alpha ~ 0,
+   qubit A separable) the slice defines neither, and the same factor of
+   the other slice gives the BC Schmidt form (delta = epsilon = 0);
 4. optionally (normal-phase mode) multiply diagonal phase unitaries
    into all three qubits so that alpha, delta, epsilon and omega are
    real and nonnegative; only beta may keep a phase.
 
 Raw mode skips step 4, which keeps relative phases (and hence
 orthogonality) within a canonical class instead of collapsing them.
-Its phases are fixed by the SVD's column convention (largest entry of
-each column of v real >= 0) and the completion above, so they are a
-function of the state: a perturbation at rounding level moves them at
-rounding level.  Where the form itself jumps, no rule can keep it still:
-a W-class double root splits as the square root of a perturbation, and
-near a biseparable or product state two directions have lambdas that a
-1e-14 perturbation can reorder.
+Its phases are fixed by svd_2x2's column convention, which the closed
+form keeps (largest entry of each column of v real >= 0, the first on
+a tie), and the completion above, so they are a function of the state:
+a perturbation at rounding level moves them at rounding level.  Where
+the form itself jumps, no rule can keep it still: a W-class double root
+splits as the square root of a perturbation, and near a biseparable or
+product state two directions have lambdas that a 1e-14 perturbation can
+reorder.  gsd makes no LAPACK call; steps 2-4 run on Python complexes.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .errors import (
     StateTypeError,
 )
 from .families import from_gsd_coefficients
-from .linalg import svd_2x2
 from .states import PureState, _complex_entries, _require_pure
 
 #: polynomial coefficients below this are treated as identically zero
@@ -185,6 +186,29 @@ def _direction(slices: np.ndarray) -> tuple[complex, complex]:
     return x
 
 
+def _real_top(p, q) -> tuple[complex, complex]:
+    """(p, q) rotated so its larger-magnitude entry is real >= 0, p winning a tie."""
+    top = p if abs(p) >= abs(q) else q
+    return p * (abs(top) / top), q * (abs(top) / top)
+
+
+def _top_pair(m):
+    """u1 and v = (v1, v2) of the top singular pair of m = (m00, m01, m10, m11), m v1 = s1 u1.
+
+    v1 is the top eigenvector of m^dagger m by _direction's atan2 rule,
+    and v2 its orthogonal completion; each is rotated as svd_2x2 rotates
+    its columns.  u1 is m v1 normalized, or (1, 0) when m = 0.
+    """
+    a, b, c, d = m
+    gram = a.conjugate() * b + c.conjugate() * d
+    theta = math.atan2(abs(gram), (abs(a) ** 2 + abs(c) ** 2 - abs(b) ** 2 - abs(d) ** 2) / 2.0) / 2.0
+    v1 = _real_top(math.cos(theta), math.sin(theta) * cmath.exp(-1j * cmath.phase(gram)))
+    v2 = _real_top(-v1[1].conjugate(), v1[0].conjugate())
+    w = (a * v1[0] + b * v1[1], c * v1[0] + d * v1[1])
+    norm = math.hypot(abs(w[0]), abs(w[1]))
+    return (w[0] / norm, w[1] / norm) if norm else (1.0, 0.0), (v1, v2)
+
+
 def _phase_angles(alpha, delta, epsilon, omega):
     """Phase knobs (global g, per-qubit a, b, c) zeroing the target phases.
 
@@ -195,9 +219,9 @@ def _phase_angles(alpha, delta, epsilon, omega):
     epsilon fixes c, and omega fixes whichever of the two is left, c
     first.
     """
-    g = -np.angle(alpha) if abs(alpha) > _PHASE_TOL else 0.0
+    g = -cmath.phase(alpha) if abs(alpha) > _PHASE_TOL else 0.0
     d_nz, e_nz, w_nz = abs(delta) > _PHASE_TOL, abs(epsilon) > _PHASE_TOL, abs(omega) > _PHASE_TOL
-    phd, phe, phw = np.angle(delta), np.angle(epsilon), np.angle(omega)
+    phd, phe, phw = cmath.phase(delta), cmath.phase(epsilon), cmath.phase(omega)
     a = phw - phd - phe - g if d_nz and e_nz and w_nz else 0.0
     b = -g - a - phd if d_nz else 0.0
     c = -g - a - phe if e_nz else 0.0
@@ -218,48 +242,31 @@ def gsd(psi: PureState, mode: str = "raw") -> GsdForm:
     _require_pure(psi, "the canonical decomposition")
     if not isinstance(mode, str) or mode not in ("raw", "normal"):
         raise ParamOutOfDomainError(f"mode must be 'raw' or 'normal', got {mode!r}")
-    t = psi.tensor
-    x0, x1 = _direction(t.reshape(2, 4))
-    u_a = np.array([[x0, x1], [-x1.conjugate(), x0.conjugate()]])
-    ta = np.einsum("ia,ajk->ijk", u_a, t)
+    x0, x1 = _direction(psi.amplitudes.reshape(2, 4))
+    unitaries = [((x0, x1), (-x1.conjugate(), x0.conjugate()))]
+    t = psi.amplitudes.tolist()
+    ta = [[r[0] * p + r[1] * q for p, q in zip(t[:4], t[4:])] for r in unitaries[0]]
 
-    # ta[0] has rank <= 1, so only u1 and v are defined by it; the
-    # second row of u_b is the exact completion of u1.  When ta[0] is
-    # zero up to rounding (alpha ~ 0, qubit A separable) it defines
-    # neither, and the SVD of ta[1] gives the BC Schmidt form instead
-    u, _, v = svd_2x2(ta[1] if np.abs(ta[0]).max() <= 1e-14 else ta[0])
-    u1 = u[:, 0]
-    u_b = np.array([u1.conj(), [-u1[1], u1[0]]])
-    u_c = v.T
-    tc = np.einsum("jb,kc,ibc->ijk", u_b, u_c, ta)
+    # ta[0] has rank <= 1; zero up to rounding (alpha ~ 0, qubit A separable)
+    # it defines no factor, and that of ta[1] gives the BC Schmidt form
+    u1, v = _top_pair(ta[1] if max(map(abs, ta[0])) <= 1e-14 else ta[0])
+    unitaries += [((u1[0].conjugate(), u1[1].conjugate()), (-u1[1], u1[0])), v]
+    # tc[4i + 2j + k] = (u_b ta[i] u_c^T)[j, k], through the columns w[i][k] of ta[i] u_c^T
+    w = [[(m[0] * c[0] + m[1] * c[1], m[2] * c[0] + m[3] * c[1]) for c in v] for m in ta]
+    tc = [b[0] * col[0] + b[1] * col[1] for wi in w for b in unitaries[1] for col in wi]
 
     if mode == "normal":
-        g, pa, pb, pc = _phase_angles(tc[0, 0, 0], tc[1, 1, 0], tc[1, 0, 1], tc[1, 1, 1])
-        d_a = np.exp(1j * g) * np.diag([1.0, np.exp(1j * pa)])
-        d_b = np.diag([1.0, np.exp(1j * pb)])
-        d_c = np.diag([1.0, np.exp(1j * pc)])
-        tc = np.einsum("ia,jb,kc,abc->ijk", d_a, d_b, d_c, tc)
-        u_a = d_a @ u_a
-        u_b = d_b @ u_b
-        u_c = d_c @ u_c
+        g, pa, pb, pc = _phase_angles(tc[0], tc[6], tc[5], tc[7])
+        e = cmath.exp(1j * g)
+        knobs = [(e, e * cmath.exp(1j * pa))] + [(1.0, cmath.exp(1j * p)) for p in (pb, pc)]
+        tc = [z * knobs[0][n >> 2] * knobs[1][n >> 1 & 1] * knobs[2][n & 1] for n, z in enumerate(tc)]
+        unitaries = [[[f * z for z in row] for f, row in zip(fs, u)] for fs, u in zip(knobs, unitaries)]
 
-    residuals = (abs(tc[0, 0, 1]), abs(tc[0, 1, 0]), abs(tc[0, 1, 1]))
+    residuals = (abs(tc[1]), abs(tc[2]), abs(tc[3]))
     if max(residuals) > _ZERO_RESIDUAL_TOL:
-        raise NumericalDegeneracyError(
-            f"canonical zeros failed: |t001|, |t010|, |t011| = {residuals}"
-        )
+        raise NumericalDegeneracyError(f"canonical zeros failed: |t001|, |t010|, |t011| = {residuals}")
 
-    return GsdForm(
-        alpha=complex(tc[0, 0, 0]),
-        beta=complex(tc[1, 0, 0]),
-        delta=complex(tc[1, 1, 0]),
-        epsilon=complex(tc[1, 0, 1]),
-        omega=complex(tc[1, 1, 1]),
-        mode=mode,
-        u_a=u_a,
-        u_b=u_b,
-        u_c=u_c,
-    )
+    return GsdForm(tc[0], tc[4], tc[6], tc[5], tc[7], mode, *(np.array(u, dtype=complex) for u in unitaries))
 
 
 _PATTERNS_WITH_OMEGA = {

@@ -243,13 +243,18 @@ def measure_set(state: PureState | DensityMatrix) -> MeasureSet:
     its rows and columns in that order, so any other layout, a
     permutation too, raises WrongDimensionError.
     """
-    if isinstance(state, PureState):
+    if isinstance(_require_state(state), PureState):
         return _measure_sets(_pure_measure_table(state.amplitudes[np.newaxis]))[0]
-    if not isinstance(state, DensityMatrix):
-        raise StateTypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    if state.qubits != QUBITS:
-        raise WrongDimensionError(f"need a three-qubit state over {QUBITS!r}, got layout {state.qubits!r}")
     return _measure_sets(_mixed_measure_table(state.matrix[np.newaxis]))[0]
+
+
+def _require_state(state) -> PureState | DensityMatrix:
+    """state, if it is a PureState or a DensityMatrix over QUBITS; StateTypeError or WrongDimensionError if not."""
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise StateTypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    if isinstance(state, DensityMatrix) and state.qubits != QUBITS:
+        raise WrongDimensionError(f"need a three-qubit state over {QUBITS!r}, got layout {state.qubits!r}")
+    return state
 
 
 def _measure_sets(table: np.ndarray) -> list[MeasureSet]:

@@ -15,8 +15,11 @@ import triqent.cli
 import triqent.families
 from triqent import (
     SWEEPABLE,
+    DensityMatrix,
     PureState,
     StateFileError,
+    StateTypeError,
+    WrongDimensionError,
     classify_pure,
     default_grid,
     ghz,
@@ -72,6 +75,35 @@ class TestStateFiles:
         back = load_state_file(str(path))
         assert np.array_equal(back.matrix, rho.matrix)
         assert measure_set(back).as_dict() == measure_set(rho).as_dict()
+
+    @staticmethod
+    def assert_not_saved(tmp_path, state, error, match):
+        # the state is checked before the file is opened: a new path is not
+        # created and an existing file is not truncated
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        save_state_file(kept, ghz())
+        before = kept.read_bytes()
+        for path in (fresh, kept):
+            with pytest.raises(error, match=match):
+                save_state_file(path, state)
+        assert not fresh.exists()
+        assert kept.read_bytes() == before
+
+    def test_save_rejects_non_state(self, tmp_path):
+        self.assert_not_saved(tmp_path, "not a state", StateTypeError, "expected PureState or DensityMatrix, got str")
+
+    def test_save_rejects_two_qubit_matrix(self, tmp_path):
+        # load_state_file would reject the file: a mixed state needs an 8x8 matrix
+        rho = DensityMatrix(np.eye(4) / 4, qubits=("A", "B"))
+        self.assert_not_saved(tmp_path, rho, WrongDimensionError, r"need a three-qubit state over .*'A', 'B'\)")
+
+    def test_save_rejects_permuted_layout(self, tmp_path):
+        # |0>_A (x) Bell_BC laid out as (B, C, A): a file has no layout, so it
+        # would load as A, B, C with qubit B entangled instead of separable
+        amps = np.zeros(8)
+        amps[0] = amps[6] = 1 / np.sqrt(2)
+        rho = DensityMatrix(np.outer(amps, amps), qubits=("B", "C", "A"))
+        self.assert_not_saved(tmp_path, rho, WrongDimensionError, r"got layout \('B', 'C', 'A'\)")
 
     def test_zero_norm_message(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

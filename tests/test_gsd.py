@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -20,17 +21,22 @@ from triqent import (
     measure_set,
     rho_zero,
     sample_haar_pure,
+    svd_2x2,
     w_prime,
 )
 from triqent.cli import main, save_state_file
+from triqent.gsd import _direction, _phase_angles, _real_top, _top_pair
 from triqent.measures import NEG_EIG_FLOOR
 from helpers import (
+    hidden_canonical_corpus,
     hidden_w_state,
+    near_separable_corpus,
     near_swap_w_state,
     nonzero_coefficients,
     random_biseparable,
     random_local_unitary,
     random_product_state,
+    random_unitary,
 )
 
 CANONICAL_INDICES = (0, 4, 6, 5, 7)  # alpha, beta, delta, epsilon, omega
@@ -210,33 +216,33 @@ class TestGsdInvariants:
                     assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_no_general_eigensolve(self, monkeypatch, tmp_path, capsys):
-        # the direction and the singular values of its slices are closed
-        # forms, so each call makes one LAPACK call: svd_2x2 of one slice
-        def fail(*args, **kwargs):
-            raise AssertionError("eigensolve called on the gsd path")
-
+        # the direction, the singular values of its slices and the factor of
+        # the picked slice are all closed forms, so gsd makes no LAPACK call:
+        # every function of np.linalg fails and is counted
         calls = []
-        svd = np.linalg.svd
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
+        def fail(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"np.linalg.{name} called on the gsd path")
+
+            return call
 
         path = tmp_path / "psi.json"
         save_state_file(path, sample_haar_pure(3))
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, fail)
-        monkeypatch.setattr(np.linalg, "svd", counted)
         rng = np.random.default_rng(14)
         states = [sample_haar_pure(4), hidden_w_state(rng), random_product_state(rng)]
         states += [random_biseparable(rng, q) for q in "ABC"]
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                monkeypatch.setattr(np.linalg, name, fail(name))
         for psi in states:
             for mode in ("raw", "normal"):
-                calls.clear()
                 classify_gsd_pattern(gsd(psi, mode=mode))
-                assert len(calls) == 1
-        assert main(["gsd", str(path), "--mode", "raw"]) == 0
-        assert "alpha" in capsys.readouterr().out
+        for mode in ("raw", "normal"):
+            assert main(["gsd", str(path), "--mode", mode]) == 0
+            assert "alpha" in capsys.readouterr().out
+        assert calls == []
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_largest_lambda_root(self, seed):
@@ -266,6 +272,132 @@ class TestGsdInvariants:
             rel = np.angle(form.omega) - np.angle(form.alpha)
             delta = (rel - phi + np.pi) % (2 * np.pi) - np.pi
             assert abs(delta) < 1e-9
+
+
+def reference_gsd(psi, mode):
+    """Steps 2-4 of gsd from the LAPACK svd_2x2 of the same picked slice: (coefficients, u_a, u_b, u_c)."""
+    t = psi.tensor
+    x0, x1 = _direction(t.reshape(2, 4))
+    u_a = np.array([[x0, x1], [-x1.conjugate(), x0.conjugate()]])
+    ta = np.einsum("ia,ajk->ijk", u_a, t)
+    u, _, v = svd_2x2(ta[1] if np.abs(ta[0]).max() <= 1e-14 else ta[0])
+    u_b = np.array([u[:, 0].conj(), [-u[1, 0], u[0, 0]]])
+    u_c = v.T
+    tc = np.einsum("jb,kc,ibc->ijk", u_b, u_c, ta)
+    if mode == "normal":
+        g, pa, pb, pc = _phase_angles(tc[0, 0, 0], tc[1, 1, 0], tc[1, 0, 1], tc[1, 1, 1])
+        d_a = np.exp(1j * g) * np.diag([1.0, np.exp(1j * pa)])
+        d_b = np.diag([1.0, np.exp(1j * pb)])
+        d_c = np.diag([1.0, np.exp(1j * pc)])
+        tc = np.einsum("ia,jb,kc,abc->ijk", d_a, d_b, d_c, tc)
+        u_a, u_b, u_c = d_a @ u_a, d_b @ u_b, d_c @ u_c
+    return tc.reshape(8)[list(CANONICAL_INDICES)], u_a, u_b, u_c
+
+
+@functools.cache
+def factor_corpora():
+    rng = np.random.default_rng(2021)
+    corpora = {"haar": [sample_haar_pure(seed) for seed in range(500)]}
+    for q in "ABC":
+        corpora[f"biseparable_{q}"] = [random_biseparable(rng, q) for _ in range(200)]
+    corpora["product"] = [random_product_state(rng) for _ in range(200)]
+    corpora["hidden_w"] = [hidden_w_state(rng) for _ in range(200)]
+    corpora["near_separable"] = near_separable_corpus(np.random.default_rng(7), 1500)
+    corpora["hidden_canonical"] = hidden_canonical_corpus(np.random.default_rng(77), 300)
+    return corpora
+
+
+#: corpora where delta, epsilon or omega can sit just above _PHASE_TOL, so
+#: a normal-mode phase knob is read from a rounding-level phase
+ROUNDING_PHASED = ("near_separable", "hidden_canonical")
+
+
+def assert_column_convention(v):
+    """Each unit vector's larger-magnitude entry is real >= 0 (one of the two, when they tie to rounding)."""
+    for col in v:
+        top = max(abs(col[0]), abs(col[1]))
+        assert any(abs(z) >= top - 1e-15 and abs(z.imag) <= 1e-15 and z.real >= 0.0 for z in col)
+        assert abs(abs(col[0]) ** 2 + abs(col[1]) ** 2 - 1.0) < 1e-15
+
+
+class TestSliceFactor:
+    """The closed-form factor of the picked slice against the LAPACK path it replaces."""
+
+    @pytest.mark.parametrize("corpus", list(factor_corpora()))
+    def test_matches_svd_path(self, corpus):
+        modes = ("raw",) if corpus in ROUNDING_PHASED else ("raw", "normal")
+        for psi in factor_corpora()[corpus]:
+            for mode in modes:
+                form = gsd(psi, mode=mode)
+                ref = reference_gsd(psi, mode)
+                np.testing.assert_allclose(form.coefficients, ref[0], rtol=0, atol=1e-12)
+                for got, want in zip((form.u_a, form.u_b, form.u_c), ref[1:]):
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("corpus", ROUNDING_PHASED)
+    def test_rounding_phased_normal_forms(self, corpus):
+        # the phase knobs may differ from the LAPACK path there, but the
+        # canonical zeros, the reconstruction and the sign rules hold
+        for psi in factor_corpora()[corpus]:
+            form = gsd(psi, mode="normal")
+            rotated = apply_local_unitary(psi, form.u_a, form.u_b, form.u_c).amplitudes
+            np.testing.assert_allclose(rotated[list(CANONICAL_INDICES)], form.coefficients, rtol=0, atol=1e-12)
+            assert np.abs(rotated[list(ZERO_INDICES)]).max() < 1e-10
+            for name in ("alpha", "delta", "epsilon", "omega"):
+                z = getattr(form, name)
+                assert abs(z.imag) <= 1e-12 and z.real >= -1e-12, name
+
+    def test_zero_slice(self):
+        u1, v = _top_pair((0j, 0j, 0j, 0j))
+        assert u1 == (1.0, 0.0)
+        np.testing.assert_array_equal(np.array(v), np.eye(2))
+
+    def test_rank_one(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            a, b = random_unitary(rng)[:, 0], random_unitary(rng)[:, 0]
+            s = 10.0 ** rng.uniform(-13.0, 0.0)
+            m = s * np.outer(a, b.conj())
+            u1, v = _top_pair(m.reshape(4).tolist())
+            np.testing.assert_allclose(m @ np.array(v[0]), s * np.array(u1), rtol=0, atol=1e-15 * s)
+            np.testing.assert_allclose(m @ np.array(v[1]), 0.0, atol=1e-15 * s)
+            assert_column_convention(v)
+
+    def test_proportional_to_unitary(self):
+        # s1 = s2: every unit vector is a top singular vector, and v must
+        # still be unitary and u1 the image of v1
+        rng = np.random.default_rng(32)
+        for m in [np.eye(2), np.array([[0, 1j], [1, 0]])] + [random_unitary(rng) for _ in range(100)]:
+            u1, v = _top_pair((0.3 * m).reshape(4).tolist())
+            np.testing.assert_allclose(np.array(v) @ np.array(v).conj().T, np.eye(2), atol=1e-15)
+            np.testing.assert_allclose(0.3 * m @ np.array(v[0]), 0.3 * np.array(u1), atol=1e-15)
+            assert_column_convention(v)
+
+    def test_tie_rule(self):
+        # entries of equal magnitude: the first is made real >= 0
+        assert _real_top(1j, 1.0) == (1.0, -1j)
+        assert _real_top(-1.0, 1j) == (1.0, -1j)
+        for phase in (1.0, 1j, -1.0, np.exp(0.7j)):
+            for m in ([[1, 1], [1, 1]], [[1, phase], [1, phase]], [[1, phase], [0, 0]]):
+                m = np.array(m, dtype=complex) / 2
+                u1, v = _top_pair(m.reshape(4).tolist())
+                assert abs(abs(v[0][0]) - abs(v[0][1])) < 1e-15
+                assert v[0][0].imag == 0.0 and v[0][0].real > 0.0
+                np.testing.assert_allclose(m @ np.array(v[0]), np.linalg.norm(m) * np.array(u1), atol=1e-15)
+                assert_column_convention(v)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 12, 16, 100])
+    def test_graded_diagonal_matches_svd_2x2(self, k):
+        # U diag(1, 10^-k) W^dagger: the top pair is resolved to rounding,
+        # and with svd_2x2's column convention it is svd_2x2's own
+        rng = np.random.default_rng(33 + k)
+        for _ in range(100):
+            m = random_unitary(rng) @ np.diag([1.0, 10.0**-k]) @ random_unitary(rng).conj().T
+            u1, v = _top_pair(m.reshape(4).tolist())
+            u, _, v_ref = svd_2x2(m)
+            np.testing.assert_allclose(np.array(u1), u[:, 0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(np.array(v).T, v_ref, rtol=0, atol=1e-14)
+            assert_column_convention(v)
 
 
 class TestPatternClassifier:

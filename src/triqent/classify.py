@@ -205,6 +205,11 @@ _CLAIMS = (
 )
 
 
+#: the measure-table column each claim's witness is read from (c_red_*, n_q,
+#: then n_abc twice); "not fully separable" overwrites its column with the largest n_q
+_WITNESS_COLUMNS = np.array([7, 8, 9, 0, 1, 2, 0, 3, 3])
+
+
 def _certify_table(table: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The certificates of ``classify_mixed`` on an (N, 13) mixed measure table.
 
@@ -213,19 +218,17 @@ def _certify_table(table: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.n
     len(_CLAIMS)), and row i certifies claim j with witness[i, j] exactly
     when held[i, j]; ambiguous (N,) marks the rows with an n_q or c_red,
     the witnesses compared with zero_tol, within AMBIGUITY_BAND of it.
+    A claim holds when its witness exceeds zero_tol, except two: GHZ
+    distillability needs every n_q above it, and the undetermined gap
+    always holds.
     """
-    n_side, n_abc, c_red = table[:, 0:3], table[:, 3:4], table[:, 7:10]
-    sides = n_side > zero_tol
-    held = np.concatenate([
-        c_red > zero_tol,
-        sides,
-        sides.any(axis=1, keepdims=True),
-        sides.all(axis=1, keepdims=True),
-        np.ones_like(n_abc, dtype=bool),
-    ], axis=1)
-    witness = np.concatenate([c_red, n_side, n_side.max(axis=1, keepdims=True), n_abc, n_abc], axis=1)
-    ambiguous = _near_threshold(np.concatenate([n_side, c_red], axis=1), zero_tol).any(axis=1)
-    return held, witness, ambiguous
+    witness = table[:, _WITNESS_COLUMNS]
+    n_side = witness[:, 3:6]
+    witness[:, 6] = n_side.max(axis=1)
+    held = witness > zero_tol
+    held[:, 7] = n_side.min(axis=1) > zero_tol
+    held[:, 8] = True
+    return held, witness, _near_threshold(witness[:, :6], zero_tol).any(axis=1)
 
 
 def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> MixedVerdict:

@@ -23,6 +23,7 @@ import numpy as np
 from .classify import AMBIGUITY_BAND, DEFAULT_ZERO_TOL, _classify_table, check_zero_tol, classify_mixed, classify_pure
 from .errors import (
     AmbiguousNearThresholdError,
+    NonFiniteError,
     ParamOutOfDomainError,
     StateFileError,
     TriqentError,
@@ -102,6 +103,13 @@ def load_state_file(path: str) -> PureState | DensityMatrix:
                 raise StateFileError("pure state needs 8 amplitude pairs")
             return PureState(_pairs_to_complex(amps, "amplitudes"))
         rows = data.get("matrix")
+        try:
+            pairs = _numbers(rows, numbers.Real)
+        except NonFiniteError:  # an int beyond the float range: the walk below names the first problem
+            pairs = None
+        if pairs is not None and pairs.shape == (8, 8, 2):
+            # each C-ordered (real, imaginary) row of float64 is one complex128
+            return DensityMatrix(pairs.view(complex)[..., 0])
         if (
             not isinstance(rows, list)
             or len(rows) != 8

@@ -2,23 +2,25 @@
 
 Each family is described once, as one ``_Family`` record in
 ``_FAMILIES``: its number of parameters, their kind (real or complex),
-its closed form over an (N, arity) stack of parameter rows, its known
-closed-form measures (oracle columns) over the same rows, and the
-values of its default sweep grid.  ``FAMILIES``, ``SWEEPABLE``,
-``make_state``, ``oracle``, ``default_grid`` and ``sweep`` all read
-that record.  The closed form checks the rows against the family's
-domain (vectorized, so a NaN parameter is rejected too) and returns
-(N, 8) amplitudes for a pure family or (N, 8, 8) matrices for a mixed
-one.  The scalar constructors (``ghz_like(alpha)``, ``sigma_b(b)``,
-...), ``make_state`` and ``oracle`` are that closed form on a stack of
-one.  Only the parameters are checked: the closed form of an in-domain
-row is a state by construction, so ``sweep`` measures it as built, and
-``make_state`` wraps a matrix unvalidated, as ``to_density`` does
-(amplitudes still pass ``PureState``).
+its domain, its closed form over an (N, arity) stack of parameter
+rows, its known closed-form measures (oracle columns) over the same
+rows, and the values of its default sweep grid.  ``FAMILIES``,
+``SWEEPABLE``, ``make_state``, ``oracle``, ``default_grid`` and
+``sweep`` all read that record.  The closed form is a plain formula
+that returns (N, 8) amplitudes for a pure family or (N, 8, 8) matrices
+for a mixed one.  The scalar constructors (``ghz_like(alpha)``,
+``sigma_b(b)``, ...), ``make_state`` and ``oracle`` are the record on
+a stack of one; ``oracle`` builds no state.  Only the parameters are
+checked: the closed form of an in-domain row is a state by
+construction, so ``sweep`` measures it as built, and ``make_state``
+wraps a matrix unvalidated, as ``to_density`` does (amplitudes still
+pass ``PureState``).
 
 A grid is checked once, as one (N, arity) array of numbers
-(``_parameter_rows``); its points are walked only when that fails, to
-name the first bad one.  ``default_grid`` returns a read-only (N, 1)
+(``_parameter_rows``), and against the family's domain with one
+vectorized predicate (``_family_rows``), which rejects a NaN parameter
+too; its points are walked only when the first check fails, to name
+the first bad one.  ``default_grid`` returns a read-only (N, 1)
 float array, 8 bytes a point.  A sweep is a table per STACK_CHUNK grid
 rows (``_sweep_chunks``): each slice of the checked rows is built,
 measured, classified and compared with its oracle columns as one stack,
@@ -82,9 +84,18 @@ def _ghz_rows(phase: np.ndarray) -> np.ndarray:
     return _amplitudes(len(phase), {0: 1 / np.sqrt(2), 7: np.exp(1j * phase) / np.sqrt(2)})
 
 
+def _in_unit_interval(rows: np.ndarray) -> np.ndarray:
+    """Which rows hold one parameter in [0, 1]."""
+    return (0.0 <= rows[:, 0]) & (rows[:, 0] <= 1.0)
+
+
+def _normalized(rows: np.ndarray) -> np.ndarray:
+    """Which rows of coefficients have unit norm, within 1e-10."""
+    return np.abs((np.abs(rows) ** 2).sum(axis=1) - 1.0) <= 1e-10
+
+
 def _ghz_like_rows(rows: np.ndarray) -> np.ndarray:
     alpha = rows[:, 0]
-    _check_domain((0.0 <= alpha) & (alpha <= 1.0), rows, "ghz_like needs alpha in [0, 1], got {}")
     return _amplitudes(len(rows), {0: alpha, 7: np.sqrt(1.0 - alpha * alpha)})
 
 
@@ -92,18 +103,12 @@ def _w_prime_rows(n: int) -> np.ndarray:
     return _amplitudes(n, {1: 1 / _SQRT3, 2: 1 / _SQRT3, 4: 1 / _SQRT3})
 
 
-def _check_normalized(rows: np.ndarray, message: str) -> None:
-    norm_dev = np.abs((np.abs(rows) ** 2).sum(axis=1) - 1.0)
-    _check_domain(norm_dev <= 1e-10, rows, message)
-
-
 def _w_canonical_rows(rows: np.ndarray) -> np.ndarray:
-    _check_normalized(rows, "w_canonical coefficients must be normalized")
     return _amplitudes(len(rows), {0: rows[:, 0], 5: rows[:, 1], 6: rows[:, 2]})
 
 
 def _gsd_rows(rows: np.ndarray) -> np.ndarray:
-    _check_normalized(rows, "canonical coefficients must be normalized")
+    _check_domain(_normalized(rows), rows, "canonical coefficients must be normalized")
     return _amplitudes(len(rows), dict(zip((0, 4, 6, 5, 7), rows.T)))
 
 
@@ -128,23 +133,17 @@ _RHO_EPS_MINUS = np.kron(np.diag([1.0, 0.0]), _projector(_bell(-1.0)))
 
 
 def _rho_epsilon_rows(rows: np.ndarray) -> np.ndarray:
-    eps = rows[:, 0]
-    _check_domain((-1.0 <= eps) & (eps <= 1.0), rows, "rho_epsilon needs |eps| <= 1, got {}")
-    eps = eps[:, np.newaxis, np.newaxis]
+    eps = rows[:, 0, np.newaxis, np.newaxis]
     return 0.5 * (1 + eps) * _RHO_EPS_PLUS + 0.5 * (1 - eps) * _RHO_EPS_MINUS
 
 
 def _ghz_w_mix_rows(rows: np.ndarray) -> np.ndarray:
-    p = rows[:, 0]
-    _check_domain((0.0 <= p) & (p <= 1.0), rows, "ghz_w_mix needs p in [0, 1], got {}")
-    p = p[:, np.newaxis, np.newaxis]
+    p = rows[:, 0, np.newaxis, np.newaxis]
     return p * _GHZ_RHO + (1 - p) * _W_PRIME_RHO
 
 
 def _ghz_noise_rows(rows: np.ndarray) -> np.ndarray:
-    p = rows[:, 0]
-    _check_domain((0.0 <= p) & (p <= 1.0), rows, "ghz_noise needs p in [0, 1], got {}")
-    p = p[:, np.newaxis, np.newaxis]
+    p = rows[:, 0, np.newaxis, np.newaxis]
     return p * _GHZ_RHO + (1 - p) / 8.0 * np.eye(8)
 
 
@@ -164,7 +163,6 @@ _SIGMA_B_FORM = np.array([list(row) for row in (
 
 def _sigma_b_rows(rows: np.ndarray) -> np.ndarray:
     b = rows[:, 0]
-    _check_domain((0.0 < b) & (b < 1.0), rows, "sigma_b needs b in (0, 1), got {}")
     m = np.zeros((len(b), 8, 8), dtype=complex)
     for name, value in (("b", b), ("h", (1.0 + b) / 2.0), ("s", np.sqrt(1.0 - b * b) / 2.0)):
         m[:, _SIGMA_B_FORM == name] = value[:, np.newaxis]
@@ -175,12 +173,14 @@ class _Family(NamedTuple):
     """Everything known about one family, over (N, arity) stacks of parameter rows.
 
     ``kind`` is the kind of number a parameter is (numbers.Real or
-    numbers.Complex).  ``closed_form`` checks the rows against the
-    family's domain and returns (N, 8) amplitudes or (N, 8, 8) matrices;
-    ``oracle``, when the family has known closed-form measures, returns
-    one (N,) column per measure, keyed by MeasureSet field name;
-    ``grid``, for a family with a one-parameter domain, returns the
-    ``points`` values of its default sweep grid.
+    numbers.Complex).  ``closed_form`` returns (N, 8) amplitudes or (N,
+    8, 8) matrices for rows inside the domain; ``oracle``, when the
+    family has known closed-form measures, returns one (N,) column per
+    measure, keyed by MeasureSet field name; ``grid``, for a family with
+    a one-parameter domain, returns the ``points`` values of its default
+    sweep grid.  ``domain``, for a family with parameters, is a
+    predicate marking the rows inside the domain and the message
+    template a row outside it fills (see ``_family_rows``).
     """
 
     arity: int
@@ -188,6 +188,7 @@ class _Family(NamedTuple):
     closed_form: Callable[[np.ndarray], np.ndarray]
     oracle: Callable[[np.ndarray], dict[str, np.ndarray]] | None
     grid: Callable[[int], np.ndarray] | None
+    domain: tuple[Callable[[np.ndarray], np.ndarray], str] | None = None
 
 
 def _symmetric(n_cut: np.ndarray, n_red: np.ndarray | None = None) -> dict[str, np.ndarray]:
@@ -248,17 +249,24 @@ _FAMILIES = {
     "w_prime": _Family(0, numbers.Real, lambda rows: _w_prime_rows(len(rows)), _w_oracle, None),
     "rho0": _Family(0, numbers.Real, lambda rows: _rho_epsilon_rows(np.zeros((len(rows), 1))), None, None),
     "ghz_like": _Family(1, numbers.Real, _ghz_like_rows, _ghz_like_oracle,
-                        lambda points: np.linspace(0.0, 1.0 / np.sqrt(2.0), points)),
-    "w_canonical": _Family(3, numbers.Complex, _w_canonical_rows, _w_canonical_oracle, None),
+                        lambda points: np.linspace(0.0, 1.0 / np.sqrt(2.0), points),
+                        (_in_unit_interval, "ghz_like needs alpha in [0, 1], got {}")),
+    "w_canonical": _Family(3, numbers.Complex, _w_canonical_rows, _w_canonical_oracle, None,
+                           (_normalized, "w_canonical coefficients must be normalized")),
     "ghz_w_mix": _Family(1, numbers.Real, _ghz_w_mix_rows, _ghz_w_mix_oracle,
-                         lambda points: np.linspace(0.0, 1.0, points)),
+                         lambda points: np.linspace(0.0, 1.0, points),
+                         (_in_unit_interval, "ghz_w_mix needs p in [0, 1], got {}")),
     "ghz_noise": _Family(1, numbers.Real, _ghz_noise_rows,
                          lambda rows: {"n_abc": np.where(rows[:, 0] <= 0.2, 0.0, (5.0 * rows[:, 0] - 1.0) / 4.0)},
-                         lambda points: np.linspace(0.0, 1.0, points)),
+                         lambda points: np.linspace(0.0, 1.0, points),
+                         (_in_unit_interval, "ghz_noise needs p in [0, 1], got {}")),
     "rho_epsilon": _Family(1, numbers.Real, _rho_epsilon_rows,
                            lambda rows: {"n_a_bc": np.zeros(len(rows)), "n_red_bc": np.abs(rows[:, 0])},
-                           lambda points: np.linspace(-1.0, 1.0, points)),
-    "sigma_b": _Family(1, numbers.Real, _sigma_b_rows, _sigma_b_oracle, _interior),
+                           lambda points: np.linspace(-1.0, 1.0, points),
+                           (lambda rows: (-1.0 <= rows[:, 0]) & (rows[:, 0] <= 1.0),
+                            "rho_epsilon needs |eps| <= 1, got {}")),
+    "sigma_b": _Family(1, numbers.Real, _sigma_b_rows, _sigma_b_oracle, _interior,
+                       (lambda rows: (0.0 < rows[:, 0]) & (rows[:, 0] < 1.0), "sigma_b needs b in (0, 1), got {}")),
 }
 
 FAMILIES = tuple(sorted(_FAMILIES))
@@ -295,8 +303,8 @@ def _parameter_rows(points, family: str, arity: int, kind: type) -> np.ndarray:
     ParamOutOfDomainError names the first one that is not a sequence of
     ``arity`` numbers of the kind, such as a number, a dict, or a row
     holding a string, None, an array or a boolean (see ``_numbers``),
-    and records its index (see ``_raise_first``).  The family's domain
-    is checked by its closed form.
+    and records its index (see ``_raise_first``).  A family's domain is
+    checked by ``_family_rows``.
     """
     dtype = complex if kind is numbers.Complex else float
     rows = points if isinstance(points, np.ndarray) and points.dtype == dtype else _numbers(points, kind)
@@ -306,10 +314,23 @@ def _parameter_rows(points, family: str, arity: int, kind: type) -> np.ndarray:
     return rows
 
 
+def _family_rows(points, family: str, record: _Family) -> np.ndarray:
+    """``_parameter_rows`` of ``family``, checked against its domain, once for all rows.
+
+    ParamOutOfDomainError names the first row outside the domain, by
+    the record's message template, and records its index.
+    """
+    rows = _parameter_rows(points, family, record.arity, record.kind)
+    if record.domain is not None:
+        inside, template = record.domain
+        _check_domain(inside(rows), rows, template)
+    return rows
+
+
 def make_state(family: str, *params) -> PureState | DensityMatrix:
     """Build the named state or family member for the given parameters."""
     record = _family(family)
-    stack = record.closed_form(_parameter_rows([params], family, record.arity, record.kind))
+    stack = record.closed_form(_family_rows([params], family, record))
     return PureState(stack[0]) if stack.ndim == 2 else DensityMatrix._derived(stack[0], QUBITS)
 
 
@@ -389,8 +410,7 @@ def oracle(family: str, *params) -> dict[str, float]:
     record = _FAMILIES.get(family) if isinstance(family, str) else None
     if record is None or record.oracle is None:
         raise NoOracleError(f"no closed form registered for family {family!r}")
-    rows = _parameter_rows([params], family, record.arity, record.kind)
-    record.closed_form(rows)  # checks the domain
+    rows = _family_rows([params], family, record)
     return {k: float(v[0]) for k, v in record.oracle(rows).items()}
 
 
@@ -466,14 +486,15 @@ def _sweep_chunks(spec: FamilySpec):
     """The grid of ``spec`` as one _SweepChunk per STACK_CHUNK points, in grid order.
 
     The family and the whole grid are checked first, as one (N, arity)
-    array (see ``_parameter_rows``), and the chunks are slices of it.  A
+    array inside the family's domain (see ``_family_rows``), and the
+    chunks are slices of it.  A
     chunk is made when it is asked for, and its state stack is dropped
     once its table is made, so a caller that writes each chunk out needs
     memory for the grid and about one chunk, however long the grid.  A
-    grid that is not a nonempty sequence of parameter tuples raises
-    ParamOutOfDomainError before any chunk is made; a point outside the
-    family's domain raises it when its chunk is made.  Either message
-    names the params of the first point that fails.
+    grid that is not a nonempty sequence of parameter tuples, or that
+    holds a point outside the family's domain, raises
+    ParamOutOfDomainError before any chunk is made; the message names
+    the params of the first point that fails.
     """
     if not isinstance(spec, FamilySpec):
         raise ParamOutOfDomainError(f"sweep needs a FamilySpec, got {type(spec).__name__}")
@@ -486,7 +507,7 @@ def _sweep_chunks(spec: FamilySpec):
         raise ParamOutOfDomainError(f"sweep needs a nonempty grid of parameter tuples, got {spec.grid!r}")
     start = 0
     try:
-        rows = _parameter_rows(points, spec.family, record.arity, record.kind)
+        rows = _family_rows(points, spec.family, record)
         for start in range(0, len(rows), STACK_CHUNK):
             yield _sweep_chunk(record, rows[start:start + STACK_CHUNK])
     except TriqentError as exc:

@@ -31,8 +31,22 @@ The reduced negativities come from the partial transpose of each pair
 reduction rho = X X^dagger: X is the 4x2 amplitude block for a pure
 state, V sqrt(w) from the pair's eigendecomposition for a mixed one.
 A mixed state's reduced concurrence is s1 - s2 - ... from the singular
-values of X^T (sy x sy) X, one batched SVD per stack.  Either takes its
+values of X^T (sy x sy) X, one batched SVD per stack.  Since sy x sy is
+the anti-diagonal with signs (-1, 1, 1, -1) down its rows, X^T (sy x sy)
+is X with its rows reversed and signed (``_FLIP_SIGN``), transposed:
+the same products, with no 4x4 matrix product.  Either takes its
 one-qubit spectra from their trace and determinant (``_spectrum_2x2``).
+
+A mixed stack is read through index tables made once, at import, from
+matrices of indices: the three cut transposes (``_CUT_PT``) and a
+pair's transpose on its first qubit (``_PAIR_PT``) by
+``states._partial_transpose`` itself; the two entries summed into each
+entry of the three pair reductions (``_PAIR_TRACE``) and into r00, r11
+and r01 of each one-qubit reduction, from the pairs (``_SINGLE_TRACE``),
+as the diagonal that ``states._partial_trace`` sums.  Each step is one
+gather on the whole stack, and a trace one sum more over the same two
+entries in the same order, so the table is bit for bit what the reshape
+routines give.
 
 The pure table is made in two stages: ``_pure_closed_form_table`` fills
 every column but n_red_* with no LAPACK call, and
@@ -53,7 +67,6 @@ from .states import (
     QUBITS,
     DensityMatrix,
     PureState,
-    _partial_trace,
     _partial_transpose,
     _require_density,
     _require_pure,
@@ -71,9 +84,26 @@ ENTROPY_FLOOR = 1e-14
 #: their working memory for any grid size or state count
 STACK_CHUNK = 1024
 
-#: sy x sy, the two-qubit spin flip
-_SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+#: sy x sy, the two-qubit spin flip, is the anti-diagonal with these signs
+#: down its rows: X^T (sy x sy) is (_FLIP_SIGN * X[::-1])^T, entry for entry
+_FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])[:, np.newaxis]
 
+#: flat indices (8 * row + column) of the entries of an 8x8 matrix m, as
+#: gathered by a cut transpose in QUBITS order: cut q is m.flat[_CUT_PT[q]]
+_CUT_PT = np.stack([_partial_transpose(np.arange(64).reshape(8, 8), 3, ax).reshape(64) for ax in range(3)])
+#: the two flat indices of m whose sum is each entry of the pair reductions
+#: BC, AC, AB: the diagonal that ``_partial_trace`` sums over the traced qubit
+_PAIR_TRACE = np.stack([
+    np.diagonal(np.arange(64).reshape((2,) * 6), axis1=ax, axis2=ax + 3).reshape(16, 2) for ax in range(3)
+])
+#: flat indices of a 4x4 pair matrix as gathered by its transpose on the first qubit
+_PAIR_PT = _partial_transpose(np.arange(16).reshape(4, 4), 2, 0).reshape(16)
+#: the two flat indices into the (3, 16) pairs BC, AC, AB whose sum is each of
+#: r00, r11 and r01 of rho_A, rho_B (from rho_AB) and rho_C (from rho_BC)
+_SINGLE_TRACE = np.stack([
+    16 * pair + np.diagonal(np.arange(16).reshape(2, 2, 2, 2), axis1=ax, axis2=ax + 2)[[0, 1, 0], [0, 1, 1]]
+    for pair, ax in ((2, 1), (2, 0), (0, 0))
+])
 
 _INDEX = np.arange(8).reshape(2, 2, 2)
 #: amplitude indices of the 2x4 unfolding of each one-vs-two cut, in QUBITS
@@ -271,12 +301,13 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
 def _pair_negativity(x: np.ndarray) -> np.ndarray:
     """Negativity of pairs rho = X X^dagger, X of shape (..., 4, k), transposed on the first qubit."""
     rho = x @ x.swapaxes(-1, -2).conj()
-    return _negativity_of_spectrum(np.linalg.eigvalsh(_partial_transpose(rho, 2, 0)))
+    pt = rho.reshape(rho.shape[:-2] + (16,))[..., _PAIR_PT].reshape(rho.shape)
+    return _negativity_of_spectrum(np.linalg.eigvalsh(pt))
 
 
 def _pair_concurrence(x: np.ndarray) -> np.ndarray:
     """Wootters concurrence of pairs rho = X X^dagger, from the singular values of X^T (sy x sy) X."""
-    sv = np.linalg.svd(x.swapaxes(-1, -2) @ _SIGMA_YY @ x, compute_uv=False)
+    sv = np.linalg.svd((_FLIP_SIGN * x[..., ::-1, :]).swapaxes(-1, -2) @ x, compute_uv=False)
     return np.clip(sv[..., 0] - sv[..., 1:].sum(axis=-1), 0.0, 1.0)
 
 
@@ -305,14 +336,14 @@ def _mixed_measure_table(matrices: np.ndarray) -> np.ndarray:
     is one batched call per kind of spectrum: the cut transposes, the pair
     eigen-factors, the pair transposes and the spin-flip SVD.
     """
-    cuts = np.stack([_partial_transpose(matrices, 3, ax) for ax in range(3)], axis=1)
-    n_side = _negativity_of_spectrum(np.linalg.eigvalsh(cuts))
-    pairs = np.stack([_partial_trace(matrices, 3, ax) for ax in range(3)], axis=1)  # BC, AC, AB
-    x = _psd_factor(pairs)
+    n = len(matrices)
+    flat = matrices.reshape(n, 64)
+    n_side = _negativity_of_spectrum(np.linalg.eigvalsh(flat[:, _CUT_PT].reshape(n, 3, 8, 8)))
+    pairs = flat[:, _PAIR_TRACE].sum(axis=-1)  # (n, 3, 16): BC, AC, AB
+    x = _psd_factor(pairs.reshape(n, 3, 4, 4))
     n_red, c_red = _pair_negativity(x), _pair_concurrence(x)
-    # rho_A and rho_B from rho_AB, rho_C from rho_BC
-    singles = np.stack([_partial_trace(pairs[:, i], 2, ax) for i, ax in ((2, 1), (2, 0), (0, 0))], axis=1)
-    r00, r11, r01 = singles[..., 0, :1].real, singles[..., 1, 1:].real, singles[..., 0, 1:]
+    singles = pairs.reshape(n, 48)[:, _SINGLE_TRACE].sum(axis=-1)  # (n, 3, 3): r00, r11, r01 of A, B, C
+    r00, r11, r01 = singles[..., 0:1].real, singles[..., 1:2].real, singles[..., 2:3]
     entropy = _entropy_of_spectrum(_spectrum_2x2(r00 + r11, r00 * r11 - np.abs(r01) ** 2))
     n_abc = _geometric_mean3(n_side)[:, np.newaxis]
     return np.concatenate([n_side, n_abc, n_red, c_red, entropy], axis=1)

@@ -35,6 +35,11 @@ NORM_ATOL = 1e-10
 HERM_ATOL = 1e-10
 EIG_FLOOR = -1e-10
 UNITARY_ATOL = 1e-10
+#: validation reads each smallest eigenvalue from eigvalsh, and takes eigh's
+#: for the rows below this band; eigvalsh and eigh are both backward
+#: stable, so on a unit-trace matrix they agree to about 1e-15, and a row
+#: above the band has no negative eigenvalue by either
+_EIGVALSH_BAND = 1e-12
 
 
 def _raise_first(bad: np.ndarray, error: type, message) -> None:
@@ -106,18 +111,23 @@ def _numbers(x, kind: type) -> np.ndarray | None:
     return None
 
 
-def _complex_entries(x, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """``x`` as a new complex array of finite numbers, of ``shape`` when that is given.
+def _complex_array(x, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``x`` as a new complex array of numbers, of ``shape`` when that is given.
 
-    Raises StateTypeError unless every entry is a number,
-    WrongDimensionError for another shape and NonFiniteError for a NaN
-    or infinite entry.
+    Raises StateTypeError unless every entry is a number and
+    WrongDimensionError for another shape.
     """
     a = _numbers(x, numbers.Complex)
     if a is None:
         raise StateTypeError(f"{what} must be numbers, got {x!r:.80}")
     if shape is not None and a.shape != shape:
         raise WrongDimensionError(f"{what} must have shape {shape}, got {a.shape}")
+    return a
+
+
+def _complex_entries(x, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``_complex_array``, and NonFiniteError for a NaN or infinite entry."""
+    a = _complex_array(x, what, shape)
     if not np.isfinite(a).all():
         raise NonFiniteError(f"NaN or infinite entry in {what}")
     return a
@@ -163,14 +173,18 @@ def _validated_matrices(m: np.ndarray) -> np.ndarray:
 
     The checks are those of ``DensityMatrix``, which is this routine on
     a stack of one: finite entries, Hermitian within HERM_ATOL, unit
-    trace within NORM_ATOL, and no eigenvalue below EIG_FLOOR, from one
-    ``np.linalg.eigh`` call on the whole stack.  The result is the
-    Hermitian part (m + m^dagger) / 2 of each matrix, so derived
-    matrices are exactly Hermitian.  Only the rows whose smallest
-    eigenvalue lies in [EIG_FLOOR, 0) are rebuilt from their spectrum
-    clamped at zero and renormalized to unit trace.  The first invalid
-    row raises what the scalar path raises, and the error records the
-    row (see ``_raise_first``).  The result is read-only.
+    trace within NORM_ATOL, and no eigenvalue below EIG_FLOOR, read from
+    one ``np.linalg.eigvalsh`` call on the whole stack.  The result is
+    the Hermitian part (m + m^dagger) / 2 of each matrix, so derived
+    matrices are exactly Hermitian.  The rows whose smallest eigenvalue
+    lies below ``_EIGVALSH_BAND`` (1e-12) take their spectrum and
+    eigenvectors from one ``np.linalg.eigh`` call on those rows alone, so
+    a stack with no eigenvalue near zero makes no eigenvector call.  Of
+    those, the rows whose smallest eigenvalue lies in [EIG_FLOOR, 0) are
+    rebuilt from their spectrum clamped at zero and renormalized to unit
+    trace.  The first invalid row raises what the scalar path raises,
+    and the error records the row (see ``_raise_first``).  The result is
+    read-only.
     """
     if not np.isfinite(m).all():
         _raise_first(~np.isfinite(m).all(axis=(-2, -1)), NonFiniteError,
@@ -184,21 +198,25 @@ def _validated_matrices(m: np.ndarray) -> np.ndarray:
     _raise_first(np.abs(tr - 1.0) > NORM_ATOL, NotNormalizedError,
                  lambda i: f"trace is {tr[i]:.12g}, expected 1")
     try:
-        w, v = np.linalg.eigh(m)
+        low = np.linalg.eigvalsh(m)[:, 0]
+        # eigvalsh and eigh may round a zero eigenvalue to opposite signs, so
+        # the rows near zero are decided on the spectrum whose eigenvectors
+        # a clamp rebuilds them from
+        rows = np.flatnonzero(low < _EIGVALSH_BAND)
+        if rows.size:
+            w, v = np.linalg.eigh(m[rows])
+            low[rows] = w[:, 0]
+            _raise_first(low < EIG_FLOOR, NotPSDError,
+                         lambda i: f"minimum eigenvalue {low[i]:.3e} below {EIG_FLOOR:.1e}")
+            clamp = w[:, 0] < 0.0
+            # descending, so the sum below adds the largest weights first
+            w, v = w[clamp, ::-1], v[clamp][..., ::-1]
+            c = (v * np.clip(w, 0.0, None)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
+            c = (c + c.conj().swapaxes(-1, -2)) / 2.0
+            c /= c.trace(axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
+            m[rows[clamp]] = c
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigensolver failed for dimension {m.shape[-1]}: {exc}") from exc
-    # descending, so the clamp below sums the largest weights first
-    w, v = w[:, ::-1], v[..., ::-1]
-    low = w[:, -1]
-    clamp = low < 0.0
-    if clamp.any():
-        _raise_first(low < EIG_FLOOR, NotPSDError,
-                     lambda i: f"minimum eigenvalue {low[i]:.3e} below {EIG_FLOOR:.1e}")
-        v = v[clamp]
-        c = (v * np.clip(w[clamp], 0.0, None)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
-        c = (c + c.conj().swapaxes(-1, -2)) / 2.0
-        c /= c.trace(axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
-        m[clamp] = c
     m.setflags(write=False)
     return m
 
@@ -218,7 +236,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         qubits = _layout(self.qubits)
-        m = _complex_entries(self.matrix, "density matrix", (2 ** len(qubits),) * 2)
+        # finiteness is the first check of the validation
+        m = _complex_array(self.matrix, "density matrix", (2 ** len(qubits),) * 2)
         object.__setattr__(self, "matrix", _validated_matrices(m[np.newaxis])[0])
         object.__setattr__(self, "qubits", qubits)
 

@@ -213,3 +213,20 @@ def reference_oracle(family, params):
         (eps,) = params
         return {"n_a_bc": 0.0, "n_red_bc": abs(eps)}
     return None
+
+
+def spy_on_lapack(monkeypatch):
+    """Record (name, shape of the first argument) of each np.linalg eigh, eigvalsh and svd call."""
+    calls = []
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    return calls

@@ -59,6 +59,59 @@ def w_file(tmp_path):
     return str(path)
 
 
+def identity_rows():
+    """The rows of I / 8 as a state file writes them: [real, imaginary] pairs."""
+    return [[[0.125 if i == j else 0.0, 0.0] for j in range(8)] for i in range(8)]
+
+
+def with_entry(value, rows=None):
+    """``rows`` (I / 8 by default) with entry (2, 5) replaced by ``value``."""
+    rows = identity_rows() if rows is None else rows
+    rows[2][5] = value
+    return rows
+
+
+#: a mixed state file's "matrix" and the StateFileError message it raises
+MATRIX_ERRORS = [
+    pytest.param(None, "mixed state needs an 8x8 matrix of pairs", id="null"),
+    pytest.param([[{"re": 0.125, "im": 0.0}] * 8] * 8, "matrix entries must be [real, imaginary] pairs",
+                 id="dict-entries"),
+    pytest.param(with_entry([0.0, 0.0, 0.0]), "matrix entries must be [real, imaginary] pairs", id="three-part-pair"),
+    pytest.param(with_entry([[0.0, 0.0], 0.0]), "non-numeric value in matrix: [0.0, 0.0]", id="nested-pair"),
+    pytest.param(with_entry([True, 0.0]), "non-numeric value in matrix: true", id="true"),
+    pytest.param(with_entry(["0.1", 0.0]), 'non-numeric value in matrix: "0.1"', id="string"),
+    pytest.param(with_entry([10**400, 0.0]), "value out of range: int too large to convert to float",
+                 id="int-beyond-float-range"),
+    pytest.param(identity_rows()[:7], "mixed state needs an 8x8 matrix of pairs", id="seven-rows"),
+    pytest.param(with_entry([10**400, 0.0])[:7], "mixed state needs an 8x8 matrix of pairs",
+                 id="seven-rows-one-int-beyond-float-range"),
+    pytest.param([row[:7] if i == 3 else row for i, row in enumerate(identity_rows())],
+                 "mixed state needs an 8x8 matrix of pairs", id="row-of-seven"),
+]
+
+
+class TestMixedFileReader:
+    """The mixed reader takes the matrix as one array; anything else keeps its error."""
+
+    @pytest.mark.parametrize("matrix, message", MATRIX_ERRORS)
+    def test_error_cases(self, matrix, message, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"kind": "mixed", "matrix": matrix}))
+        with pytest.raises(StateFileError) as info:
+            load_state_file(str(path))
+        assert type(info.value) is StateFileError and str(info.value) == message
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integer_parts_accepted(self, tmp_path):
+        rows = [[[int(i == j == 0), 0] for j in range(8)] for i in range(8)]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"kind": "mixed", "matrix": rows}))
+        expected = np.zeros((8, 8), dtype=complex)
+        expected[0, 0] = 1.0
+        assert np.array_equal(load_state_file(str(path)).matrix, expected)
+
+
 class TestStateFiles:
     def test_round_trip_pure_bit_exact(self, tmp_path):
         psi = sample_haar_pure(8)

@@ -30,7 +30,7 @@ from triqent import (
     to_density,
     w_canonical,
 )
-from triqent.families import _FAMILIES, _parameter_rows, _sweep_chunks
+from triqent.families import _FAMILIES, _family_rows, _parameter_rows, _sweep_chunks
 from triqent.measures import STACK_CHUNK
 from triqent.states import EIG_FLOOR, NORM_ATOL, _validated_amplitudes, _validated_matrices
 
@@ -490,3 +490,102 @@ class TestClosedFormsAreStates:
             rho = make_state(family, 0.5)
             assert isinstance(rho, DensityMatrix) and not rho.matrix.flags.writeable
         assert isinstance(make_state("rho0"), DensityMatrix)
+
+
+#: one point inside the domain of each family
+DEFAULT_POINT = {
+    "ghz": (), "w": (), "w_prime": (), "rho0": (),
+    "ghz_like": (0.3,), "w_canonical": (0.6, 0.8j, 0.0), "ghz_w_mix": (0.37,),
+    "ghz_noise": (0.61,), "rho_epsilon": (-0.73,), "sigma_b": (0.25,),
+}
+
+#: (family, a point outside its domain, the message it raises); the messages
+#: are those of the closed forms that checked the domain before the records did
+DOMAIN_ERRORS = [
+    ("ghz_like", (1.5,), "ghz_like needs alpha in [0, 1], got 1.5"),
+    ("ghz_like", (-1e-300,), "ghz_like needs alpha in [0, 1], got -1e-300"),
+    ("ghz_like", (float("nan"),), "ghz_like needs alpha in [0, 1], got nan"),
+    ("w_canonical", (1.0, 1.0, 1.0), "w_canonical coefficients must be normalized"),
+    ("w_canonical", (0.6, 0.8j, 1e-4), "w_canonical coefficients must be normalized"),
+    ("ghz_w_mix", (1.5,), "ghz_w_mix needs p in [0, 1], got 1.5"),
+    ("ghz_noise", (-0.1,), "ghz_noise needs p in [0, 1], got -0.1"),
+    ("rho_epsilon", (-1.5,), "rho_epsilon needs |eps| <= 1, got -1.5"),
+    ("sigma_b", (0.0,), "sigma_b needs b in (0, 1), got 0.0"),
+    ("sigma_b", (1.0,), "sigma_b needs b in (0, 1), got 1.0"),
+    ("sigma_b", (float("inf"),), "sigma_b needs b in (0, 1), got inf"),
+]
+
+
+def counting_domain(monkeypatch, family):
+    """Replace the family's domain predicate by one that records the number of rows of each call."""
+    record = _FAMILIES[family]
+    inside, template = record.domain
+    calls = []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return inside(rows)
+
+    monkeypatch.setitem(_FAMILIES, family, record._replace(domain=(spy, template)))
+    return calls
+
+
+class TestDomains:
+    """Each record's domain is checked once per call, before any state is built, with the closed forms' messages."""
+
+    @pytest.mark.parametrize("family, params, message", DOMAIN_ERRORS)
+    def test_messages_and_rows(self, family, params, message):
+        for call in (make_state, oracle) if _FAMILIES[family].oracle else (make_state,):
+            with pytest.raises(ParamOutOfDomainError) as info:
+                call(family, *params)
+            assert str(info.value) == message and info.value._row == 0
+        good = (0.5,) if len(params) == 1 else (0.6, 0.8, 0.0)
+        grid = (good, good, params, params)
+        with pytest.raises(ParamOutOfDomainError) as info:
+            _family_rows(grid, family, _FAMILIES[family])
+        assert str(info.value) == message and info.value._row == 2
+        with pytest.raises(ParamOutOfDomainError) as info:
+            sweep(FamilySpec(family, grid))
+        assert str(info.value) == f"sweep of {family!r} failed at params {params}: {message}"
+
+    def test_first_failing_row_beyond_a_chunk(self):
+        grid = np.full((STACK_CHUNK + 10, 1), 0.5)
+        grid[STACK_CHUNK + 3:] = 2.0
+        with pytest.raises(ParamOutOfDomainError) as info:
+            _family_rows(grid, "ghz_noise", _FAMILIES["ghz_noise"])
+        assert info.value._row == STACK_CHUNK + 3
+        with pytest.raises(ParamOutOfDomainError, match=r"failed at params \(2\.0,\): ghz_noise needs p"):
+            sweep(FamilySpec("ghz_noise", grid))
+
+    def test_every_parametrized_family_has_a_domain(self):
+        for family, record in _FAMILIES.items():
+            assert (record.domain is None) == (record.arity == 0), family
+
+    @pytest.mark.parametrize("family", sorted(f for f, r in _FAMILIES.items() if r.oracle))
+    def test_oracle_builds_no_state(self, family, monkeypatch):
+        def fail(rows):
+            raise AssertionError("oracle built a state")
+
+        record = _FAMILIES[family]
+        expected = oracle(family, *DEFAULT_POINT[family])
+        monkeypatch.setitem(_FAMILIES, family, record._replace(closed_form=fail))
+        assert oracle(family, *DEFAULT_POINT[family]) == expected
+        bad = [params for f, params, _ in DOMAIN_ERRORS if f == family]
+        for params in bad:
+            with pytest.raises(ParamOutOfDomainError):
+                oracle(family, *params)
+
+    @pytest.mark.parametrize("family", SWEEPABLE)
+    def test_each_row_checked_once(self, family, monkeypatch):
+        calls = counting_domain(monkeypatch, family)
+        make_state(family, *DEFAULT_POINT[family])
+        oracle(family, *DEFAULT_POINT[family])
+        assert calls == [1, 1]
+        calls.clear()
+        assert len(sweep(default_grid(family, 2500))) == 2500
+        assert calls == [2500]
+        calls.clear()
+        chunks = list(_sweep_chunks(default_grid(family, 2500)))
+        assert [len(c.params) for c in chunks] == [STACK_CHUNK, STACK_CHUNK, 2500 - 2 * STACK_CHUNK]
+        assert calls == [2500]
+

@@ -43,15 +43,31 @@ from triqent import (
     w_prime,
     w_state,
 )
-from triqent.cli import main
-from triqent.measures import NEG_EIG_FLOOR, _measure_sets, _mixed_measure_table, _pure_measure_table
-from triqent.states import COMPLEMENT, QUBITS
+from triqent.cli import main, save_state_file
+from triqent.families import _FAMILIES
+from triqent.measures import (
+    _CUT_PT,
+    _PAIR_PT,
+    _PAIR_TRACE,
+    _SINGLE_TRACE,
+    NEG_EIG_FLOOR,
+    _entropy_of_spectrum,
+    _geometric_mean3,
+    _measure_sets,
+    _mixed_measure_table,
+    _negativity_of_spectrum,
+    _psd_factor,
+    _pure_measure_table,
+    _spectrum_2x2,
+)
+from triqent.states import COMPLEMENT, QUBITS, _partial_trace, _partial_transpose
 from helpers import (
     near_separable_corpus,
     nonzero_coefficients,
     random_biseparable,
     random_product_state,
     random_unitary,
+    spy_on_lapack,
     sqrt_rho_concurrence,
 )
 
@@ -446,6 +462,11 @@ class TestPureFastPath:
 MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
 
 
+def mixed_table_calls(n):
+    """The LAPACK calls of ``_mixed_measure_table`` on a stack of n."""
+    return [("eigvalsh", (n, 3, 8, 8)), ("eigh", (n, 3, 4, 4)), ("eigvalsh", (n, 3, 4, 4)), ("svd", (n, 3, 4, 4))]
+
+
 @pytest.fixture(scope="module")
 def mixed_corpus():
     """Three-qubit density matrices by kind: HS-random, Haar projectors, and every mixed family grid point."""
@@ -517,30 +538,127 @@ class TestMixedStack:
         # cut transposes, the pair eigen-factors, the spectra of the pair
         # transposes and the spin-flip SVD; the one-qubit spectra are
         # closed forms, so no call has a trailing (2, 2)
-        calls = []
-
-        def spy(name):
-            real = getattr(np.linalg, name)
-
-            def call(a, *args, **kwargs):
-                calls.append((name, np.shape(a)))
-                return real(a, *args, **kwargs)
-            return call
-
-        def expected(n):
-            return [("eigvalsh", (n, 3, 8, 8)), ("eigh", (n, 3, 4, 4)),
-                    ("eigvalsh", (n, 3, 4, 4)), ("svd", (n, 3, 4, 4))]
-
         rho = mixed_corpus["hs"][0]
         spec = default_grid("sigma_b")
-        for name in ("eigh", "eigvalsh", "svd"):
-            monkeypatch.setattr(np.linalg, name, spy(name))
+        calls = spy_on_lapack(monkeypatch)
         measure_set(rho)
         classify_mixed(rho)
-        assert calls == 2 * expected(1)
+        assert calls == 2 * mixed_table_calls(1)
         calls.clear()
         sweep(spec)
-        assert calls == expected(len(spec.grid))
+        assert calls == mixed_table_calls(len(spec.grid))
+
+    def test_classify_of_a_mixed_file(self, mixed_corpus, monkeypatch, tmp_path, capsys):
+        # the file's matrix is validated by one eigenvalue-only call, then measured by the four
+        path = str(tmp_path / "hs.json")
+        save_state_file(path, mixed_corpus["hs"][0])
+        calls = spy_on_lapack(monkeypatch)
+        assert main(["classify", path, "--json"]) == 0
+        assert calls == [("eigvalsh", (1, 8, 8))] + mixed_table_calls(1)
+        assert json.loads(capsys.readouterr().out)["kind"] == "mixed"
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bytes: every entry the same float, signed zeros included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def signed_zero_stack(rng, shape):
+    """Complex Gaussian entries, about one in five of their parts replaced by +0.0 or -0.0."""
+    parts = rng.standard_normal(shape + (2,))
+    zeros = rng.random(parts.shape) < 0.2
+    parts[zeros] = np.where(rng.random(parts.shape) < 0.5, 0.0, -0.0)[zeros]
+    return parts.view(complex)[..., 0]
+
+
+class TestGatherTables:
+    """The index tables of the mixed table against the reshape routines they were built from."""
+
+    @pytest.mark.parametrize("n", [1, 5, 1024])
+    def test_cut_transposes(self, n):
+        m = signed_zero_stack(np.random.default_rng(n), (n, 8, 8))
+        cuts = m.reshape(n, 64)[:, _CUT_PT].reshape(n, 3, 8, 8)
+        for ax in range(3):
+            assert same_bits(cuts[:, ax], _partial_transpose(m, 3, ax)), ax
+
+    @pytest.mark.parametrize("n", [1, 5, 1024])
+    def test_pair_traces(self, n):
+        m = signed_zero_stack(np.random.default_rng(n + 1), (n, 8, 8))
+        pairs = m.reshape(n, 64)[:, _PAIR_TRACE].sum(axis=-1).reshape(n, 3, 4, 4)
+        for ax in range(3):
+            assert same_bits(pairs[:, ax], _partial_trace(m, 3, ax)), ax
+
+    @pytest.mark.parametrize("n", [1, 5, 1024])
+    def test_pair_transpose(self, n):
+        rho = signed_zero_stack(np.random.default_rng(n + 2), (n, 3, 4, 4))
+        pt = rho.reshape(n, 3, 16)[..., _PAIR_PT].reshape(n, 3, 4, 4)
+        assert same_bits(pt, _partial_transpose(rho, 2, 0))
+
+    @pytest.mark.parametrize("n", [1, 5, 1024])
+    def test_single_qubit_entries(self, n):
+        pairs = signed_zero_stack(np.random.default_rng(n + 3), (n, 3, 4, 4))
+        singles = pairs.reshape(n, 48)[:, _SINGLE_TRACE].sum(axis=-1)
+        # rho_A and rho_B from rho_AB, rho_C from rho_BC
+        for q, (i, ax) in enumerate(((2, 1), (2, 0), (0, 0))):
+            one = _partial_trace(pairs[:, i], 2, ax)
+            assert same_bits(singles[:, q], np.stack([one[:, 0, 0], one[:, 1, 1], one[:, 0, 1]], axis=-1)), q
+
+
+#: sy x sy, the spin flip of the reference stacking below
+SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def reference_mixed_measure_table(matrices):
+    """The mixed table as it was stacked before the gather tables: a stack of reshapes per step."""
+    cuts = np.stack([_partial_transpose(matrices, 3, ax) for ax in range(3)], axis=1)
+    n_side = _negativity_of_spectrum(np.linalg.eigvalsh(cuts))
+    pairs = np.stack([_partial_trace(matrices, 3, ax) for ax in range(3)], axis=1)
+    x = _psd_factor(pairs)
+    rho = x @ x.swapaxes(-1, -2).conj()
+    n_red = _negativity_of_spectrum(np.linalg.eigvalsh(_partial_transpose(rho, 2, 0)))
+    sv = np.linalg.svd(x.swapaxes(-1, -2) @ SIGMA_YY @ x, compute_uv=False)
+    c_red = np.clip(sv[..., 0] - sv[..., 1:].sum(axis=-1), 0.0, 1.0)
+    singles = np.stack([_partial_trace(pairs[:, i], 2, ax) for i, ax in ((2, 1), (2, 0), (0, 0))], axis=1)
+    r00, r11, r01 = singles[..., 0, :1].real, singles[..., 1, 1:].real, singles[..., 0, 1:]
+    entropy = _entropy_of_spectrum(_spectrum_2x2(r00 + r11, r00 * r11 - np.abs(r01) ** 2))
+    n_abc = _geometric_mean3(n_side)[:, np.newaxis]
+    return np.concatenate([n_side, n_abc, n_red, c_red, entropy], axis=1)
+
+
+def rank3_density(rng):
+    g = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    m = g @ g.conj().T
+    return m / m.trace().real
+
+
+def reference_stacks():
+    """Validated and closed-form mixed stacks: HS-random, rank 3, and 1001-point family grids."""
+    rng = np.random.default_rng(2022)
+    stacks = {
+        "hs": np.array([sample_hs_mixed(seed).matrix for seed in range(300)]),
+        "rank3": np.array([DensityMatrix(rank3_density(rng)).matrix for _ in range(300)]),
+    }
+    for family in MIXED_FAMILIES:
+        stacks[family] = _FAMILIES[family].closed_form(default_grid(family, 1001).grid)
+    return stacks
+
+
+class TestReferenceStacking:
+    """``_mixed_measure_table`` equals the reshape-and-stack code it replaced, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def stacks(self):
+        return reference_stacks()
+
+    @pytest.mark.parametrize("kind", ["hs", "rank3", *MIXED_FAMILIES])
+    def test_stack(self, stacks, kind):
+        m = stacks[kind]
+        assert same_bits(_mixed_measure_table(m), reference_mixed_measure_table(m))
+
+    @pytest.mark.parametrize("kind", ["hs", "rank3", *MIXED_FAMILIES])
+    def test_stacks_of_one(self, stacks, kind):
+        for m in stacks[kind][::20, np.newaxis]:
+            assert same_bits(_mixed_measure_table(m), reference_mixed_measure_table(m))
 
 
 def apply_non_unitaries(state):

@@ -49,6 +49,7 @@ from helpers import (
     random_biseparable,
     random_product_state,
     random_unitary,
+    spy_on_lapack,
 )
 
 
@@ -167,16 +168,74 @@ def bad_density(kind):
     return m
 
 
+def rank_deficient_stack():
+    """128 density matrices of every rank from 1 to 8, half with a 1e-12 anti-Hermitian part.
+
+    The rank-deficient rows carry rounding-level negative eigenvalues, so
+    validation clamps at least ten of them.
+    """
+    rng = np.random.default_rng(31)
+    stack = np.array([random_density(rng, rank, noise) for rank in range(1, 9)
+                      for noise in (0.0, 1e-12) for _ in range(8)])
+    sym = (stack + stack.conj().swapaxes(-1, -2)) / 2
+    assert (np.linalg.eigvalsh(sym)[:, 0] < 0.0).sum() >= 10
+    return stack
+
+
+def reference_validated_matrices(m):
+    """The eigenvector route validation took before it read eigenvalues alone, for valid stacks.
+
+    One ``eigh`` of the whole stack; the rows whose smallest eigenvalue
+    is negative are rebuilt from their clamped spectrum, largest weights first.
+    """
+    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    w, v = np.linalg.eigh(m)
+    w, v = w[:, ::-1], v[..., ::-1]
+    clamp = w[:, -1] < 0.0
+    v = v[clamp]
+    c = (v * np.clip(w[clamp], 0.0, None)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
+    c = (c + c.conj().swapaxes(-1, -2)) / 2.0
+    c /= c.trace(axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
+    m[clamp] = c
+    return m
+
+
 class TestStackedValidation:
     """``DensityMatrix`` and ``PureState`` validate through the stacked routines with N = 1."""
 
-    def test_density_rows_equal_scalar_path(self):
-        rng = np.random.default_rng(31)
-        stack = np.array([random_density(rng, rank, noise) for rank in range(1, 9)
-                          for noise in (0.0, 1e-12) for _ in range(8)])
+    def test_psd_stack_makes_one_eigenvalue_call(self, monkeypatch):
+        stack = np.array([sample_hs_mixed(seed).matrix for seed in range(40)])
+        calls = spy_on_lapack(monkeypatch)
+        _validated_matrices(stack.copy())
+        DensityMatrix(stack[0])
+        assert calls == [("eigvalsh", (40, 8, 8)), ("eigvalsh", (1, 8, 8))]
+
+    def test_rows_near_zero_make_one_eigenvector_call(self, monkeypatch):
+        # the rank-deficient rows, and only they, have a smallest eigenvalue
+        # below the band; eigh, which may round it to the other sign, decides them
+        stack = rank_deficient_stack()
         sym = (stack + stack.conj().swapaxes(-1, -2)) / 2
-        # the rank-deficient rows carry rounding-level negative eigenvalues: the clamp runs
-        assert (np.linalg.eigvalsh(sym)[:, 0] < 0.0).sum() >= 10
+        near = int((np.linalg.eigvalsh(sym)[:, 0] < triqent.states._EIGVALSH_BAND).sum())
+        assert near == 7 * 16
+        calls = spy_on_lapack(monkeypatch)
+        _validated_matrices(stack.copy())
+        assert calls == [("eigvalsh", (len(stack), 8, 8)), ("eigh", (near, 8, 8))]
+
+    def test_equals_eigenvector_route(self):
+        rng = np.random.default_rng(5)
+        stacks = [
+            rank_deficient_stack(),
+            np.array([sample_hs_mixed(seed).matrix for seed in range(200)]),
+            np.array([to_density(sample_haar_pure(seed)).matrix for seed in range(200)]),
+            np.array([random_density(rng, rank) for rank in (1, 2, 3) for _ in range(100)]),
+        ]
+        for stack in stacks:
+            assert _bits(_validated_matrices(stack.copy())) == _bits(reference_validated_matrices(stack.copy()))
+            for m in stack[::10]:
+                assert _bits(DensityMatrix(m).matrix) == _bits(reference_validated_matrices(m[np.newaxis].copy())[0])
+
+    def test_density_rows_equal_scalar_path(self):
+        stack = rank_deficient_stack()
         validated = _validated_matrices(stack.copy())
         assert not validated.flags.writeable
         for row, m in zip(validated, stack):

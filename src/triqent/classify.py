@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ParamOutOfDomainError, WrongDimensionError
+from .errors import NonFiniteError, ParamOutOfDomainError
 from .measures import NEG_EIG_FLOOR, MeasureSet, _mixed_measure_table, _pure_measure_table
 from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _is_number, _require_density, _require_pure
 
@@ -248,11 +248,10 @@ def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Mi
     certifies a grid measured as one stack the same way.  As in
     ``classify_pure``, a compared witness (n_q or c_red) within a factor
     of AMBIGUITY_BAND of zero_tol sets ``ambiguous``; the certificates
-    are still returned.  The state must be laid out as ("A", "B", "C"):
-    any other layout, a permutation too, raises WrongDimensionError.
+    are still returned.  The state is read as A, B, C, the order of every
+    layout; one over fewer qubits raises WrongDimensionError.
     """
-    if _require_density(rho, "classify_mixed").qubits != QUBITS:
-        raise WrongDimensionError("classify_mixed needs a dim-8 density matrix over [A, B, C]")
+    _require_density(rho, "classify_mixed", 3)
     check_zero_tol(zero_tol)
     table = _mixed_measure_table(rho.matrix[np.newaxis])
     held, witness, ambiguous = _certify_table(table, zero_tol)

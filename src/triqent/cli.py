@@ -2,7 +2,8 @@
 
 State files are JSON: {"kind": "pure", "amplitudes": [[re, im] * 8]}
 ordered by basis index 4i + 2j + k, or {"kind": "mixed", "matrix":
-8x8 nested [re, im] pairs, row-major}.  Exit codes: 0 success (also
+8x8 nested [re, im] pairs, row-major, over A, B, C}.  Either kind is read
+by one reader, ``_pairs_to_complex``.  Exit codes: 0 success (also
 when the reader of the output closes it early), 2 invalid input, 3
 ambiguous-near-threshold (report still printed).
 """
@@ -69,20 +70,32 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _pairs_to_complex(entries: list, what: str) -> np.ndarray:
-    """A list of ``[real, imaginary]`` pairs of JSON numbers as a complex array.
+def _pairs_to_complex(entries, shape: tuple[int, ...], what: str, needs: str) -> np.ndarray:
+    """``[real, imaginary]`` pairs of JSON numbers nested in ``shape``, as one complex array of that shape.
 
-    A JSON string, boolean, null or list is not a number, even where
-    Python's ``float()`` would take it, so it raises StateFileError.
+    Otherwise the walk below names the first problem: another nesting
+    (``needs``), a non-pair, a part that is no JSON number (a string,
+    boolean, null or list, even where ``float()`` would take it), then
+    an int beyond the float range (NonFiniteError).
     """
-    if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in entries):
+    try:
+        pairs = _numbers(entries, numbers.Real)
+    except NonFiniteError as exc:  # named after any problem the walk finds first
+        pairs, out_of_range = None, exc
+    if pairs is not None and pairs.shape == shape + (2,):
+        # each C-ordered (real, imaginary) row of float64 is one complex128
+        return pairs.view(complex)[..., 0]
+    flat = [entries]
+    for n in shape:
+        if not all(isinstance(e, list) and len(e) == n for e in flat):
+            raise StateFileError(needs)
+        flat = [e for row in flat for e in row]
+    if not all(isinstance(e, list) and len(e) == 2 for e in flat):
         raise StateFileError(f"{what} entries must be [real, imaginary] pairs")
-    pairs = _numbers(entries, numbers.Real)  # NonFiniteError for an int beyond the float range
-    if pairs is None or pairs.ndim != 2:  # a pair whose parts are lists makes a deeper array
-        bad = next(v for e in entries for v in e if not _is_number(v, numbers.Real))
-        raise StateFileError(f"non-numeric value in {what}: {json.dumps(bad)}")
-    # each C-ordered (real, imaginary) row of float64 is one complex128
-    return pairs.view(complex)[:, 0]
+    bad = [v for e in flat for v in e if not _is_number(v, numbers.Real)]
+    if bad:
+        raise StateFileError(f"non-numeric value in {what}: {json.dumps(bad[0])}")
+    raise out_of_range  # a nesting of numbers in shape fails the one-array read only on its range
 
 
 def load_state_file(path: str) -> PureState | DensityMatrix:
@@ -98,25 +111,10 @@ def load_state_file(path: str) -> PureState | DensityMatrix:
         raise StateFileError('state file needs "kind": "pure" or "mixed"')
     try:
         if data["kind"] == "pure":
-            amps = data.get("amplitudes")
-            if not isinstance(amps, list) or len(amps) != 8:
-                raise StateFileError("pure state needs 8 amplitude pairs")
-            return PureState(_pairs_to_complex(amps, "amplitudes"))
-        rows = data.get("matrix")
-        try:
-            pairs = _numbers(rows, numbers.Real)
-        except NonFiniteError:  # an int beyond the float range: the walk below names the first problem
-            pairs = None
-        if pairs is not None and pairs.shape == (8, 8, 2):
-            # each C-ordered (real, imaginary) row of float64 is one complex128
-            return DensityMatrix(pairs.view(complex)[..., 0])
-        if (
-            not isinstance(rows, list)
-            or len(rows) != 8
-            or any(not isinstance(r, list) or len(r) != 8 for r in rows)
-        ):
-            raise StateFileError("mixed state needs an 8x8 matrix of pairs")
-        return DensityMatrix(_pairs_to_complex([e for r in rows for e in r], "matrix").reshape(8, 8))
+            return PureState(_pairs_to_complex(data.get("amplitudes"), (8,), "amplitudes",
+                                               "pure state needs 8 amplitude pairs"))
+        return DensityMatrix(_pairs_to_complex(data.get("matrix"), (8, 8), "matrix",
+                                               "mixed state needs an 8x8 matrix of pairs"))
     except TriqentError as exc:
         if isinstance(exc, StateFileError):
             raise
@@ -125,7 +123,7 @@ def load_state_file(path: str) -> PureState | DensityMatrix:
 
 def save_state_file(path: str, state: PureState | DensityMatrix) -> None:
     """Write a state as JSON; floats round-trip exactly.  Checked as measure_set checks it, before the file opens."""
-    if isinstance(_require_state(state), PureState):
+    if isinstance(_require_state(state, "save_state_file"), PureState):
         data = {"kind": "pure", "amplitudes": [[z.real, z.imag] for z in state.amplitudes]}
     else:
         data = {

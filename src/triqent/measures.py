@@ -62,9 +62,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ParamOutOfDomainError, StateTypeError, WrongDimensionError
+from .errors import ParamOutOfDomainError, StateTypeError
 from .states import (
-    QUBITS,
     DensityMatrix,
     PureState,
     _partial_transpose,
@@ -179,14 +178,12 @@ def negativity(rho: DensityMatrix, side: str) -> float:
 
 def tripartite_negativity(rho: DensityMatrix) -> float:
     """Geometric mean of the three one-vs-two negativities; zero if any factor is."""
-    return measure_set(_require_density(rho, "tripartite_negativity")).n_abc
+    return measure_set(_require_density(rho, "tripartite_negativity", 3)).n_abc
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
     """Two-qubit Wootters concurrence, from the eigen-factor of rho (see ``_pair_concurrence``)."""
-    if _require_density(rho, "concurrence_2q").dim != 4:
-        raise WrongDimensionError(f"concurrence needs a two-qubit state, got dim {rho.dim}")
-    return float(_pair_concurrence(_psd_factor(rho.matrix)))
+    return float(_pair_concurrence(_psd_factor(_require_density(rho, "concurrence_2q", 2).matrix)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -265,25 +262,24 @@ _MEASURE_NAMES = tuple(f.name for f in fields(MeasureSet))
 
 
 def measure_set(state: PureState | DensityMatrix) -> MeasureSet:
-    """Compute the full MeasureSet of a pure state or a dim-8 mixed state.
+    """Compute the full MeasureSet of a pure state or a three-qubit mixed state.
 
     Either is a stack of one: row 0 of ``_pure_measure_table`` for a
     pure state, of ``_mixed_measure_table`` for a mixed one.  A mixed
-    state must be laid out as ("A", "B", "C"): the measure table reads
-    its rows and columns in that order, so any other layout, a
-    permutation too, raises WrongDimensionError.
+    state is read as A, B, C, the order of every layout; one over fewer
+    qubits raises WrongDimensionError.
     """
-    if isinstance(_require_state(state), PureState):
+    if isinstance(_require_state(state, "measure_set"), PureState):
         return _measure_sets(_pure_measure_table(state.amplitudes[np.newaxis]))[0]
     return _measure_sets(_mixed_measure_table(state.matrix[np.newaxis]))[0]
 
 
-def _require_state(state) -> PureState | DensityMatrix:
-    """state, if it is a PureState or a DensityMatrix over QUBITS; StateTypeError or WrongDimensionError if not."""
-    if not isinstance(state, (PureState, DensityMatrix)):
+def _require_state(state, what: str) -> PureState | DensityMatrix:
+    """state, if it is a PureState or a three-qubit DensityMatrix; StateTypeError or WrongDimensionError if not."""
+    if isinstance(state, DensityMatrix):
+        return _require_density(state, what, 3)
+    if not isinstance(state, PureState):
         raise StateTypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    if isinstance(state, DensityMatrix) and state.qubits != QUBITS:
-        raise WrongDimensionError(f"need a three-qubit state over {QUBITS!r}, got layout {state.qubits!r}")
     return state
 
 

@@ -3,7 +3,9 @@
 Basis convention: the amplitude of |ijk> (i on qubit A, j on B, k on C)
 sits at index 4*i + 2*j + k, i.e. qubit A is the most significant bit.
 The same ordering applies row- and column-wise to density matrices,
-with the first label of the subsystem layout most significant.
+with the first label of the subsystem layout most significant.  A layout
+lists its labels in A, B, C order (``_LAYOUTS``), so every stored matrix
+is in that order; a permutation is refused where it enters.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .errors import (
 )
 
 QUBITS = ("A", "B", "C")
+#: the layouts a state may have: one, two or three labels, in QUBITS order
+_LAYOUTS = {QUBITS, ("A", "B"), ("A", "C"), ("B", "C"), ("A",), ("B",), ("C",)}
 #: the two qubits left when one is traced out
 COMPLEMENT = {"A": ("B", "C"), "B": ("A", "C"), "C": ("A", "B")}
 
@@ -102,8 +106,9 @@ def _numbers(x, kind: type) -> np.ndarray | None:
         a = np.array(x, dtype=object)
     except ValueError:  # a ragged nesting numpy cannot hold
         return None
-    if set(map(type, a.flat)).issubset(_BUILTIN_NUMBERS[kind]) or all(
-            _is_number(v[()] if isinstance(v, np.ndarray) else v, kind) for v in a.flat):
+    flat = a.reshape(-1)  # a view, where a.flat cannot iterate over more than 32 axes
+    if set(map(type, flat)).issubset(_BUILTIN_NUMBERS[kind]) or all(
+            _is_number(v[()] if isinstance(v, np.ndarray) else v, kind) for v in flat):
         try:
             return a.astype(dtype)
         except OverflowError as exc:
@@ -134,12 +139,12 @@ def _complex_entries(x, what: str, shape: tuple[int, ...] | None = None) -> np.n
 
 
 def _layout(qubits) -> tuple[str, ...]:
-    """``qubits`` as a tuple; QubitNotPresentError unless it names distinct labels of QUBITS."""
+    """``qubits`` as a tuple; QubitNotPresentError unless it is one of _LAYOUTS."""
     try:
         layout = tuple(qubits)
     except TypeError:
         layout = ()
-    if not layout or any(q not in QUBITS for q in layout) or len(set(layout)) != len(layout):
+    if not all(isinstance(q, str) for q in layout) or layout not in _LAYOUTS:
         raise QubitNotPresentError(f"invalid qubit layout {qubits!r}")
     return layout
 
@@ -151,7 +156,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _complex_entries(self.amplitudes, "amplitudes").reshape(-1)
+        # finiteness is the first check of the validation
+        amps = _complex_array(self.amplitudes, "amplitudes").reshape(-1)
         if amps.shape != (8,):
             raise WrongDimensionError(f"expected 8 amplitudes, got {amps.shape}")
         object.__setattr__(self, "amplitudes", _validated_amplitudes(amps[np.newaxis])[0])
@@ -251,14 +257,13 @@ class DensityMatrix:
         object.__setattr__(rho, "qubits", qubits)
         return rho
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
-
-def _require_density(rho, what: str) -> DensityMatrix:
+def _require_density(rho, what: str, n: int | None = None) -> DensityMatrix:
+    """rho, if a DensityMatrix over n qubits (any if n is None); StateTypeError or WrongDimensionError if not."""
     if not isinstance(rho, DensityMatrix):
         raise StateTypeError(f"{what} needs a DensityMatrix, got {type(rho).__name__}")
+    if n is not None and len(rho.qubits) != n:
+        raise WrongDimensionError(f"{what} needs a {n}-qubit state, got layout {rho.qubits!r}")
     return rho
 
 
@@ -302,8 +307,8 @@ def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
 def transpose_qubit(matrix: np.ndarray, qubits: tuple[str, ...], side: str) -> np.ndarray:
     """Partial transpose of a raw matrix over one qubit of the layout.
 
-    The layout is checked as ``DensityMatrix`` checks it, and the matrix
-    must be finite numbers of the layout's shape.
+    The layout is checked as ``DensityMatrix`` checks it, labels in A, B,
+    C order, and the matrix must be finite numbers of the layout's shape.
     """
     qubits = _layout(qubits)
     ax = _qubit_index(qubits, side)
@@ -377,7 +382,8 @@ def sample_haar_pure(seed: int) -> PureState:
 def sample_hs_mixed(seed: int, qubits: tuple[str, ...] = QUBITS) -> DensityMatrix:
     """Hilbert-Schmidt random mixed state G G^dagger / Tr with Gaussian G.
 
-    Raises ParamOutOfDomainError unless seed is a non-negative integer.
+    Raises ParamOutOfDomainError unless seed is a non-negative integer, and
+    QubitNotPresentError for a layout not in A, B, C order, before drawing.
     """
     _check_seed(seed)
     rng = np.random.default_rng(seed)

@@ -27,6 +27,13 @@ def default_rng_haar_stack(seed, count):
     return np.array([row / np.sqrt((np.abs(row) ** 2).sum()) for row in z])
 
 
+def nested(depth, leaf=0.0):
+    """``leaf`` inside ``depth`` one-entry lists: numpy cannot iterate over more than 32 axes."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
 def random_unitary(rng, n=2):
     """Haar-random unitary via QR with positive diagonal phase fix."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

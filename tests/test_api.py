@@ -82,7 +82,9 @@ def integer():
 
 
 def layout():
-    return {"wrong_type": 3, "nan": NAN, "string": "x", "none": None, "wrong_shape": ("A", "B", "C", "A")}
+    # a permutation of A, B, C would store the matrix in another order than the one every call reads
+    return {"wrong_type": 3, "nan": NAN, "string": "x", "none": None, "wrong_shape": ("A", "B", "C", "A"),
+            "permuted": ("B", "A", "C")}
 
 
 def matrix(shape):

@@ -11,6 +11,7 @@ from triqent import (
     NonFiniteError,
     ParamOutOfDomainError,
     PureState,
+    QubitNotPresentError,
     WrongDimensionError,
     apply_local_unitary,
     classify_gsd_pattern,
@@ -205,19 +206,18 @@ class TestClassifyMixed:
     def test_permuted_layout_rejected(self):
         # |0>_A x Bell_BC: in the layout (B, C, A) the same matrix has B
         # separable and the pair CA entangled, which a reading as A, B, C
-        # would swap; only the layout A, B, C is accepted
+        # would swap; a permuted layout fails where it enters, so no
+        # three-qubit call ever sees one
         rho = to_density(bell_bc_plus(0.0))
         for layout in itertools.permutations(QUBITS):
-            permuted = DensityMatrix(rho.matrix, layout)
-            calls = (classify_mixed, measure_set, tripartite_negativity)
             if layout == QUBITS:
-                assert classify_mixed(permuted) == classify_mixed(rho)
-                assert measure_set(permuted) == measure_set(rho)
-                assert tripartite_negativity(permuted) == tripartite_negativity(rho)
+                same = DensityMatrix(rho.matrix, layout)
+                assert classify_mixed(same) == classify_mixed(rho)
+                assert measure_set(same) == measure_set(rho)
+                assert tripartite_negativity(same) == tripartite_negativity(rho)
                 continue
-            for call in calls:
-                with pytest.raises(WrongDimensionError):
-                    call(permuted)
+            with pytest.raises(QubitNotPresentError, match="invalid qubit layout"):
+                DensityMatrix(rho.matrix, layout)
 
     @pytest.mark.parametrize("state, witness, ambiguous", [
         (lambda: ghz_noise(0.2 + 4e-8), "n_abc", True),  # n_q = 5.0e-8, certified GHZ-distillable

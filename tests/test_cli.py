@@ -17,6 +17,7 @@ from triqent import (
     SWEEPABLE,
     DensityMatrix,
     PureState,
+    QubitNotPresentError,
     StateFileError,
     StateTypeError,
     WrongDimensionError,
@@ -42,7 +43,7 @@ from triqent.cli import (
     main,
     save_state_file,
 )
-from helpers import default_rng_haar_stack
+from helpers import default_rng_haar_stack, nested
 
 
 @pytest.fixture
@@ -87,21 +88,58 @@ MATRIX_ERRORS = [
                  id="seven-rows-one-int-beyond-float-range"),
     pytest.param([row[:7] if i == 3 else row for i, row in enumerate(identity_rows())],
                  "mixed state needs an 8x8 matrix of pairs", id="row-of-seven"),
+    # deeper than the 32 axes numpy iterates over
+    pytest.param(nested(40), "mixed state needs an 8x8 matrix of pairs", id="forty-deep"),
 ]
 
 
+def basis_pairs():
+    """The amplitudes of |000> as a state file writes them: [real, imaginary] pairs."""
+    return [[1.0, 0.0]] + [[0.0, 0.0]] * 7
+
+
+def with_amplitude(value):
+    """``basis_pairs()`` with amplitude 2 replaced by ``value``."""
+    pairs = basis_pairs()
+    pairs[2] = value
+    return pairs
+
+
+#: a pure state file's "amplitudes" and the StateFileError message it raises
+AMPLITUDE_ERRORS = [
+    pytest.param(None, "pure state needs 8 amplitude pairs", id="null"),
+    pytest.param([{"re": 1.0, "im": 0.0}] * 8, "amplitudes entries must be [real, imaginary] pairs",
+                 id="dict-entries"),
+    pytest.param(with_amplitude([0.0, 0.0, 0.0]), "amplitudes entries must be [real, imaginary] pairs",
+                 id="three-part-pair"),
+    pytest.param(with_amplitude([[0.0, 0.0], 0.0]), "non-numeric value in amplitudes: [0.0, 0.0]", id="nested-pair"),
+    pytest.param(with_amplitude([True, 0.0]), "non-numeric value in amplitudes: true", id="true"),
+    pytest.param(with_amplitude(["0.1", 0.0]), 'non-numeric value in amplitudes: "0.1"', id="string"),
+    pytest.param(with_amplitude([10**400, 0.0]), "value out of range: int too large to convert to float",
+                 id="int-beyond-float-range"),
+    pytest.param(basis_pairs()[:7], "pure state needs 8 amplitude pairs", id="seven-pairs"),
+    pytest.param([[1.0]] + [[0.0]] * 7, "amplitudes entries must be [real, imaginary] pairs", id="eight-by-one"),
+    pytest.param(nested(40), "pure state needs 8 amplitude pairs", id="forty-deep"),
+]
+
+
+def assert_file_error(data, message, tmp_path, capsys):
+    """The state file holding ``data`` raises exactly ``message``, from the library and from the CLI."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(StateFileError) as info:
+        load_state_file(str(path))
+    assert type(info.value) is StateFileError and str(info.value) == message
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestMixedFileReader:
-    """The mixed reader takes the matrix as one array; anything else keeps its error."""
+    """The reader takes the matrix as one array; anything else keeps its error."""
 
     @pytest.mark.parametrize("matrix, message", MATRIX_ERRORS)
     def test_error_cases(self, matrix, message, tmp_path, capsys):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({"kind": "mixed", "matrix": matrix}))
-        with pytest.raises(StateFileError) as info:
-            load_state_file(str(path))
-        assert type(info.value) is StateFileError and str(info.value) == message
-        assert main(["classify", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert_file_error({"kind": "mixed", "matrix": matrix}, message, tmp_path, capsys)
 
     def test_integer_parts_accepted(self, tmp_path):
         rows = [[[int(i == j == 0), 0] for j in range(8)] for i in range(8)]
@@ -110,6 +148,14 @@ class TestMixedFileReader:
         expected = np.zeros((8, 8), dtype=complex)
         expected[0, 0] = 1.0
         assert np.array_equal(load_state_file(str(path)).matrix, expected)
+
+
+class TestPureFileReader:
+    """The reader takes the amplitudes as one array; anything else keeps its error."""
+
+    @pytest.mark.parametrize("amplitudes, message", AMPLITUDE_ERRORS)
+    def test_error_cases(self, amplitudes, message, tmp_path, capsys):
+        assert_file_error({"kind": "pure", "amplitudes": amplitudes}, message, tmp_path, capsys)
 
 
 class TestStateFiles:
@@ -148,15 +194,19 @@ class TestStateFiles:
     def test_save_rejects_two_qubit_matrix(self, tmp_path):
         # load_state_file would reject the file: a mixed state needs an 8x8 matrix
         rho = DensityMatrix(np.eye(4) / 4, qubits=("A", "B"))
-        self.assert_not_saved(tmp_path, rho, WrongDimensionError, r"need a three-qubit state over .*'A', 'B'\)")
+        self.assert_not_saved(tmp_path, rho, WrongDimensionError,
+                              r"save_state_file needs a 3-qubit state, got layout \('A', 'B'\)")
 
     def test_save_rejects_permuted_layout(self, tmp_path):
         # |0>_A (x) Bell_BC laid out as (B, C, A): a file has no layout, so it
-        # would load as A, B, C with qubit B entangled instead of separable
+        # would load as A, B, C with qubit B entangled instead of separable;
+        # the state cannot be built, so there is nothing to save
         amps = np.zeros(8)
         amps[0] = amps[6] = 1 / np.sqrt(2)
-        rho = DensityMatrix(np.outer(amps, amps), qubits=("B", "C", "A"))
-        self.assert_not_saved(tmp_path, rho, WrongDimensionError, r"got layout \('B', 'C', 'A'\)")
+        path = tmp_path / "fresh.json"
+        with pytest.raises(QubitNotPresentError, match=r"invalid qubit layout \('B', 'C', 'A'\)"):
+            save_state_file(path, DensityMatrix(np.outer(amps, amps), qubits=("B", "C", "A")))
+        assert not path.exists()
 
     def test_zero_norm_message(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

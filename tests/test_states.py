@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -46,6 +47,7 @@ from triqent.states import EIG_FLOOR, _haar_draws, _validated_amplitudes, _valid
 from helpers import (
     default_rng_haar_amplitudes,
     default_rng_haar_stack,
+    nested,
     random_biseparable,
     random_product_state,
     random_unitary,
@@ -70,7 +72,10 @@ MALFORMED_INPUT = {
     "pure-objects": (lambda: PureState([object()] * 8), StateTypeError),
     "pure-ragged": (lambda: PureState([[1.0, 0.0], [0.0]]), StateTypeError),
     "pure-seven-entries": (lambda: PureState(np.ones(7) / np.sqrt(7)), WrongDimensionError),
+    "pure-forty-deep": (lambda: PureState(nested(40)), WrongDimensionError),
     "density-string": (lambda: DensityMatrix("abc"), StateTypeError),
+    "density-forty-deep": (lambda: DensityMatrix(nested(40)), WrongDimensionError),
+    "density-forty-deep-string": (lambda: DensityMatrix(nested(40, "x")), StateTypeError),
     "density-not-square": (lambda: DensityMatrix(np.eye(8, 7) / 7), WrongDimensionError),
     "density-none-entries": (lambda: DensityMatrix([[None] * 8] * 8), StateTypeError),
     "density-layout-int": (lambda: DensityMatrix(np.eye(8) / 8, 3), QubitNotPresentError),
@@ -145,6 +150,32 @@ class TestValidation:
     def test_layout_checked(self):
         with pytest.raises(QubitNotPresentError):
             DensityMatrix(np.eye(4) / 4, ("A", "A"))
+
+    def test_only_ordered_layouts_enter(self):
+        # a layout lists its labels in A, B, C order, so every stored matrix
+        # is read in that order; the 15 sequences of distinct labels are the
+        # 7 ordered layouts, 5 permutations of all three and 3 reversed pairs
+        ordered = [("A", "B", "C"), ("A", "B"), ("A", "C"), ("B", "C"), ("A",), ("B",), ("C",)]
+        for layout in ordered:
+            d = 2 ** len(layout)
+            assert DensityMatrix(np.eye(d) / d, layout).qubits == layout
+            assert sample_hs_mixed(1, layout).qubits == layout
+        unordered = [p for p in itertools.permutations("ABC") if p != ("A", "B", "C")]
+        unordered += [pair[::-1] for pair in ordered[1:4]]
+        assert len(unordered) == 8
+        for layout in unordered:
+            d = 2 ** len(layout)
+            for call in (lambda: DensityMatrix(np.eye(d) / d, layout), lambda: sample_hs_mixed(1, layout),
+                         lambda: transpose_qubit(np.eye(d) / d, layout, layout[0])):
+                with pytest.raises(QubitNotPresentError, match="invalid qubit layout"):
+                    call()
+        # a reduction drops a label and keeps the order of the rest
+        rho = sample_hs_mixed(5)
+        for first in "ABC":
+            pair = partial_trace(rho, first)
+            assert pair.qubits in ordered
+            for second in pair.qubits:
+                assert partial_trace(pair, second).qubits in ordered
 
 
 def random_density(rng, rank, noise=0.0):

@@ -175,8 +175,8 @@ def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureCla
     Every thresholded comparison is recorded in ``margins`` as its raw
     decision quantity, each compared against zero_tol: n_q for
     ``factorizable_q`` and c_red for ``pair_P``.  Both are linear in a
-    small entangling amplitude, as the canonical-form coefficients that
-    ``classify_gsd_pattern`` thresholds are (C_AB = 2|alpha delta|,
+    small entangling amplitude, as the canonical-form coefficient products
+    that ``classify_gsd_pattern`` thresholds are (C_AB = 2|alpha delta|,
     Acin et al., PRL 85, 1560, 2000), and ``classify_mixed`` certifies
     on the same two quantities, so the three read one threshold scale.
     A quantity within a factor of 10 of zero_tol flags the result as

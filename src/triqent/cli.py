@@ -32,7 +32,7 @@ from .errors import (
 from .families import SWEEPABLE, _sweep_chunks, default_grid
 from .gsd import classify_gsd_pattern, gsd
 from .measures import _MEASURE_NAMES, STACK_CHUNK, MeasureSet, _pure_closed_form_table, _require_state, measure_set
-from .states import DensityMatrix, PureState, _check_seed, _haar_draws, _is_number, _numbers, _validated_amplitudes
+from .states import DensityMatrix, PureState, _check_seed, _haar_draws, _is_number, _numbers
 
 MEASURE_FIELDS = (
     "n_a_bc", "n_b_ac", "n_c_ab", "n_abc",
@@ -276,11 +276,11 @@ def _cmd_random(args) -> int:
     with out as fh:
         for start in range(0, args.count, STACK_CHUNK):
             stop = min(args.count, start + STACK_CHUNK)
-            # the chunk's rows of the one stream, validated, measured and
-            # classified as one stack; the report and the decision read
-            # closed-form columns only, so no eigensolve is made
-            amps = _validated_amplitudes(_haar_draws(rng, stop - start))
-            table = _pure_closed_form_table(amps)
+            # the chunk's rows of the one stream, measured and classified as
+            # one stack; _haar_draws normalizes each row, so nothing is left to
+            # validate, and the report and the decision read closed-form
+            # columns only, so no eigensolve is made
+            table = _pure_closed_form_table(_haar_draws(rng, stop - start))
             decisions = _classify_table(table, args.tol)
             codes = [c + "?" if a else c for c, a in zip(decisions.codes.tolist(), decisions.ambiguous.tolist())]
             histogram.update(codes)

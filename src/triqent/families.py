@@ -56,6 +56,7 @@ from .states import (
     DensityMatrix,
     PureState,
     _is_number,
+    _normalized,
     _numbers,
     _raise_first,
 )
@@ -87,11 +88,6 @@ def _ghz_rows(phase: np.ndarray) -> np.ndarray:
 def _in_unit_interval(rows: np.ndarray) -> np.ndarray:
     """Which rows hold one parameter in [0, 1]."""
     return (0.0 <= rows[:, 0]) & (rows[:, 0] <= 1.0)
-
-
-def _normalized(rows: np.ndarray) -> np.ndarray:
-    """Which rows of coefficients have unit norm, within 1e-10."""
-    return np.abs((np.abs(rows) ** 2).sum(axis=1) - 1.0) <= 1e-10
 
 
 def _ghz_like_rows(rows: np.ndarray) -> np.ndarray:

@@ -46,12 +46,13 @@ reorder.  gsd makes no LAPACK call; steps 2-4 run on Python complexes.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import DEFAULT_ZERO_TOL, SubtypeLabel, _near_threshold, check_zero_tol
+from .classify import _PAIRS, DEFAULT_ZERO_TOL, SubtypeLabel, _near_threshold, check_zero_tol
 from .errors import (
     AmbiguousNearThresholdError,
     NumericalDegeneracyError,
@@ -59,7 +60,7 @@ from .errors import (
     StateTypeError,
 )
 from .families import from_gsd_coefficients
-from .states import PureState, _complex_entries, _require_pure
+from .states import QUBITS, PureState, _complex_entries, _require_pure
 
 #: polynomial coefficients below this are treated as identically zero
 _COEFF_TOL = 1e-13
@@ -96,7 +97,7 @@ class GsdForm:
 
 @dataclass(frozen=True)
 class GsdPattern:
-    """Zero/nonzero coefficient pattern and the subtype it implies."""
+    """A catalogue pattern name and the subtype it stands for."""
 
     pattern: str
     subtype: SubtypeLabel
@@ -269,69 +270,62 @@ def gsd(psi: PureState, mode: str = "raw") -> GsdForm:
     return GsdForm(tc[0], tc[4], tc[6], tc[5], tc[7], mode, *(np.array(u, dtype=complex) for u in unitaries))
 
 
-_PATTERNS_WITH_OMEGA = {
-    # (beta, delta, epsilon) nonzero flags -> pattern when alpha, omega != 0
-    (False, False, False): ("GHZ", SubtypeLabel("2-0")),
-    (True, False, False): ("IV", SubtypeLabel("2-1", None, ("BC",))),
-    (False, True, False): ("IV''", SubtypeLabel("2-1", None, ("AB",))),
-    (False, False, True): ("IV'", SubtypeLabel("2-1", None, ("AC",))),
-    (True, False, True): ("S", SubtypeLabel("2-2", None, ("BC", "AC"))),
-    (True, True, False): ("S'", SubtypeLabel("2-2", None, ("BC", "AB"))),
-    (False, True, True): ("W", SubtypeLabel("2-3", None, ("BC", "AC", "AB"))),
-    (True, True, True): ("W", SubtypeLabel("2-3", None, ("BC", "AC", "AB"))),
+#: the catalogue name of each subtype, by its code and entangled pairs
+_CATALOGUE = {
+    ("0-0", ()): "product", ("2-0", ()): "GHZ",
+    ("1^1-1", ("BC",)): "B", ("1^1-1", ("AC",)): "B'", ("1^1-1", ("AB",)): "B''",
+    ("2-1", ("BC",)): "IV", ("2-1", ("AC",)): "IV'", ("2-1", ("AB",)): "IV''",
+    ("2-2", ("BC", "AC")): "S", ("2-2", ("BC", "AB")): "S'", ("2-2", ("AC", "AB")): "S''",
+    ("2-3", ("BC", "AC", "AB")): "W",
 }
+#: the quantities checked against the ambiguity band; the last four decide the pattern
+_QUANTITIES = ("alpha", "beta", "delta", "epsilon", "omega",
+               "beta*omega - delta*epsilon", "alpha*epsilon", "alpha*delta", "alpha*omega")
+
+
+@functools.cache
+def _pattern(bc: bool, ac: bool, ab: bool, tangle: bool) -> GsdPattern:
+    """The pattern of a form whose pairs BC, AC, AB and 3-tangle are nonzero as flagged."""
+    pairs = tuple(p for p, on in zip(_PAIRS, (bc, ac, ab)) if on)
+    if tangle or len(pairs) >= 2:
+        label = SubtypeLabel(f"2-{len(pairs)}", None, pairs)
+    elif pairs:  # pair i of _PAIRS leaves out qubit i
+        label = SubtypeLabel("1^1-1", QUBITS[_PAIRS.index(pairs[0])], pairs)
+    else:
+        label = SubtypeLabel("0-0")
+    return GsdPattern(_CATALOGUE[label.code, pairs], label)
 
 
 def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> GsdPattern:
-    """Match the zero/nonzero coefficient pattern against the canonical catalog.
+    """Match the canonical form against the paper's catalogue.
 
-    The pair concurrences of a canonical form are C_AB = 2|alpha delta|,
-    C_AC = 2|alpha epsilon| and C_BC = 2|beta omega - delta epsilon|, so
-    with all five coefficients nonzero pair BC is still separable when
-    beta*omega = delta*epsilon: the star S'' centred on A, completing S
-    (centre C) and S' (centre B).
+    What ``classify_pure`` thresholds is a function of four products: the
+    pair concurrences C_AB = 2|alpha delta|, C_AC = 2|alpha epsilon| and
+    C_BC = 2|beta omega - delta epsilon|, the 3-tangle 4|alpha omega|^2,
+    and n_q^2, the 3-tangle plus C^2 of each pair holding q (Acin et al.,
+    PRL 85, 1560, 2000; Coffman, Kundu & Wootters, PRA 61, 052306, 2000).
+    So a pair is entangled when its product exceeds zero_tol; the form is
+    fully inseparable (2-k, k pairs) when two pairs are or |alpha omega|
+    exceeds zero_tol, else simply biseparable (1^1-1, the qubit outside
+    its one pair separable) or, with no pair, fully separable.  Outside
+    the ambiguity band this is the decision of ``classify_pure``.  The
+    star S'' (pairs AC and AB) holds wherever beta omega = delta epsilon.
 
     Raises StateTypeError when a coefficient is not a number,
     NonFiniteError when one is NaN or infinite, and
-    AmbiguousNearThresholdError when any coefficient magnitude or the
-    product difference |beta*omega - delta*epsilon| falls within a
-    factor of 10 of zero_tol, since the caller must then decide which
-    side of the boundary was meant.
+    AmbiguousNearThresholdError when a coefficient magnitude or one of
+    the four products falls within a factor of 10 of zero_tol, since the
+    caller must then decide which side of the boundary was meant.
     """
     if not isinstance(form, GsdForm):
         raise StateTypeError(f"classify_gsd_pattern needs a GsdForm, got {type(form).__name__}")
     check_zero_tol(zero_tol)
-    _complex_entries((form.alpha, form.beta, form.delta, form.epsilon, form.omega), "canonical coefficients", (5,))
-    mags = {
-        "alpha": abs(form.alpha),
-        "beta": abs(form.beta),
-        "delta": abs(form.delta),
-        "epsilon": abs(form.epsilon),
-        "omega": abs(form.omega),
-        "beta*omega - delta*epsilon": abs(form.beta * form.omega - form.delta * form.epsilon),
-    }
-    for name, value in mags.items():
+    coefficients = (form.alpha, form.beta, form.delta, form.epsilon, form.omega)
+    a, b, d, e, w = _complex_entries(coefficients, "canonical coefficients", (5,)).tolist()
+    values = [abs(z) for z in (a, b, d, e, w, b * w - d * e, a * e, a * d, a * w)]
+    for name, value in zip(_QUANTITIES, values):
         if _near_threshold(value, zero_tol):
             raise AmbiguousNearThresholdError(
                 f"|{name}| = {value:.3e} is within a decade of zero_tol = {zero_tol:.1e}"
             )
-
-    nz = {k: v > zero_tol for k, v in mags.items()}
-    if not nz["alpha"]:
-        # every alpha = 0 form factors qubit A off; the leftover pair is
-        # entangled exactly when beta*omega != delta*epsilon
-        if nz["beta*omega - delta*epsilon"]:
-            return GsdPattern("B", SubtypeLabel("1^1-1", "A", ("BC",)))
-        return GsdPattern("product", SubtypeLabel("0-0"))
-    if nz["omega"]:
-        if nz["beta"] and nz["delta"] and nz["epsilon"] and not nz["beta*omega - delta*epsilon"]:
-            return GsdPattern("S''", SubtypeLabel("2-2", None, ("AC", "AB")))
-        pattern, subtype = _PATTERNS_WITH_OMEGA[(nz["beta"], nz["delta"], nz["epsilon"])]
-        return GsdPattern(pattern, subtype)
-    if nz["delta"] and nz["epsilon"]:
-        return GsdPattern("W", SubtypeLabel("2-3", None, ("BC", "AC", "AB")))
-    if nz["epsilon"]:
-        return GsdPattern("B'", SubtypeLabel("1^1-1", "B", ("AC",)))
-    if nz["delta"]:
-        return GsdPattern("B''", SubtypeLabel("1^1-1", "C", ("AB",)))
-    return GsdPattern("product", SubtypeLabel("0-0"))
+    return _pattern(*(v > zero_tol for v in values[5:]))

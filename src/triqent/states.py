@@ -39,11 +39,6 @@ NORM_ATOL = 1e-10
 HERM_ATOL = 1e-10
 EIG_FLOOR = -1e-10
 UNITARY_ATOL = 1e-10
-#: validation reads each smallest eigenvalue from eigvalsh, and takes eigh's
-#: for the rows below this band; eigvalsh and eigh are both backward
-#: stable, so on a unit-trace matrix they agree to about 1e-15, and a row
-#: above the band has no negative eigenvalue by either
-_EIGVALSH_BAND = 1e-12
 
 
 def _raise_first(bad: np.ndarray, error: type, message) -> None:
@@ -59,6 +54,16 @@ def _raise_first(bad: np.ndarray, error: type, message) -> None:
         raise exc
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a stack of amplitudes or coefficients."""
+    return np.sqrt((np.abs(rows) ** 2).sum(axis=-1))
+
+
+def _normalized(rows: np.ndarray) -> np.ndarray:
+    """Which rows have unit norm: |norm - 1| <= NORM_ATOL, False for a NaN or infinite entry."""
+    return np.abs(_norms(rows) - 1.0) <= NORM_ATOL
+
+
 def _validated_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Check a stack of amplitude vectors, shape (N, 8), and return it read-only.
 
@@ -66,13 +71,11 @@ def _validated_amplitudes(amps: np.ndarray) -> np.ndarray:
     invalid row raises what the scalar path raises, for the first such
     row, and the error records that row (see ``_raise_first``).
     """
-    norm = np.sqrt((np.abs(amps) ** 2).sum(axis=-1))
-    norm_dev = np.abs(norm - 1.0)
-    if not norm_dev.max() <= NORM_ATOL:  # a NaN or infinite amplitude fails this too
+    unit = _normalized(amps)
+    if not unit.all():
         _raise_first(~np.isfinite(amps).all(axis=-1), NonFiniteError,
                      lambda i: "NaN or infinite entry in amplitudes")
-        _raise_first(norm_dev > NORM_ATOL, NotNormalizedError,
-                     lambda i: f"norm is {norm[i]:.12g}, expected 1")
+        _raise_first(~unit, NotNormalizedError, lambda i: f"norm is {_norms(amps[i]):.12g}, expected 1")
     amps.setflags(write=False)
     return amps
 
@@ -179,18 +182,14 @@ def _validated_matrices(m: np.ndarray) -> np.ndarray:
 
     The checks are those of ``DensityMatrix``, which is this routine on
     a stack of one: finite entries, Hermitian within HERM_ATOL, unit
-    trace within NORM_ATOL, and no eigenvalue below EIG_FLOOR, read from
-    one ``np.linalg.eigvalsh`` call on the whole stack.  The result is
-    the Hermitian part (m + m^dagger) / 2 of each matrix, so derived
-    matrices are exactly Hermitian.  The rows whose smallest eigenvalue
-    lies below ``_EIGVALSH_BAND`` (1e-12) take their spectrum and
-    eigenvectors from one ``np.linalg.eigh`` call on those rows alone, so
-    a stack with no eigenvalue near zero makes no eigenvector call.  Of
-    those, the rows whose smallest eigenvalue lies in [EIG_FLOOR, 0) are
-    rebuilt from their spectrum clamped at zero and renormalized to unit
-    trace.  The first invalid row raises what the scalar path raises,
-    and the error records the row (see ``_raise_first``).  The result is
-    read-only.
+    trace within NORM_ATOL, and no eigenvalue below EIG_FLOOR.  The
+    result is the Hermitian part (m + m^dagger) / 2 of each matrix, so
+    derived matrices are exactly Hermitian.  The spectra and eigenvectors
+    come from one ``np.linalg.eigh`` call on the whole stack, and the rows
+    whose smallest eigenvalue lies in [EIG_FLOOR, 0) are rebuilt from
+    their spectrum clamped at zero and renormalized to unit trace.  The
+    first invalid row raises what the scalar path raises, and the error
+    records the row (see ``_raise_first``).  The result is read-only.
     """
     if not np.isfinite(m).all():
         _raise_first(~np.isfinite(m).all(axis=(-2, -1)), NonFiniteError,
@@ -204,25 +203,19 @@ def _validated_matrices(m: np.ndarray) -> np.ndarray:
     _raise_first(np.abs(tr - 1.0) > NORM_ATOL, NotNormalizedError,
                  lambda i: f"trace is {tr[i]:.12g}, expected 1")
     try:
-        low = np.linalg.eigvalsh(m)[:, 0]
-        # eigvalsh and eigh may round a zero eigenvalue to opposite signs, so
-        # the rows near zero are decided on the spectrum whose eigenvectors
-        # a clamp rebuilds them from
-        rows = np.flatnonzero(low < _EIGVALSH_BAND)
-        if rows.size:
-            w, v = np.linalg.eigh(m[rows])
-            low[rows] = w[:, 0]
-            _raise_first(low < EIG_FLOOR, NotPSDError,
-                         lambda i: f"minimum eigenvalue {low[i]:.3e} below {EIG_FLOOR:.1e}")
-            clamp = w[:, 0] < 0.0
-            # descending, so the sum below adds the largest weights first
-            w, v = w[clamp, ::-1], v[clamp][..., ::-1]
-            c = (v * np.clip(w, 0.0, None)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
-            c = (c + c.conj().swapaxes(-1, -2)) / 2.0
-            c /= c.trace(axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
-            m[rows[clamp]] = c
+        w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigensolver failed for dimension {m.shape[-1]}: {exc}") from exc
+    low = w[:, 0]
+    _raise_first(low < EIG_FLOOR, NotPSDError, lambda i: f"minimum eigenvalue {low[i]:.3e} below {EIG_FLOOR:.1e}")
+    clamp = low < 0.0
+    if clamp.any():
+        # descending, so the sum below adds the largest weights first
+        w, v = w[clamp, ::-1], v[clamp][..., ::-1]
+        c = (v * np.clip(w, 0.0, None)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
+        c = (c + c.conj().swapaxes(-1, -2)) / 2.0
+        c /= c.trace(axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
+        m[clamp] = c
     m.setflags(write=False)
     return m
 
@@ -345,7 +338,7 @@ def apply_local_unitary(psi: PureState, u_a, u_b, u_c) -> PureState:
     u_b = _check_unitary(u_b, "u_b")
     u_c = _check_unitary(u_c, "u_c")
     out = np.einsum("ia,jb,kc,abc->ijk", u_a, u_b, u_c, psi.tensor).reshape(8)
-    return PureState(out / np.sqrt((np.abs(out) ** 2).sum()))
+    return PureState(out / _norms(out))
 
 
 def _haar_draws(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -357,7 +350,7 @@ def _haar_draws(rng: np.random.Generator, n: int) -> np.ndarray:
     """
     x = rng.standard_normal((n, 16))
     z = x[:, :8] + 1j * x[:, 8:]
-    return z / np.sqrt((np.abs(z) ** 2).sum(axis=-1, keepdims=True))
+    return z / _norms(z)[:, np.newaxis]
 
 
 def _check_seed(seed) -> None:

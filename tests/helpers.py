@@ -126,6 +126,29 @@ def hidden_canonical_corpus(rng, count):
     return states
 
 
+def sparse_canonical_state(rng):
+    """A canonical form with a random zero pattern and magnitudes log-uniform in [1e-7, 1].
+
+    Each of alpha, beta, delta, epsilon and omega is kept with probability
+    1/2 (at least one is), with a uniform phase.  Products of two small
+    kept coefficients land on either side of the default zero tolerance,
+    so the pattern turns on the products, not on the coefficients alone.
+    """
+    keep = np.zeros(5, dtype=bool)
+    while not keep.any():
+        keep = rng.random(5) < 0.5
+    c = keep * 10.0 ** rng.uniform(-7.0, 0.0, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
+    amps = np.zeros(8, dtype=complex)
+    amps[[0, 4, 6, 5, 7]] = c / np.linalg.norm(c)
+    return PureState(amps)
+
+
+def sparse_canonical_corpus(rng, count):
+    """``count`` sparse canonical forms, every second one hidden by random local unitaries."""
+    states = [sparse_canonical_state(rng) for _ in range(count)]
+    return [PureState(random_local_unitary(rng) @ psi.amplitudes) if i % 2 else psi for i, psi in enumerate(states)]
+
+
 def nonzero_coefficients(rng, n, min_mag=0.1):
     """n complex coefficients, normalized, all magnitudes >= min_mag."""
     while True:

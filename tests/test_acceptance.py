@@ -40,6 +40,7 @@ from helpers import (
     random_biseparable,
     random_product_state,
     random_unitary,
+    sparse_canonical_corpus,
 )
 
 N_PROPERTY_STATES = 500
@@ -223,17 +224,21 @@ def test_criterion_10e_classifier_pattern_agreement(haar_corpus):
         states += [random_biseparable(rng, q) for q in "ABC" for _ in range(20)]
         states += [random_product_state(rng) for _ in range(20)]
         # near-separable states, where the entangling amplitude is small,
-        # hidden canonical-class states and |0>_A Bell_BC + 1e-5 |101>
+        # hidden canonical-class states, |0>_A Bell_BC + 1e-5 |101>, and
+        # sparse canonical forms, whose small coefficients multiply to
+        # products on either side of the tolerance
         states += near_separable_corpus(rng, 300) + hidden_canonical_corpus(rng, 50) + [bell_bc_plus(1e-5)]
+        states += sparse_canonical_corpus(rng, 1500)
         for psi in states:
             res = classify_pure(psi)
             if res.ambiguous:
                 continue
-            try:
-                pat = classify_gsd_pattern(gsd(psi))
-            except AmbiguousNearThresholdError:
-                continue
-            assert pat.subtype.code == res.label.code
+            for mode in ("raw", "normal"):
+                try:
+                    pat = classify_gsd_pattern(gsd(psi, mode=mode))
+                except AmbiguousNearThresholdError:
+                    continue
+                assert pat.subtype == res.label
 
 
 def test_criterion_10f_measure_ordering_on_ghz_like():

@@ -13,6 +13,7 @@ import pytest
 
 import triqent.cli
 import triqent.families
+import triqent.states
 from triqent import (
     SWEEPABLE,
     DensityMatrix,
@@ -614,6 +615,22 @@ class TestRandomCommand:
             states.append({line.split("\t", 1)[1] for line in out.read_text().splitlines()[:50]})
         assert len(states[0]) == len(states[1]) == 50
         assert not states[0] & states[1]
+
+    def test_draws_are_not_validated_again(self, tmp_path, monkeypatch):
+        # _haar_draws normalizes each row, so the states random reports are
+        # derived, not entered, and it calls no validator
+        count = STACK_CHUNK + 3
+        expected = _per_state_report(default_rng_haar_stack(7, count), DEFAULT_ZERO_TOL)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("random called a validator")
+
+        for name in ("_validated_amplitudes", "_validated_matrices"):
+            monkeypatch.setattr(triqent.states, name, fail)
+            monkeypatch.setattr(triqent.cli, name, fail, raising=False)
+        out = tmp_path / "r.txt"
+        assert main(["random", "--count", str(count), "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == expected
 
     def test_report_memory_bounded(self):
         # each chunk's lines are written as they are made, so nine more

@@ -11,20 +11,24 @@ from triqent import (
     DensityMatrix,
     FamilySpec,
     NoOracleError,
+    NotNormalizedError,
     ParamOutOfDomainError,
     PureState,
     classify_mixed,
     classify_pure,
     default_grid,
+    from_gsd_coefficients,
     ghz,
     ghz_like,
     ghz_noise,
     ghz_w_mix,
+    gsd,
     make_state,
     measure_set,
     oracle,
     rho_epsilon,
     rho_zero,
+    sample_haar_pure,
     sigma_b,
     sweep,
     to_density,
@@ -556,6 +560,23 @@ class TestDomains:
         assert info.value._row == STACK_CHUNK + 3
         with pytest.raises(ParamOutOfDomainError, match=r"failed at params \(2\.0,\): ghz_noise needs p"):
             sweep(FamilySpec("ghz_noise", grid))
+
+    def test_normalized_is_the_pure_state_rule(self):
+        # coefficients are normalized exactly when PureState takes the state
+        # they make, |norm - 1| <= NORM_ATOL, so a state PureState accepted
+        # comes back from its canonical form
+        amps = sample_haar_pure(3).amplitudes
+        w_point = np.array([0.6, 0.8j, 0.0])
+        for dev in (0.9 * NORM_ATOL, -0.9 * NORM_ATOL):
+            gsd(PureState(amps * (1.0 + dev))).to_state()
+            w_canonical(*(w_point * (1.0 + dev)))
+        for dev in (1.1 * NORM_ATOL, -1.1 * NORM_ATOL):
+            with pytest.raises(NotNormalizedError):
+                PureState(amps * (1.0 + dev))
+            with pytest.raises(ParamOutOfDomainError):
+                w_canonical(*(w_point * (1.0 + dev)))
+            with pytest.raises(ParamOutOfDomainError):
+                from_gsd_coefficients(*(np.array([0.6, 0.0, 0.0, 0.0, 0.8]) * (1.0 + dev)))
 
     def test_every_parametrized_family_has_a_domain(self):
         for family, record in _FAMILIES.items():

@@ -7,6 +7,7 @@ import pytest
 from triqent import (
     AmbiguousNearThresholdError,
     GsdForm,
+    GsdPattern,
     MixedStateUnsupportedError,
     NonFiniteError,
     PureState,
@@ -489,6 +490,76 @@ class TestPatternClassifier:
                 pat = classify_gsd_pattern(gsd(psi, mode=mode))
                 assert pat.pattern == "S''"
                 assert pat.subtype == label
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    def test_small_delta_epsilon_is_a_star(self, omega):
+        # delta = epsilon = 2e-7 entangle pairs AB and AC, but their product
+        # 4e-14 leaves pair BC separable: C_BC = 2|beta*omega - delta*epsilon|
+        c = np.array([1.0, 0.0, 2e-7, 2e-7, omega])
+        psi = from_gsd_coefficients(*(c / np.linalg.norm(c)))
+        res = classify_pure(psi)
+        assert not res.ambiguous
+        assert res.label == SubtypeLabel("2-2", None, ("AC", "AB"))
+        for mode in ("raw", "normal"):
+            pat = classify_gsd_pattern(gsd(psi, mode=mode))
+            assert pat == GsdPattern("S''", res.label)
+
+
+#: the paper's catalogue: each pattern name and the subtype it stands for
+CATALOGUE = {
+    "product": SubtypeLabel("0-0"),
+    "B": SubtypeLabel("1^1-1", "A", ("BC",)),
+    "B'": SubtypeLabel("1^1-1", "B", ("AC",)),
+    "B''": SubtypeLabel("1^1-1", "C", ("AB",)),
+    "GHZ": SubtypeLabel("2-0"),
+    "IV": SubtypeLabel("2-1", None, ("BC",)),
+    "IV'": SubtypeLabel("2-1", None, ("AC",)),
+    "IV''": SubtypeLabel("2-1", None, ("AB",)),
+    "S": SubtypeLabel("2-2", None, ("BC", "AC")),
+    "S'": SubtypeLabel("2-2", None, ("BC", "AB")),
+    "S''": SubtypeLabel("2-2", None, ("AC", "AB")),
+    "W": SubtypeLabel("2-3", None, ("BC", "AC", "AB")),
+}
+
+#: (alpha, beta, delta, epsilon, omega) before normalization, for each flag
+#: combination (|beta omega - delta epsilon|, |alpha epsilon|, |alpha delta|,
+#: |alpha omega| above 1e-8); small coefficients are 1e-6, so a product of
+#: two is far below the tolerance and one of a small and a large far above
+FLAG_FORMS = {
+    (False, False, False, False): (1.0, 0.0, 0.0, 0.0, 0.0),
+    (True, False, False, False): (0.0, 0.5, 0.0, 0.0, 0.5),
+    (False, True, False, False): (0.5, 0.0, 0.0, 0.5, 0.0),
+    (False, False, True, False): (0.5, 0.0, 0.5, 0.0, 0.0),
+    (True, True, False, False): (1e-6, 0.5, 1e-6, 0.5, 0.0),
+    (True, False, True, False): (1e-6, 0.5, 0.5, 1e-6, 0.0),
+    (False, True, True, False): (1.0, 0.0, 1e-6, 1e-6, 0.0),
+    (True, True, True, False): (0.5, 0.0, 0.5, 0.5, 0.0),
+    (False, False, False, True): (0.5, 0.0, 0.0, 0.0, 0.5),
+    (True, False, False, True): (0.5, 0.5, 0.0, 0.0, 0.5),
+    (False, True, False, True): (0.5, 0.0, 0.0, 0.5, 0.5),
+    (False, False, True, True): (0.5, 0.0, 0.5, 0.0, 0.5),
+    (True, True, False, True): (0.5, 0.5, 0.0, 0.5, 0.5),
+    (True, False, True, True): (0.5, 0.5, 0.5, 0.0, 0.5),
+    (False, True, True, True): (0.5, 0.5, 0.5, 0.5, 0.5),
+    (True, True, True, True): (0.5, 0.0, 0.5, 0.5, 0.5),
+}
+
+
+def test_every_flag_combination_names_its_subtype():
+    # every combination of the four decision flags gives a catalogue name
+    # whose subtype is the label, and that label is classify_pure's
+    seen = set()
+    for flags, c in FLAG_FORMS.items():
+        alpha, beta, delta, epsilon, omega = np.array(c, dtype=complex) / np.linalg.norm(c)
+        products = np.abs([beta * omega - delta * epsilon, alpha * epsilon, alpha * delta, alpha * omega])
+        assert tuple(products > 1e-8) == flags
+        form = GsdForm(alpha, beta, delta, epsilon, omega, "raw", np.eye(2), np.eye(2), np.eye(2))
+        pat = classify_gsd_pattern(form)
+        assert CATALOGUE[pat.pattern] == pat.subtype, flags
+        res = classify_pure(form.to_state())
+        assert not res.ambiguous and res.label == pat.subtype, flags
+        seen.add(pat.pattern)
+    assert seen == set(CATALOGUE)
 
 
 NON_FINITE_COEFFICIENTS = {

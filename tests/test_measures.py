@@ -549,12 +549,12 @@ class TestMixedStack:
         assert calls == mixed_table_calls(len(spec.grid))
 
     def test_classify_of_a_mixed_file(self, mixed_corpus, monkeypatch, tmp_path, capsys):
-        # the file's matrix is validated by one eigenvalue-only call, then measured by the four
+        # the file's matrix is validated by one eigh call, then measured by the four
         path = str(tmp_path / "hs.json")
         save_state_file(path, mixed_corpus["hs"][0])
         calls = spy_on_lapack(monkeypatch)
         assert main(["classify", path, "--json"]) == 0
-        assert calls == [("eigvalsh", (1, 8, 8))] + mixed_table_calls(1)
+        assert calls == [("eigh", (1, 8, 8))] + mixed_table_calls(1)
         assert json.loads(capsys.readouterr().out)["kind"] == "mixed"
 
 

@@ -239,18 +239,21 @@ class TestStackedValidation:
         calls = spy_on_lapack(monkeypatch)
         _validated_matrices(stack.copy())
         DensityMatrix(stack[0])
-        assert calls == [("eigvalsh", (40, 8, 8)), ("eigvalsh", (1, 8, 8))]
+        assert calls == [("eigh", (40, 8, 8)), ("eigh", (1, 8, 8))]
 
     def test_rows_near_zero_make_one_eigenvector_call(self, monkeypatch):
-        # the rank-deficient rows, and only they, have a smallest eigenvalue
-        # below the band; eigh, which may round it to the other sign, decides them
+        # the rank-deficient rows take their eigenvectors from the one eigh
+        # call that reads every row's spectrum, and exactly the rows whose
+        # smallest eigenvalue it rounds below zero are rebuilt
         stack = rank_deficient_stack()
         sym = (stack + stack.conj().swapaxes(-1, -2)) / 2
-        near = int((np.linalg.eigvalsh(sym)[:, 0] < triqent.states._EIGVALSH_BAND).sum())
-        assert near == 7 * 16
+        clamped = np.linalg.eigh(sym)[0][:, 0] < 0.0
+        assert 10 <= clamped.sum() < 7 * 16
         calls = spy_on_lapack(monkeypatch)
-        _validated_matrices(stack.copy())
-        assert calls == [("eigvalsh", (len(stack), 8, 8)), ("eigh", (near, 8, 8))]
+        validated = _validated_matrices(stack.copy())
+        assert calls == [("eigh", (len(stack), 8, 8))]
+        assert _bits(validated[~clamped]) == _bits(sym[~clamped])
+        assert all(_bits(row) != _bits(m) for row, m in zip(validated[clamped], sym[clamped]))
 
     def test_equals_eigenvector_route(self):
         rng = np.random.default_rng(5)

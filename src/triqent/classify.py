@@ -7,6 +7,8 @@ exclusion certificates, because no general separability test exists.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -112,27 +114,43 @@ class MixedVerdict:
 _PAIRS = ("BC", "AC", "AB")
 #: the columns of ``_PureDecisions.margins``
 _MARGIN_NAMES = tuple(f"factorizable_{q}" for q in QUBITS) + tuple(f"pair_{p}" for p in _PAIRS)
-#: the subtype code 2-k of a fully inseparable state with k entangled pairs
-_FULLY_INSEPARABLE = np.array(["2-0", "2-1", "2-2", "2-3"])
+
+
+@functools.cache
+def _subtype(factorizable: tuple[bool, bool, bool], entangled: tuple[bool, bool, bool]) -> SubtypeLabel:
+    """The label of a pure state whose qubits A, B, C factorize and whose pairs BC, AC, AB are entangled as flagged.
+
+    Two or more factorizable qubits give 0-0, one gives 1^1-1 with that
+    qubit separable, and none gives 2-k, k the number of entangled pairs.
+    ``classify_pure`` and ``classify_gsd_pattern`` both label by this rule.
+    """
+    if sum(factorizable) >= 2:
+        return SubtypeLabel("0-0")
+    pairs = tuple(p for p, on in zip(_PAIRS, entangled) if on)
+    if any(factorizable):
+        return SubtypeLabel("1^1-1", QUBITS[factorizable.index(True)], pairs)
+    return SubtypeLabel(f"2-{len(pairs)}", None, pairs)
+
+
+#: the label of every flag combination, indexed by the six flags of
+#: ``_subtype`` read as bits, qubit A's the most significant
+_LABELS = tuple(_subtype(flags[:3], flags[3:]) for flags in itertools.product((False, True), repeat=6))
+_CODES = np.array([label.code for label in _LABELS])
 
 
 @dataclass(frozen=True)
 class _PureDecisions:
     """The decisions of ``_classify_table`` for a stack of N pure states, one row each.
 
-    ``factorizable`` and ``margins`` are the raw comparisons (one-vs-two
-    negativities n_q of A, B, C, then reduced concurrences c_red of BC,
-    AC, AB, each against zero_tol); ``pairs`` marks
-    the entangled pairs the label names, none for a fully separable
-    state; ``separable`` indexes QUBITS for a 1^1-1 label and is -1
-    otherwise.
+    ``labels`` indexes ``_LABELS``, and ``codes`` holds the code of each
+    row's label.  ``margins`` are the raw decision quantities: the
+    one-vs-two negativities n_q of A, B, C, then the reduced concurrences
+    c_red of BC, AC, AB, each compared against zero_tol.
     """
 
     codes: np.ndarray
     ambiguous: np.ndarray
-    separable: np.ndarray
-    factorizable: np.ndarray
-    pairs: np.ndarray
+    labels: np.ndarray
     margins: np.ndarray
 
 
@@ -147,19 +165,17 @@ def _classify_table(table: np.ndarray, zero_tol: float) -> _PureDecisions:
     c_red = table[:, 7:10]
     margins = np.concatenate([n_side, c_red], axis=1)
     factorizable = n_side < zero_tol
-    count = factorizable.sum(axis=1)
     # two factorizable qubits cannot happen analytically: either the
     # state is fully separable (all three factorizable) or rounding
     # produced an inconsistent pattern, labelled by the purest qubit
     near_product = (n_side < AMBIGUITY_BAND * zero_tol).all(axis=1)
-    product = (count == 3) | ((count == 2) & near_product)
-    inconsistent = (count == 2) & ~near_product
+    inconsistent = (factorizable.sum(axis=1) == 2) & ~near_product
     purest = np.argmin(np.where(factorizable, n_side, np.inf), axis=1)
-    separable = np.where(product | (count == 0), -1, purest)
-    pairs = (c_red > zero_tol) & ~product[:, np.newaxis]
-    codes = np.where(product, "0-0", np.where(separable >= 0, "1^1-1", _FULLY_INSEPARABLE[pairs.sum(axis=1)]))
+    factorizable[inconsistent] = np.arange(3) == purest[inconsistent, np.newaxis]
+    flags = np.concatenate([factorizable, c_red > zero_tol], axis=1)
+    labels = flags @ (1 << np.arange(5, -1, -1))
     ambiguous = inconsistent | _near_threshold(margins, zero_tol).any(axis=1)
-    return _PureDecisions(codes, ambiguous, separable, factorizable, pairs, margins)
+    return _PureDecisions(_CODES[labels], ambiguous, labels, margins)
 
 
 def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureClassification:
@@ -174,26 +190,26 @@ def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureCla
 
     Every thresholded comparison is recorded in ``margins`` as its raw
     decision quantity, each compared against zero_tol: n_q for
-    ``factorizable_q`` and c_red for ``pair_P``.  Both are linear in a
-    small entangling amplitude, as the canonical-form coefficient products
-    that ``classify_gsd_pattern`` thresholds are (C_AB = 2|alpha delta|,
-    Acin et al., PRL 85, 1560, 2000), and ``classify_mixed`` certifies
-    on the same two quantities, so the three read one threshold scale.
-    A quantity within a factor of 10 of zero_tol flags the result as
-    ambiguous; the label is still returned.  The decision is
-    ``_classify_table`` on a stack of one.
+    ``factorizable_q`` and c_red for ``pair_P``; the label is ``_subtype``
+    of those comparisons.  Both are linear in a small entangling
+    amplitude.  ``classify_gsd_pattern`` decides on the same six, in
+    closed form (C_AB = 2|alpha delta|, Acin et al., PRL 85, 1560, 2000),
+    and ``classify_mixed`` certifies on n_q and c_red, so the three read
+    one threshold scale.  A quantity within a factor of 10 of zero_tol
+    flags the result as ambiguous; the label is still returned.  The
+    decision is ``_classify_table`` on a stack of one.
     """
     _require_pure(psi, "classify_pure")
     check_zero_tol(zero_tol)
     table = _pure_measure_table(psi.amplitudes[np.newaxis])
     d = _classify_table(table, zero_tol)
+    label = _LABELS[d.labels[0]]
     margins = dict(zip(_MARGIN_NAMES, d.margins[0].tolist()))
-    q = int(d.separable[0])
-    if d.factorizable[0].sum() == 1:
-        for single in COMPLEMENT[QUBITS[q]]:
+    q = label.separable_qubit
+    # a 1^1-1 label with exactly one factorizable qubit, not the purest of two
+    if q is not None and all(margins[f"factorizable_{s}"] >= zero_tol for s in COMPLEMENT[q]):
+        for single in COMPLEMENT[q]:
             margins[f"single_purity_{single}"] = margins[f"factorizable_{single}"]
-    pairs = tuple(p for p, on in zip(_PAIRS, d.pairs[0].tolist()) if on)
-    label = SubtypeLabel(str(d.codes[0]), QUBITS[q] if q >= 0 else None, pairs)
     return PureClassification(label, MeasureSet(*table[0].tolist()), margins, bool(d.ambiguous[0]))
 
 

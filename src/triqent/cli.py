@@ -203,10 +203,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_gsd(args) -> int:
-    state = load_state_file(args.path)
-    if not isinstance(state, PureState):
-        raise StateFileError("the canonical decomposition is defined for pure states only")
-    form = gsd(state, mode=args.mode)
+    form = gsd(load_state_file(args.path), mode=args.mode)
     ambiguous = False
     try:
         pat = classify_gsd_pattern(form)

@@ -501,18 +501,17 @@ def _sweep_chunks(spec: FamilySpec):
         points = ()
     if not len(points):
         raise ParamOutOfDomainError(f"sweep needs a nonempty grid of parameter tuples, got {spec.grid!r}")
-    start = 0
     try:
         rows = _family_rows(points, spec.family, record)
-        for start in range(0, len(rows), STACK_CHUNK):
-            yield _sweep_chunk(record, rows[start:start + STACK_CHUNK])
     except TriqentError as exc:
         if hasattr(exc, "_row"):  # see _raise_first
-            params = points[start + exc._row]
+            params = points[exc._row]
             if isinstance(params, np.ndarray):
                 params = tuple(params.tolist())
             exc.args = (f"sweep of {spec.family!r} failed at params {params}: {exc}",)
         raise
+    for start in range(0, len(rows), STACK_CHUNK):
+        yield _sweep_chunk(record, rows[start:start + STACK_CHUNK])
 
 
 def _row_dicts(columns: dict[str, np.ndarray], n: int) -> list[dict[str, float]]:

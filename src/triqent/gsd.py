@@ -46,13 +46,12 @@ reorder.  gsd makes no LAPACK call; steps 2-4 run on Python complexes.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import _PAIRS, DEFAULT_ZERO_TOL, SubtypeLabel, _near_threshold, check_zero_tol
+from .classify import _MARGIN_NAMES, DEFAULT_ZERO_TOL, SubtypeLabel, _near_threshold, _subtype, check_zero_tol
 from .errors import (
     AmbiguousNearThresholdError,
     NumericalDegeneracyError,
@@ -60,7 +59,7 @@ from .errors import (
     StateTypeError,
 )
 from .families import from_gsd_coefficients
-from .states import QUBITS, PureState, _complex_entries, _require_pure
+from .states import PureState, _complex_entries, _require_pure
 
 #: polynomial coefficients below this are treated as identically zero
 _COEFF_TOL = 1e-13
@@ -278,43 +277,26 @@ _CATALOGUE = {
     ("2-2", ("BC", "AC")): "S", ("2-2", ("BC", "AB")): "S'", ("2-2", ("AC", "AB")): "S''",
     ("2-3", ("BC", "AC", "AB")): "W",
 }
-#: the quantities checked against the ambiguity band; the last four decide the pattern
-_QUANTITIES = ("alpha", "beta", "delta", "epsilon", "omega",
-               "beta*omega - delta*epsilon", "alpha*epsilon", "alpha*delta", "alpha*omega")
-
-
-@functools.cache
-def _pattern(bc: bool, ac: bool, ab: bool, tangle: bool) -> GsdPattern:
-    """The pattern of a form whose pairs BC, AC, AB and 3-tangle are nonzero as flagged."""
-    pairs = tuple(p for p, on in zip(_PAIRS, (bc, ac, ab)) if on)
-    if tangle or len(pairs) >= 2:
-        label = SubtypeLabel(f"2-{len(pairs)}", None, pairs)
-    elif pairs:  # pair i of _PAIRS leaves out qubit i
-        label = SubtypeLabel("1^1-1", QUBITS[_PAIRS.index(pairs[0])], pairs)
-    else:
-        label = SubtypeLabel("0-0")
-    return GsdPattern(_CATALOGUE[label.code, pairs], label)
 
 
 def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> GsdPattern:
     """Match the canonical form against the paper's catalogue.
 
-    What ``classify_pure`` thresholds is a function of four products: the
-    pair concurrences C_AB = 2|alpha delta|, C_AC = 2|alpha epsilon| and
-    C_BC = 2|beta omega - delta epsilon|, the 3-tangle 4|alpha omega|^2,
-    and n_q^2, the 3-tangle plus C^2 of each pair holding q (Acin et al.,
-    PRL 85, 1560, 2000; Coffman, Kundu & Wootters, PRA 61, 052306, 2000).
-    So a pair is entangled when its product exceeds zero_tol; the form is
-    fully inseparable (2-k, k pairs) when two pairs are or |alpha omega|
-    exceeds zero_tol, else simply biseparable (1^1-1, the qubit outside
-    its one pair separable) or, with no pair, fully separable.  Outside
-    the ambiguity band this is the decision of ``classify_pure``.  The
-    star S'' (pairs AC and AB) holds wherever beta omega = delta epsilon.
+    The decision is that of ``classify_pure``, on its six margins written
+    in the canonical coefficients (Acin et al., PRL 85, 1560, 2000;
+    Coffman, Kundu & Wootters, PRA 61, 052306, 2000): the pair
+    concurrences C_AB = 2|alpha delta|, C_AC = 2|alpha epsilon| and
+    C_BC = 2|beta omega - delta epsilon|, and the one-vs-two negativities
+    n_q = sqrt(4|alpha omega|^2 + C^2 of each pair holding q).  A qubit
+    factorizes when its n_q is below zero_tol and a pair is entangled
+    when its C exceeds it; ``classify._subtype`` labels those flags, and
+    the pattern is the catalogue's name for the label.  The star S''
+    (pairs AC and AB) holds wherever beta omega = delta epsilon.
 
     Raises StateTypeError when a coefficient is not a number,
     NonFiniteError when one is NaN or infinite, and
-    AmbiguousNearThresholdError when a coefficient magnitude or one of
-    the four products falls within a factor of 10 of zero_tol, since the
+    AmbiguousNearThresholdError when a margin falls within a factor of
+    10 of zero_tol, where ``classify_pure`` sets ``ambiguous``, since the
     caller must then decide which side of the boundary was meant.
     """
     if not isinstance(form, GsdForm):
@@ -322,10 +304,13 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> G
     check_zero_tol(zero_tol)
     coefficients = (form.alpha, form.beta, form.delta, form.epsilon, form.omega)
     a, b, d, e, w = _complex_entries(coefficients, "canonical coefficients", (5,)).tolist()
-    values = [abs(z) for z in (a, b, d, e, w, b * w - d * e, a * e, a * d, a * w)]
-    for name, value in zip(_QUANTITIES, values):
+    bc, ac, ab = 2.0 * abs(b * w - d * e), 2.0 * abs(a * e), 2.0 * abs(a * d)
+    tangle = 4.0 * abs(a * w) * abs(a * w)
+    n = [math.sqrt(tangle + x * x + y * y) for x, y in ((ab, ac), (ab, bc), (ac, bc))]  # the pairs holding q
+    for name, value in zip(_MARGIN_NAMES, (*n, bc, ac, ab)):
         if _near_threshold(value, zero_tol):
             raise AmbiguousNearThresholdError(
-                f"|{name}| = {value:.3e} is within a decade of zero_tol = {zero_tol:.1e}"
+                f"{name} = {value:.3e} is within a decade of zero_tol = {zero_tol:.1e}"
             )
-    return _pattern(*(v > zero_tol for v in values[5:]))
+    label = _subtype(tuple(v < zero_tol for v in n), (bc > zero_tol, ac > zero_tol, ab > zero_tol))
+    return GsdPattern(_CATALOGUE[label.code, label.entangled_pairs], label)

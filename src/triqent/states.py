@@ -99,24 +99,25 @@ def _numbers(x, kind: type) -> np.ndarray | None:
 
     A numeric array is taken whole.  Anything else is read entry by entry,
     because numpy casts a boolean among floats to 0 or 1; an entry that is
-    a 0-d array counts as the number it holds.  An int beyond the float
-    range raises NonFiniteError, since as a float it would be infinite.
+    a 0-d array counts as the number it holds.  An int or a longdouble
+    beyond the float range raises NonFiniteError, since as a float it
+    would be infinite.
     """
     codes, dtype = ("iufc", complex) if kind is numbers.Complex else ("iuf", float)
-    if isinstance(x, np.ndarray) and x.dtype.kind in codes:
-        return x.astype(dtype)
-    try:
-        a = np.array(x, dtype=object)
-    except ValueError:  # a ragged nesting numpy cannot hold
-        return None
-    flat = a.reshape(-1)  # a view, where a.flat cannot iterate over more than 32 axes
-    if set(map(type, flat)).issubset(_BUILTIN_NUMBERS[kind]) or all(
-            _is_number(v[()] if isinstance(v, np.ndarray) else v, kind) for v in flat):
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in codes):
         try:
-            return a.astype(dtype)
-        except OverflowError as exc:
-            raise NonFiniteError(f"value out of range: {exc}") from exc
-    return None
+            x = np.array(x, dtype=object)
+        except ValueError:  # a ragged nesting numpy cannot hold
+            return None
+        flat = x.reshape(-1)  # a view, where x.flat cannot iterate over more than 32 axes
+        if not (set(map(type, flat)).issubset(_BUILTIN_NUMBERS[kind]) or all(
+                _is_number(v[()] if isinstance(v, np.ndarray) else v, kind) for v in flat)):
+            return None
+    try:
+        with np.errstate(over="raise"):
+            return x.astype(dtype)
+    except (OverflowError, FloatingPointError) as exc:
+        raise NonFiniteError(f"value out of range: {exc}") from exc
 
 
 def _complex_array(x, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:

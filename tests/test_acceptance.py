@@ -229,16 +229,16 @@ def test_criterion_10e_classifier_pattern_agreement(haar_corpus):
         # products on either side of the tolerance
         states += near_separable_corpus(rng, 300) + hidden_canonical_corpus(rng, 50) + [bell_bc_plus(1e-5)]
         states += sparse_canonical_corpus(rng, 1500)
+        # the pattern is flagged exactly where classify_pure is, and names its label elsewhere
         for psi in states:
             res = classify_pure(psi)
-            if res.ambiguous:
-                continue
             for mode in ("raw", "normal"):
-                try:
-                    pat = classify_gsd_pattern(gsd(psi, mode=mode))
-                except AmbiguousNearThresholdError:
-                    continue
-                assert pat.subtype == res.label
+                form = gsd(psi, mode=mode)
+                if res.ambiguous:
+                    with pytest.raises(AmbiguousNearThresholdError):
+                        classify_gsd_pattern(form)
+                else:
+                    assert classify_gsd_pattern(form).subtype == res.label
 
 
 def test_criterion_10f_measure_ordering_on_ghz_like():

@@ -38,9 +38,16 @@ NAN = math.nan
 # a wrong type, NaN, a string, None and a wrong shape, and for a number,
 # vector or matrix also booleans, which Python counts as ints and numpy
 # casts to 0 or 1, and an int beyond the float range (not for integer():
-# a seed may be arbitrarily large)
+# a seed may be arbitrarily large), and where numpy's longdouble is wider
+# than a float (as on x86_64), a longdouble beyond the float range
 
 HUGE = 10**400
+HUGE_LONGDOUBLE = np.finfo(np.longdouble).max
+
+
+def wide(value):
+    """{"huge_longdouble": value} where a longdouble holds more than a float, else {}."""
+    return {"huge_longdouble": value} if HUGE_LONGDOUBLE > np.finfo(np.float64).max else {}
 
 
 def pure():
@@ -59,7 +66,7 @@ def three_qubit_state():
 
 def real():
     return {"wrong_type": 0.5j, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.full(2, 0.5),
-            "boolean": True, "zero_d_boolean": np.array(True), "huge_integer": HUGE}
+            "boolean": True, "zero_d_boolean": np.array(True), "huge_integer": HUGE} | wide(HUGE_LONGDOUBLE)
 
 
 def tolerance():
@@ -69,7 +76,8 @@ def tolerance():
 
 def complex_number():
     return {"wrong_type": [0.5], "nan": complex(NAN, 0.0), "string": "x", "none": None,
-            "wrong_shape": np.full(2, 0.5), "boolean": True, "zero_d_boolean": np.array(True), "huge_integer": HUGE}
+            "wrong_shape": np.full(2, 0.5), "boolean": True, "zero_d_boolean": np.array(True), "huge_integer": HUGE,
+            **wide(np.clongdouble(HUGE_LONGDOUBLE))}
 
 
 def name():
@@ -92,17 +100,18 @@ def matrix(shape):
     # a 2x2 unitary, |000><000| for an 8x8 density matrix; numpy casts the
     # nested list with one True among floats to a float array
     valid = np.eye(2) if shape == (2, 2) else np.diag(np.arange(shape[0]) == 0).astype(float)
-    mixed_boolean, huge = valid.tolist(), valid.tolist()
-    mixed_boolean[0][0], huge[0][0] = True, HUGE
+    mixed_boolean, huge, huge_longdouble = valid.tolist(), valid.tolist(), valid.astype(np.longdouble)
+    mixed_boolean[0][0], huge[0][0], huge_longdouble[0, 0] = True, HUGE, HUGE_LONGDOUBLE
     return {"wrong_type": object(), "nan": np.full(shape, NAN), "string": "x", "none": None,
             "wrong_shape": np.eye(shape[0] + 1), "boolean": valid.astype(bool), "mixed_boolean": mixed_boolean,
-            "huge_integer": huge}
+            "huge_integer": huge, **wide(huge_longdouble)}
 
 
 def spec():
     return {"wrong_type": default_grid("ghz_like", 3).grid, "nan": FamilySpec("ghz_like", ((NAN,),)),
             "string": "x", "none": None, "wrong_shape": FamilySpec("ghz_like", ((0.5, 0.5),)),
-            "boolean": FamilySpec("ghz_like", ((0.5,), (True,))), "mapping": FamilySpec("ghz_like", ({0.5: 1},))}
+            "boolean": FamilySpec("ghz_like", ((0.5,), (True,))), "mapping": FamilySpec("ghz_like", ({0.5: 1},)),
+            **wide(FamilySpec("ghz_like", np.full((1, 1), HUGE_LONGDOUBLE)))}
 
 
 def form():
@@ -110,14 +119,15 @@ def form():
     # read as the number 1, True would make this the product form |000>
     boolean_form = GsdForm(True, 0j, 0j, 0j, 0j, "raw", np.eye(2), np.eye(2), np.eye(2))
     return {"wrong_type": ghz(), "nan": nan_form, "string": "x", "none": None, "wrong_shape": np.zeros(5),
-            "boolean": boolean_form}
+            "boolean": boolean_form, **wide(dataclasses.replace(nan_form, alpha=HUGE_LONGDOUBLE))}
 
 
 def vector(n):
     # numpy casts the list with one True among floats to a float array
     return {"wrong_type": object(), "nan": np.full(n, NAN), "string": "x", "none": None,
             "wrong_shape": np.full(n + 1, 1 / np.sqrt(n + 1)), "boolean": [True] + [False] * (n - 1),
-            "mixed_boolean": [True] + [0.0] * (n - 1), "huge_integer": [HUGE] + [0] * (n - 1)}
+            "mixed_boolean": [True] + [0.0] * (n - 1), "huge_integer": [HUGE] + [0] * (n - 1),
+            **wide(np.array([HUGE_LONGDOUBLE] + [0] * (n - 1), dtype=np.longdouble))}
 
 
 W = (1 / np.sqrt(3),) * 3

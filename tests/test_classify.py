@@ -33,7 +33,7 @@ from triqent import (
     tripartite_negativity,
     w_prime,
 )
-from triqent.classify import _CLAIMS, DEFAULT_ZERO_TOL, SubtypeLabel, _certify_table, _classify_table
+from triqent.classify import _CLAIMS, _LABELS, DEFAULT_ZERO_TOL, SubtypeLabel, _certify_table, _classify_table
 from triqent.measures import NEG_EIG_FLOOR, MeasureSet, _mixed_measure_table, _pure_measure_table
 from triqent.states import QUBITS
 from helpers import (
@@ -497,6 +497,7 @@ class TestStackedDecisions:
             assert res.ambiguous is ambiguous, i
             assert {k: bits(v) for k, v in res.margins.items()} == {k: bits(v) for k, v in margins.items()}, i
             assert str(d.codes[i]) == code and bool(d.ambiguous[i]) is ambiguous, i
+            assert _LABELS[d.labels[i]] == label, i
             assert [bits(v) for v in d.margins[i]] == [bits(v) for v in list(margins.values())[:6]], i
             assert [bits(v) for v in table[i]] == [bits(v) for v in res.measures.as_dict().values()], i
 
@@ -506,7 +507,7 @@ class TestStackedDecisions:
         for tol in (1e-8, 1e-3, 0.1):
             states = pure_stacks["grid"] + pure_stacks["near"]
             d = _classify_table(_pure_measure_table(np.array([psi.amplitudes for psi in states])), tol)
-            two = d.factorizable.sum(axis=1) == 2
+            two = (d.margins[:, :3] < tol).sum(axis=1) == 2
             seen |= {str(c) + "?" * bool(a) for c, a in zip(d.codes[two], d.ambiguous[two])}
         assert seen == {"0-0?"}
 
@@ -525,12 +526,12 @@ class TestStackedDecisions:
         for i, row in enumerate(table.tolist()):
             code, separable, pairs, margins, ambiguous = reference_pure_decision(MeasureSet(*row), tol)
             assert str(d.codes[i]) == code and bool(d.ambiguous[i]) is ambiguous, i
-            assert (QUBITS[d.separable[i]] if d.separable[i] >= 0 else None) == separable, i
-            assert tuple(p for p, on in zip(("BC", "AC", "AB"), d.pairs[i]) if on) == pairs, i
+            label = _LABELS[d.labels[i]]
+            assert label.code == code and label.separable_qubit == separable and label.entangled_pairs == pairs, i
             assert [bits(v) for v in d.margins[i]] == [bits(v) for v in list(margins.values())[:6]], i
             shown.add(code + "?" * ambiguous)
         assert {"0-0", "0-0?", "1^1-1", "1^1-1?", "2-0", "2-1", "2-2", "2-3"} <= shown
-        assert ((d.factorizable.sum(axis=1) == 2) & (d.codes == "1^1-1")).any()
+        assert (((d.margins[:, :3] < tol).sum(axis=1) == 2) & (d.codes == "1^1-1")).any()
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
     def test_certify_table_equals_classify_mixed(self, tol):

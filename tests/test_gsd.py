@@ -38,6 +38,7 @@ from helpers import (
     random_local_unitary,
     random_product_state,
     random_unitary,
+    sparse_canonical_corpus,
 )
 
 CANONICAL_INDICES = (0, 4, 6, 5, 7)  # alpha, beta, delta, epsilon, omega
@@ -460,11 +461,22 @@ class TestPatternClassifier:
         assert pat.subtype.code == "2-3"
 
     def test_ambiguous_near_threshold(self):
+        # a lone coefficient in the band decides nothing: beta = 3e-8 leaves
+        # every margin far from zero_tol, and classify_pure decides W too
         c = np.array([0.6, 3e-8, 0.5, 0.4, 0.0], dtype=complex)
-        c /= np.linalg.norm(c)
-        form = gsd(from_gsd_coefficients(*c))
-        with pytest.raises(AmbiguousNearThresholdError):
-            classify_gsd_pattern(form, zero_tol=1e-8)
+        psi = from_gsd_coefficients(*(c / np.linalg.norm(c)))
+        res = classify_pure(psi, zero_tol=1e-8)
+        assert not res.ambiguous
+        for mode in ("raw", "normal"):
+            pat = classify_gsd_pattern(gsd(psi, mode=mode), zero_tol=1e-8)
+            assert pat == GsdPattern("W", res.label)
+        # C_AB = 2|alpha delta| = 3.2e-8 is in the band, and so is n_B
+        c = np.array([1.0, 0.0, 2e-8, 0.5, 0.0], dtype=complex)
+        psi = from_gsd_coefficients(*(c / np.linalg.norm(c)))
+        assert classify_pure(psi, zero_tol=1e-8).ambiguous
+        for mode in ("raw", "normal"):
+            with pytest.raises(AmbiguousNearThresholdError):
+                classify_gsd_pattern(gsd(psi, mode=mode), zero_tol=1e-8)
 
     def test_hidden_w_states(self):
         assert_w_states_decided(hidden_w_state)
@@ -560,6 +572,30 @@ def test_every_flag_combination_names_its_subtype():
         assert not res.ambiguous and res.label == pat.subtype, flags
         seen.add(pat.pattern)
     assert seen == set(CATALOGUE)
+
+
+#: the corpora on which the pattern must be classify_pure's decision
+AGREEMENT_CORPORA = {
+    "haar": lambda: [sample_haar_pure(seed) for seed in range(300)],
+    "near_separable": lambda: near_separable_corpus(np.random.default_rng(7), 1500),
+    "hidden_canonical": lambda: hidden_canonical_corpus(np.random.default_rng(77), 300),
+    "sparse_canonical": lambda: sparse_canonical_corpus(np.random.default_rng(5), 3000),
+}
+
+
+@pytest.mark.parametrize("corpus", AGREEMENT_CORPORA)
+def test_pattern_is_the_classify_pure_decision(corpus):
+    # the pattern raises exactly where classify_pure flags its result, and
+    # elsewhere names its label, in both modes
+    for i, psi in enumerate(AGREEMENT_CORPORA[corpus]()):
+        res = classify_pure(psi)
+        for mode in ("raw", "normal"):
+            form = gsd(psi, mode=mode)
+            if res.ambiguous:
+                with pytest.raises(AmbiguousNearThresholdError):
+                    classify_gsd_pattern(form)
+            else:
+                assert classify_gsd_pattern(form).subtype == res.label, (i, mode)
 
 
 NON_FINITE_COEFFICIENTS = {

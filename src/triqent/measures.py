@@ -16,9 +16,10 @@ states each go through one routine on a stack of states
 order; a single state is a stack of one.  A pure state uses closed
 forms on its amplitudes:
 
-- one-vs-two negativity 2*s1*s2 and single-qubit entropies from the
-  Schmidt weights s1^2, s2^2 of each cut, with s1^2 s2^2 the sum of the
-  squared 2x2 minors of the 2x4 unfolding (Cauchy-Binet);
+- one-vs-two negativity 2*s1*s2, zero at or below the NEG_EIG_FLOOR
+  floor, and single-qubit entropies from the Schmidt weights s1^2, s2^2
+  of each cut, with s1^2 s2^2 the sum of the squared 2x2 minors of the
+  2x4 unfolding (Cauchy-Binet);
 - the 3-tangle 4|Det|, Cayley's hyperdeterminant (Coffman, Kundu &
   Wootters, PRA 61, 052306, 2000), bounded by every one-vs-two tangle;
 - each reduced concurrence s1 - s2, where s1 >= s2 are the singular
@@ -52,7 +53,12 @@ The pure table is made in two stages: ``_pure_closed_form_table`` fills
 every column but n_red_* with no LAPACK call, and
 ``_pure_measure_table`` adds n_red_* from one batched eigensolve.  The
 classifiers decide on n_q and c_red_*, so ``random``, which prints no
-n_red_*, stops after the first stage.
+n_red_*, stops after the first stage.  The closed forms read 34
+differences a_i a_j - a_k a_l (the 18 minors, 12 spin-flip pieces and
+4 hyperdeterminant pieces), which use 25 distinct ordered products:
+one product list (``_PRODUCTS``), derived at import from the three
+tables, formed once per stack as an (N, 25) array, and the 34
+differences taken from it by two gathers and one subtraction.
 """
 
 from __future__ import annotations
@@ -109,7 +115,7 @@ _INDEX = np.arange(8).reshape(2, 2, 2)
 #: order: rows index the single qubit, columns the pair COMPLEMENT[q]
 _UNFOLD = np.stack([_INDEX, _INDEX.transpose(1, 0, 2), _INDEX.transpose(2, 0, 1)]).reshape(3, 2, 4)
 #: the six 2x2 minors u_i v_j - u_j v_i of each unfolding [u; v], as
-#: differences of amplitude products [[i, j], [i', j']] (see _product_differences)
+#: differences of amplitude products [[i, j], [i', j']] (see _PRODUCTS)
 _MINORS = np.array([
     [[[u[i], v[j]], [u[j], v[i]]] for i, j in combinations(range(4), 2)] for u, v in _UNFOLD
 ])
@@ -132,12 +138,17 @@ _SPIN_FLIP_PIECES = np.array([
      [[v[1], w[2]], [v[0], w[3]]], [[v[2], w[1]], [v[3], w[0]]]]
     for v, w in _UNFOLD
 ])
-
-
-def _product_differences(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """a_i a_j - a_i' a_j' for each entry [[i, j], [i', j']] of ``table``, per state."""
-    f = amps[:, table]
-    return f[..., 0, 0] * f[..., 0, 1] - f[..., 1, 0] * f[..., 1, 1]
+#: the distinct ordered products a_i a_j that the 34 differences of the three
+#: tables above read, as [i; j] of shape (2, 25), and the slots of each
+#: difference's two products in that list, shape (2, 34): the 18 minors, the
+#: 12 spin-flip pieces, then the 4 hyperdeterminant pieces.  The order (i, j)
+#: is the tables': numpy's complex product is not bitwise commutative
+_products, _slots = np.unique(
+    np.concatenate([t.reshape(-1, 2) for t in (_MINORS, _SPIN_FLIP_PIECES, _HYPERDET_PIECES)]),
+    axis=0, return_inverse=True,
+)
+_PRODUCTS = np.ascontiguousarray(_products.T)
+_PRODUCT_SLOTS = np.ascontiguousarray(_slots.reshape(-1, 2).T)
 
 
 def _negativity_of_spectrum(w: np.ndarray) -> np.ndarray:
@@ -307,16 +318,16 @@ def _pair_concurrence(x: np.ndarray) -> np.ndarray:
     return np.clip(sv[..., 0] - sv[..., 1:].sum(axis=-1), 0.0, 1.0)
 
 
-def _pure_pair_concurrence(amps: np.ndarray) -> np.ndarray:
+def _pure_pair_concurrence(d: np.ndarray) -> np.ndarray:
     """Concurrence s1 - s2 of the pairs BC, AC, AB of pure states, shape (N, 3), with no SVD.
 
-    For the symmetric spin-flip product f (see ``_SPIN_FLIP_PIECES``),
-    s1^2 - s2^2 is the eigenvalue gap of f^dagger f, read from its
+    ``d`` holds the four differences of ``_SPIN_FLIP_PIECES`` of each
+    pair, shape (N, 3, 4).  For the symmetric spin-flip product f they
+    make, s1^2 - s2^2 is the eigenvalue gap of f^dagger f, read from its
     entries, and (s1 + s2)^2 = ||f||_F^2 + 2 |det f|.  Their quotient
     has no cancellation near zero, where s1 - s2 computed from the two
     singular values would carry their rounding error.
     """
-    d = _product_differences(amps, _SPIN_FLIP_PIECES)
     f00, f11, f01 = 2.0 * d[..., 0], 2.0 * d[..., 1], d[..., 2] + d[..., 3]
     p00, p11, p01 = np.abs(f00) ** 2, np.abs(f11) ** 2, np.abs(f01) ** 2
     gap = np.sqrt((p00 - p11) ** 2 + 4.0 * np.abs(f00.conj() * f01 + f01.conj() * f11) ** 2)
@@ -354,21 +365,24 @@ def _pure_closed_form_table(amps: np.ndarray) -> np.ndarray:
     table: the decision reads n_q and c_red_* only.
     """
     n = amps.shape[0]
+    products = amps[:, _PRODUCTS[0]] * amps[:, _PRODUCTS[1]]
+    d = products[:, _PRODUCT_SLOTS[0]] - products[:, _PRODUCT_SLOTS[1]]
     # Cauchy-Binet: s1^2 s2^2 = det(M M^dagger) = sum of the squared 2x2
     # minors, which stays accurate near zero where det(rho_q) cancels
-    det = (np.abs(_product_differences(amps, _MINORS)) ** 2).sum(axis=-1, keepdims=True)
+    det = (np.abs(d[:, :18].reshape(n, 3, 6)) ** 2).sum(axis=-1, keepdims=True)
     schmidt = np.sqrt(det)
     trace = (np.abs(amps) ** 2).sum(axis=-1)[:, np.newaxis, np.newaxis]
-    # a pure state's partial transpose on one qubit has the nonzero spectrum s1^2, s2^2, +-s1 s2
-    cut_spectrum = np.concatenate([_spectrum_2x2(trace, det), schmidt, -schmidt], axis=-1)
-    entropy = _entropy_of_spectrum(cut_spectrum[..., :2])
+    spectrum = _spectrum_2x2(trace, det)
+    entropy = _entropy_of_spectrum(spectrum)
+    # a pure state's partial transpose on one qubit has the nonzero spectrum
+    # s1^2, s2^2, +-s1 s2, so its negativity is 2 s1 s2 above the floor of
+    # _negativity_of_spectrum; s2^2 and s1 s2 are at most trace / 2 < 1, so
+    # that floor is NEG_EIG_FLOOR * max(1, s1^2)
+    n_side = np.where(schmidt > NEG_EIG_FLOOR * np.maximum(1.0, spectrum[..., :1]), 2.0 * schmidt, 0.0)[..., 0]
+    c_red = _pure_pair_concurrence(d[:, 18:30].reshape(n, 3, 4))
 
-    n_side = _negativity_of_spectrum(cut_spectrum)
-    c_red = _pure_pair_concurrence(amps)
-
-    pieces = _product_differences(amps, _HYPERDET_PIECES)
-    lin = pieces[:, 0, 0] + pieces[:, 0, 1]
-    hyperdet = lin * lin - 4.0 * pieces[:, 1, 0] * pieces[:, 1, 1]
+    lin = d[:, 30] + d[:, 31]
+    hyperdet = lin * lin - 4.0 * d[:, 32] * d[:, 33]
     # monogamy (CKW) bounds the 3-tangle by every one-vs-two tangle n_q^2,
     # so a cut whose negativity is floored to zero zeroes it exactly
     cut_tangle = n_side * n_side

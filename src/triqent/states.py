@@ -82,6 +82,8 @@ def _validated_amplitudes(amps: np.ndarray) -> np.ndarray:
 
 #: the builtin types that are numbers of each kind, tested before the slower ABC check
 _BUILTIN_NUMBERS = {numbers.Integral: (int,), numbers.Real: (int, float), numbers.Complex: (int, float, complex)}
+#: numpy's extended-precision types: their cast to a float or complex can overflow
+_EXTENDED = (np.longdouble, np.clongdouble)
 
 
 def _is_number(v, kind: type) -> bool:
@@ -101,19 +103,25 @@ def _numbers(x, kind: type) -> np.ndarray | None:
     because numpy casts a boolean among floats to 0 or 1; an entry that is
     a 0-d array counts as the number it holds.  An int or a longdouble
     beyond the float range raises NonFiniteError, since as a float it
-    would be infinite.
+    would be infinite.  The int's cast raises by itself, so only a
+    longdouble or clongdouble array, or entries that are not all builtin
+    numbers, are cast under ``np.errstate(over="raise")``.
     """
     codes, dtype = ("iufc", complex) if kind is numbers.Complex else ("iuf", float)
-    if not (isinstance(x, np.ndarray) and x.dtype.kind in codes):
+    if isinstance(x, np.ndarray) and x.dtype.kind in codes:
+        may_overflow = x.dtype.type in _EXTENDED
+    else:
         try:
             x = np.array(x, dtype=object)
         except ValueError:  # a ragged nesting numpy cannot hold
             return None
         flat = x.reshape(-1)  # a view, where x.flat cannot iterate over more than 32 axes
-        if not (set(map(type, flat)).issubset(_BUILTIN_NUMBERS[kind]) or all(
-                _is_number(v[()] if isinstance(v, np.ndarray) else v, kind) for v in flat)):
+        may_overflow = not set(map(type, flat)).issubset(_BUILTIN_NUMBERS[kind])
+        if may_overflow and not all(_is_number(v[()] if isinstance(v, np.ndarray) else v, kind) for v in flat):
             return None
     try:
+        if not may_overflow:
+            return x.astype(dtype)
         with np.errstate(over="raise"):
             return x.astype(dtype)
     except (OverflowError, FloatingPointError) as exc:

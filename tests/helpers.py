@@ -1,8 +1,22 @@
-"""Shared test utilities: random unitaries and structured random states."""
+"""Shared test utilities: random unitaries, structured random states and references."""
+
+import functools
 
 import numpy as np
 
-from triqent import PureState
+from triqent import PureState, ghz, w_prime
+from triqent.measures import (
+    _HYPERDET_PIECES,
+    _MINORS,
+    _SPIN_FLIP_PIECES,
+    _UNFOLD,
+    _entropy_of_spectrum,
+    _geometric_mean3,
+    _negativity_of_spectrum,
+    _pair_negativity,
+    _pure_pair_concurrence,
+    _spectrum_2x2,
+)
 
 
 def default_rng_haar_amplitudes(seed):
@@ -260,3 +274,65 @@ def spy_on_lapack(monkeypatch):
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, spy(name))
     return calls
+
+
+@functools.cache
+def pure_corpora():
+    """The pure property corpora as read-only (N, 8) amplitude stacks, by name.
+
+    2000 Haar draws, the near-separable, hidden-canonical and sparse
+    canonical corpora, and the rows |000>, GHZ and W.
+    """
+    product = np.zeros(8, dtype=complex)
+    product[0] = 1.0
+    corpora = {
+        "haar": default_rng_haar_stack(2026, 2000),
+        "near": [psi.amplitudes for psi in near_separable_corpus(np.random.default_rng(7), 1500)],
+        "hidden": [psi.amplitudes for psi in hidden_canonical_corpus(np.random.default_rng(77), 300)],
+        "sparse": [psi.amplitudes for psi in sparse_canonical_corpus(np.random.default_rng(5), 3000)],
+        "named": [product, ghz().amplitudes, w_prime().amplitudes],
+    }
+    stacks = {name: np.array(rows) for name, rows in corpora.items()}
+    for stack in stacks.values():
+        stack.setflags(write=False)
+    return stacks
+
+
+def product_differences(amps, table):
+    """a_i a_j - a_i' a_j' for each entry [[i, j], [i', j']] of ``table``, per state: one gather per table."""
+    f = amps[:, table]
+    return f[..., 0, 0] * f[..., 0, 1] - f[..., 1, 0] * f[..., 1, 1]
+
+
+def reference_pure_closed_form_table(amps):
+    """The pure closed-form table as it was made with one gather of products per table.
+
+    Each of the minors, the spin-flip pieces and the hyperdeterminant
+    pieces gathers and multiplies its own amplitude pairs, and n_q is
+    the negativity of the cut spectrum s1^2, s2^2, s1 s2, -s1 s2.
+    """
+    n = amps.shape[0]
+    det = (np.abs(product_differences(amps, _MINORS)) ** 2).sum(axis=-1, keepdims=True)
+    schmidt = np.sqrt(det)
+    trace = (np.abs(amps) ** 2).sum(axis=-1)[:, np.newaxis, np.newaxis]
+    cut_spectrum = np.concatenate([_spectrum_2x2(trace, det), schmidt, -schmidt], axis=-1)
+    entropy = _entropy_of_spectrum(cut_spectrum[..., :2])
+    n_side = _negativity_of_spectrum(cut_spectrum)
+    c_red = _pure_pair_concurrence(product_differences(amps, _SPIN_FLIP_PIECES))
+    pieces = product_differences(amps, _HYPERDET_PIECES)
+    lin = pieces[:, 0, 0] + pieces[:, 0, 1]
+    hyperdet = lin * lin - 4.0 * pieces[:, 1, 0] * pieces[:, 1, 1]
+    cut_tangle = n_side * n_side
+    tangle = np.minimum(np.minimum(1.0, 4.0 * np.abs(hyperdet)), cut_tangle.min(axis=-1))
+    means = _geometric_mean3(np.concatenate([n_side, cut_tangle, entropy], axis=1).reshape(n, 3, 3))
+    n_red = np.full((n, 3), np.nan)
+    return np.concatenate(
+        [n_side, means[:, :1], n_red, c_red, entropy, means[:, 1:], tangle[:, np.newaxis]], axis=1
+    )
+
+
+def reference_pure_measure_table(amps):
+    """``reference_pure_closed_form_table`` with n_red_* from the batched pair eigensolve."""
+    table = reference_pure_closed_form_table(amps)
+    table[:, 4:7] = _pair_negativity(amps[:, _UNFOLD].swapaxes(-1, -2))
+    return table

@@ -33,13 +33,14 @@ from triqent import (
     tripartite_negativity,
     w_prime,
 )
-from triqent.classify import _CLAIMS, _LABELS, DEFAULT_ZERO_TOL, SubtypeLabel, _certify_table, _classify_table
+from triqent.classify import _CLAIMS, _LABELS, _PAIRS, DEFAULT_ZERO_TOL, SubtypeLabel, _certify_table, _classify_table
 from triqent.measures import NEG_EIG_FLOOR, MeasureSet, _mixed_measure_table, _pure_measure_table
 from triqent.states import QUBITS
 from helpers import (
     bell_bc_plus,
     hidden_canonical_corpus,
     near_separable_corpus,
+    pure_corpora,
     random_biseparable,
     random_product_state,
     random_unitary,
@@ -551,3 +552,54 @@ class TestStackedDecisions:
             assert verdict.ambiguous is bool(ambiguous[i]) is reference_ambiguous(verdict.measures, tol), i
             flagged += verdict.ambiguous
         assert flagged > 0 if tol > 1e-8 else flagged == 0
+
+
+def relabelled(amps, perm):
+    """The (N, 8) amplitudes of the states whose qubit k is qubit perm[k] of each row of ``amps``."""
+    return amps.reshape(-1, 2, 2, 2).transpose(0, *np.add(perm, 1)).reshape(-1, 8)
+
+
+def renamed(label, perm):
+    """``label`` with each qubit given its name in ``relabelled(amps, perm)``."""
+    name = {QUBITS[old]: QUBITS[new] for new, old in enumerate(perm)}
+    pairs = {frozenset(name[q] for q in pair) for pair in label.entangled_pairs}
+    return SubtypeLabel(label.code, name.get(label.separable_qubit), tuple(p for p in _PAIRS if frozenset(p) in pairs))
+
+
+def permuted_columns(perm):
+    """The measure-table columns of ``relabelled(amps, perm)`` as indices into those of ``amps``.
+
+    n_q, n_red_*, c_red_* and s_q each come in QUBITS order (a pair by the
+    qubit it leaves out); n_abc, Q, eta3 and the 3-tangle stay in place.
+    """
+    return np.concatenate([perm, [3], np.add(perm, 4), np.add(perm, 7), np.add(perm, 10), [13, 14, 15]])
+
+
+class TestQubitRelabelling:
+    """Relabelling the qubits of a pure state permutes its measures and renames its label.
+
+    The checks run on ``_pure_measure_table`` and ``_classify_table``,
+    which ``measure_set`` and ``classify_pure`` are on a stack of one.  A
+    swapped per-qubit row of an index table (``_UNFOLD``, ``_MINORS``,
+    ``_SPIN_FLIP_PIECES``) passes every check that looks at one qubit; it
+    fails here for some permutation.
+    """
+
+    @pytest.mark.parametrize("kind", ["haar", "near", "hidden", "sparse", "named"])
+    def test_pure(self, kind):
+        amps = pure_corpora()[kind]
+        table = _pure_measure_table(amps)
+        decisions = _classify_table(table, DEFAULT_ZERO_TOL)
+        # eta3 = (s_a s_b s_c)^(1/3) moves by eta3 / 3 * sum(ds_q / s_q):
+        # where an s_q is near its 1e-12 floor, the 1e-14 each s_q may move
+        # by moves eta3 by far more than 1e-14
+        s = table[:, 10:13]
+        tol = np.full(table.shape, 1e-14)
+        tol[:, 14] += table[:, 14] / 3.0 * np.divide(1e-14, s, out=np.zeros_like(s), where=s > 0.0).sum(axis=1)
+        for perm in itertools.permutations(range(3)):
+            moved = _pure_measure_table(relabelled(amps, perm))
+            assert (np.abs(moved - table[:, permuted_columns(perm)]) <= tol).all(), perm
+            moved_decisions = _classify_table(moved, DEFAULT_ZERO_TOL)
+            assert np.array_equal(moved_decisions.ambiguous, decisions.ambiguous), perm
+            for i, (before, after) in enumerate(zip(decisions.labels.tolist(), moved_decisions.labels.tolist())):
+                assert _LABELS[after] == renamed(_LABELS[before], perm), (i, perm)

@@ -57,6 +57,7 @@ from triqent.measures import (
     _mixed_measure_table,
     _negativity_of_spectrum,
     _psd_factor,
+    _pure_closed_form_table,
     _pure_measure_table,
     _spectrum_2x2,
 )
@@ -64,9 +65,12 @@ from triqent.states import COMPLEMENT, QUBITS, _partial_trace, _partial_transpos
 from helpers import (
     near_separable_corpus,
     nonzero_coefficients,
+    pure_corpora,
     random_biseparable,
     random_product_state,
     random_unitary,
+    reference_pure_closed_form_table,
+    reference_pure_measure_table,
     spy_on_lapack,
     sqrt_rho_concurrence,
 )
@@ -457,6 +461,20 @@ class TestPureFastPath:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail("eigvalsh"))
         assert main(["random", "--count", "5"]) == 0
         assert "subtype histogram" in capsys.readouterr().out
+
+
+class TestClosedFormReference:
+    """The pure tables read each amplitude product once, and equal the one-gather-per-table formulas bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["haar", "near", "hidden", "sparse", "named"])
+    def test_closed_form_table(self, kind):
+        amps = pure_corpora()[kind]
+        assert np.array_equal(_pure_closed_form_table(amps), reference_pure_closed_form_table(amps), equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["haar", "near", "hidden", "sparse", "named"])
+    def test_measure_table(self, kind):
+        amps = pure_corpora()[kind]
+        assert np.array_equal(_pure_measure_table(amps), reference_pure_measure_table(amps), equal_nan=True)
 
 
 MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")

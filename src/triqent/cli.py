@@ -42,13 +42,8 @@ MEASURE_FIELDS = (
     "s_a", "s_b", "s_c",
 )
 ORACLE_FIELDS = ("n_a_bc", "n_b_ac", "n_c_ab", "n_abc", "n_red_bc", "n_red_ac", "n_red_ab")
-CSV_HEADER = (
-    ["family", "param"]
-    + list(MEASURE_FIELDS)
-    + ["verdict"]
-    + [f"oracle_{f}" for f in ORACLE_FIELDS]
-    + [f"dev_{f}" for f in ORACLE_FIELDS]
-)
+CSV_HEADER = (["family", "param", *MEASURE_FIELDS, "verdict"]
+              + [f"{p}_{f}" for p in ("oracle", "dev") for f in ORACLE_FIELDS])
 
 
 #: one line of the ``random`` report: index, code, then the measure-table

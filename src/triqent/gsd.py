@@ -151,6 +151,12 @@ def _guarded_step(x, w, s, slices):
     return w if _singular_values(_slice_entries(slices, w)[0])[1] <= max(s[1], 1e-15 * s[0]) else x
 
 
+def _principal(gap: float, gram: complex) -> tuple[float, complex]:
+    """(cos t, sin t e^{-i arg gram}), the top eigenvector of a Hermitian [[n0, gram], [conj, n1]], gap = n0 - n1."""
+    theta = math.atan2(abs(gram), gap / 2.0) / 2.0
+    return math.cos(theta), math.sin(theta) * cmath.exp(-1j * cmath.phase(gram))
+
+
 def _direction(slices: np.ndarray) -> tuple[complex, complex]:
     """The singular direction x (det T(x) = 0) whose slice has the largest lambda.
 
@@ -174,8 +180,7 @@ def _direction(slices: np.ndarray) -> tuple[complex, complex]:
     and there is no vertex to step to.
     """
     (n0, gram), (_, n1) = (slices.conj() @ slices.T).tolist()
-    theta = math.atan2(abs(gram), (n0.real - n1.real) / 2.0) / 2.0
-    x = (complex(math.cos(theta)), math.sin(theta) * cmath.exp(-1j * cmath.phase(gram)))
+    x = tuple(map(complex, _principal(n0.real - n1.real, gram)))
     y, s, (d0, d1, d2), q = _local(x, slices)
     if d0 and (max(abs(d0), abs(d1), abs(d2)) >= _COEFF_TOL or s[1] > 1e-14 * max(1.0, s[0])):
         x = _guarded_step(x, (q * x[0] + d0 * y[0], q * x[1] + d0 * y[1]), s, slices)
@@ -195,14 +200,13 @@ def _real_top(p, q) -> tuple[complex, complex]:
 def _top_pair(m):
     """u1 and v = (v1, v2) of the top singular pair of m = (m00, m01, m10, m11), m v1 = s1 u1.
 
-    v1 is the top eigenvector of m^dagger m by _direction's atan2 rule,
+    v1 is the top eigenvector of m^dagger m by ``_principal``,
     and v2 its orthogonal completion; each is rotated as svd_2x2 rotates
     its columns.  u1 is m v1 normalized, or (1, 0) when m = 0.
     """
     a, b, c, d = m
-    gram = a.conjugate() * b + c.conjugate() * d
-    theta = math.atan2(abs(gram), (abs(a) ** 2 + abs(c) ** 2 - abs(b) ** 2 - abs(d) ** 2) / 2.0) / 2.0
-    v1 = _real_top(math.cos(theta), math.sin(theta) * cmath.exp(-1j * cmath.phase(gram)))
+    gap = abs(a) ** 2 + abs(c) ** 2 - abs(b) ** 2 - abs(d) ** 2
+    v1 = _real_top(*_principal(gap, a.conjugate() * b + c.conjugate() * d))
     v2 = _real_top(-v1[1].conjugate(), v1[0].conjugate())
     w = (a * v1[0] + b * v1[1], c * v1[0] + d * v1[1])
     norm = math.hypot(abs(w[0]), abs(w[1]))

@@ -159,14 +159,15 @@ def _negativity_of_spectrum(w: np.ndarray) -> np.ndarray:
 
 
 def _entropy_of_spectrum(w: np.ndarray) -> np.ndarray:
-    """Base-2 entropy over the last axis; weights <= ENTROPY_FLOOR contribute nothing.
+    """Base-2 entropy of the weights w / sum(w) over the last axis, largest first.
 
-    Totals below 1e-12 collapse to exactly zero: the spectrum is not
-    accurate enough to distinguish them from a pure state, and a stray
-    1e-16 here would blow up to 1e-5 inside a geometric mean.
+    The others <= ENTROPY_FLOOR add nothing, and the largest one's log is log1p(-sum of the others), so
+    the trace's rounding reads as no entropy.  Totals below 1e-12 collapse to exactly zero: the spectrum
+    cannot tell them from a pure state, and a stray 1e-16 would blow up to 1e-5 in a geometric mean.
     """
-    p = np.where(w > ENTROPY_FLOOR, w, 1.0)  # log2(1) = 0: dropped weights add nothing
-    s = -(p * np.log2(p)).sum(axis=-1)
+    p = w / w.sum(axis=-1, keepdims=True)
+    rest = np.where(p[..., 1:] > ENTROPY_FLOOR, p[..., 1:], 1.0)  # log2(1) = 0: dropped weights add nothing
+    s = -(rest * np.log2(rest)).sum(axis=-1) - p[..., 0] * np.log1p(-p[..., 1:].sum(axis=-1)) / np.log(2.0)
     return np.where(s > 1e-12, s, 0.0)
 
 
@@ -199,8 +200,7 @@ def concurrence_2q(rho: DensityMatrix) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Base-2 von Neumann entropy; weights <= 1e-14 contribute nothing, totals < 1e-12 are 0."""
-    w = np.linalg.eigvalsh(_require_density(rho, "von_neumann_entropy").matrix)
-    return float(_entropy_of_spectrum(w))
+    return float(_entropy_of_spectrum(np.linalg.eigvalsh(_require_density(rho, "von_neumann_entropy").matrix)[::-1]))
 
 
 def q_multiplicative(psi: PureState) -> float:

@@ -554,20 +554,52 @@ class TestStackedDecisions:
         assert flagged > 0 if tol > 1e-8 else flagged == 0
 
 
-def relabelled(amps, perm):
-    """The (N, 8) amplitudes of the states whose qubit k is qubit perm[k] of each row of ``amps``."""
-    return amps.reshape(-1, 2, 2, 2).transpose(0, *np.add(perm, 1)).reshape(-1, 8)
+def relabelled(states, perm):
+    """The states whose qubit k is qubit perm[k] of each of ``states``, (N, 8) amplitudes or (N, 8, 8) matrices."""
+    axes = [k + 1 + 3 * side for side in range(states.ndim - 1) for k in perm]
+    return states.reshape(-1, *(2,) * len(axes)).transpose(0, *axes).reshape(states.shape)
+
+
+def qubit_names(perm):
+    """Each qubit's name in ``relabelled(states, perm)``, by its name in ``states``."""
+    return {QUBITS[old]: QUBITS[new] for new, old in enumerate(perm)}
+
+
+def renamed_pair(pair, perm):
+    name = qubit_names(perm)
+    return next(p for p in _PAIRS if set(p) == {name[q] for q in pair})
 
 
 def renamed(label, perm):
-    """``label`` with each qubit given its name in ``relabelled(amps, perm)``."""
-    name = {QUBITS[old]: QUBITS[new] for new, old in enumerate(perm)}
-    pairs = {frozenset(name[q] for q in pair) for pair in label.entangled_pairs}
-    return SubtypeLabel(label.code, name.get(label.separable_qubit), tuple(p for p in _PAIRS if frozenset(p) in pairs))
+    """``label`` with each qubit given its name in ``relabelled(states, perm)``."""
+    pairs = {renamed_pair(pair, perm) for pair in label.entangled_pairs}
+    separable = qubit_names(perm).get(label.separable_qubit)
+    return SubtypeLabel(label.code, separable, tuple(p for p in _PAIRS if p in pairs))
+
+
+def renamed_claims(perm):
+    """For each claim of ``_CLAIMS``, the index of its renamed claim in ``relabelled(states, perm)``."""
+    indices = []
+    for claim in _CLAIMS:
+        words = claim.split()
+        if claim.startswith("reduced pair "):
+            words[2] = renamed_pair(words[2], perm)
+        elif claim.startswith("not simply biseparable "):
+            words[-1] = qubit_names(perm)[words[-1]]
+        indices.append(_CLAIMS.index(" ".join(words)))
+    return indices
+
+
+def gsd_subtype(amps, mode):
+    """The subtype ``classify_gsd_pattern`` gives the canonical form of a state, or None where it is ambiguous."""
+    try:
+        return classify_gsd_pattern(gsd(PureState(amps), mode)).subtype
+    except AmbiguousNearThresholdError:
+        return None
 
 
 def permuted_columns(perm):
-    """The measure-table columns of ``relabelled(amps, perm)`` as indices into those of ``amps``.
+    """The measure-table columns of ``relabelled(states, perm)`` as indices into those of ``states``.
 
     n_q, n_red_*, c_red_* and s_q each come in QUBITS order (a pair by the
     qubit it leaves out); n_abc, Q, eta3 and the 3-tangle stay in place.
@@ -575,14 +607,26 @@ def permuted_columns(perm):
     return np.concatenate([perm, [3], np.add(perm, 4), np.add(perm, 7), np.add(perm, 10), [13, 14, 15]])
 
 
-class TestQubitRelabelling:
-    """Relabelling the qubits of a pure state permutes its measures and renames its label.
+@pytest.fixture(scope="module")
+def mixed_corpora():
+    """300 Hilbert-Schmidt states and the default grids of the four mixed families, as (N, 8, 8) stacks."""
+    families = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
+    return {
+        "hs": np.array([sample_hs_mixed(seed).matrix for seed in range(300)]),
+        "families": np.array([make_state(f, *p).matrix for f in families for p in default_grid(f).grid]),
+    }
 
-    The checks run on ``_pure_measure_table`` and ``_classify_table``,
-    which ``measure_set`` and ``classify_pure`` are on a stack of one.  A
-    swapped per-qubit row of an index table (``_UNFOLD``, ``_MINORS``,
-    ``_SPIN_FLIP_PIECES``) passes every check that looks at one qubit; it
-    fails here for some permutation.
+
+class TestQubitRelabelling:
+    """Relabelling the qubits of a state permutes its measures and renames its label or claims.
+
+    The checks run on the stacked routines (``_pure_measure_table``,
+    ``_classify_table``, ``_mixed_measure_table``, ``_certify_table``),
+    which ``measure_set``, ``classify_pure`` and ``classify_mixed`` are
+    on a stack of one.  A swapped per-qubit row of an index table
+    (``_UNFOLD``, ``_MINORS``, ``_SPIN_FLIP_PIECES``, ``_CUT_PT``,
+    ``_PAIR_TRACE``, ``_SINGLE_TRACE``, ``_WITNESS_COLUMNS``) passes every
+    check that looks at one qubit; it fails here for some permutation.
     """
 
     @pytest.mark.parametrize("kind", ["haar", "near", "hidden", "sparse", "named"])
@@ -590,16 +634,34 @@ class TestQubitRelabelling:
         amps = pure_corpora()[kind]
         table = _pure_measure_table(amps)
         decisions = _classify_table(table, DEFAULT_ZERO_TOL)
-        # eta3 = (s_a s_b s_c)^(1/3) moves by eta3 / 3 * sum(ds_q / s_q):
-        # where an s_q is near its 1e-12 floor, the 1e-14 each s_q may move
-        # by moves eta3 by far more than 1e-14
-        s = table[:, 10:13]
-        tol = np.full(table.shape, 1e-14)
-        tol[:, 14] += table[:, 14] / 3.0 * np.divide(1e-14, s, out=np.zeros_like(s), where=s > 0.0).sum(axis=1)
         for perm in itertools.permutations(range(3)):
             moved = _pure_measure_table(relabelled(amps, perm))
-            assert (np.abs(moved - table[:, permuted_columns(perm)]) <= tol).all(), perm
+            assert (np.abs(moved - table[:, permuted_columns(perm)]) <= 1e-14).all(), perm
             moved_decisions = _classify_table(moved, DEFAULT_ZERO_TOL)
             assert np.array_equal(moved_decisions.ambiguous, decisions.ambiguous), perm
             for i, (before, after) in enumerate(zip(decisions.labels.tolist(), moved_decisions.labels.tolist())):
                 assert _LABELS[after] == renamed(_LABELS[before], perm), (i, perm)
+
+    @pytest.mark.parametrize("kind", ["hs", "families"])
+    def test_mixed(self, mixed_corpora, kind):
+        matrices = mixed_corpora[kind]
+        table = _mixed_measure_table(matrices)
+        held, witness, ambiguous = _certify_table(table, DEFAULT_ZERO_TOL)
+        for perm in itertools.permutations(range(3)):
+            moved = _mixed_measure_table(relabelled(matrices, perm))
+            assert (np.abs(moved - table[:, permuted_columns(perm)[:13]]) <= 1e-14).all(), perm
+            moved_held, moved_witness, moved_ambiguous = _certify_table(moved, DEFAULT_ZERO_TOL)
+            claims = renamed_claims(perm)
+            assert np.array_equal(moved_held[:, claims], held), perm
+            assert (np.abs(moved_witness[:, claims] - witness) <= 1e-14).all(), perm
+            assert np.array_equal(moved_ambiguous, ambiguous), perm
+
+    @pytest.mark.parametrize("mode", ["raw", "normal"])
+    @pytest.mark.parametrize("kind", ["haar", "near", "hidden", "sparse", "named"])
+    def test_gsd_pattern(self, kind, mode):
+        # the pattern is renamed, or ambiguous on both sides
+        amps = pure_corpora()[kind]
+        subtypes = [gsd_subtype(a, mode) for a in amps]
+        for perm in list(itertools.permutations(range(3)))[1:]:
+            for i, (before, a) in enumerate(zip(subtypes, relabelled(amps, perm))):
+                assert gsd_subtype(a, mode) == (None if before is None else renamed(before, perm)), (i, perm)

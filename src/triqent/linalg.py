@@ -1,10 +1,7 @@
 """The public 2x2 singular value decomposition, ``svd_2x2``.
 
 It is one LAPACK call (``np.linalg.svd``) plus a phase convention that
-``gsd``'s closed-form slice factor keeps.  Every eigensolve of the
-package is a direct LAPACK call on matrices derived from a state that
-``PureState`` or ``DensityMatrix`` has already validated, so none of
-them is checked again.
+``gsd``'s closed-form slice factor keeps.
 """
 
 from __future__ import annotations

@@ -53,8 +53,10 @@ class TestSvd2x2:
 class TestSvd2x2IllConditioned:
     @pytest.mark.parametrize("exponent", [4, 6, 8, 10, 12, 14])
     def test_small_singular_value_matches_lapack(self, exponent):
-        # the square root of an eigenvalue of m^dagger m would carry an
-        # absolute error of about 1e-8 * s1 in the small singular value
+        # pins svd_2x2 to LAPACK's own rounding, not to the exact s2 of the
+        # rounded m: the closed form |det m| / s1 is nearer that exact value
+        # (2.9e-3 relative against LAPACK's 1.6e-2 at exponent 14), yet it
+        # misses this bound from exponent 4 on
         rng = np.random.default_rng(exponent)
         for _ in range(50):
             m = random_unitary(rng) @ np.diag([1.0, 10.0**-exponent]) @ random_unitary(rng)

@@ -40,7 +40,10 @@ a perturbation at rounding level moves them at rounding level.  Where
 the form itself jumps, no rule can keep it still: a W-class double root
 splits as the square root of a perturbation, and near a biseparable or
 product state two directions have lambdas that a 1e-14 perturbation can
-reorder.  gsd makes no LAPACK call; steps 2-4 run on Python complexes.
+reorder.  Every step runs on Python complexes, read once from the
+amplitudes, so gsd makes no LAPACK or BLAS call, and near such a tie
+no linear-algebra backend's rounding picks the form.  numpy holds only
+the state that comes in and the three unitaries that go out.
 """
 
 from __future__ import annotations
@@ -115,12 +118,13 @@ def _singular_values(m) -> tuple[float, float]:
     return s1, det / s1 if s1 else 0.0
 
 
-def _slice_entries(slices: np.ndarray, *directions) -> list:
-    """The entries (m00, m01, m10, m11) of T(x) for each direction x, as Python numbers.
+def _slice_entries(slices, x) -> list:
+    """The entries (m00, m01, m10, m11) of T(x) = x0 T0 + x1 T1.
 
-    slices holds T0 and T1 as the rows of a (2, 4) array.
+    slices holds T0 and T1 as two lists of four Python complexes, so
+    T(x) is summed entry by entry, on the same numbers at every step.
     """
-    return (np.array(directions) @ slices).tolist()
+    return [x[0] * p + x[1] * q for p, q in zip(*slices)]
 
 
 def _local(x, slices):
@@ -131,7 +135,8 @@ def _local(x, slices):
     the roots are d0 / q, the smaller, and q / d2, without cancellation.
     """
     y = (-x[1].conjugate(), x[0].conjugate())
-    (a, b, c, d), (e, f, g, h) = _slice_entries(slices, x, y)
+    a, b, c, d = _slice_entries(slices, x)
+    e, f, g, h = _slice_entries(slices, y)
     d0, d1, d2 = a * d - b * c, a * h + e * d - b * g - f * c, e * h - f * g
     s = cmath.sqrt(d1 * d1 - 4.0 * d0 * d2)
     q = -(d1 + s) / 2.0 if abs(d1 + s) >= abs(d1 - s) else -(d1 - s) / 2.0
@@ -148,7 +153,7 @@ def _guarded_step(x, w, s, slices):
     p = w[0] if w[0] else w[1]
     scale = abs(p) / p / math.hypot(abs(w[0]), abs(w[1]))
     w = (w[0] * scale, w[1] * scale)
-    return w if _singular_values(_slice_entries(slices, w)[0])[1] <= max(s[1], 1e-15 * s[0]) else x
+    return w if _singular_values(_slice_entries(slices, w))[1] <= max(s[1], 1e-15 * s[0]) else x
 
 
 def _principal(gap: float, gram: complex) -> tuple[float, complex]:
@@ -157,13 +162,14 @@ def _principal(gap: float, gram: complex) -> tuple[float, complex]:
     return math.cos(theta), math.sin(theta) * cmath.exp(-1j * cmath.phase(gram))
 
 
-def _direction(slices: np.ndarray) -> tuple[complex, complex]:
+def _direction(slices) -> tuple[complex, complex]:
     """The singular direction x (det T(x) = 0) whose slice has the largest lambda.
 
-    slices holds T0 and T1 as the rows of a (2, 4) array.  The search
-    starts at the principal direction, the top eigenvector of the Gram matrix
-    [[|T0|^2, <T0, T1>], [conj, |T1|^2]], where T(x) and T(y) are
-    orthogonal with norms sigma1 >= sigma2.  So along x + t y the unit
+    slices holds T0 and T1 as two lists of four Python complexes.  The
+    search starts at the principal direction, the top eigenvector of the
+    Gram matrix [[|T0|^2, <T0, T1>], [conj, |T1|^2]]; two sums over the
+    entries give it, the gap |T0|^2 - |T1|^2 and <T0, T1>.  There T(x)
+    and T(y) are orthogonal with norms sigma1 >= sigma2.  So along x + t y the unit
     slice has lambda(t)^2 = (sigma1^2 + |t|^2 sigma2^2) / (1 + |t|^2),
     which falls as |t| grows: the smallest root t of the local pencil is
     the largest-lambda direction, and a root at t = infinity (q = 0) is y
@@ -179,8 +185,9 @@ def _direction(slices: np.ndarray) -> tuple[complex, complex]:
     d2 give to rounding accuracy; below _COEFF_TOL, d2 is rounding noise
     and there is no vertex to step to.
     """
-    (n0, gram), (_, n1) = (slices.conj() @ slices.T).tolist()
-    x = tuple(map(complex, _principal(n0.real - n1.real, gram)))
+    gap = sum(abs(p) ** 2 - abs(q) ** 2 for p, q in zip(*slices))
+    gram = sum(p.conjugate() * q for p, q in zip(*slices))
+    x = tuple(map(complex, _principal(gap, gram)))
     y, s, (d0, d1, d2), q = _local(x, slices)
     if d0 and (max(abs(d0), abs(d1), abs(d2)) >= _COEFF_TOL or s[1] > 1e-14 * max(1.0, s[0])):
         x = _guarded_step(x, (q * x[0] + d0 * y[0], q * x[1] + d0 * y[1]), s, slices)
@@ -246,10 +253,11 @@ def gsd(psi: PureState, mode: str = "raw") -> GsdForm:
     _require_pure(psi, "the canonical decomposition")
     if not isinstance(mode, str) or mode not in ("raw", "normal"):
         raise ParamOutOfDomainError(f"mode must be 'raw' or 'normal', got {mode!r}")
-    x0, x1 = _direction(psi.amplitudes.reshape(2, 4))
-    unitaries = [((x0, x1), (-x1.conjugate(), x0.conjugate()))]
     t = psi.amplitudes.tolist()
-    ta = [[r[0] * p + r[1] * q for p, q in zip(t[:4], t[4:])] for r in unitaries[0]]
+    slices = (t[:4], t[4:])
+    x0, x1 = _direction(slices)
+    unitaries = [((x0, x1), (-x1.conjugate(), x0.conjugate()))]
+    ta = [_slice_entries(slices, r) for r in unitaries[0]]
 
     # ta[0] has rank <= 1; zero up to rounding (alpha ~ 0, qubit A separable)
     # it defines no factor, and that of ta[1] gives the BC Schmidt form

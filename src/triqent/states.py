@@ -10,6 +10,7 @@ is in that order; a permutation is refused where it enters.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -39,6 +40,8 @@ NORM_ATOL = 1e-10
 HERM_ATOL = 1e-10
 EIG_FLOOR = -1e-10
 UNITARY_ATOL = 1e-10
+#: no sum of two entries up to this modulus, nor a trace of eight, overflows
+_ENTRY_MAX = np.finfo(float).max / 16
 
 
 def _raise_first(bad: np.ndarray, error: type, message) -> None:
@@ -60,8 +63,13 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _normalized(rows: np.ndarray) -> np.ndarray:
-    """Which rows have unit norm: |norm - 1| <= NORM_ATOL, False for a NaN or infinite entry."""
-    return np.abs(_norms(rows) - 1.0) <= NORM_ATOL
+    """Which rows have unit norm: |norm - 1| <= NORM_ATOL, False for a NaN or infinite entry.
+
+    A modulus above 2 already puts a row off unit norm, so the moduli are
+    capped there: no square can overflow, and a row of smaller moduli
+    gets the norm of ``_norms`` bit for bit.
+    """
+    return np.abs(_norms(np.minimum(np.abs(rows), 2.0)) - 1.0) <= NORM_ATOL
 
 
 def _validated_amplitudes(amps: np.ndarray) -> np.ndarray:
@@ -75,7 +83,8 @@ def _validated_amplitudes(amps: np.ndarray) -> np.ndarray:
     if not unit.all():
         _raise_first(~np.isfinite(amps).all(axis=-1), NonFiniteError,
                      lambda i: "NaN or infinite entry in amplitudes")
-        _raise_first(~unit, NotNormalizedError, lambda i: f"norm is {_norms(amps[i]):.12g}, expected 1")
+        _raise_first(~unit, NotNormalizedError,
+                     lambda i: f"norm is {math.hypot(*np.abs(amps[i]).tolist()):.12g}, expected 1")
     amps.setflags(write=False)
     return amps
 
@@ -186,6 +195,20 @@ def _require_pure(psi, what: str) -> PureState:
     return psi
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dagger) / 2 of each matrix of a finite stack, which must be
+    Hermitian within HERM_ATOL and then of unit trace within NORM_ATOL."""
+    m_h = m.conj().swapaxes(-1, -2)
+    herm_dev = np.abs(m - m_h).max(axis=(-2, -1))
+    _raise_first(herm_dev > HERM_ATOL, NotHermitianError,
+                 lambda i: f"Hermiticity deviation {herm_dev[i]:.3e} exceeds {HERM_ATOL:.1e}")
+    m = (m + m_h) / 2.0
+    tr = m.trace(axis1=-2, axis2=-1).real
+    _raise_first(np.abs(tr - 1.0) > NORM_ATOL, NotNormalizedError,
+                 lambda i: f"trace is {tr[i]:.12g}, expected 1")
+    return m
+
+
 def _validated_matrices(m: np.ndarray) -> np.ndarray:
     """Check a stack of density matrices, shape (N, d, d); return the validated stack.
 
@@ -198,19 +221,22 @@ def _validated_matrices(m: np.ndarray) -> np.ndarray:
     whose smallest eigenvalue lies in [EIG_FLOOR, 0) are rebuilt from
     their spectrum clamped at zero and renormalized to unit trace.  The
     first invalid row raises what the scalar path raises, and the error
-    records the row (see ``_raise_first``).  The result is read-only.
+    records the row (see ``_raise_first``).  A stack with an entry beyond
+    _ENTRY_MAX, which no density matrix has, is refused before LAPACK
+    sees it.  The result is read-only.
     """
-    if not np.isfinite(m).all():
+    if not np.abs(m).max() <= _ENTRY_MAX:  # also for a NaN
         _raise_first(~np.isfinite(m).all(axis=(-2, -1)), NonFiniteError,
                      lambda i: "NaN or infinite entry in density matrix")
-    m_h = m.conj().swapaxes(-1, -2)
-    herm_dev = np.abs(m - m_h).max(axis=(-2, -1))
-    _raise_first(herm_dev > HERM_ATOL, NotHermitianError,
-                 lambda i: f"Hermiticity deviation {herm_dev[i]:.3e} exceeds {HERM_ATOL:.1e}")
-    m = (m + m_h) / 2.0
-    tr = m.trace(axis1=-2, axis2=-1).real
-    _raise_first(np.abs(tr - 1.0) > NORM_ATOL, NotNormalizedError,
-                 lambda i: f"trace is {tr[i]:.12g}, expected 1")
+        # the sums may overflow to inf, which fails the check it enters;
+        # past both checks, an entry beyond 1 leaves a negative eigenvalue
+        with np.errstate(over="ignore", invalid="ignore"):
+            _hermitian_part(m)
+        size = np.abs(m).max(axis=(-2, -1))
+        _raise_first(size > _ENTRY_MAX, NotPSDError,
+                     lambda i: f"entry of modulus {size[i]:.3e} in a Hermitian matrix of unit trace, "
+                     "so an eigenvalue is negative")
+    m = _hermitian_part(m)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -330,6 +356,9 @@ def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
 
 def _check_unitary(u, name: str) -> np.ndarray:
     u = _complex_entries(u, name, (2, 2))
+    size = np.abs(u).max()
+    if size > 2.0:  # a unitary's entries have modulus at most 1; refused first, none can overflow u^dagger u
+        raise NotUnitaryError(f"{name} has an entry of modulus {size:.3e}, where a unitary's are at most 1")
     dev = np.abs(u.conj().T @ u - np.eye(2)).max()
     if dev > UNITARY_ATOL:
         raise NotUnitaryError(f"{name} deviates from unitary by {dev:.3e}")

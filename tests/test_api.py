@@ -75,9 +75,10 @@ def tolerance():
 
 
 def complex_number():
+    # a state's coefficient: a huge finite one must fail the norm check, not overflow it
     return {"wrong_type": [0.5], "nan": complex(NAN, 0.0), "string": "x", "none": None,
             "wrong_shape": np.full(2, 0.5), "boolean": True, "zero_d_boolean": np.array(True), "huge_integer": HUGE,
-            **wide(np.clongdouble(HUGE_LONGDOUBLE))}
+            "huge_finite": 1e200, **wide(np.clongdouble(HUGE_LONGDOUBLE))}
 
 
 def name():
@@ -107,6 +108,18 @@ def matrix(shape):
             "huge_integer": huge, **wide(huge_longdouble)}
 
 
+def state_matrix(shape):
+    # a density matrix's or a unitary's entries have modulus at most 1; a
+    # finite one far beyond must fail its check, not overflow its sums (a
+    # raw matrix, as transpose_qubit and svd_2x2 take, may hold one)
+    if shape == (2, 2):
+        huge = 1e200 * np.eye(2)
+    else:
+        huge = np.eye(shape[0]) / shape[0]
+        huge[0, 1] = huge[1, 0] = 1e308
+    return matrix(shape) | {"huge_finite": huge}
+
+
 def spec():
     return {"wrong_type": default_grid("ghz_like", 3).grid, "nan": FamilySpec("ghz_like", ((NAN,),)),
             "string": "x", "none": None, "wrong_shape": FamilySpec("ghz_like", ((0.5, 0.5),)),
@@ -127,6 +140,7 @@ def vector(n):
     return {"wrong_type": object(), "nan": np.full(n, NAN), "string": "x", "none": None,
             "wrong_shape": np.full(n + 1, 1 / np.sqrt(n + 1)), "boolean": [True] + [False] * (n - 1),
             "mixed_boolean": [True] + [0.0] * (n - 1), "huge_integer": [HUGE] + [0] * (n - 1),
+            "huge_finite": [1e200] + [0] * (n - 1),
             **wide(np.array([HUGE_LONGDOUBLE] + [0] * (n - 1), dtype=np.longdouble))}
 
 
@@ -138,9 +152,9 @@ GSD = (0.6, 0.0, 0.0, 0.0, 0.8)
 #: both are built by functions, so LAPACK can run before it is patched
 SLOTS = {
     "PureState": (lambda: (ghz().amplitudes,), lambda: [vector(8)]),
-    "DensityMatrix": (lambda: (np.eye(8) / 8, ("A", "B", "C")), lambda: [matrix((8, 8)), layout()]),
+    "DensityMatrix": (lambda: (np.eye(8) / 8, ("A", "B", "C")), lambda: [state_matrix((8, 8)), layout()]),
     "apply_local_unitary": (lambda: (ghz(), np.eye(2), np.eye(2), np.eye(2)),
-                            lambda: [pure(), matrix((2, 2)), matrix((2, 2)), matrix((2, 2))]),
+                            lambda: [pure(), state_matrix((2, 2)), state_matrix((2, 2)), state_matrix((2, 2))]),
     "partial_trace": (lambda: (rho_zero(), "A"), lambda: [density(), name()]),
     "partial_transpose": (lambda: (rho_zero(), "A"), lambda: [density(), name()]),
     "transpose_qubit": (lambda: (np.eye(8) / 8, ("A", "B", "C"), "A"),

@@ -66,10 +66,10 @@ def identity_rows():
     return [[[0.125 if i == j else 0.0, 0.0] for j in range(8)] for i in range(8)]
 
 
-def with_entry(value, rows=None):
-    """``rows`` (I / 8 by default) with entry (2, 5) replaced by ``value``."""
+def with_entry(value, rows=None, at=(2, 5)):
+    """``rows`` (I / 8 by default) with entry ``at`` replaced by ``value``."""
     rows = identity_rows() if rows is None else rows
-    rows[2][5] = value
+    rows[at[0]][at[1]] = value
     return rows
 
 
@@ -84,6 +84,9 @@ MATRIX_ERRORS = [
     pytest.param(with_entry(["0.1", 0.0]), 'non-numeric value in matrix: "0.1"', id="string"),
     pytest.param(with_entry([10**400, 0.0]), "value out of range: int too large to convert to float",
                  id="int-beyond-float-range"),
+    pytest.param(with_entry([1e308, 0.0], with_entry([1e308, 0.0]), at=(5, 2)),
+                 "entry of modulus 1.000e+308 in a Hermitian matrix of unit trace, so an eigenvalue is negative",
+                 id="huge-finite-pair"),
     pytest.param(identity_rows()[:7], "mixed state needs an 8x8 matrix of pairs", id="seven-rows"),
     pytest.param(with_entry([10**400, 0.0])[:7], "mixed state needs an 8x8 matrix of pairs",
                  id="seven-rows-one-int-beyond-float-range"),
@@ -118,6 +121,7 @@ AMPLITUDE_ERRORS = [
     pytest.param(with_amplitude(["0.1", 0.0]), 'non-numeric value in amplitudes: "0.1"', id="string"),
     pytest.param(with_amplitude([10**400, 0.0]), "value out of range: int too large to convert to float",
                  id="int-beyond-float-range"),
+    pytest.param(with_amplitude([1e200, 0.0]), "norm is 1e+200, expected 1", id="huge-finite"),
     pytest.param(basis_pairs()[:7], "pure state needs 8 amplitude pairs", id="seven-pairs"),
     pytest.param([[1.0]] + [[0.0]] * 7, "amplitudes entries must be [real, imaginary] pairs", id="eight-by-one"),
     pytest.param(nested(40), "pure state needs 8 amplitude pairs", id="forty-deep"),

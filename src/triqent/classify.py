@@ -123,6 +123,11 @@ def _subtype(factorizable: tuple[bool, bool, bool], entangled: tuple[bool, bool,
     Two or more factorizable qubits give 0-0, one gives 1^1-1 with that
     qubit separable, and none gives 2-k, k the number of entangled pairs.
     ``classify_pure`` and ``classify_gsd_pattern`` both label by this rule.
+    Exactly two factorizable qubits occur only inside the ambiguity band:
+    n_q^2 = tau + C^2 + C^2 over the pairs holding q (Coffman, Kundu &
+    Wootters, PRA 61, 052306, 2000), so two n_q below zero_tol put the
+    third below sqrt(2) zero_tol + 2 sqrt(2) NEG_EIG_FLOOR, under
+    AMBIGUITY_BAND zero_tol for every accepted zero_tol.
     """
     if sum(factorizable) >= 2:
         return SubtypeLabel("0-0")
@@ -145,7 +150,8 @@ class _PureDecisions:
     ``labels`` indexes ``_LABELS``, and ``codes`` holds the code of each
     row's label.  ``margins`` are the raw decision quantities: the
     one-vs-two negativities n_q of A, B, C, then the reduced concurrences
-    c_red of BC, AC, AB, each compared against zero_tol.
+    c_red of BC, AC, AB, each compared against zero_tol; ``ambiguous``
+    marks a row with one within AMBIGUITY_BAND of it.
     """
 
     codes: np.ndarray
@@ -159,22 +165,13 @@ def _classify_table(table: np.ndarray, zero_tol: float) -> _PureDecisions:
 
     It reads the columns n_q (0:3) and c_red_* (7:10) only, so a table
     whose n_red_* columns were never filled (see
-    ``measures._pure_closed_form_table``) decides the same.
+    ``measures._pure_closed_form_table``) decides the same.  The rule is
+    ``classify_gsd_pattern``'s, with no repair case (see ``_subtype``).
     """
-    n_side = table[:, 0:3]
-    c_red = table[:, 7:10]
-    margins = np.concatenate([n_side, c_red], axis=1)
-    factorizable = n_side < zero_tol
-    # two factorizable qubits cannot happen analytically: either the
-    # state is fully separable (all three factorizable) or rounding
-    # produced an inconsistent pattern, labelled by the purest qubit
-    near_product = (n_side < AMBIGUITY_BAND * zero_tol).all(axis=1)
-    inconsistent = (factorizable.sum(axis=1) == 2) & ~near_product
-    purest = np.argmin(np.where(factorizable, n_side, np.inf), axis=1)
-    factorizable[inconsistent] = np.arange(3) == purest[inconsistent, np.newaxis]
-    flags = np.concatenate([factorizable, c_red > zero_tol], axis=1)
+    margins = np.concatenate([table[:, 0:3], table[:, 7:10]], axis=1)
+    flags = np.concatenate([margins[:, :3] < zero_tol, margins[:, 3:] > zero_tol], axis=1)
     labels = flags @ (1 << np.arange(5, -1, -1))
-    ambiguous = inconsistent | _near_threshold(margins, zero_tol).any(axis=1)
+    ambiguous = _near_threshold(margins, zero_tol).any(axis=1)
     return _PureDecisions(_CODES[labels], ambiguous, labels, margins)
 
 
@@ -191,7 +188,8 @@ def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureCla
     Every thresholded comparison is recorded in ``margins`` as its raw
     decision quantity, each compared against zero_tol: n_q for
     ``factorizable_q`` and c_red for ``pair_P``; the label is ``_subtype``
-    of those comparisons.  Both are linear in a small entangling
+    of those comparisons, and a 1^1-1 label adds the n_q of the other two
+    qubits as ``single_purity_q``.  Both are linear in a small entangling
     amplitude.  ``classify_gsd_pattern`` decides on the same six, in
     closed form (C_AB = 2|alpha delta|, Acin et al., PRL 85, 1560, 2000),
     and ``classify_mixed`` certifies on n_q and c_red, so the three read
@@ -206,8 +204,8 @@ def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureCla
     label = _LABELS[d.labels[0]]
     margins = dict(zip(_MARGIN_NAMES, d.margins[0].tolist()))
     q = label.separable_qubit
-    # a 1^1-1 label with exactly one factorizable qubit, not the purest of two
-    if q is not None and all(margins[f"factorizable_{s}"] >= zero_tol for s in COMPLEMENT[q]):
+    # a 1^1-1 label has exactly one factorizable qubit (see _subtype)
+    if q is not None:
         for single in COMPLEMENT[q]:
             margins[f"single_purity_{single}"] = margins[f"factorizable_{single}"]
     return PureClassification(label, MeasureSet(*table[0].tolist()), margins, bool(d.ambiguous[0]))

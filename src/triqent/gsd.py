@@ -62,7 +62,7 @@ from .errors import (
     StateTypeError,
 )
 from .families import from_gsd_coefficients
-from .states import PureState, _complex_entries, _require_pure
+from .states import PureState, _complex_entries, _normalized, _require_pure
 
 #: polynomial coefficients below this are treated as identically zero
 _COEFF_TOL = 1e-13
@@ -306,16 +306,22 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> G
     (pairs AC and AB) holds wherever beta omega = delta epsilon.
 
     Raises StateTypeError when a coefficient is not a number,
-    NonFiniteError when one is NaN or infinite, and
-    AmbiguousNearThresholdError when a margin falls within a factor of
-    10 of zero_tol, where ``classify_pure`` sets ``ambiguous``, since the
-    caller must then decide which side of the boundary was meant.
+    NonFiniteError when one is NaN or infinite, ParamOutOfDomainError
+    when they are not normalized (the margins are absolute, so a scaled
+    form would read another pattern; ``GsdForm.to_state`` checks the
+    same), and AmbiguousNearThresholdError when a margin falls within a
+    factor of 10 of zero_tol, where ``classify_pure`` sets ``ambiguous``,
+    since the caller must then decide which side of the boundary was
+    meant.
     """
     if not isinstance(form, GsdForm):
         raise StateTypeError(f"classify_gsd_pattern needs a GsdForm, got {type(form).__name__}")
     check_zero_tol(zero_tol)
     coefficients = (form.alpha, form.beta, form.delta, form.epsilon, form.omega)
-    a, b, d, e, w = _complex_entries(coefficients, "canonical coefficients", (5,)).tolist()
+    entries = _complex_entries(coefficients, "canonical coefficients", (5,))
+    if not _normalized(entries):
+        raise ParamOutOfDomainError("canonical coefficients must be normalized")
+    a, b, d, e, w = entries.tolist()
     bc, ac, ab = 2.0 * abs(b * w - d * e), 2.0 * abs(a * e), 2.0 * abs(a * d)
     tangle = 4.0 * abs(a * w) * abs(a * w)
     n = [math.sqrt(tangle + x * x + y * y) for x, y in ((ab, ac), (ab, bc), (ac, bc))]  # the pairs holding q

@@ -298,6 +298,40 @@ def pure_corpora():
     return stacks
 
 
+@functools.cache
+def near_product_corpus():
+    """20 000 product states plus a perturbation of norm 10**-uniform(1, 16), as a read-only (N, 8) stack.
+
+    Each qubit of the product is a random unit vector.  Every third
+    perturbation is along a biseparable direction: one qubit of the
+    product, drawn at random, times a random pair, so that qubit stays
+    factorizable while the other two n_q grow with the perturbation.
+    The rest are random in all eight amplitudes.  The n_q run from the
+    negativity floor of ``measures`` up to about 0.2, and about half the
+    rows have one or more of them floored to zero.
+    """
+    count = 20000
+    rng = np.random.default_rng(2030)
+    qubits = rng.standard_normal((3, count, 2)) + 1j * rng.standard_normal((3, count, 2))
+    a, b, c = qubits / np.linalg.norm(qubits, axis=-1, keepdims=True)
+    z = rng.standard_normal((count, 8)) + 1j * rng.standard_normal((count, 8))
+    pair = z[:, :4].reshape(count, 2, 2)
+    along = (np.einsum("ni,njk->nijk", a, pair), np.einsum("nj,nik->nijk", b, pair),
+             np.einsum("nk,nij->nijk", c, pair))
+    kept = rng.integers(3, size=count)
+    biseparable = np.arange(count) % 3 == 0
+    direction = z.reshape(count, 2, 2, 2)
+    for q in range(3):
+        rows = biseparable & (kept == q)
+        direction[rows] = along[q][rows]
+    direction = direction.reshape(count, 8) / np.linalg.norm(direction.reshape(count, 8), axis=1, keepdims=True)
+    v = np.einsum("ni,nj,nk->nijk", a, b, c).reshape(count, 8)
+    v = v + 10.0 ** -rng.uniform(1.0, 16.0, (count, 1)) * direction
+    stack = v / np.linalg.norm(v, axis=1, keepdims=True)
+    stack.setflags(write=False)
+    return stack
+
+
 def product_differences(amps, table):
     """a_i a_j - a_i' a_j' for each entry [[i, j], [i', j']] of ``table``, per state: one gather per table."""
     f = amps[:, table]

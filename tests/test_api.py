@@ -319,6 +319,8 @@ RECORD_FIELDS = {
         for name in ("alpha", "beta", "delta", "epsilon", "omega")
         for kind, value in (("string", "x"), ("none", None), ("list", [0.5]))
     },
+    # the GHZ form at norm 1e-5, whose absolute margins would read "product"
+    "GsdForm-scaled": (lambda: classify_gsd_pattern(gsd_form(alpha=0.6e-5, omega=0.8e-5)), ParamOutOfDomainError),
 }
 
 

@@ -33,12 +33,22 @@ from triqent import (
     tripartite_negativity,
     w_prime,
 )
-from triqent.classify import _CLAIMS, _LABELS, _PAIRS, DEFAULT_ZERO_TOL, SubtypeLabel, _certify_table, _classify_table
+from triqent.classify import (
+    _CLAIMS,
+    _LABELS,
+    _PAIRS,
+    AMBIGUITY_BAND,
+    DEFAULT_ZERO_TOL,
+    SubtypeLabel,
+    _certify_table,
+    _classify_table,
+)
 from triqent.measures import NEG_EIG_FLOOR, MeasureSet, _mixed_measure_table, _pure_measure_table
 from triqent.states import QUBITS
 from helpers import (
     bell_bc_plus,
     hidden_canonical_corpus,
+    near_product_corpus,
     near_separable_corpus,
     pure_corpora,
     random_biseparable,
@@ -425,19 +435,15 @@ def reference_pure_decision(ms, zero_tol):
         if v > zero_tol:
             pairs.append(name)
     facts = [q for q in "ABC" if n_side[q] < zero_tol]
-    ambiguous = False
     if not facts:
         label = (f"2-{len(pairs)}", None, tuple(pairs))
     elif len(facts) == 1:
         for single in "ABC".replace(facts[0], ""):
             margins[f"single_purity_{single}"] = n_side[single]
         label = ("1^1-1", facts[0], tuple(pairs))
-    elif len(facts) == 3 or all(n_side[q] < 10.0 * zero_tol for q in "ABC"):
-        label = ("0-0", None, ())
     else:
-        ambiguous = True
-        label = ("1^1-1", min(facts, key=lambda q: n_side[q]), tuple(pairs))
-    ambiguous = ambiguous or any(zero_tol / 10.0 <= v <= zero_tol * 10.0 for v in margins.values())
+        label = ("0-0", None, ())
+    ambiguous = any(zero_tol / 10.0 <= v <= zero_tol * 10.0 for v in margins.values())
     return (*label, margins, ambiguous)
 
 
@@ -515,8 +521,7 @@ class TestStackedDecisions:
     @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
     def test_classify_table_on_synthetic_tables(self, tol):
         # decision quantities scattered log-uniformly over four decades each
-        # side of zero_tol reach every branch, the inconsistent
-        # two-factorizable pattern (1^1-1?) included
+        # side of zero_tol reach every branch
         rng = np.random.default_rng(83)
         table = np.zeros((4000, 16))
         table[:, 0:3] = tol * 10.0 ** rng.uniform(-4.0, 4.0, (4000, 3))
@@ -532,7 +537,8 @@ class TestStackedDecisions:
             assert [bits(v) for v in d.margins[i]] == [bits(v) for v in list(margins.values())[:6]], i
             shown.add(code + "?" * ambiguous)
         assert {"0-0", "0-0?", "1^1-1", "1^1-1?", "2-0", "2-1", "2-2", "2-3"} <= shown
-        assert (((d.margins[:, :3] < tol).sum(axis=1) == 2) & (d.codes == "1^1-1")).any()
+        two = (d.margins[:, :3] < tol).sum(axis=1) == 2
+        assert two.any() and (d.codes[two] == "0-0").all()
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
     def test_certify_table_equals_classify_mixed(self, tol):
@@ -552,6 +558,28 @@ class TestStackedDecisions:
             assert verdict.ambiguous is bool(ambiguous[i]) is reference_ambiguous(verdict.measures, tol), i
             flagged += verdict.ambiguous
         assert flagged > 0 if tol > 1e-8 else flagged == 0
+
+
+@pytest.mark.parametrize("kind", ["haar", "near", "hidden", "sparse", "named", "near_product"])
+def test_two_factorizable_qubits_only_inside_the_band(kind):
+    # a pure state has n_q^2 = tau + C^2 + C^2 over the two pairs holding q
+    # (Coffman, Kundu & Wootters), so each n_q is at most the hypot of the
+    # other two; the negativity floor zeroes an n_q up to 2 NEG_EIG_FLOOR,
+    # which adds at most 2 sqrt(2) NEG_EIG_FLOOR.  So two n_q below zero_tol
+    # keep the third within the ambiguity band at every accepted zero_tol,
+    # and _classify_table needs no repair case for that pattern
+    amps = near_product_corpus() if kind == "near_product" else pure_corpora()[kind]
+    table = _pure_measure_table(amps)
+    n_side = table[:, 0:3]
+    for q in range(3):
+        others = np.delete(n_side, q, axis=1)
+        assert (n_side[:, q] <= np.hypot(others[:, 0], others[:, 1]) + 3.0 * NEG_EIG_FLOOR).all(), q
+    for tol in (1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.1, 0.5):
+        factorizable = n_side < tol
+        two = factorizable.sum(axis=1) == 2
+        third = np.where(factorizable, 0.0, n_side).max(axis=1)
+        assert not (two & (third >= AMBIGUITY_BAND * tol)).any(), tol
+        assert _classify_table(table, tol).ambiguous[two].all(), tol
 
 
 def relabelled(states, perm):

@@ -55,6 +55,7 @@ from .states import (
     QUBITS,
     DensityMatrix,
     PureState,
+    _complex_entries,
     _is_number,
     _normalized,
     _numbers,
@@ -103,9 +104,20 @@ def _w_canonical_rows(rows: np.ndarray) -> np.ndarray:
     return _amplitudes(len(rows), {0: rows[:, 0], 5: rows[:, 1], 6: rows[:, 2]})
 
 
-def _gsd_rows(rows: np.ndarray) -> np.ndarray:
-    _check_domain(_normalized(rows), rows, "canonical coefficients must be normalized")
-    return _amplitudes(len(rows), dict(zip((0, 4, 6, 5, 7), rows.T)))
+def _gsd_amplitudes(alpha, beta, delta, epsilon, omega) -> np.ndarray:
+    """The 8 amplitudes of five canonical coefficients: the one check of canonical coefficients.
+
+    Raises StateTypeError unless every coefficient is a number (see
+    ``_numbers``), NonFiniteError for a NaN or infinite one, and
+    ParamOutOfDomainError unless the amplitudes have unit norm.  The norm
+    is judged by ``_normalized`` on the 8 amplitudes, PureState's own
+    rule on the same numbers, so amplitudes this check passes pass
+    PureState too.
+    """
+    amps = _complex_entries((alpha, 0j, 0j, 0j, beta, epsilon, delta, omega), "canonical amplitudes", (8,))
+    if not _normalized(amps):
+        raise ParamOutOfDomainError("canonical coefficients must be normalized")
+    return amps
 
 
 def _projector(amps: np.ndarray) -> np.ndarray:
@@ -248,7 +260,8 @@ _FAMILIES = {
                         lambda points: np.linspace(0.0, 1.0 / np.sqrt(2.0), points),
                         (_in_unit_interval, "ghz_like needs alpha in [0, 1], got {}")),
     "w_canonical": _Family(3, numbers.Complex, _w_canonical_rows, _w_canonical_oracle, None,
-                           (_normalized, "w_canonical coefficients must be normalized")),
+                           (lambda rows: _normalized(_w_canonical_rows(rows)),
+                            "w_canonical coefficients must be normalized")),
     "ghz_w_mix": _Family(1, numbers.Real, _ghz_w_mix_rows, _ghz_w_mix_oracle,
                          lambda points: np.linspace(0.0, 1.0, points),
                          (_in_unit_interval, "ghz_w_mix needs p in [0, 1], got {}")),
@@ -356,9 +369,15 @@ def w_state() -> PureState:
 
 
 def from_gsd_coefficients(alpha, beta, delta, epsilon, omega) -> PureState:
-    """Pure state with the five canonical amplitudes and zeros elsewhere."""
-    rows = _parameter_rows([(alpha, beta, delta, epsilon, omega)], "canonical", 5, numbers.Complex)
-    return PureState(_gsd_rows(rows)[0])
+    """Pure state with the five canonical amplitudes and zeros elsewhere.
+
+    The coefficients are checked by ``_gsd_amplitudes``, as
+    ``classify_gsd_pattern`` checks them: StateTypeError unless each is a
+    number, NonFiniteError for a NaN or infinite one, and
+    ParamOutOfDomainError unless the 8 amplitudes they make have unit
+    norm by PureState's rule, |norm - 1| <= NORM_ATOL.
+    """
+    return PureState(_gsd_amplitudes(alpha, beta, delta, epsilon, omega))
 
 
 def rho_epsilon(eps: float) -> DensityMatrix:

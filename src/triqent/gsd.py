@@ -29,7 +29,13 @@ on the two 2x2 slices T0, T1 of the amplitude tensor (T_i[j, k] is the
    the other slice gives the BC Schmidt form (delta = epsilon = 0);
 4. optionally (normal-phase mode) multiply diagonal phase unitaries
    into all three qubits so that alpha, delta, epsilon and omega are
-   real and nonnegative; only beta may keep a phase.
+   real and nonnegative; only beta may keep a phase;
+5. divide the rotated amplitudes by their norm, |psi| to rounding, so
+   the five coefficients have unit norm to a few ulps (the canonical
+   zeros, below 1e-10, take at most 3e-20 of it) and pass the one
+   check of canonical coefficients (``families._gsd_amplitudes``),
+   even for a state PureState accepted at the edge of NORM_ATOL.  The
+   unitaries map psi / |psi| to the form.
 
 Raw mode skips step 4, which keeps relative phases (and hence
 orthogonality) within a canonical class instead of collapsing them.
@@ -61,8 +67,8 @@ from .errors import (
     ParamOutOfDomainError,
     StateTypeError,
 )
-from .families import from_gsd_coefficients
-from .states import PureState, _complex_entries, _normalized, _require_pure
+from .families import _gsd_amplitudes, from_gsd_coefficients
+from .states import PureState, _require_pure
 
 #: polynomial coefficients below this are treated as identically zero
 _COEFF_TOL = 1e-13
@@ -94,7 +100,7 @@ class GsdForm:
         return np.array([self.alpha, self.beta, self.delta, self.epsilon, self.omega])
 
     def to_state(self) -> PureState:
-        return from_gsd_coefficients(*self.coefficients)
+        return from_gsd_coefficients(self.alpha, self.beta, self.delta, self.epsilon, self.omega)
 
 
 @dataclass(frozen=True)
@@ -247,8 +253,10 @@ def gsd(psi: PureState, mode: str = "raw") -> GsdForm:
     """Reduce a pure state to generalized-Schmidt canonical form.
 
     mode is "raw" (no phase fixing) or "normal" (alpha, delta, epsilon,
-    omega real and nonnegative, at most beta phased).  The returned
-    unitaries map the input to the canonical state.
+    omega real and nonnegative, at most beta phased).  The coefficients
+    are divided by the norm of the rotated state, so the form has unit
+    norm to a few ulps, and the returned unitaries map psi / |psi| to
+    the canonical state.
     """
     _require_pure(psi, "the canonical decomposition")
     if not isinstance(mode, str) or mode not in ("raw", "normal"):
@@ -278,7 +286,8 @@ def gsd(psi: PureState, mode: str = "raw") -> GsdForm:
     if max(residuals) > _ZERO_RESIDUAL_TOL:
         raise NumericalDegeneracyError(f"canonical zeros failed: |t001|, |t010|, |t011| = {residuals}")
 
-    return GsdForm(tc[0], tc[4], tc[6], tc[5], tc[7], mode, *(np.array(u, dtype=complex) for u in unitaries))
+    norm = math.hypot(*map(abs, tc))
+    return GsdForm(*(tc[n] / norm for n in (0, 4, 6, 5, 7)), mode, *(np.array(u, dtype=complex) for u in unitaries))
 
 
 #: the catalogue name of each subtype, by its code and entangled pairs
@@ -305,23 +314,22 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> G
     the pattern is the catalogue's name for the label.  The star S''
     (pairs AC and AB) holds wherever beta omega = delta epsilon.
 
-    Raises StateTypeError when a coefficient is not a number,
-    NonFiniteError when one is NaN or infinite, ParamOutOfDomainError
-    when they are not normalized (the margins are absolute, so a scaled
-    form would read another pattern; ``GsdForm.to_state`` checks the
-    same), and AmbiguousNearThresholdError when a margin falls within a
-    factor of 10 of zero_tol, where ``classify_pure`` sets ``ambiguous``,
-    since the caller must then decide which side of the boundary was
-    meant.
+    The coefficients are checked by ``families._gsd_amplitudes``, as
+    ``GsdForm.to_state`` and ``from_gsd_coefficients`` check them, so a
+    malformed form raises one error type from all three: StateTypeError
+    when a coefficient is not a number, NonFiniteError when one is NaN or
+    infinite, and ParamOutOfDomainError when the 8 amplitudes they make
+    are off unit norm by PureState's rule (the margins are absolute, so a
+    scaled form would read another pattern).  Every form ``gsd`` returns
+    passes.  AmbiguousNearThresholdError is raised when a margin falls
+    within a factor of 10 of zero_tol, where ``classify_pure`` sets
+    ``ambiguous``, since the caller must then decide which side of the
+    boundary was meant.
     """
     if not isinstance(form, GsdForm):
         raise StateTypeError(f"classify_gsd_pattern needs a GsdForm, got {type(form).__name__}")
     check_zero_tol(zero_tol)
-    coefficients = (form.alpha, form.beta, form.delta, form.epsilon, form.omega)
-    entries = _complex_entries(coefficients, "canonical coefficients", (5,))
-    if not _normalized(entries):
-        raise ParamOutOfDomainError("canonical coefficients must be normalized")
-    a, b, d, e, w = entries.tolist()
+    a, _, _, _, b, e, d, w = _gsd_amplitudes(form.alpha, form.beta, form.delta, form.epsilon, form.omega).tolist()
     bc, ac, ab = 2.0 * abs(b * w - d * e), 2.0 * abs(a * e), 2.0 * abs(a * d)
     tangle = 4.0 * abs(a * w) * abs(a * w)
     n = [math.sqrt(tangle + x * x + y * y) for x, y in ((ab, ac), (ab, bc), (ac, bc))]  # the pairs holding q

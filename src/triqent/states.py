@@ -296,9 +296,14 @@ def _require_density(rho, what: str, n: int | None = None) -> DensityMatrix:
 
 
 def to_density(psi: PureState) -> DensityMatrix:
-    """Rank-1 projector |psi><psi| on the full [A, B, C] layout."""
-    _require_pure(psi, "to_density")
-    return DensityMatrix._derived(np.outer(psi.amplitudes, psi.amplitudes.conj()), QUBITS)
+    """Rank-1 projector |psi><psi| / <psi|psi> on the full [A, B, C] layout.
+
+    The division by sum |a|^2 puts the trace at 1 to rounding: PureState
+    accepts a norm up to 1 + NORM_ATOL, whose bare projector would have a
+    trace up to 1 + 2 NORM_ATOL, outside DensityMatrix's own tolerance.
+    """
+    amps = _require_pure(psi, "to_density").amplitudes
+    return DensityMatrix._derived(np.outer(amps, amps.conj()) / (np.abs(amps) ** 2).sum(), QUBITS)
 
 
 def _partial_trace(m: np.ndarray, n: int, ax: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 
-from triqent import PureState, ghz, w_prime
+from triqent import NotNormalizedError, PureState, ghz, w_prime
 from triqent.measures import (
     _HYPERDET_PIECES,
     _MINORS,
@@ -39,6 +39,35 @@ def default_rng_haar_stack(seed, count):
     x = np.random.default_rng(seed).standard_normal((count, 16))
     z = x[:, :8] + 1j * x[:, 8:]
     return np.array([row / np.sqrt((np.abs(row) ** 2).sum()) for row in z])
+
+
+def near_unit_norm_corpus(seed, count, size=8):
+    """``count`` rows of ``size`` complex entries at the edge of the norm tolerance, as a read-only stack.
+
+    Each row is a Haar-random unit vector, drawn as ``default_rng_haar_stack``
+    draws it, scaled to norm 1 + 1e-10 - u * 1e-16 with u uniform on
+    [0, 3), so it lies within a few rounding errors of NORM_ATOL: whether
+    a row passes a norm check turns on the order its squares are summed
+    in.  About two thirds of the 8-entry rows pass ``PureState``.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, 2 * size))
+    z = x[:, :size] + 1j * x[:, size:]
+    scale = 1.0 + 1e-10 - rng.uniform(0.0, 3.0, count) * 1e-16
+    rows = z * (scale / np.sqrt((np.abs(z) ** 2).sum(axis=1)))[:, np.newaxis]
+    rows.setflags(write=False)
+    return rows
+
+
+def accepted_pure_states(rows):
+    """A PureState of each amplitude row that PureState accepts, in row order; the rest are skipped."""
+    states = []
+    for amps in rows:
+        try:
+            states.append(PureState(amps))
+        except NotNormalizedError:
+            pass
+    return states
 
 
 def nested(depth, leaf=0.0):

@@ -20,11 +20,13 @@ import triqent
 from triqent import (
     FamilySpec,
     GsdForm,
+    NonFiniteError,
     ParamOutOfDomainError,
     StateTypeError,
     TriqentError,
     classify_gsd_pattern,
     default_grid,
+    from_gsd_coefficients,
     ghz,
     gsd,
     partial_trace,
@@ -196,8 +198,8 @@ EXEMPT = {
     "w_prime": "takes no arguments",
     "w_state": "takes no arguments",
     # plain records: results of the calls above, or their input (FamilySpec
-    # and GsdForm), whose fields sweep and classify_gsd_pattern check (see
-    # RECORD_FIELDS)
+    # and GsdForm), whose fields sweep and the coefficient check of
+    # classify_gsd_pattern and to_state read (see RECORD_FIELDS)
     "Certificate": "result record",
     "GsdPattern": "result record",
     "MeasureSet": "result record",
@@ -206,7 +208,7 @@ EXEMPT = {
     "SubtypeLabel": "result record",
     "SweepRow": "result record",
     "FamilySpec": "input record, checked by sweep",
-    "GsdForm": "input record, checked by classify_gsd_pattern",
+    "GsdForm": "input record, whose coefficients classify_gsd_pattern and to_state check as from_gsd_coefficients does",
 }
 
 
@@ -303,6 +305,15 @@ def gsd_form(**fields):
     return GsdForm(**coefficients, mode="raw", u_a=np.eye(2), u_b=np.eye(2), u_c=np.eye(2))
 
 
+#: the calls that check a form's coefficients, by the suffix of their case names:
+#: one rule, so each malformed form raises one error type from all three
+FORM_CALLS = {
+    "": classify_gsd_pattern,
+    "-to_state": GsdForm.to_state,
+    "-from_gsd_coefficients": lambda form: from_gsd_coefficients(
+        form.alpha, form.beta, form.delta, form.epsilon, form.omega),
+}
+
 #: a malformed field of an input record -> (the call that reads it, the error it must raise)
 RECORD_FIELDS = {
     "FamilySpec-family-number": (lambda: sweep(FamilySpec(1, ((0.5,),))), ParamOutOfDomainError),
@@ -314,13 +325,19 @@ RECORD_FIELDS = {
     "FamilySpec-point-none": (lambda: sweep(FamilySpec("ghz_like", ((0.5,), None))), ParamOutOfDomainError),
     "FamilySpec-point-string": (lambda: sweep(FamilySpec("ghz_like", ((0.5,), "x"))), ParamOutOfDomainError),
     **{
-        f"GsdForm-{name}-{kind}": (lambda name=name, value=value: classify_gsd_pattern(gsd_form(**{name: value})),
-                                   StateTypeError)
+        f"GsdForm-{name}-{kind}{suffix}": (lambda call=call, name=name, value=value: call(gsd_form(**{name: value})),
+                                           error)
         for name in ("alpha", "beta", "delta", "epsilon", "omega")
-        for kind, value in (("string", "x"), ("none", None), ("list", [0.5]))
+        for kind, value, error in (("string", "x", StateTypeError), ("none", None, StateTypeError),
+                                   ("list", [0.5], StateTypeError), ("nan", NAN, NonFiniteError))
+        for suffix, call in FORM_CALLS.items()
     },
     # the GHZ form at norm 1e-5, whose absolute margins would read "product"
-    "GsdForm-scaled": (lambda: classify_gsd_pattern(gsd_form(alpha=0.6e-5, omega=0.8e-5)), ParamOutOfDomainError),
+    **{
+        f"GsdForm-scaled{suffix}": (lambda call=call: call(gsd_form(alpha=0.6e-5, omega=0.8e-5)),
+                                    ParamOutOfDomainError)
+        for suffix, call in FORM_CALLS.items()
+    },
 }
 
 

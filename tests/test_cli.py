@@ -30,6 +30,7 @@ from triqent import (
     rho_epsilon,
     sample_haar_pure,
     sweep,
+    to_density,
     w_prime,
 )
 from triqent.classify import _CLAIMS, _DESCRIPTION, DEFAULT_ZERO_TOL
@@ -44,7 +45,7 @@ from triqent.cli import (
     main,
     save_state_file,
 )
-from helpers import default_rng_haar_stack, nested
+from helpers import accepted_pure_states, default_rng_haar_stack, near_unit_norm_corpus, nested
 
 
 @pytest.fixture
@@ -385,6 +386,16 @@ class TestClassifyCommand:
         assert json.loads(capsys.readouterr().out)["ambiguous"] is (code == 3)
 
 
+    def test_norm_edge_projector(self, tmp_path, capsys):
+        # the projector of a state at the edge of the norm bound is a density
+        # matrix too: its trace is 1 to rounding, not the squared norm
+        path = tmp_path / "projector.json"
+        for psi in accepted_pure_states(near_unit_norm_corpus(2911, 20)):
+            save_state_file(path, to_density(psi))
+            assert main(["classify", str(path)]) in (0, 3)
+        assert "error" not in capsys.readouterr().err
+
+
 class TestMeasureCommand:
     def test_json_output(self, ghz_file, capsys):
         assert main(["measure", ghz_file, "--json"]) == 0
@@ -417,6 +428,17 @@ class TestGsdCommand:
         path = tmp_path / "mix.json"
         save_state_file(path, rho_epsilon(0.0))
         assert main(["gsd", str(path)]) == 2
+
+    def test_norm_edge_state(self, tmp_path, capsys):
+        # a state file classify accepts at the edge of the norm bound gets its
+        # forms too: gsd hands out unit coefficients, which the pattern accepts
+        path = tmp_path / "edge.json"
+        for psi in accepted_pure_states(near_unit_norm_corpus(2911, 20)):
+            save_state_file(path, psi)
+            assert main(["classify", str(path)]) in (0, 3)
+            for mode in ("raw", "normal"):
+                assert main(["gsd", str(path), "--mode", mode]) in (0, 3)
+        assert "error" not in capsys.readouterr().err
 
 
 class TestSweepCommand:

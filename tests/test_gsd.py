@@ -2,18 +2,21 @@ import dataclasses
 import functools
 import sys
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from triqent import (
     AmbiguousNearThresholdError,
+    DensityMatrix,
     GsdForm,
     GsdPattern,
     MixedStateUnsupportedError,
     NonFiniteError,
     PureState,
     SubtypeLabel,
+    TriqentError,
     apply_local_unitary,
     classify_gsd_pattern,
     classify_pure,
@@ -25,16 +28,20 @@ from triqent import (
     rho_zero,
     sample_haar_pure,
     svd_2x2,
+    to_density,
+    w_canonical,
     w_prime,
 )
 from triqent.cli import main, save_state_file
 from triqent.gsd import _direction, _phase_angles, _real_top, _top_pair
 from triqent.measures import NEG_EIG_FLOOR
 from helpers import (
+    accepted_pure_states,
     hidden_canonical_corpus,
     hidden_w_state,
     near_separable_corpus,
     near_swap_w_state,
+    near_unit_norm_corpus,
     nonzero_coefficients,
     pure_corpora,
     random_biseparable,
@@ -644,3 +651,59 @@ def test_pattern_rejects_non_finite_coefficients(name, value):
     form = dataclasses.replace(gsd(w_prime()), **{name: value})
     with pytest.raises(NonFiniteError):
         classify_gsd_pattern(form)
+
+
+#: Haar draws and coefficient vectors of the norm-edge probe: about two
+#: thirds of the draws are states PureState accepts
+NORM_EDGE_DRAWS = 2000
+NORM_EDGE_VECTORS = 3000
+
+
+@functools.cache
+def norm_edge_states():
+    return accepted_pure_states(near_unit_norm_corpus(2911, NORM_EDGE_DRAWS))
+
+
+def refusals(calls):
+    """The TriqentErrors the zero-argument calls raise, counted by call name and error type.
+
+    AmbiguousNearThresholdError is a verdict, not a refusal, and is not counted.
+    """
+    refused = Counter()
+    for name, call in calls:
+        try:
+            call()
+        except AmbiguousNearThresholdError:
+            pass
+        except TriqentError as exc:
+            refused[name, type(exc).__name__] += 1
+    return refused
+
+
+class TestNormEdge:
+    """Every state PureState accepts at the edge of NORM_ATOL, and everything made from it, is accepted again.
+
+    The rows of ``near_unit_norm_corpus`` lie within rounding of the norm
+    bound, where a sum of the same squares in another order can fall on
+    the other side of it.
+    """
+
+    @pytest.mark.parametrize("mode", ["raw", "normal"])
+    def test_every_form_accepted(self, mode):
+        forms = [gsd(psi, mode=mode) for psi in norm_edge_states()]
+        assert len(forms) > NORM_EDGE_DRAWS // 4
+        calls = [(name, call) for form in forms
+                 for name, call in (("to_state", form.to_state), ("pattern", lambda f=form: classify_gsd_pattern(f)))]
+        assert refusals(calls) == Counter()
+
+    @pytest.mark.parametrize("make", [w_canonical, from_gsd_coefficients])
+    def test_coefficient_check_is_the_state_check(self, make):
+        # the coefficients either fail their own check or make a state PureState takes
+        size = 3 if make is w_canonical else 5
+        rows = near_unit_norm_corpus(2911, NORM_EDGE_VECTORS, size)
+        refused = refusals((make.__name__, lambda row=row: make(*row)) for row in rows)
+        assert set(refused) == {(make.__name__, "ParamOutOfDomainError")}
+
+    def test_projector_is_a_density_matrix(self):
+        calls = [("DensityMatrix", lambda psi=psi: DensityMatrix(to_density(psi).matrix)) for psi in norm_edge_states()]
+        assert refusals(calls) == Counter()

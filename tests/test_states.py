@@ -90,7 +90,7 @@ MALFORMED_INPUT = {
     "ghz-string": (lambda: ghz("x"), ParamOutOfDomainError),
     "ghz_like-complex": (lambda: ghz_like(0.5j), ParamOutOfDomainError),
     "w_canonical-string": (lambda: w_canonical("x", 0.6, 0.8), ParamOutOfDomainError),
-    "gsd_coefficients-none": (lambda: from_gsd_coefficients(None, 1.0, 0, 0, 0), ParamOutOfDomainError),
+    "gsd_coefficients-none": (lambda: from_gsd_coefficients(None, 1.0, 0, 0, 0), StateTypeError),
     "sweep-string": (lambda: sweep(FamilySpec("ghz_like", ((0.5,), ("x",)))), ParamOutOfDomainError),
     "default_grid-string": (lambda: default_grid("ghz_like", "x"), ParamOutOfDomainError),
 }

@@ -33,7 +33,6 @@ from .families import (
     FamilySpec,
     SweepRow,
     default_grid,
-    from_gsd_coefficients,
     ghz,
     ghz_like,
     ghz_noise,
@@ -48,7 +47,7 @@ from .families import (
     w_prime,
     w_state,
 )
-from .gsd import GsdForm, GsdPattern, classify_gsd_pattern, gsd
+from .gsd import GsdForm, GsdPattern, classify_gsd_pattern, from_gsd_coefficients, gsd
 from .linalg import svd_2x2
 from .measures import (
     MeasureSet,

@@ -10,7 +10,10 @@ rows, and the values of its default sweep grid.  ``FAMILIES``,
 that returns (N, 8) amplitudes for a pure family or (N, 8, 8) matrices
 for a mixed one.  The scalar constructors (``ghz_like(alpha)``,
 ``sigma_b(b)``, ...), ``make_state`` and ``oracle`` are the record on
-a stack of one; ``oracle`` builds no state.  Only the parameters are
+a stack of one; ``oracle`` builds no state.  ``ghz(phase)`` is the one
+exception: the ``ghz`` record has arity 0, its phase pinned at 0 as the
+mixtures use it, so ``ghz`` checks its phase as a one-parameter row and
+builds through ``_ghz_rows`` directly.  Only the parameters are
 checked: the closed form of an in-domain row is a state by
 construction, so ``sweep`` measures it as built, and ``make_state``
 wraps a matrix unvalidated, as ``to_density`` does (amplitudes still
@@ -55,7 +58,6 @@ from .states import (
     QUBITS,
     DensityMatrix,
     PureState,
-    _complex_entries,
     _is_number,
     _normalized,
     _numbers,
@@ -102,22 +104,6 @@ def _w_prime_rows(n: int) -> np.ndarray:
 
 def _w_canonical_rows(rows: np.ndarray) -> np.ndarray:
     return _amplitudes(len(rows), {0: rows[:, 0], 5: rows[:, 1], 6: rows[:, 2]})
-
-
-def _gsd_amplitudes(alpha, beta, delta, epsilon, omega) -> np.ndarray:
-    """The 8 amplitudes of five canonical coefficients: the one check of canonical coefficients.
-
-    Raises StateTypeError unless every coefficient is a number (see
-    ``_numbers``), NonFiniteError for a NaN or infinite one, and
-    ParamOutOfDomainError unless the amplitudes have unit norm.  The norm
-    is judged by ``_normalized`` on the 8 amplitudes, PureState's own
-    rule on the same numbers, so amplitudes this check passes pass
-    PureState too.
-    """
-    amps = _complex_entries((alpha, 0j, 0j, 0j, beta, epsilon, delta, omega), "canonical amplitudes", (8,))
-    if not _normalized(amps):
-        raise ParamOutOfDomainError("canonical coefficients must be normalized")
-    return amps
 
 
 def _projector(amps: np.ndarray) -> np.ndarray:
@@ -366,18 +352,6 @@ def w_canonical(alpha: complex, epsilon: complex, delta: complex) -> PureState:
 def w_state() -> PureState:
     """The canonical-form W point alpha = epsilon = delta = 1/sqrt(3)."""
     return make_state("w")
-
-
-def from_gsd_coefficients(alpha, beta, delta, epsilon, omega) -> PureState:
-    """Pure state with the five canonical amplitudes and zeros elsewhere.
-
-    The coefficients are checked by ``_gsd_amplitudes``, as
-    ``classify_gsd_pattern`` checks them: StateTypeError unless each is a
-    number, NonFiniteError for a NaN or infinite one, and
-    ParamOutOfDomainError unless the 8 amplitudes they make have unit
-    norm by PureState's rule, |norm - 1| <= NORM_ATOL.
-    """
-    return PureState(_gsd_amplitudes(alpha, beta, delta, epsilon, omega))
 
 
 def rho_epsilon(eps: float) -> DensityMatrix:

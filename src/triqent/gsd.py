@@ -33,9 +33,12 @@ on the two 2x2 slices T0, T1 of the amplitude tensor (T_i[j, k] is the
 5. divide the rotated amplitudes by their norm, |psi| to rounding, so
    the five coefficients have unit norm to a few ulps (the canonical
    zeros, below 1e-10, take at most 3e-20 of it) and pass the one
-   check of canonical coefficients (``families._gsd_amplitudes``),
+   check of canonical coefficients, ``_gsd_amplitudes`` in this module,
    even for a state PureState accepted at the edge of NORM_ATOL.  The
-   unitaries map psi / |psi| to the form.
+   unitaries map psi / |psi| to the form.  This module alone knows the
+   form's layout, the basis index of each coefficient
+   (``_CANONICAL_INDEX``), and its check, which every reader of a
+   form's coefficients goes through.
 
 Raw mode skips step 4, which keeps relative phases (and hence
 orthogonality) within a canonical class instead of collapsing them.
@@ -67,8 +70,7 @@ from .errors import (
     ParamOutOfDomainError,
     StateTypeError,
 )
-from .families import _gsd_amplitudes, from_gsd_coefficients
-from .states import PureState, _require_pure
+from .states import PureState, _complex_entries, _normalized, _require_pure
 
 #: polynomial coefficients below this are treated as identically zero
 _COEFF_TOL = 1e-13
@@ -78,11 +80,48 @@ _DOUBLE_ROOT_RTOL = 1e-6
 _ZERO_RESIDUAL_TOL = 1e-10
 #: a coefficient below this fixes no phase knob
 _PHASE_TOL = 1e-12
+#: the basis index of alpha, beta, delta, epsilon and omega: |000>, |100>, |110>, |101>, |111>
+_CANONICAL_INDEX = (0, 4, 6, 5, 7)
+
+
+def _gsd_amplitudes(alpha, beta, delta, epsilon, omega) -> np.ndarray:
+    """The 8 amplitudes of five canonical coefficients: the one check of canonical coefficients.
+
+    Each coefficient goes to its basis index in ``_CANONICAL_INDEX``, and
+    every other amplitude is 0.  Raises StateTypeError unless every
+    coefficient is a number (see ``_numbers``), NonFiniteError for a NaN
+    or infinite one, and ParamOutOfDomainError unless the amplitudes have
+    unit norm.  The norm is judged by ``_normalized`` on the 8
+    amplitudes, PureState's own rule on the same numbers, so amplitudes
+    this check passes pass PureState too.
+    """
+    by_index = dict(zip(_CANONICAL_INDEX, (alpha, beta, delta, epsilon, omega)))
+    amps = _complex_entries(tuple(by_index.get(n, 0j) for n in range(8)), "canonical amplitudes", (8,))
+    if not _normalized(amps):
+        raise ParamOutOfDomainError("canonical coefficients must be normalized")
+    return amps
+
+
+def from_gsd_coefficients(alpha, beta, delta, epsilon, omega) -> PureState:
+    """Pure state with the five canonical amplitudes and zeros elsewhere.
+
+    The coefficients are checked by ``_gsd_amplitudes``, as every reader
+    of a ``GsdForm``'s coefficients checks them: StateTypeError unless
+    each is a number, NonFiniteError for a NaN or infinite one, and
+    ParamOutOfDomainError unless the 8 amplitudes they make have unit
+    norm by PureState's rule, |norm - 1| <= NORM_ATOL.
+    """
+    return PureState(_gsd_amplitudes(alpha, beta, delta, epsilon, omega))
 
 
 @dataclass(frozen=True, eq=False)
 class GsdForm:
-    """Canonical coefficients plus the local unitaries that produce them."""
+    """Canonical coefficients plus the local unitaries that produce them.
+
+    The fields are not checked when a form is made, but when its
+    coefficients are read (``coefficients``, ``to_state``,
+    ``classify_gsd_pattern``), by ``_gsd_amplitudes``.
+    """
 
     alpha: complex
     beta: complex
@@ -96,10 +135,22 @@ class GsdForm:
 
     @property
     def coefficients(self) -> np.ndarray:
-        """The five coefficients in (alpha, beta, delta, epsilon, omega) order."""
-        return np.array([self.alpha, self.beta, self.delta, self.epsilon, self.omega])
+        """The five coefficients in (alpha, beta, delta, epsilon, omega) order, as a new complex array.
+
+        They are read through the one check of canonical coefficients
+        (``_gsd_amplitudes``): StateTypeError when a field is not a
+        number, NonFiniteError when one is NaN or infinite, and
+        ParamOutOfDomainError when the 8 amplitudes they make are off
+        unit norm by PureState's rule.
+        """
+        return _gsd_amplitudes(self.alpha, self.beta, self.delta, self.epsilon, self.omega)[list(_CANONICAL_INDEX)]
 
     def to_state(self) -> PureState:
+        """The canonical state, ``from_gsd_coefficients`` of the five fields.
+
+        It raises what ``coefficients`` raises for a malformed form:
+        StateTypeError, NonFiniteError or ParamOutOfDomainError.
+        """
         return from_gsd_coefficients(self.alpha, self.beta, self.delta, self.epsilon, self.omega)
 
 
@@ -287,7 +338,7 @@ def gsd(psi: PureState, mode: str = "raw") -> GsdForm:
         raise NumericalDegeneracyError(f"canonical zeros failed: |t001|, |t010|, |t011| = {residuals}")
 
     norm = math.hypot(*map(abs, tc))
-    return GsdForm(*(tc[n] / norm for n in (0, 4, 6, 5, 7)), mode, *(np.array(u, dtype=complex) for u in unitaries))
+    return GsdForm(*(tc[n] / norm for n in _CANONICAL_INDEX), mode, *(np.array(u, dtype=complex) for u in unitaries))
 
 
 #: the catalogue name of each subtype, by its code and entangled pairs
@@ -314,13 +365,14 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> G
     the pattern is the catalogue's name for the label.  The star S''
     (pairs AC and AB) holds wherever beta omega = delta epsilon.
 
-    The coefficients are checked by ``families._gsd_amplitudes``, as
-    ``GsdForm.to_state`` and ``from_gsd_coefficients`` check them, so a
-    malformed form raises one error type from all three: StateTypeError
-    when a coefficient is not a number, NonFiniteError when one is NaN or
-    infinite, and ParamOutOfDomainError when the 8 amplitudes they make
-    are off unit norm by PureState's rule (the margins are absolute, so a
-    scaled form would read another pattern).  Every form ``gsd`` returns
+    The coefficients are checked by ``_gsd_amplitudes``, as
+    ``GsdForm.coefficients``, ``GsdForm.to_state`` and
+    ``from_gsd_coefficients`` check them, so a malformed form raises one
+    error type from all four: StateTypeError when a coefficient is not a
+    number, NonFiniteError when one is NaN or infinite, and
+    ParamOutOfDomainError when the 8 amplitudes they make are off unit
+    norm by PureState's rule (the margins are absolute, so a scaled form
+    would read another pattern).  Every form ``gsd`` returns
     passes.  AmbiguousNearThresholdError is raised when a margin falls
     within a factor of 10 of zero_tol, where ``classify_pure`` sets
     ``ambiguous``, since the caller must then decide which side of the
@@ -329,7 +381,8 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> G
     if not isinstance(form, GsdForm):
         raise StateTypeError(f"classify_gsd_pattern needs a GsdForm, got {type(form).__name__}")
     check_zero_tol(zero_tol)
-    a, _, _, _, b, e, d, w = _gsd_amplitudes(form.alpha, form.beta, form.delta, form.epsilon, form.omega).tolist()
+    amps = _gsd_amplitudes(form.alpha, form.beta, form.delta, form.epsilon, form.omega).tolist()
+    a, b, d, e, w = (amps[n] for n in _CANONICAL_INDEX)
     bc, ac, ab = 2.0 * abs(b * w - d * e), 2.0 * abs(a * e), 2.0 * abs(a * d)
     tangle = 4.0 * abs(a * w) * abs(a * w)
     n = [math.sqrt(tangle + x * x + y * y) for x, y in ((ab, ac), (ab, bc), (ac, bc))]  # the pairs holding q

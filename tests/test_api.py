@@ -199,7 +199,7 @@ EXEMPT = {
     "w_state": "takes no arguments",
     # plain records: results of the calls above, or their input (FamilySpec
     # and GsdForm), whose fields sweep and the coefficient check of
-    # classify_gsd_pattern and to_state read (see RECORD_FIELDS)
+    # classify_gsd_pattern, to_state and coefficients read (see RECORD_FIELDS)
     "Certificate": "result record",
     "GsdPattern": "result record",
     "MeasureSet": "result record",
@@ -208,7 +208,8 @@ EXEMPT = {
     "SubtypeLabel": "result record",
     "SweepRow": "result record",
     "FamilySpec": "input record, checked by sweep",
-    "GsdForm": "input record, whose coefficients classify_gsd_pattern and to_state check as from_gsd_coefficients does",
+    "GsdForm": "input record, whose coefficients classify_gsd_pattern, to_state and coefficients check "
+               "as from_gsd_coefficients does",
 }
 
 
@@ -306,10 +307,11 @@ def gsd_form(**fields):
 
 
 #: the calls that check a form's coefficients, by the suffix of their case names:
-#: one rule, so each malformed form raises one error type from all three
+#: one rule, so each malformed form raises one error type from all four
 FORM_CALLS = {
     "": classify_gsd_pattern,
     "-to_state": GsdForm.to_state,
+    "-coefficients": lambda form: form.coefficients,
     "-from_gsd_coefficients": lambda form: from_gsd_coefficients(
         form.alpha, form.beta, form.delta, form.epsilon, form.omega),
 }

@@ -653,6 +653,21 @@ def test_pattern_rejects_non_finite_coefficients(name, value):
         classify_gsd_pattern(form)
 
 
+@pytest.mark.parametrize("mode", ["raw", "normal"])
+def test_form_readers_agree(mode):
+    # coefficients, the five fields and the canonical state's amplitudes at
+    # the canonical indices are the same numbers, bit for bit, and the
+    # state's other amplitudes are exactly 0
+    for corpus, stack in pure_corpora().items():
+        for i, amps in enumerate(stack):
+            form = gsd(PureState(amps), mode=mode)
+            fields = np.array([form.alpha, form.beta, form.delta, form.epsilon, form.omega], dtype=complex)
+            state = form.to_state().amplitudes
+            assert form.coefficients.tobytes() == fields.tobytes(), (corpus, i)
+            assert state[list(CANONICAL_INDICES)].tobytes() == fields.tobytes(), (corpus, i)
+            assert (state[list(ZERO_INDICES)] == 0).all(), (corpus, i)
+
+
 #: Haar draws and coefficient vectors of the norm-edge probe: about two
 #: thirds of the draws are states PureState accepts
 NORM_EDGE_DRAWS = 2000

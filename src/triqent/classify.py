@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ParamOutOfDomainError
-from .measures import NEG_EIG_FLOOR, MeasureSet, _mixed_measure_table, _pure_measure_table
+from .measures import _MEASURE_NAMES, NEG_EIG_FLOOR, MeasureSet, _mixed_measure_table, _pure_measure_table
 from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _is_number, _require_density, _require_pure
 
 DEFAULT_ZERO_TOL = 1e-8
@@ -114,6 +114,9 @@ class MixedVerdict:
 _PAIRS = ("BC", "AC", "AB")
 #: the columns of ``_PureDecisions.margins``
 _MARGIN_NAMES = tuple(f"factorizable_{q}" for q in QUBITS) + tuple(f"pair_{p}" for p in _PAIRS)
+#: the measure-table column of each margin: n_q of A, B, C, then c_red_* of BC, AC, AB
+_MARGIN_COLUMNS = np.array([_MEASURE_NAMES.index(name) for name in
+                            ("n_a_bc", "n_b_ac", "n_c_ab", "c_red_bc", "c_red_ac", "c_red_ab")])
 
 
 @functools.cache
@@ -141,6 +144,8 @@ def _subtype(factorizable: tuple[bool, bool, bool], entangled: tuple[bool, bool,
 #: ``_subtype`` read as bits, qubit A's the most significant
 _LABELS = tuple(_subtype(flags[:3], flags[3:]) for flags in itertools.product((False, True), repeat=6))
 _CODES = np.array([label.code for label in _LABELS])
+#: the weight of each of the six flags in its label's index
+_FLAG_BITS = 1 << np.arange(5, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -163,14 +168,18 @@ class _PureDecisions:
 def _classify_table(table: np.ndarray, zero_tol: float) -> _PureDecisions:
     """The decision of ``classify_pure`` on an (N, 16) pure measure table, as masks over its columns.
 
-    It reads the columns n_q (0:3) and c_red_* (7:10) only, so a table
-    whose n_red_* columns were never filled (see
-    ``measures._pure_closed_form_table``) decides the same.  The rule is
-    ``classify_gsd_pattern``'s, with no repair case (see ``_subtype``).
+    It reads the six margin columns n_q and c_red_* only, in one gather
+    (``_MARGIN_COLUMNS``), so a table whose n_red_* columns were never
+    filled (see ``measures._pure_closed_form_table``) decides the same.
+    A qubit's flag is set when its n_q is below zero_tol, a pair's when
+    its c_red is above it, and ``labels`` reads the six flags as bits
+    (``_FLAG_BITS``).  The rule is ``classify_gsd_pattern``'s, with no
+    repair case (see ``_subtype``).
     """
-    margins = np.concatenate([table[:, 0:3], table[:, 7:10]], axis=1)
-    flags = np.concatenate([margins[:, :3] < zero_tol, margins[:, 3:] > zero_tol], axis=1)
-    labels = flags @ (1 << np.arange(5, -1, -1))
+    margins = table[:, _MARGIN_COLUMNS]
+    flags = margins > zero_tol
+    flags[:, :3] = margins[:, :3] < zero_tol
+    labels = flags @ _FLAG_BITS
     ambiguous = _near_threshold(margins, zero_tol).any(axis=1)
     return _PureDecisions(_CODES[labels], ambiguous, labels, margins)
 
@@ -221,13 +230,15 @@ _CLAIMS = (
 
 #: the measure-table column each claim's witness is read from (c_red_*, n_q,
 #: then n_abc twice); "not fully separable" overwrites its column with the largest n_q
-_WITNESS_COLUMNS = np.array([7, 8, 9, 0, 1, 2, 0, 3, 3])
+_WITNESS_COLUMNS = np.array([_MEASURE_NAMES.index(name) for name in
+                             ("c_red_bc", "c_red_ac", "c_red_ab", "n_a_bc", "n_b_ac", "n_c_ab",
+                              "n_a_bc", "n_abc", "n_abc")])
 
 
 def _certify_table(table: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The certificates of ``classify_mixed`` on an (N, 13) mixed measure table.
 
-    It reads the columns n_q (0:3), n_abc (3) and c_red_* (7:10).
+    It reads the columns n_q, n_abc and c_red_* only (``_WITNESS_COLUMNS``).
     Returns (held, witness, ambiguous): held and witness are (N,
     len(_CLAIMS)), and row i certifies claim j with witness[i, j] exactly
     when held[i, j]; ambiguous (N,) marks the rows with an n_q or c_red,

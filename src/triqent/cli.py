@@ -16,12 +16,19 @@ import json
 import numbers
 import os
 import sys
-from collections import Counter
 from contextlib import nullcontext
 
 import numpy as np
 
-from .classify import AMBIGUITY_BAND, DEFAULT_ZERO_TOL, _classify_table, check_zero_tol, classify_mixed, classify_pure
+from .classify import (
+    AMBIGUITY_BAND,
+    DEFAULT_ZERO_TOL,
+    _LABELS,
+    _classify_table,
+    check_zero_tol,
+    classify_mixed,
+    classify_pure,
+)
 from .errors import (
     AmbiguousNearThresholdError,
     NonFiniteError,
@@ -49,8 +56,13 @@ CSV_HEADER = (["family", "param", *MEASURE_FIELDS, "verdict"]
 #: one line of the ``random`` report: index, code, then the measure-table
 #: columns of _REPORT_FIELDS, each formatted as ``_fmt`` formats it
 _REPORT_FIELDS = ("n_abc", "q_mult", "eta_mult", "three_tangle")
-_REPORT_LINE = "%d\t%s\t" + "\t".join(f"{name}=%.12g" for name in _REPORT_FIELDS) + "\n"
+_REPORT_VALUES = "\t".join(f"{name}=%.12g" for name in _REPORT_FIELDS) + "\n"
+_REPORT_LINE = "%d\t%s\t" + _REPORT_VALUES
 _REPORT_COLUMNS = [_MEASURE_NAMES.index(name) for name in _REPORT_FIELDS]
+#: the code a ``random`` report line shows for each row key, the row's
+#: label plus len(_LABELS) when it is ambiguous: the codes of _LABELS,
+#: then the same codes marked "?"
+_KEY_CODES = tuple(label.code for label in _LABELS) + tuple(label.code + "?" for label in _LABELS)
 #: the measure-table column of each MEASURE_FIELDS entry, in CSV order
 _SWEEP_COLUMNS = [_MEASURE_NAMES.index(name) for name in MEASURE_FIELDS]
 
@@ -261,10 +273,10 @@ def _cmd_random(args) -> int:
     check_zero_tol(args.tol)
     _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
-    histogram: Counter = Counter()
+    key_counts = np.zeros(len(_KEY_CODES), dtype=np.int64)
     # each chunk's lines are written as they are made, so memory stays
     # bounded for any --count
-    out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else nullcontext(sys.stdout)
+    out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out is not None else nullcontext(sys.stdout)
     with out as fh:
         for start in range(0, args.count, STACK_CHUNK):
             stop = min(args.count, start + STACK_CHUNK)
@@ -274,10 +286,17 @@ def _cmd_random(args) -> int:
             # columns only, so no eigensolve is made
             table = _pure_closed_form_table(_haar_draws(rng, stop - start))
             decisions = _classify_table(table, args.tol)
-            codes = [c + "?" if a else c for c, a in zip(decisions.codes.tolist(), decisions.ambiguous.tolist())]
-            histogram.update(codes)
-            values = table[:, _REPORT_COLUMNS].tolist()
-            fh.write("".join([_REPORT_LINE % (i, c, *v) for i, c, v in zip(range(start, stop), codes, values)]))
+            keys = decisions.labels + len(_LABELS) * decisions.ambiguous
+            key_counts += np.bincount(keys, minlength=len(_KEY_CODES))
+            # one template for the chunk, each row's index and code written
+            # into it, so one % call formats all of the chunk's numbers
+            template = "".join([f"{i}\t{_KEY_CODES[k]}\t{_REPORT_VALUES}"
+                                for i, k in zip(range(start, stop), keys.tolist())])
+            fh.write(template % tuple(table[:, _REPORT_COLUMNS].ravel().tolist()))
+        histogram: dict[str, int] = {}
+        for code, n in zip(_KEY_CODES, key_counts.tolist()):
+            if n:
+                histogram[code] = histogram.get(code, 0) + n
         fh.write("subtype histogram:\n")
         fh.write("".join(f"  {code}\t{histogram[code]}\n" for code in sorted(histogram)))
     return 0

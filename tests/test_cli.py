@@ -45,7 +45,7 @@ from triqent.cli import (
     main,
     save_state_file,
 )
-from helpers import accepted_pure_states, default_rng_haar_stack, near_unit_norm_corpus, nested
+from helpers import accepted_pure_states, default_rng_haar_stack, near_unit_norm_corpus, nested, pure_corpora
 
 
 @pytest.fixture
@@ -593,6 +593,20 @@ def _per_state_report(amplitudes, tol: float) -> list[str]:
     return lines
 
 
+def replayed_draws(rows):
+    """A stand-in for ``_haar_draws`` that hands out the successive rows of ``rows``."""
+    taken = 0
+
+    def draws(rng, count):
+        nonlocal taken
+        block = rows[taken:taken + count]
+        assert len(block) == count, "drew past the end of the fixed sample"
+        taken += count
+        return block
+
+    return draws
+
+
 class TestRandomCommand:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -625,6 +639,26 @@ class TestRandomCommand:
             argv = ["random", "--count", str(count), "--seed", str(seed), "--tol", repr(tol), "--out", str(out)]
             assert main(argv) == 0
             assert out.read_text().splitlines() == _per_state_report(default_rng_haar_stack(seed, count), tol), seed
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    def test_report_over_every_code(self, tol, tmp_path, monkeypatch):
+        # a fixed sample of 2703 rows, three chunks, that holds every code,
+        # plain and marked "?", at both tolerances
+        corpora = pure_corpora()
+        rows = np.concatenate([corpora["named"], corpora["hidden"],
+                               *(corpora[name][:600] for name in ("haar", "near", "sparse"))])
+        monkeypatch.setattr(triqent.cli, "_haar_draws", replayed_draws(rows))
+        out = tmp_path / "r.txt"
+        assert main(["random", "--count", str(len(rows)), "--tol", repr(tol), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines == _per_state_report(rows, tol)
+        assert {line.split("\t")[1] for line in lines[:len(rows)]} == {c + m for c in _DESCRIPTION for m in ("", "?")}
+
+    @pytest.mark.parametrize("command", [["random", "--count", "2"], ["sweep", "--family", "ghz_like", "--points", "3"]])
+    def test_empty_out_path_fails_to_open(self, command, capsys):
+        # an empty --out is a path that cannot be opened, not a request for stdout
+        assert main([*command, "--out", ""]) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**160])
     def test_line_zero_is_sample_haar_pure(self, seed, capsys):

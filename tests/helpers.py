@@ -289,14 +289,18 @@ def reference_oracle(family, params):
 
 
 def spy_on_lapack(monkeypatch):
-    """Record (name, shape of the first argument) of each np.linalg eigh, eigvalsh and svd call."""
+    """Record (name, shape, dtype kind) of the first argument of each np.linalg eigh, eigvalsh and svd call.
+
+    The kind is 'f' for a real matrix and 'c' for a complex one, so it
+    names the LAPACK routine that runs (dsyevd or zheevd, and so on).
+    """
     calls = []
 
     def spy(name):
         real = getattr(np.linalg, name)
 
         def call(a, *args, **kwargs):
-            calls.append((name, np.shape(a)))
+            calls.append((name, np.shape(a), np.asarray(a).dtype.kind))
             return real(a, *args, **kwargs)
         return call
 

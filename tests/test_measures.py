@@ -43,6 +43,7 @@ from triqent import (
     w_prime,
     w_state,
 )
+from triqent.classify import _certify_table
 from triqent.cli import main, save_state_file
 from triqent.families import _FAMILIES
 from triqent.measures import (
@@ -61,7 +62,7 @@ from triqent.measures import (
     _pure_measure_table,
     _spectrum_2x2,
 )
-from triqent.states import COMPLEMENT, QUBITS, _partial_trace, _partial_transpose
+from triqent.states import COMPLEMENT, QUBITS, _partial_trace, _partial_transpose, _validated_matrices
 from helpers import (
     near_separable_corpus,
     nonzero_coefficients,
@@ -480,9 +481,10 @@ class TestClosedFormReference:
 MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
 
 
-def mixed_table_calls(n):
-    """The LAPACK calls of ``_mixed_measure_table`` on a stack of n."""
-    return [("eigvalsh", (n, 3, 8, 8)), ("eigh", (n, 3, 4, 4)), ("eigvalsh", (n, 3, 4, 4)), ("svd", (n, 3, 4, 4))]
+def mixed_table_calls(n, kind):
+    """The LAPACK calls of ``_mixed_measure_table`` on a stack of n, all real ('f') or all complex ('c')."""
+    return [(name, (n, 3) + shape, kind) for name, shape in
+            (("eigvalsh", (8, 8)), ("eigh", (4, 4)), ("eigvalsh", (4, 4)), ("svd", (4, 4)))]
 
 
 @pytest.fixture(scope="module")
@@ -555,16 +557,17 @@ class TestMixedStack:
         # a stack of N states makes four LAPACK calls: the spectra of the
         # cut transposes, the pair eigen-factors, the spectra of the pair
         # transposes and the spin-flip SVD; the one-qubit spectra are
-        # closed forms, so no call has a trailing (2, 2)
+        # closed forms, so no call has a trailing (2, 2).  An HS state is
+        # complex; every sigma_b grid point is real, so its calls are too
         rho = mixed_corpus["hs"][0]
         spec = default_grid("sigma_b")
         calls = spy_on_lapack(monkeypatch)
         measure_set(rho)
         classify_mixed(rho)
-        assert calls == 2 * mixed_table_calls(1)
+        assert calls == 2 * mixed_table_calls(1, "c")
         calls.clear()
         sweep(spec)
-        assert calls == mixed_table_calls(len(spec.grid))
+        assert calls == mixed_table_calls(len(spec.grid), "f")
 
     def test_classify_of_a_mixed_file(self, mixed_corpus, monkeypatch, tmp_path, capsys):
         # the file's matrix is validated by one eigh call, then measured by the four
@@ -572,8 +575,25 @@ class TestMixedStack:
         save_state_file(path, mixed_corpus["hs"][0])
         calls = spy_on_lapack(monkeypatch)
         assert main(["classify", path, "--json"]) == 0
-        assert calls == [("eigh", (1, 8, 8))] + mixed_table_calls(1)
+        assert calls == [("eigh", (1, 8, 8), "c")] + mixed_table_calls(1, "c")
         assert json.loads(capsys.readouterr().out)["kind"] == "mixed"
+
+    def test_classify_of_a_real_mixed_file(self, monkeypatch, tmp_path, capsys):
+        # validation reads the file's complex matrix; the measures run on its real part
+        rho = make_state("ghz_noise", 0.5)
+        path = str(tmp_path / "ghz_noise.json")
+        save_state_file(path, rho)
+        calls = spy_on_lapack(monkeypatch)
+        assert main(["classify", path, "--json"]) == 0
+        assert calls == [("eigh", (1, 8, 8), "c")] + mixed_table_calls(1, "f")
+        monkeypatch.undo()
+        verdict = classify_mixed(rho)
+        assert json.loads(capsys.readouterr().out) == {
+            "kind": "mixed",
+            "certificates": [[c.claim, c.witness] for c in verdict.certificates],
+            "ambiguous": verdict.ambiguous,
+            "measures": verdict.measures.as_dict(),
+        }
 
 
 def same_bits(a, b):
@@ -622,8 +642,9 @@ class TestGatherTables:
             assert same_bits(singles[:, q], np.stack([one[:, 0, 0], one[:, 1, 1], one[:, 0, 1]], axis=-1)), q
 
 
-#: sy x sy, the spin flip of the reference stacking below
-SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+#: sy x sy, the spin flip of the reference stacking below; its entries are
+#: real, so the reference on a real stack runs in real arithmetic throughout
+SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real
 
 
 def reference_mixed_measure_table(matrices):
@@ -662,21 +683,89 @@ def reference_stacks():
 
 
 class TestReferenceStacking:
-    """``_mixed_measure_table`` equals the reshape-and-stack code it replaced, bit for bit."""
+    """``_mixed_measure_table`` equals the reshape-and-stack code it replaced, bit for bit.
+
+    The family grids are real, so the table measures their real parts;
+    the reference is run on the same real parts.
+    """
 
     @pytest.fixture(scope="class")
     def stacks(self):
         return reference_stacks()
 
+    @staticmethod
+    def measured(m, kind):
+        return m.real if kind in MIXED_FAMILIES else m
+
     @pytest.mark.parametrize("kind", ["hs", "rank3", *MIXED_FAMILIES])
     def test_stack(self, stacks, kind):
         m = stacks[kind]
-        assert same_bits(_mixed_measure_table(m), reference_mixed_measure_table(m))
+        assert same_bits(_mixed_measure_table(m), reference_mixed_measure_table(self.measured(m, kind)))
 
     @pytest.mark.parametrize("kind", ["hs", "rank3", *MIXED_FAMILIES])
     def test_stacks_of_one(self, stacks, kind):
         for m in stacks[kind][::20, np.newaxis]:
-            assert same_bits(_mixed_measure_table(m), reference_mixed_measure_table(m))
+            assert same_bits(_mixed_measure_table(m), reference_mixed_measure_table(self.measured(m, kind)))
+
+
+def real_draws(seed, n, rank):
+    """n validated density matrices G G^T / Tr with G a real Gaussian 8 x rank matrix, held as complex."""
+    g = np.random.default_rng(seed).standard_normal((n, 8, rank))
+    m = g @ g.swapaxes(-1, -2)
+    return _validated_matrices((m / np.trace(m, axis1=-2, axis2=-1)[:, np.newaxis, np.newaxis]).astype(complex))
+
+
+#: the real route's largest distance from the complex one on the stacks
+#: below is 1.2e-15 (an n_q of the ghz_w_mix grid and of the rank-3 draws)
+REAL_ROUTE_ATOL = 1e-14
+REAL_KINDS = (*MIXED_FAMILIES, "hs_real", "rank3_real")
+
+
+class TestRealRoute:
+    """A matrix with no imaginary part is measured in real arithmetic, close to the complex route.
+
+    The stacks are the 1001-point grids of the four mixed families, 300
+    real HS draws (seed 3401) and 300 real rank-3 draws (seed 3402), every
+    one with all imaginary parts zero.  The complex reference is
+    ``reference_mixed_measure_table`` on the complex matrices.
+    """
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        stacks = {family: _FAMILIES[family].closed_form(default_grid(family, 1001).grid) for family in MIXED_FAMILIES}
+        stacks["hs_real"] = real_draws(3401, 300, 8)
+        stacks["rank3_real"] = real_draws(3402, 300, 3)
+        return {kind: (m, _mixed_measure_table(m), reference_mixed_measure_table(m)) for kind, m in stacks.items()}
+
+    @pytest.mark.parametrize("kind", REAL_KINDS)
+    def test_within_bound_of_complex_route(self, tables, kind, monkeypatch):
+        m, table, complex_table = tables[kind]
+        assert m.dtype.kind == "c" and not m.imag.any()
+        calls = spy_on_lapack(monkeypatch)
+        assert same_bits(_mixed_measure_table(m), table)
+        assert calls == mixed_table_calls(len(m), "f")
+        assert np.abs(table - complex_table).max() <= REAL_ROUTE_ATOL
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-8, 1e-3, 0.1])
+    @pytest.mark.parametrize("kind", REAL_KINDS)
+    def test_same_certificates(self, tables, kind, tol):
+        _, table, complex_table = tables[kind]
+        held, _, ambiguous = _certify_table(table, tol)
+        complex_held, _, complex_ambiguous = _certify_table(complex_table, tol)
+        assert np.array_equal(held, complex_held)
+        assert np.array_equal(ambiguous, complex_ambiguous)
+
+    def test_real_and_complex_rows_in_one_stack(self, tables):
+        # the 101-point grid of each family, row by row between HS draws
+        grid = np.concatenate([tables[family][0][::10] for family in MIXED_FAMILIES])
+        hs = np.array([sample_hs_mixed(seed).matrix for seed in range(len(grid))])
+        m = np.stack([grid, hs], axis=1).reshape(-1, 8, 8)
+        table = _mixed_measure_table(m)
+        for i in range(len(m)):
+            assert same_bits(table[i:i + 1], _mixed_measure_table(m[i:i + 1])), i
+        # the grid rows' bits depend on the route, so a rule that measured
+        # the whole stack in complex arithmetic would fail the loop above
+        assert not same_bits(table[::2], reference_mixed_measure_table(grid))
 
 
 def apply_non_unitaries(state):

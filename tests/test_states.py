@@ -239,7 +239,7 @@ class TestStackedValidation:
         calls = spy_on_lapack(monkeypatch)
         _validated_matrices(stack.copy())
         DensityMatrix(stack[0])
-        assert calls == [("eigh", (40, 8, 8)), ("eigh", (1, 8, 8))]
+        assert calls == [("eigh", (40, 8, 8), "c"), ("eigh", (1, 8, 8), "c")]
 
     def test_rows_near_zero_make_one_eigenvector_call(self, monkeypatch):
         # the rank-deficient rows take their eigenvectors from the one eigh
@@ -251,7 +251,7 @@ class TestStackedValidation:
         assert 10 <= clamped.sum() < 7 * 16
         calls = spy_on_lapack(monkeypatch)
         validated = _validated_matrices(stack.copy())
-        assert calls == [("eigh", (len(stack), 8, 8))]
+        assert calls == [("eigh", (len(stack), 8, 8), "c")]
         assert _bits(validated[~clamped]) == _bits(sym[~clamped])
         assert all(_bits(row) != _bits(m) for row, m in zip(validated[clamped], sym[clamped]))
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ParamOutOfDomainError
-from .measures import _MEASURE_NAMES, NEG_EIG_FLOOR, MeasureSet, _mixed_measure_table, _pure_measure_table
+from .measures import (_MEASURE_NAMES, NEG_EIG_FLOOR, MeasureSet, _measure_sets, _mixed_measure_table,
+                       _pure_measure_table)
 from .states import COMPLEMENT, QUBITS, DensityMatrix, PureState, _is_number, _require_density, _require_pure
 
 DEFAULT_ZERO_TOL = 1e-8
@@ -217,7 +218,7 @@ def classify_pure(psi: PureState, zero_tol: float = DEFAULT_ZERO_TOL) -> PureCla
     if q is not None:
         for single in COMPLEMENT[q]:
             margins[f"single_purity_{single}"] = margins[f"factorizable_{single}"]
-    return PureClassification(label, MeasureSet(*table[0].tolist()), margins, bool(d.ambiguous[0]))
+    return PureClassification(label, _measure_sets(table)[0], margins, bool(d.ambiguous[0]))
 
 
 #: the claims of ``classify_mixed``, in the order its certificates list them
@@ -281,4 +282,4 @@ def classify_mixed(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Mi
     table = _mixed_measure_table(rho.matrix[np.newaxis])
     held, witness, ambiguous = _certify_table(table, zero_tol)
     certs = tuple(Certificate(c, w) for c, h, w in zip(_CLAIMS, held[0].tolist(), witness[0].tolist()) if h)
-    return MixedVerdict(certs, MeasureSet(*table[0].tolist()), bool(ambiguous[0]))
+    return MixedVerdict(certs, _measure_sets(table)[0], bool(ambiguous[0]))

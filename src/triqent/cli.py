@@ -142,11 +142,11 @@ def save_state_file(path: str, state: PureState | DensityMatrix) -> None:
         fh.write("\n")
 
 
-def _print_measures(ms: MeasureSet, out) -> None:
+def _print_measures(ms: MeasureSet) -> None:
     for name in MEASURE_FIELDS:
         value = getattr(ms, name)
         if value is not None:
-            print(f"  {name:13s} {_fmt(value)}", file=out)
+            print(f"  {name:13s} {_fmt(value)}")
 
 
 def _cmd_classify(args) -> int:
@@ -174,7 +174,7 @@ def _cmd_classify(args) -> int:
             if res.ambiguous:
                 print(_AMBIGUOUS_WARNING)
             print("measures:")
-            _print_measures(res.measures, sys.stdout)
+            _print_measures(res.measures)
             print("margins:")
             for k, v in res.margins.items():
                 print(f"  {k:16s} {_fmt(v)}")
@@ -195,7 +195,7 @@ def _cmd_classify(args) -> int:
         if verdict.ambiguous:
             print(_AMBIGUOUS_WARNING)
         print("measures:")
-        _print_measures(verdict.measures, sys.stdout)
+        _print_measures(verdict.measures)
     return 3 if verdict.ambiguous else 0
 
 
@@ -205,7 +205,7 @@ def _cmd_measure(args) -> int:
     if args.json:
         print(json.dumps(ms.as_dict()))
     else:
-        _print_measures(ms, sys.stdout)
+        _print_measures(ms)
     return 0
 
 

@@ -12,8 +12,8 @@ for a mixed one.  The scalar constructors (``ghz_like(alpha)``,
 ``sigma_b(b)``, ...), ``make_state`` and ``oracle`` are the record on
 a stack of one; ``oracle`` builds no state.  ``ghz(phase)`` is the one
 exception: the ``ghz`` record has arity 0, its phase pinned at 0 as the
-mixtures use it, so ``ghz`` checks its phase as a one-parameter row and
-builds through ``_ghz_rows`` directly.  Only the parameters are
+mixtures use it, so ``ghz`` checks its phase as a finite one-parameter
+row and builds through ``_ghz_rows`` directly.  Only the parameters are
 checked: the closed form of an in-domain row is a state by
 construction, so ``sweep`` measures it as built, and ``make_state``
 wraps a matrix unvalidated, as ``to_density`` does (amplitudes still
@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import _CLAIMS, DEFAULT_ZERO_TOL, _certify_table, _classify_table
-from .errors import NoOracleError, ParamOutOfDomainError, TriqentError
+from .errors import NonFiniteError, NoOracleError, ParamOutOfDomainError, TriqentError
 from .measures import (
     _MEASURE_NAMES,
     STACK_CHUNK,
@@ -73,15 +73,6 @@ def _amplitudes(n: int, indexed: dict) -> np.ndarray:
     for idx, val in indexed.items():
         amps[:, idx] = val
     return amps
-
-
-def _check_domain(inside: np.ndarray, rows: np.ndarray, template: str) -> None:
-    """ParamOutOfDomainError for the first row not ``inside``, its values filling ``template``.
-
-    ``inside`` is built from comparisons, which are False on NaN, so a
-    NaN parameter is outside every domain.
-    """
-    _raise_first(~inside, ParamOutOfDomainError, lambda i: template.format(*rows[i]))
 
 
 def _ghz_rows(phase: np.ndarray) -> np.ndarray:
@@ -313,12 +304,14 @@ def _family_rows(points, family: str, record: _Family) -> np.ndarray:
     """``_parameter_rows`` of ``family``, checked against its domain, once for all rows.
 
     ParamOutOfDomainError names the first row outside the domain, by
-    the record's message template, and records its index.
+    the record's message template, and records its index.  A domain is
+    built from comparisons, which are False on NaN, so a NaN parameter
+    is outside every domain.
     """
     rows = _parameter_rows(points, family, record.arity, record.kind)
     if record.domain is not None:
         inside, template = record.domain
-        _check_domain(inside(rows), rows, template)
+        _raise_first(~inside(rows), ParamOutOfDomainError, lambda i: template.format(*rows[i]))
     return rows
 
 
@@ -331,7 +324,9 @@ def make_state(family: str, *params) -> PureState | DensityMatrix:
 
 def ghz(phase: float = 0.0) -> PureState:
     """(|000> + e^{i phase} |111>) / sqrt(2); mixtures below pin phase = 0."""
-    return PureState(_ghz_rows(_parameter_rows([(phase,)], "ghz", 1, numbers.Real)[:, 0])[0])
+    rows = _parameter_rows([(phase,)], "ghz", 1, numbers.Real)
+    _raise_first(~np.isfinite(rows[:, 0]), NonFiniteError, lambda i: f"ghz needs a finite phase, got {rows[i, 0]}")
+    return PureState(_ghz_rows(rows[:, 0])[0])
 
 
 def ghz_like(alpha: float) -> PureState:
@@ -421,9 +416,7 @@ def default_grid(family: str, points: int = 101) -> FamilySpec:
     # from about sys.maxsize // 8 points numpy cannot size the grid (a raw error)
     if not _is_number(points, numbers.Integral) or not 1 <= points <= sys.maxsize // 16:
         raise ParamOutOfDomainError(f"points must be an integer from 1 to sys.maxsize // 16, got {points!r:.40}")
-    if not isinstance(family, str):
-        raise ParamOutOfDomainError(f"family must be a name, got {family!r}")
-    values = getattr(_FAMILIES.get(family), "grid", None)
+    values = _family(family).grid
     if values is None:
         raise ParamOutOfDomainError(f"family {family!r} has no default sweep grid")
     grid = values(points).reshape(points, 1)

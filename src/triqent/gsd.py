@@ -365,9 +365,9 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> G
     the pattern is the catalogue's name for the label.  The star S''
     (pairs AC and AB) holds wherever beta omega = delta epsilon.
 
-    The coefficients are checked by ``_gsd_amplitudes``, as
-    ``GsdForm.coefficients``, ``GsdForm.to_state`` and
-    ``from_gsd_coefficients`` check them, so a malformed form raises one
+    The coefficients are read through ``GsdForm.coefficients``, so they
+    pass the one check that ``GsdForm.to_state`` and
+    ``from_gsd_coefficients`` run too, and a malformed form raises one
     error type from all four: StateTypeError when a coefficient is not a
     number, NonFiniteError when one is NaN or infinite, and
     ParamOutOfDomainError when the 8 amplitudes they make are off unit
@@ -381,8 +381,7 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> G
     if not isinstance(form, GsdForm):
         raise StateTypeError(f"classify_gsd_pattern needs a GsdForm, got {type(form).__name__}")
     check_zero_tol(zero_tol)
-    amps = _gsd_amplitudes(form.alpha, form.beta, form.delta, form.epsilon, form.omega).tolist()
-    a, b, d, e, w = (amps[n] for n in _CANONICAL_INDEX)
+    a, b, d, e, w = form.coefficients.tolist()
     bc, ac, ab = 2.0 * abs(b * w - d * e), 2.0 * abs(a * e), 2.0 * abs(a * d)
     tangle = 4.0 * abs(a * w) * abs(a * w)
     n = [math.sqrt(tangle + x * x + y * y) for x, y in ((ab, ac), (ab, bc), (ac, bc))]  # the pairs holding q

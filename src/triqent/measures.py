@@ -41,8 +41,9 @@ one-qubit spectra from their trace and determinant (``_spectrum_2x2``).
 A density matrix whose imaginary parts are all zero, as every grid
 point of a mixed family is, is measured on its real part: its four
 LAPACK calls then take the real routines, which do about half the
-arithmetic of the complex ones.  The rule is per row, so a stack stays
-equal to its stacks of one, bit for bit.
+arithmetic of the complex ones.  The rule is per row: every stack,
+uniform or not, is split into its real and its complex rows, each
+measured as one stack, so a stack stays equal to its stacks of one.
 
 A mixed stack is read through index tables made once, at import, from
 matrices of indices: the three cut transposes (``_CUT_PT``) and a
@@ -350,19 +351,16 @@ def _mixed_measure_table(matrices: np.ndarray) -> np.ndarray:
     eigen-factors, the pair transposes and the spin-flip SVD.  A matrix
     whose imaginary parts are all zero is measured in real arithmetic, on
     its real part, so those calls take the real LAPACK routines.  The rule
-    is per row: a stack that holds real and complex rows measures each
-    kind as its own stack and scatters both into one table, so every row
-    is what its stack of one gives, bit for bit.
+    is per row: every stack is split into its real and its complex rows,
+    each measured as its own stack and scattered into one table, so every
+    row is what its stack of one gives, bit for bit.  A kind with no rows
+    makes no LAPACK call.
     """
     complex_rows = matrices.imag.any(axis=(-2, -1))
-    count = np.count_nonzero(complex_rows)
-    if count == 0:
-        return _uniform_mixed_table(matrices.real)
-    if count == len(matrices):
-        return _uniform_mixed_table(matrices)
     table = np.empty((len(matrices), 13))
-    table[~complex_rows] = _uniform_mixed_table(matrices[~complex_rows].real)
-    table[complex_rows] = _uniform_mixed_table(matrices[complex_rows])
+    for rows, stack in ((~complex_rows, matrices.real), (complex_rows, matrices)):
+        if rows.any():
+            table[rows] = _uniform_mixed_table(stack[rows])
     return table
 
 

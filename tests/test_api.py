@@ -35,13 +35,15 @@ from triqent import (
 )
 
 NAN = math.nan
+INF = math.inf
 
 # each function below gives the malformed values of one kind of argument:
 # a wrong type, NaN, a string, None and a wrong shape, and for a number,
-# vector or matrix also booleans, which Python counts as ints and numpy
-# casts to 0 or 1, and an int beyond the float range (not for integer():
-# a seed may be arbitrarily large), and where numpy's longdouble is wider
-# than a float (as on x86_64), a longdouble beyond the float range
+# vector or matrix also an infinite value, booleans, which Python counts
+# as ints and numpy casts to 0 or 1, and an int beyond the float range
+# (not for integer(): a seed may be arbitrarily large), and where numpy's
+# longdouble is wider than a float (as on x86_64), a longdouble beyond
+# the float range
 
 HUGE = 10**400
 HUGE_LONGDOUBLE = np.finfo(np.longdouble).max
@@ -68,7 +70,8 @@ def three_qubit_state():
 
 def real():
     return {"wrong_type": 0.5j, "nan": NAN, "string": "x", "none": None, "wrong_shape": np.full(2, 0.5),
-            "boolean": True, "zero_d_boolean": np.array(True), "huge_integer": HUGE} | wide(HUGE_LONGDOUBLE)
+            "infinite": INF, "minus_infinite": -INF, "boolean": True, "zero_d_boolean": np.array(True),
+            "huge_integer": HUGE} | wide(HUGE_LONGDOUBLE)
 
 
 def tolerance():
@@ -79,8 +82,9 @@ def tolerance():
 def complex_number():
     # a state's coefficient: a huge finite one must fail the norm check, not overflow it
     return {"wrong_type": [0.5], "nan": complex(NAN, 0.0), "string": "x", "none": None,
-            "wrong_shape": np.full(2, 0.5), "boolean": True, "zero_d_boolean": np.array(True), "huge_integer": HUGE,
-            "huge_finite": 1e200, **wide(np.clongdouble(HUGE_LONGDOUBLE))}
+            "wrong_shape": np.full(2, 0.5), "infinite": complex(INF, 0.0), "boolean": True,
+            "zero_d_boolean": np.array(True), "huge_integer": HUGE, "huge_finite": 1e200,
+            **wide(np.clongdouble(HUGE_LONGDOUBLE))}
 
 
 def name():
@@ -105,9 +109,11 @@ def matrix(shape):
     valid = np.eye(2) if shape == (2, 2) else np.diag(np.arange(shape[0]) == 0).astype(float)
     mixed_boolean, huge, huge_longdouble = valid.tolist(), valid.tolist(), valid.astype(np.longdouble)
     mixed_boolean[0][0], huge[0][0], huge_longdouble[0, 0] = True, HUGE, HUGE_LONGDOUBLE
+    infinite = valid.copy()
+    infinite[0, 0] = INF
     return {"wrong_type": object(), "nan": np.full(shape, NAN), "string": "x", "none": None,
-            "wrong_shape": np.eye(shape[0] + 1), "boolean": valid.astype(bool), "mixed_boolean": mixed_boolean,
-            "huge_integer": huge, **wide(huge_longdouble)}
+            "wrong_shape": np.eye(shape[0] + 1), "infinite": infinite, "boolean": valid.astype(bool),
+            "mixed_boolean": mixed_boolean, "huge_integer": huge, **wide(huge_longdouble)}
 
 
 def state_matrix(shape):
@@ -140,7 +146,8 @@ def form():
 def vector(n):
     # numpy casts the list with one True among floats to a float array
     return {"wrong_type": object(), "nan": np.full(n, NAN), "string": "x", "none": None,
-            "wrong_shape": np.full(n + 1, 1 / np.sqrt(n + 1)), "boolean": [True] + [False] * (n - 1),
+            "wrong_shape": np.full(n + 1, 1 / np.sqrt(n + 1)), "infinite": [INF] + [0.0] * (n - 1),
+            "boolean": [True] + [False] * (n - 1),
             "mixed_boolean": [True] + [0.0] * (n - 1), "huge_integer": [HUGE] + [0] * (n - 1),
             "huge_finite": [1e200] + [0] * (n - 1),
             **wide(np.array([HUGE_LONGDOUBLE] + [0] * (n - 1), dtype=np.longdouble))}

@@ -17,6 +17,7 @@ import triqent.states
 from triqent import (
     SWEEPABLE,
     DensityMatrix,
+    ParamOutOfDomainError,
     PureState,
     QubitNotPresentError,
     StateFileError,
@@ -552,7 +553,8 @@ class TestSweepTemplate:
         record = triqent.families._FAMILIES["ghz_noise"]
 
         def broken(rows):
-            triqent.families._check_domain(rows[:, 0] <= 0.9, rows, "broken ghz_noise needs p <= 0.9, got {}")
+            triqent.states._raise_first(~(rows[:, 0] <= 0.9), ParamOutOfDomainError,
+                                        lambda i: f"broken ghz_noise needs p <= 0.9, got {rows[i, 0]}")
             return record.closed_form(rows)
 
         monkeypatch.setitem(triqent.families._FAMILIES, "ghz_noise", record._replace(closed_form=broken))

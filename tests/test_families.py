@@ -359,6 +359,11 @@ class TestSweepStack:
                 sweep(FamilySpec("nope", grid))
             assert str(info.value).startswith("unknown family 'nope'; known: ghz, ")
             assert "params" not in str(info.value)
+        # default_grid looks the family up as sweep does
+        for family in ("nope", 5):
+            with pytest.raises(ParamOutOfDomainError) as info:
+                default_grid(family)
+            assert str(info.value).startswith(f"unknown family {family!r}; known: ghz, ")
 
     def test_first_bad_point_named_after_a_valid_array(self):
         grid = np.array([[0.5], [0.25], [2.0]])

@@ -755,12 +755,16 @@ class TestRealRoute:
         assert np.array_equal(held, complex_held)
         assert np.array_equal(ambiguous, complex_ambiguous)
 
-    def test_real_and_complex_rows_in_one_stack(self, tables):
+    def test_real_and_complex_rows_in_one_stack(self, tables, monkeypatch):
         # the 101-point grid of each family, row by row between HS draws
         grid = np.concatenate([tables[family][0][::10] for family in MIXED_FAMILIES])
         hs = np.array([sample_hs_mixed(seed).matrix for seed in range(len(grid))])
         m = np.stack([grid, hs], axis=1).reshape(-1, 8, 8)
+        calls = spy_on_lapack(monkeypatch)
         table = _mixed_measure_table(m)
+        # one batched call per spectrum for each kind of arithmetic
+        assert calls == mixed_table_calls(404, "f") + mixed_table_calls(404, "c")
+        monkeypatch.undo()
         for i in range(len(m)):
             assert same_bits(table[i:i + 1], _mixed_measure_table(m[i:i + 1])), i
         # the grid rows' bits depend on the route, so a rule that measured

@@ -32,18 +32,22 @@ The reduced negativities come from the partial transpose of each pair
 reduction rho = X X^dagger: X is the 4x2 amplitude block for a pure
 state, V sqrt(w) from the pair's eigendecomposition for a mixed one.
 A mixed state's reduced concurrence is s1 - s2 - ... from the singular
-values of X^T (sy x sy) X, one batched SVD per stack.  Since sy x sy is
-the anti-diagonal with signs (-1, 1, 1, -1) down its rows, X^T (sy x sy)
-is X with its rows reversed and signed (``_FLIP_SIGN``), transposed:
-the same products, with no 4x4 matrix product.  Either takes its
-one-qubit spectra from their trace and determinant (``_spectrum_2x2``).
+values of F = X^T (sy x sy) X, one batched LAPACK call per stack.  Since
+sy x sy is the anti-diagonal with signs (-1, 1, 1, -1) down its rows,
+X^T (sy x sy) is X with its rows reversed and signed (``_FLIP_SIGN``),
+transposed: the same products, with no 4x4 matrix product.  Either
+takes its one-qubit spectra from their trace and determinant
+(``_spectrum_2x2``).
 
 A density matrix whose imaginary parts are all zero, as every grid
 point of a mixed family is, is measured on its real part: its four
 LAPACK calls then take the real routines, which do about half the
-arithmetic of the complex ones.  The rule is per row: every stack,
-uniform or not, is split into its real and its complex rows, each
-measured as one stack, so a stack stays equal to its stacks of one.
+arithmetic of the complex ones.  Its F is real symmetric, so the
+singular values are the moduli of its eigenvalues, and the spin flip
+is a real ``eigvalsh`` where a complex F takes an SVD.  The rule is
+per row: every stack, uniform or not, is split into its real and its
+complex rows, each measured as one stack, so a stack stays equal to
+its stacks of one.
 
 A mixed stack is read through index tables made once, at import, from
 matrices of indices: the three cut transposes (``_CUT_PT``) and a
@@ -320,8 +324,17 @@ def _pair_negativity(x: np.ndarray) -> np.ndarray:
 
 
 def _pair_concurrence(x: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of pairs rho = X X^dagger, from the singular values of X^T (sy x sy) X."""
-    sv = np.linalg.svd((_FLIP_SIGN * x[..., ::-1, :]).swapaxes(-1, -2) @ x, compute_uv=False)
+    """Wootters concurrence of pairs rho = X X^dagger, from the singular values of F = X^T (sy x sy) X.
+
+    A real F is symmetric, so its singular values are the moduli of its
+    eigenvalues, sorted here into the SVD's descending order; a complex
+    F is only complex symmetric and takes the SVD.
+    """
+    f = (_FLIP_SIGN * x[..., ::-1, :]).swapaxes(-1, -2) @ x
+    if np.iscomplexobj(f):
+        sv = np.linalg.svd(f, compute_uv=False)
+    else:
+        sv = np.sort(np.abs(np.linalg.eigvalsh(f)), axis=-1)[..., ::-1]
     return np.clip(sv[..., 0] - sv[..., 1:].sum(axis=-1), 0.0, 1.0)
 
 
@@ -348,13 +361,14 @@ def _mixed_measure_table(matrices: np.ndarray) -> np.ndarray:
 
     Its columns are the MeasureSet fields up to ``s_c``.  The LAPACK work
     is one batched call per kind of spectrum: the cut transposes, the pair
-    eigen-factors, the pair transposes and the spin-flip SVD.  A matrix
-    whose imaginary parts are all zero is measured in real arithmetic, on
-    its real part, so those calls take the real LAPACK routines.  The rule
-    is per row: every stack is split into its real and its complex rows,
-    each measured as its own stack and scattered into one table, so every
-    row is what its stack of one gives, bit for bit.  A kind with no rows
-    makes no LAPACK call.
+    eigen-factors, the pair transposes and the spin flip's singular values.
+    A matrix whose imaginary parts are all zero is measured in real
+    arithmetic, on its real part, so those calls take the real LAPACK
+    routines, and its spin flip is an ``eigvalsh`` where a complex one is
+    an SVD (see ``_pair_concurrence``).  The rule is per row: every stack
+    is split into its real and its complex rows, each measured as its own
+    stack and scattered into one table, so every row is what its stack of
+    one gives, bit for bit.  A kind with no rows makes no LAPACK call.
     """
     complex_rows = matrices.imag.any(axis=(-2, -1))
     table = np.empty((len(matrices), 13))

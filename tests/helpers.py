@@ -19,6 +19,10 @@ from triqent.measures import (
 )
 
 
+#: the sweepable families whose states are density matrices
+MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
+
+
 def default_rng_haar_amplitudes(seed):
     """The amplitudes of Haar state ``seed`` drawn by ``np.random.default_rng`` itself.
 

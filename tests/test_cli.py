@@ -30,6 +30,7 @@ from triqent import (
     measure_set,
     rho_epsilon,
     sample_haar_pure,
+    sample_hs_mixed,
     sweep,
     to_density,
     w_prime,
@@ -851,3 +852,32 @@ class TestParserReuse:
         run(argv)  # the cached parser has served a call before
         fresh = _build_parser.__wrapped__().parse_args
         assert run(argv) == run(argv, parse=fresh)
+
+
+#: run in a fresh interpreter: ``sweep``, ``random`` and ``classify FILE``,
+#: then the loaded top-level modules of the optional accelerator stacks
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+from triqent.cli import main
+
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["sweep", "--family", "sigma_b", "--points", "11", "--out", sys.argv[1] + "/sweep.csv"]))
+    codes.append(main(["random", "--count", "20", "--seed", "3"]))
+    codes.append(main(["classify", sys.argv[2]]))
+print(json.dumps({"codes": codes, "loaded": sorted({n.split(".")[0] for n in sys.modules} & {"scipy", "numba"})}))
+"""
+
+
+def test_commands_import_neither_scipy_nor_numba(tmp_path):
+    # the package needs numpy alone; a stray import of an installed scipy
+    # or numba would pass every other test
+    path = str(tmp_path / "hs.json")
+    save_state_file(path, sample_hs_mixed(8))
+    src = os.path.dirname(os.path.dirname(triqent.cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path), path],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "loaded": []}

@@ -38,7 +38,7 @@ from triqent.families import _FAMILIES, _family_rows, _parameter_rows, _sweep_ch
 from triqent.measures import STACK_CHUNK
 from triqent.states import EIG_FLOOR, NORM_ATOL, _validated_amplitudes, _validated_matrices
 
-from helpers import nonzero_coefficients, reference_oracle
+from helpers import MIXED_FAMILIES, nonzero_coefficients, reference_oracle
 
 
 def bits(ms):
@@ -449,7 +449,6 @@ DOMAINS = {
     "rho_epsilon": (-1.0, 1.0, False),
     "sigma_b": (0.0, 1.0, True),
 }
-MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
 
 
 def domain_grid(family, n=2000, seed=0):

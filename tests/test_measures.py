@@ -43,13 +43,14 @@ from triqent import (
     w_prime,
     w_state,
 )
-from triqent.classify import _certify_table
+from triqent.classify import AMBIGUITY_BAND, _certify_table
 from triqent.cli import main, save_state_file
 from triqent.families import _FAMILIES
 from triqent.measures import (
     _CUT_PT,
     _PAIR_PT,
     _PAIR_TRACE,
+    _FLIP_SIGN,
     _SINGLE_TRACE,
     NEG_EIG_FLOOR,
     _entropy_of_spectrum,
@@ -57,6 +58,7 @@ from triqent.measures import (
     _measure_sets,
     _mixed_measure_table,
     _negativity_of_spectrum,
+    _pair_concurrence,
     _psd_factor,
     _pure_closed_form_table,
     _pure_measure_table,
@@ -64,10 +66,12 @@ from triqent.measures import (
 )
 from triqent.states import COMPLEMENT, QUBITS, _partial_trace, _partial_transpose, _validated_matrices
 from helpers import (
+    MIXED_FAMILIES,
     near_separable_corpus,
     nonzero_coefficients,
     pure_corpora,
     random_biseparable,
+    random_local_unitary,
     random_product_state,
     random_unitary,
     reference_pure_closed_form_table,
@@ -478,13 +482,15 @@ class TestClosedFormReference:
         assert np.array_equal(_pure_measure_table(amps), reference_pure_measure_table(amps), equal_nan=True)
 
 
-MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
-
-
 def mixed_table_calls(n, kind):
-    """The LAPACK calls of ``_mixed_measure_table`` on a stack of n, all real ('f') or all complex ('c')."""
+    """The LAPACK calls of ``_mixed_measure_table`` on a stack of n, all real ('f') or all complex ('c').
+
+    The spin flip's singular values are the last call: an ``eigvalsh`` of
+    the real symmetric product on real rows, an ``svd`` on complex ones.
+    """
+    spin_flip = "eigvalsh" if kind == "f" else "svd"
     return [(name, (n, 3) + shape, kind) for name, shape in
-            (("eigvalsh", (8, 8)), ("eigh", (4, 4)), ("eigvalsh", (4, 4)), ("svd", (4, 4)))]
+            (("eigvalsh", (8, 8)), ("eigh", (4, 4)), ("eigvalsh", (4, 4)), (spin_flip, (4, 4)))]
 
 
 @pytest.fixture(scope="module")
@@ -556,9 +562,10 @@ class TestMixedStack:
     def test_one_lapack_call_per_pair_or_cut_spectrum(self, mixed_corpus, monkeypatch):
         # a stack of N states makes four LAPACK calls: the spectra of the
         # cut transposes, the pair eigen-factors, the spectra of the pair
-        # transposes and the spin-flip SVD; the one-qubit spectra are
-        # closed forms, so no call has a trailing (2, 2).  An HS state is
-        # complex; every sigma_b grid point is real, so its calls are too
+        # transposes and the spin flip's singular values (an SVD for a
+        # complex state, an eigvalsh for a real one); the one-qubit spectra
+        # are closed forms, so no call has a trailing (2, 2).  An HS state
+        # is complex; every sigma_b grid point is real, so its calls are too
         rho = mixed_corpus["hs"][0]
         spec = default_grid("sigma_b")
         calls = spy_on_lapack(monkeypatch)
@@ -648,14 +655,25 @@ SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real
 
 
 def reference_mixed_measure_table(matrices):
-    """The mixed table as it was stacked before the gather tables: a stack of reshapes per step."""
+    """The mixed table as it was stacked before the gather tables: a stack of reshapes per step.
+
+    A real stack takes the spin flip's singular values as the sorted
+    moduli of its eigenvalues, as the table does; a complex one its SVD.
+    So this reference does not check the real spin flip against an SVD:
+    ``TestRealSpinFlip`` does, on real rows, and ``TestRealRoute`` holds
+    the real route to the complex one.
+    """
     cuts = np.stack([_partial_transpose(matrices, 3, ax) for ax in range(3)], axis=1)
     n_side = _negativity_of_spectrum(np.linalg.eigvalsh(cuts))
     pairs = np.stack([_partial_trace(matrices, 3, ax) for ax in range(3)], axis=1)
     x = _psd_factor(pairs)
     rho = x @ x.swapaxes(-1, -2).conj()
     n_red = _negativity_of_spectrum(np.linalg.eigvalsh(_partial_transpose(rho, 2, 0)))
-    sv = np.linalg.svd(x.swapaxes(-1, -2) @ SIGMA_YY @ x, compute_uv=False)
+    flip = x.swapaxes(-1, -2) @ SIGMA_YY @ x
+    if np.iscomplexobj(flip):
+        sv = np.linalg.svd(flip, compute_uv=False)
+    else:
+        sv = np.sort(np.abs(np.linalg.eigvalsh(flip)), axis=-1)[..., ::-1]
     c_red = np.clip(sv[..., 0] - sv[..., 1:].sum(axis=-1), 0.0, 1.0)
     singles = np.stack([_partial_trace(pairs[:, i], 2, ax) for i, ax in ((2, 1), (2, 0), (0, 0))], axis=1)
     r00, r11, r01 = singles[..., 0, :1].real, singles[..., 1, 1:].real, singles[..., 0, 1:]
@@ -770,6 +788,120 @@ class TestRealRoute:
         # the grid rows' bits depend on the route, so a rule that measured
         # the whole stack in complex arithmetic would fail the loop above
         assert not same_bits(table[::2], reference_mixed_measure_table(grid))
+
+
+def pair_factors(matrices):
+    """The pair eigen-factors x of ``_mixed_measure_table``, shape (N, 3, 4, 4), and the pairs' smallest eigenvalues."""
+    n = len(matrices)
+    pairs = matrices.reshape(n, 64)[:, _PAIR_TRACE].sum(axis=-1).reshape(n, 3, 4, 4)
+    return _psd_factor(pairs), np.linalg.eigvalsh(pairs)[..., 0]
+
+
+def svd_concurrence(x):
+    """The Wootters concurrence of pairs X X^dagger from the SVD of X^T (sy x sy) X, the route of a complex pair."""
+    sv = np.linalg.svd(x.swapaxes(-1, -2) @ SIGMA_YY @ x, compute_uv=False)
+    return np.clip(sv[..., 0] - sv[..., 1:].sum(axis=-1), 0.0, 1.0)
+
+
+class TestRealSpinFlip:
+    """On real rows the spin flip's singular values are the sorted |eigenvalues| of F = X^T (sy x sy) X.
+
+    The real rows are the 101-point grids of the four mixed families, whose
+    ends ghz_w_mix(0), ghz_noise(1) and rho_epsilon(-1) and (1) have
+    rank-deficient pairs, and 300 real HS draws (seed 3603).
+    """
+
+    @pytest.fixture(scope="class")
+    def factors(self):
+        grids = [_FAMILIES[family].closed_form(default_grid(family).grid).real for family in MIXED_FAMILIES]
+        return pair_factors(np.concatenate([*grids, real_draws(3603, 300, 8).real]))
+
+    def test_singular_values_are_sorted_moduli_of_eigenvalues(self, factors):
+        # they differ by at most 4.4e-16 on these rows
+        x, lowest = factors
+        f = (_FLIP_SIGN * x[..., ::-1, :]).swapaxes(-1, -2) @ x
+        eig = np.linalg.eigvalsh(f)
+        # rows whose largest |eigenvalue| is negative, and rank-deficient pairs
+        assert (np.take_along_axis(eig, np.abs(eig).argmax(axis=-1)[..., np.newaxis], -1) < 0.0).sum() >= 100
+        assert (lowest <= 1e-12).sum() >= 100
+        ends = np.array([0, 201, 202, 302])  # ghz_w_mix(0), ghz_noise(1), rho_epsilon(-1), rho_epsilon(1)
+        assert (lowest[ends] <= 1e-12).any(axis=-1).all()
+        sv = np.linalg.svd(f, compute_uv=False)
+        assert np.abs(np.sort(np.abs(eig), axis=-1)[..., ::-1] - sv).max() <= 1e-15
+
+    def test_concurrence_equals_svd_route(self, factors):
+        x, _ = factors
+        assert x.dtype.kind == "f"
+        assert np.abs(_pair_concurrence(x) - svd_concurrence(x)).max() <= 1e-15
+
+
+#: the columns of the mixed table other than c_red_*
+NOT_C_RED = [i for i in range(13) if i not in (7, 8, 9)]
+#: on the stacks below a rotation moves every column but c_red_* by at most
+#: 1.8e-15, and c_red_* of a pair reduction of full rank by at most 1.1e-15
+LU_ATOL = 1e-14
+#: a pair reduction whose smallest eigenvalue is at or below this is rank
+#: deficient; on the stacks below the others have eigenvalues above 3e-4
+RANK_DEFICIENT = 1e-12
+#: the eigen-factor of a rank-deficient pair takes square roots of eigenvalues
+#: that are rounding noise, a few eps, so its c_red_* may move by a few
+#: sqrt(eps) = 1.5e-8: below, by 1.2e-8 at ghz_w_mix(0) and 7.1e-15 elsewhere
+LU_DEFICIENT_ATOL = 1e-7
+
+
+class TestLocalUnitaryInvariance:
+    """The mixed table of u rho u^dagger, u = u_a x u_b x u_c, equals that of rho within stated bounds.
+
+    The stacks are the 101-point grids of the four mixed families, 100 HS
+    draws (seeds 0-99) and the projectors of every 20th row of the Haar
+    corpus of ``pure_corpora``.  Each kind draws one ``random_local_unitary``
+    per matrix, in row order, from ``np.random.default_rng(77)``; the
+    rotated stack is validated as a user's matrix is.  A rotated real
+    state is complex, so the family grids also hold the real route,
+    eigvalsh spin flip included, to the complex route with its SVD.
+    """
+
+    KINDS = (*MIXED_FAMILIES, "hs", "projector")
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        stacks = {family: _FAMILIES[family].closed_form(default_grid(family).grid) for family in MIXED_FAMILIES}
+        stacks["hs"] = np.array([sample_hs_mixed(seed).matrix for seed in range(100)])
+        stacks["projector"] = np.array([to_density(PureState(a)).matrix for a in pure_corpora()["haar"][::20]])
+        out = {}
+        for kind, m in stacks.items():
+            rng = np.random.default_rng(77)
+            u = np.array([random_local_unitary(rng) for _ in m])
+            rotated = _validated_matrices(u @ m @ u.conj().swapaxes(-1, -2))
+            assert rotated.imag.any(axis=(-2, -1)).all()
+            out[kind] = (_mixed_measure_table(m), _mixed_measure_table(rotated), pair_factors(m)[1])
+        return out
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_columns_within_bounds(self, tables, kind):
+        table, rotated, lowest = tables[kind]
+        assert np.abs(table[:, NOT_C_RED] - rotated[:, NOT_C_RED]).max() <= LU_ATOL
+        bound = np.where(lowest <= RANK_DEFICIENT, LU_DEFICIENT_ATOL, LU_ATOL)
+        assert (np.abs(table[:, 7:10] - rotated[:, 7:10]) <= bound).all()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_certificates_outside_the_band(self, tables, kind):
+        # a certificate or flag can change only where a witness lies within
+        # its column's bound of zero_tol or of an edge of the ambiguity band;
+        # witnesses 0-2 are c_red_bc, c_red_ac, c_red_ab, the pairs of
+        # ``lowest``, and 3-7 are n_q and n_abc
+        table, rotated, lowest = tables[kind]
+        bound = np.concatenate([np.where(lowest <= RANK_DEFICIENT, LU_DEFICIENT_ATOL, LU_ATOL),
+                                np.full((len(table), 5), LU_ATOL)], axis=1)
+        for tol in (1e-13, 1e-8, 1e-3, 0.1):
+            held, witness, ambiguous = _certify_table(table, tol)
+            rotated_held, _, rotated_ambiguous = _certify_table(rotated, tol)
+            edges = np.array([tol / AMBIGUITY_BAND, tol, tol * AMBIGUITY_BAND])
+            near = (np.abs(witness[:, :8, np.newaxis] - edges) <= bound[..., np.newaxis]).any(axis=(1, 2))
+            # no witness of these stacks is near an edge at 1e-3, so each is compared whole there
+            assert tol != 1e-3 or not near.any()
+            assert np.array_equal(held[~near], rotated_held[~near]), tol
+            assert np.array_equal(ambiguous[~near], rotated_ambiguous[~near]), tol
 
 
 def apply_non_unitaries(state):

@@ -232,23 +232,27 @@ def _cmd_gsd(args) -> int:
 
 
 def _write_sweep_chunk(fh, family: str, chunk) -> None:
-    """The CSV lines of one chunk of ``families._sweep_chunks``, through one %-template.
+    """The CSV lines of one chunk of ``families._sweep_chunks``, formatted by one % call.
 
     Numbers are formatted as ``_fmt`` formats them.  A measure the table
     lacks (a pure-only one, for a mixed family) and an oracle field the
-    family lacks are blank cells.  No cell needs quoting: the family
-    names, numbers and verdicts hold no comma, quote or line break.
+    family lacks are blank cells.  Each row's verdict is written into the
+    chunk's template, so the one call formats all of the chunk's numbers;
+    no family name or verdict holds a %.  No cell needs quoting: the
+    family names, numbers and verdicts hold no comma, quote or line break.
     """
     width = chunk.table.shape[1]
     fields = [f for f in ORACLE_FIELDS if f in chunk.oracle]
     oracle_cells = ["%.12g" if f in chunk.oracle else "" for f in ORACLE_FIELDS]
     measure_cells = ["%.12g" if c < width else "" for c in _SWEEP_COLUMNS]
-    line = ",".join([family, "%.12g", *measure_cells, "%s", *oracle_cells, *oracle_cells]) + "\n"
-    n = len(chunk.params)
-    head = np.column_stack([chunk.params[:, 0], chunk.table[:, [c for c in _SWEEP_COLUMNS if c < width]]])
-    tail = np.array([chunk.oracle[f] for f in fields] + [chunk.deviations[f] for f in fields], dtype=float)
-    tail = tail.reshape(2 * len(fields), n).T
-    fh.write("".join([line % (*h, v, *t) for h, v, t in zip(head.tolist(), chunk.verdicts, tail.tolist())]))
+    before = ",".join([family, "%.12g", *measure_cells, ""])
+    after = ",".join(["", *oracle_cells, *oracle_cells]) + "\n"
+    values = np.column_stack([
+        chunk.params[:, 0], chunk.table[:, [c for c in _SWEEP_COLUMNS if c < width]],
+        *(chunk.oracle[f] for f in fields), *(chunk.deviations[f] for f in fields),
+    ])
+    template = before + (after + before).join(chunk.verdicts) + after
+    fh.write(template % tuple(values.ravel().tolist()))
 
 
 def _cmd_sweep(args) -> int:

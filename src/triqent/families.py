@@ -8,12 +8,16 @@ rows, and the values of its default sweep grid.  ``FAMILIES``,
 ``SWEEPABLE``, ``make_state``, ``oracle``, ``default_grid`` and
 ``sweep`` all read that record.  The closed form is a plain formula
 that returns (N, 8) amplitudes for a pure family or (N, 8, 8) matrices
-for a mixed one.  The scalar constructors (``ghz_like(alpha)``,
-``sigma_b(b)``, ...), ``make_state`` and ``oracle`` are the record on
-a stack of one; ``oracle`` builds no state.  ``ghz(phase)`` is the one
-exception: the ``ghz`` record has arity 0, its phase pinned at 0 as the
-mixtures use it, so ``ghz`` checks its phase as a finite one-parameter
-row and builds through ``_ghz_rows`` directly.  Only the parameters are
+for a mixed one.  Every mixed family is real by construction, so its
+closed form returns a float64 stack, which ``sweep`` measures in real
+arithmetic from the start; ``make_state`` wraps a complex copy of its
+row, the dtype of every DensityMatrix.  The scalar constructors
+(``ghz_like(alpha)``, ``sigma_b(b)``, ...), ``make_state`` and
+``oracle`` are the record on a stack of one; ``oracle`` builds no
+state.  ``ghz(phase)`` is the one exception: the ``ghz`` record has
+arity 0, its phase pinned at 0 as the mixtures use it, so ``ghz``
+checks its phase as a finite one-parameter row and builds through
+``_ghz_rows`` directly.  Only the parameters are
 checked: the closed form of an in-domain row is a state by
 construction, so ``sweep`` measures it as built, and ``make_state``
 wraps a matrix unvalidated, as ``to_density`` does (amplitudes still
@@ -27,14 +31,17 @@ the first bad one.  ``default_grid`` returns a read-only (N, 1)
 float array, 8 bytes a point.  A sweep is a table per STACK_CHUNK grid
 rows (``_sweep_chunks``): each slice of the checked rows is built,
 measured, classified and compared with its oracle columns as one stack,
-and only then is the next one made.  ``sweep`` turns the chunks into
-SweepRows; the ``triqent sweep`` command writes each chunk's CSV lines
-straight from its columns, so beyond the grid its memory does not grow
-with the number of points.
+and only then is the next one made.  A mixed row's verdict is looked
+up by the key of its claim mask, claim j weighing 2**j (``_verdict``,
+cached per key).  ``sweep`` turns the chunks into SweepRows; the
+``triqent sweep`` command writes each chunk's CSV lines straight from
+its columns, with one % call, so beyond the grid its memory does not
+grow with the number of points.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 import sys
 from collections.abc import Callable, Sequence
@@ -98,7 +105,9 @@ def _w_canonical_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _projector(amps: np.ndarray) -> np.ndarray:
-    return np.outer(amps, amps.conj())
+    """|v><v| as a float matrix, for amplitudes v with no imaginary part, as every mixture's are."""
+    v = amps.real
+    return np.outer(v, v)
 
 
 _GHZ_RHO = _projector(_ghz_rows(np.zeros(1))[0])
@@ -106,7 +115,7 @@ _W_PRIME_RHO = _projector(_w_prime_rows(1)[0])
 
 
 def _bell(sign: float) -> np.ndarray:
-    v = np.zeros(4, dtype=complex)
+    v = np.zeros(4)
     v[2] = 1 / np.sqrt(2)  # |10>
     v[1] = sign / np.sqrt(2)  # |01>
     return v
@@ -148,7 +157,7 @@ _SIGMA_B_FORM = np.array([list(row) for row in (
 
 def _sigma_b_rows(rows: np.ndarray) -> np.ndarray:
     b = rows[:, 0]
-    m = np.zeros((len(b), 8, 8), dtype=complex)
+    m = np.zeros((len(b), 8, 8))
     for name, value in (("b", b), ("h", (1.0 + b) / 2.0), ("s", np.sqrt(1.0 - b * b) / 2.0)):
         m[:, _SIGMA_B_FORM == name] = value[:, np.newaxis]
     return m / (7.0 * b + 1.0)[:, np.newaxis, np.newaxis]
@@ -319,7 +328,7 @@ def make_state(family: str, *params) -> PureState | DensityMatrix:
     """Build the named state or family member for the given parameters."""
     record = _family(family)
     stack = record.closed_form(_family_rows([params], family, record))
-    return PureState(stack[0]) if stack.ndim == 2 else DensityMatrix._derived(stack[0], QUBITS)
+    return PureState(stack[0]) if stack.ndim == 2 else DensityMatrix._derived(stack[0].astype(complex), QUBITS)
 
 
 def ghz(phase: float = 0.0) -> PureState:
@@ -433,6 +442,16 @@ class SweepRow:
     deviations: dict[str, float]
 
 
+#: the weight of claim j of _CLAIMS in the key of a claim mask, 2**j
+_CLAIM_BITS = 1 << np.arange(len(_CLAIMS))
+
+
+@functools.cache
+def _verdict(key: int) -> str:
+    """The mixed verdict of a claim mask, from its key: the claims it holds, joined by "; "."""
+    return "; ".join(compress(_CLAIMS, [key >> j & 1 for j in range(len(_CLAIMS))]))
+
+
 class _SweepChunk(NamedTuple):
     """Up to STACK_CHUNK consecutive grid points of a sweep, as columns.
 
@@ -458,7 +477,7 @@ def _sweep_chunk(record: _Family, rows: np.ndarray) -> _SweepChunk:
     else:
         table = _mixed_measure_table(stack)
         held = _certify_table(table, DEFAULT_ZERO_TOL)[0]
-        verdicts = ["; ".join(compress(_CLAIMS, row)) for row in held.tolist()]
+        verdicts = [_verdict(key) for key in (held @ _CLAIM_BITS).tolist()]
     oracle_columns = record.oracle(rows) if record.oracle else {}
     deviations = {k: np.abs(table[:, _MEASURE_NAMES.index(k)] - v) for k, v in oracle_columns.items()}
     return _SweepChunk(rows, table, verdicts, oracle_columns, deviations)

@@ -29,25 +29,27 @@ forms on its amplitudes:
   (s1^2 - s2^2) / (s1 + s2), both read from f without an SVD.
 
 The reduced negativities come from the partial transpose of each pair
-reduction rho = X X^dagger: X is the 4x2 amplitude block for a pure
-state, V sqrt(w) from the pair's eigendecomposition for a mixed one.
-A mixed state's reduced concurrence is s1 - s2 - ... from the singular
-values of F = X^T (sy x sy) X, one batched LAPACK call per stack.  Since
-sy x sy is the anti-diagonal with signs (-1, 1, 1, -1) down its rows,
-X^T (sy x sy) is X with its rows reversed and signed (``_FLIP_SIGN``),
-transposed: the same products, with no 4x4 matrix product.  Either
-takes its one-qubit spectra from their trace and determinant
-(``_spectrum_2x2``).
+reduction itself: for a mixed state the pair as gathered from the
+matrix, for a pure one M^T M^* of the 2x4 unfolding M of the traced
+qubit.  A mixed state's reduced concurrence is s1 - s2 - ... from the
+singular values of F = X^T (sy x sy) X, one batched LAPACK call per
+stack, where X = V sqrt(w) is the pair's eigen-factor (X X^dagger =
+rho); X feeds only this spin flip.  Since sy x sy is the anti-diagonal
+with signs (-1, 1, 1, -1) down its rows, X^T (sy x sy) is X with its
+rows reversed and signed (``_FLIP_SIGN``), transposed: the same
+products, with no 4x4 matrix product.  Either takes its one-qubit
+spectra from their trace and determinant (``_spectrum_2x2``).
 
-A density matrix whose imaginary parts are all zero, as every grid
-point of a mixed family is, is measured on its real part: its four
-LAPACK calls then take the real routines, which do about half the
-arithmetic of the complex ones.  Its F is real symmetric, so the
-singular values are the moduli of its eigenvalues, and the spin flip
-is a real ``eigvalsh`` where a complex F takes an SVD.  The rule is
-per row: every stack, uniform or not, is split into its real and its
-complex rows, each measured as one stack, so a stack stays equal to
-its stacks of one.
+A density matrix whose imaginary parts are all zero is measured on its
+real part: its four LAPACK calls then take the real routines, which do
+about half the arithmetic of the complex ones.  Its F is real
+symmetric, so the singular values are the moduli of its eigenvalues,
+and the spin flip is a real ``eigvalsh`` where a complex F takes an
+SVD.  The rule is per row: every stack, uniform or not, is split into
+its real and its complex rows, each measured as one stack, so a stack
+stays equal to its stacks of one.  A mixed family's closed form is a
+float stack (see ``families``), all real rows with no imaginary part to
+scan, so a sweep stays in real arithmetic from its closed form on.
 
 A mixed stack is read through index tables made once, at import, from
 matrices of indices: the three cut transposes (``_CUT_PT``) and a
@@ -316,9 +318,12 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :]
 
 
-def _pair_negativity(x: np.ndarray) -> np.ndarray:
-    """Negativity of pairs rho = X X^dagger, X of shape (..., 4, k), transposed on the first qubit."""
-    rho = x @ x.swapaxes(-1, -2).conj()
+def _pair_negativity(rho: np.ndarray) -> np.ndarray:
+    """Negativity of pair reductions rho, shape (..., 4, 4), transposed on the first qubit by one gather.
+
+    A mixed table passes the pair reductions it gathered, a pure one M^T M^*
+    of each 2x4 unfolding M.
+    """
     pt = rho.reshape(rho.shape[:-2] + (16,))[..., _PAIR_PT].reshape(rho.shape)
     return _negativity_of_spectrum(np.linalg.eigvalsh(pt))
 
@@ -368,9 +373,14 @@ def _mixed_measure_table(matrices: np.ndarray) -> np.ndarray:
     an SVD (see ``_pair_concurrence``).  The rule is per row: every stack
     is split into its real and its complex rows, each measured as its own
     stack and scattered into one table, so every row is what its stack of
-    one gives, bit for bit.  A kind with no rows makes no LAPACK call.
+    one gives, bit for bit.  A float stack, such as a mixed family's closed
+    form, is all real rows, found with no scan of imaginary parts.  A kind
+    with no rows makes no LAPACK call.
     """
-    complex_rows = matrices.imag.any(axis=(-2, -1))
+    if np.iscomplexobj(matrices):
+        complex_rows = matrices.imag.any(axis=(-2, -1))
+    else:
+        complex_rows = np.zeros(len(matrices), dtype=bool)
     table = np.empty((len(matrices), 13))
     for rows, stack in ((~complex_rows, matrices.real), (complex_rows, matrices)):
         if rows.any():
@@ -379,13 +389,18 @@ def _mixed_measure_table(matrices: np.ndarray) -> np.ndarray:
 
 
 def _uniform_mixed_table(matrices: np.ndarray) -> np.ndarray:
-    """``_mixed_measure_table`` of a stack whose rows are all real or all complex."""
+    """``_mixed_measure_table`` of a stack whose rows are all real or all complex.
+
+    n_red_* is the negativity of each pair reduction as gathered, transposed
+    on its first qubit; the eigen-factor X of the pairs feeds only the spin
+    flip behind c_red_*.
+    """
     n = len(matrices)
     flat = matrices.reshape(n, 64)
     n_side = _negativity_of_spectrum(np.linalg.eigvalsh(flat[:, _CUT_PT].reshape(n, 3, 8, 8)))
-    pairs = flat[:, _PAIR_TRACE].sum(axis=-1)  # (n, 3, 16): BC, AC, AB
-    x = _psd_factor(pairs.reshape(n, 3, 4, 4))
-    n_red, c_red = _pair_negativity(x), _pair_concurrence(x)
+    pairs = flat[:, _PAIR_TRACE].sum(axis=-1).reshape(n, 3, 4, 4)  # BC, AC, AB
+    x = _psd_factor(pairs)
+    n_red, c_red = _pair_negativity(pairs), _pair_concurrence(x)
     singles = pairs.reshape(n, 48)[:, _SINGLE_TRACE].sum(axis=-1)  # (n, 3, 3): r00, r11, r01 of A, B, C
     r00, r11, r01 = singles[..., 0:1].real, singles[..., 1:2].real, singles[..., 2:3]
     entropy = _entropy_of_spectrum(_spectrum_2x2(r00 + r11, r00 * r11 - np.abs(r01) ** 2))
@@ -441,6 +456,7 @@ def _pure_measure_table(amps: np.ndarray) -> np.ndarray:
     partial-transposed pair reductions.
     """
     table = _pure_closed_form_table(amps)
-    # each pair reduction is M^T M^*: the 4x2 block M^T of the unfolding M is a factor of it
-    table[:, 4:7] = _pair_negativity(amps[:, _UNFOLD].swapaxes(-1, -2))
+    # each pair reduction is M^T M^*, M the 2x4 unfolding of the traced qubit
+    m = amps[:, _UNFOLD]
+    table[:, 4:7] = _pair_negativity(m.swapaxes(-1, -2) @ m.conj())
     return table

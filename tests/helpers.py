@@ -5,6 +5,7 @@ import functools
 import numpy as np
 
 from triqent import NotNormalizedError, PureState, ghz, w_prime
+from triqent.cli import _SWEEP_COLUMNS, ORACLE_FIELDS
 from triqent.measures import (
     _HYPERDET_PIECES,
     _MINORS,
@@ -403,7 +404,26 @@ def reference_pure_closed_form_table(amps):
 
 
 def reference_pure_measure_table(amps):
-    """``reference_pure_closed_form_table`` with n_red_* from the batched pair eigensolve."""
+    """``reference_pure_closed_form_table`` with n_red_* from the batched pair eigensolve of M^T M^*."""
     table = reference_pure_closed_form_table(amps)
-    table[:, 4:7] = _pair_negativity(amps[:, _UNFOLD].swapaxes(-1, -2))
+    m = amps[:, _UNFOLD]
+    table[:, 4:7] = _pair_negativity(m.swapaxes(-1, -2) @ m.conj())
     return table
+
+
+def per_line_sweep_chunk(family, chunk):
+    """The CSV lines of one chunk of ``families._sweep_chunks``, one % call per line.
+
+    The reference for ``cli._write_sweep_chunk``, which formats a whole
+    chunk with one % call: one template per line, the verdict a %s cell.
+    """
+    width = chunk.table.shape[1]
+    fields = [f for f in ORACLE_FIELDS if f in chunk.oracle]
+    oracle_cells = ["%.12g" if f in chunk.oracle else "" for f in ORACLE_FIELDS]
+    measure_cells = ["%.12g" if c < width else "" for c in _SWEEP_COLUMNS]
+    line = ",".join([family, "%.12g", *measure_cells, "%s", *oracle_cells, *oracle_cells]) + "\n"
+    n = len(chunk.params)
+    head = np.column_stack([chunk.params[:, 0], chunk.table[:, [c for c in _SWEEP_COLUMNS if c < width]]])
+    tail = np.array([chunk.oracle[f] for f in fields] + [chunk.deviations[f] for f in fields], dtype=float)
+    tail = tail.reshape(2 * len(fields), n).T
+    return "".join([line % (*h, v, *t) for h, v, t in zip(head.tolist(), chunk.verdicts, tail.tolist())])

@@ -35,7 +35,8 @@ from triqent import (
     to_density,
     w_prime,
 )
-from triqent.classify import _CLAIMS, _DESCRIPTION, DEFAULT_ZERO_TOL
+from triqent.classify import _CLAIMS, _DESCRIPTION, _LABELS, DEFAULT_ZERO_TOL
+from triqent.families import _sweep_chunks
 from triqent.measures import STACK_CHUNK
 from triqent.cli import (
     CSV_HEADER,
@@ -43,11 +44,19 @@ from triqent.cli import (
     ORACLE_FIELDS,
     _build_parser,
     _fmt,
+    _write_sweep_chunk,
     load_state_file,
     main,
     save_state_file,
 )
-from helpers import accepted_pure_states, default_rng_haar_stack, near_unit_norm_corpus, nested, pure_corpora
+from helpers import (
+    accepted_pure_states,
+    default_rng_haar_stack,
+    near_unit_norm_corpus,
+    nested,
+    per_line_sweep_chunk,
+    pure_corpora,
+)
 
 
 @pytest.fixture
@@ -546,6 +555,22 @@ class TestSweepTemplate:
         # (a %.12g number holds none of them)
         for text in (*SWEEPABLE, *_DESCRIPTION, *_CLAIMS, *CSV_HEADER):
             assert not set(text) & set(',"\r\n'), text
+
+    @pytest.mark.parametrize("points", [101, STACK_CHUNK + 1])  # one chunk, then two
+    @pytest.mark.parametrize("family", SWEEPABLE)
+    def test_chunk_matches_per_line_formatter(self, family, points):
+        chunks = list(_sweep_chunks(default_grid(family, points)))
+        assert len(chunks) == -(-points // STACK_CHUNK)
+        for chunk in chunks:
+            fh = io.StringIO()
+            _write_sweep_chunk(fh, family, chunk)
+            assert fh.getvalue() == per_line_sweep_chunk(family, chunk)
+
+    def test_no_template_text_holds_a_percent(self):
+        # the family name and each row's verdict, a pure subtype code or a
+        # mixed claim list, are written into the chunk's %-template
+        for text in (*SWEEPABLE, *_CLAIMS, *(label.code for label in _LABELS)):
+            assert "%" not in text, text
 
     def test_failed_sweep_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # a domain that ends at p = 0.9, in the third chunk of 2500 points,

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tracemalloc
 
@@ -34,8 +35,9 @@ from triqent import (
     to_density,
     w_canonical,
 )
-from triqent.families import _FAMILIES, _family_rows, _parameter_rows, _sweep_chunks
-from triqent.measures import STACK_CHUNK
+from triqent.classify import _CLAIMS
+from triqent.families import _CLAIM_BITS, _FAMILIES, _family_rows, _parameter_rows, _sweep_chunks, _verdict
+from triqent.measures import STACK_CHUNK, _mixed_measure_table
 from triqent.states import EIG_FLOOR, NORM_ATOL, _validated_amplitudes, _validated_matrices
 
 from helpers import MIXED_FAMILIES, nonzero_coefficients, reference_oracle
@@ -536,6 +538,50 @@ def counting_domain(monkeypatch, family):
 
     monkeypatch.setitem(_FAMILIES, family, record._replace(domain=(spy, template)))
     return calls
+
+
+class TestRealClosedForms:
+    """A mixed family's closed form is a float64 stack, measured as its complex copy is, bit for bit.
+
+    ``make_state`` still hands out a complex, read-only DensityMatrix, the
+    row of the stack.  The grids have 1001 points.
+    """
+
+    @pytest.fixture(scope="class", params=MIXED_FAMILIES)
+    def grid(self, request):
+        family = request.param
+        spec = default_grid(family, 1001)
+        return family, spec.grid, _FAMILIES[family].closed_form(spec.grid)
+
+    def test_float64_stack(self, grid):
+        _, _, stack = grid
+        assert stack.dtype == np.float64 and stack.shape == (1001, 8, 8)
+
+    def test_table_equals_table_of_complex_copy(self, grid):
+        _, _, stack = grid
+        copy = stack.astype(complex)
+        assert not copy.imag.any()
+        table = _mixed_measure_table(stack)
+        assert table.tobytes() == _mixed_measure_table(copy).tobytes()
+        for i in range(len(stack)):
+            row = _mixed_measure_table(stack[i:i + 1]).tobytes()
+            assert row == table[i:i + 1].tobytes() == _mixed_measure_table(copy[i:i + 1]).tobytes(), i
+
+    def test_make_state_is_a_complex_copy_of_the_row(self, grid):
+        family, params, stack = grid
+        for p, m in zip(params[:, 0].tolist(), stack):
+            matrix = make_state(family, p).matrix
+            assert matrix.dtype == np.complex128 and not matrix.flags.writeable
+            assert np.array_equal(matrix, m), p
+
+
+def test_verdict_of_every_claim_mask():
+    # a mixed sweep keys each row's claim mask as held @ _CLAIM_BITS and
+    # looks its verdict up; each of the 2**9 masks has its own key
+    masks = np.array(list(itertools.product((False, True), repeat=len(_CLAIMS))))
+    keys = (masks @ _CLAIM_BITS).tolist()
+    assert sorted(keys) == list(range(2 ** len(_CLAIMS)))
+    assert [_verdict(key) for key in keys] == ["; ".join(itertools.compress(_CLAIMS, mask)) for mask in masks.tolist()]
 
 
 class TestDomains:

@@ -661,14 +661,14 @@ def reference_mixed_measure_table(matrices):
     moduli of its eigenvalues, as the table does; a complex one its SVD.
     So this reference does not check the real spin flip against an SVD:
     ``TestRealSpinFlip`` does, on real rows, and ``TestRealRoute`` holds
-    the real route to the complex one.
+    the real route to the complex one.  n_red_* is read off the pair
+    reductions themselves, as the table reads it.
     """
     cuts = np.stack([_partial_transpose(matrices, 3, ax) for ax in range(3)], axis=1)
     n_side = _negativity_of_spectrum(np.linalg.eigvalsh(cuts))
     pairs = np.stack([_partial_trace(matrices, 3, ax) for ax in range(3)], axis=1)
+    n_red = _negativity_of_spectrum(np.linalg.eigvalsh(_partial_transpose(pairs, 2, 0)))
     x = _psd_factor(pairs)
-    rho = x @ x.swapaxes(-1, -2).conj()
-    n_red = _negativity_of_spectrum(np.linalg.eigvalsh(_partial_transpose(rho, 2, 0)))
     flip = x.swapaxes(-1, -2) @ SIGMA_YY @ x
     if np.iscomplexobj(flip):
         sv = np.linalg.svd(flip, compute_uv=False)
@@ -744,16 +744,23 @@ class TestRealRoute:
 
     The stacks are the 1001-point grids of the four mixed families, 300
     real HS draws (seed 3401) and 300 real rank-3 draws (seed 3402), every
-    one with all imaginary parts zero.  The complex reference is
-    ``reference_mixed_measure_table`` on the complex matrices.
+    one with all imaginary parts zero.  A family's grid is its closed form,
+    a float64 stack; each kind holds the complex copy of its stack, the
+    table of the stack as made, and the complex reference,
+    ``reference_mixed_measure_table`` on the complex copy.
     """
 
     @pytest.fixture(scope="class")
     def tables(self):
         stacks = {family: _FAMILIES[family].closed_form(default_grid(family, 1001).grid) for family in MIXED_FAMILIES}
+        assert all(m.dtype == np.float64 for m in stacks.values())
         stacks["hs_real"] = real_draws(3401, 300, 8)
         stacks["rank3_real"] = real_draws(3402, 300, 3)
-        return {kind: (m, _mixed_measure_table(m), reference_mixed_measure_table(m)) for kind, m in stacks.items()}
+        out = {}
+        for kind, m in stacks.items():
+            copy = m.astype(complex)
+            out[kind] = (copy, _mixed_measure_table(m), reference_mixed_measure_table(copy))
+        return out
 
     @pytest.mark.parametrize("kind", REAL_KINDS)
     def test_within_bound_of_complex_route(self, tables, kind, monkeypatch):

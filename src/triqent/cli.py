@@ -38,8 +38,8 @@ from .errors import (
 )
 from .families import SWEEPABLE, _sweep_chunks, default_grid
 from .gsd import classify_gsd_pattern, gsd
-from .measures import _MEASURE_NAMES, STACK_CHUNK, MeasureSet, _pure_closed_form_table, _require_state, measure_set
-from .states import DensityMatrix, PureState, _check_seed, _haar_draws, _is_number, _numbers
+from .measures import _MEASURE_NAMES, STACK_CHUNK, MeasureSet, _pure_closed_form_table, measure_set
+from .states import DensityMatrix, PureState, _check_seed, _haar_draws, _is_number, _numbers, _require_state
 
 MEASURE_FIELDS = (
     "n_a_bc", "n_b_ac", "n_c_ab", "n_abc",

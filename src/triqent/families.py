@@ -10,8 +10,8 @@ rows, and the values of its default sweep grid.  ``FAMILIES``,
 that returns (N, 8) amplitudes for a pure family or (N, 8, 8) matrices
 for a mixed one.  Every mixed family is real by construction, so its
 closed form returns a float64 stack, which ``sweep`` measures in real
-arithmetic from the start; ``make_state`` wraps a complex copy of its
-row, the dtype of every DensityMatrix.  The scalar constructors
+arithmetic from the start; ``make_state`` wraps its row, a float64
+DensityMatrix as every real one is.  The scalar constructors
 (``ghz_like(alpha)``, ``sigma_b(b)``, ...), ``make_state`` and
 ``oracle`` are the record on a stack of one; ``oracle`` builds no
 state.  ``ghz(phase)`` is the one exception: the ``ghz`` record has
@@ -328,7 +328,7 @@ def make_state(family: str, *params) -> PureState | DensityMatrix:
     """Build the named state or family member for the given parameters."""
     record = _family(family)
     stack = record.closed_form(_family_rows([params], family, record))
-    return PureState(stack[0]) if stack.ndim == 2 else DensityMatrix._derived(stack[0].astype(complex), QUBITS)
+    return PureState(stack[0]) if stack.ndim == 2 else DensityMatrix._derived(stack[0], QUBITS)
 
 
 def ghz(phase: float = 0.0) -> PureState:

@@ -40,16 +40,14 @@ rows reversed and signed (``_FLIP_SIGN``), transposed: the same
 products, with no 4x4 matrix product.  Either takes its one-qubit
 spectra from their trace and determinant (``_spectrum_2x2``).
 
-A density matrix whose imaginary parts are all zero is measured on its
-real part: its four LAPACK calls then take the real routines, which do
-about half the arithmetic of the complex ones.  Its F is real
+A density matrix with no imaginary part is held as float64 from where it
+enters (``states._stored``), and the dtype of a stack decides its
+arithmetic: a float stack's four LAPACK calls take the real routines,
+which do about half the arithmetic of the complex ones.  Its F is real
 symmetric, so the singular values are the moduli of its eigenvalues,
 and the spin flip is a real ``eigvalsh`` where a complex F takes an
-SVD.  The rule is per row: every stack, uniform or not, is split into
-its real and its complex rows, each measured as one stack, so a stack
-stays equal to its stacks of one.  A mixed family's closed form is a
-float stack (see ``families``), all real rows with no imaginary part to
-scan, so a sweep stays in real arithmetic from its closed form on.
+SVD.  A mixed family's closed form is a float stack (see ``families``),
+so a sweep stays in real arithmetic from its closed form on.
 
 A mixed stack is read through index tables made once, at import, from
 matrices of indices: the three cut transposes (``_CUT_PT``) and a
@@ -81,13 +79,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ParamOutOfDomainError, StateTypeError
+from .errors import ParamOutOfDomainError
 from .states import (
     DensityMatrix,
     PureState,
     _partial_transpose,
     _require_density,
     _require_pure,
+    _require_state,
     partial_transpose,
 )
 
@@ -298,15 +297,6 @@ def measure_set(state: PureState | DensityMatrix) -> MeasureSet:
     return _measure_sets(_mixed_measure_table(state.matrix[np.newaxis]))[0]
 
 
-def _require_state(state, what: str) -> PureState | DensityMatrix:
-    """state, if it is a PureState or a three-qubit DensityMatrix; StateTypeError or WrongDimensionError if not."""
-    if isinstance(state, DensityMatrix):
-        return _require_density(state, what, 3)
-    if not isinstance(state, PureState):
-        raise StateTypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    return state
-
-
 def _measure_sets(table: np.ndarray) -> list[MeasureSet]:
     """One MeasureSet per row of a measure table; a 13-column (mixed) row leaves the pure-only fields None."""
     return [MeasureSet(*row) for row in table.tolist()]
@@ -367,33 +357,12 @@ def _mixed_measure_table(matrices: np.ndarray) -> np.ndarray:
     Its columns are the MeasureSet fields up to ``s_c``.  The LAPACK work
     is one batched call per kind of spectrum: the cut transposes, the pair
     eigen-factors, the pair transposes and the spin flip's singular values.
-    A matrix whose imaginary parts are all zero is measured in real
-    arithmetic, on its real part, so those calls take the real LAPACK
-    routines, and its spin flip is an ``eigvalsh`` where a complex one is
-    an SVD (see ``_pair_concurrence``).  The rule is per row: every stack
-    is split into its real and its complex rows, each measured as its own
-    stack and scattered into one table, so every row is what its stack of
-    one gives, bit for bit.  A float stack, such as a mixed family's closed
-    form, is all real rows, found with no scan of imaginary parts.  A kind
-    with no rows makes no LAPACK call.
-    """
-    if np.iscomplexobj(matrices):
-        complex_rows = matrices.imag.any(axis=(-2, -1))
-    else:
-        complex_rows = np.zeros(len(matrices), dtype=bool)
-    table = np.empty((len(matrices), 13))
-    for rows, stack in ((~complex_rows, matrices.real), (complex_rows, matrices)):
-        if rows.any():
-            table[rows] = _uniform_mixed_table(stack[rows])
-    return table
-
-
-def _uniform_mixed_table(matrices: np.ndarray) -> np.ndarray:
-    """``_mixed_measure_table`` of a stack whose rows are all real or all complex.
-
-    n_red_* is the negativity of each pair reduction as gathered, transposed
-    on its first qubit; the eigen-factor X of the pairs feeds only the spin
-    flip behind c_red_*.
+    The stack's dtype picks the routines: a float stack, such as a real
+    density matrix or a mixed family's closed form, takes the real ones and
+    a spin flip by ``eigvalsh``, a complex stack the complex ones and an SVD
+    (see ``_pair_concurrence``).  n_red_* is the negativity of each pair
+    reduction as gathered, transposed on its first qubit; the eigen-factor
+    X of the pairs feeds only the spin flip behind c_red_*.
     """
     n = len(matrices)
     flat = matrices.reshape(n, 64)

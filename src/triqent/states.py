@@ -189,12 +189,6 @@ class PureState:
         return self.amplitudes.reshape(2, 2, 2)
 
 
-def _require_pure(psi, what: str) -> PureState:
-    if not isinstance(psi, PureState):
-        raise MixedStateUnsupportedError(f"{what} is defined for pure states only")
-    return psi
-
-
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m^dagger) / 2 of each matrix of a finite stack, which must be
     Hermitian within HERM_ATOL and then of unit trace within NORM_ATOL."""
@@ -209,6 +203,17 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _stored(m: np.ndarray) -> np.ndarray:
+    """The contiguous real part of matrices m with no imaginary part, m itself otherwise.
+
+    The one place a density matrix's arithmetic is chosen: its dtype picks
+    the LAPACK routines of every later call.  A stack is real only whole.
+    """
+    if np.iscomplexobj(m) and not m.imag.any():
+        return np.ascontiguousarray(m.real)
+    return m
+
+
 def _validated_matrices(m: np.ndarray) -> np.ndarray:
     """Check a stack of density matrices, shape (N, d, d); return the validated stack.
 
@@ -216,10 +221,12 @@ def _validated_matrices(m: np.ndarray) -> np.ndarray:
     a stack of one: finite entries, Hermitian within HERM_ATOL, unit
     trace within NORM_ATOL, and no eigenvalue below EIG_FLOOR.  The
     result is the Hermitian part (m + m^dagger) / 2 of each matrix, so
-    derived matrices are exactly Hermitian.  The spectra and eigenvectors
-    come from one ``np.linalg.eigh`` call on the whole stack, and the rows
-    whose smallest eigenvalue lies in [EIG_FLOOR, 0) are rebuilt from
-    their spectrum clamped at zero and renormalized to unit trace.  The
+    derived matrices are exactly Hermitian, held as ``_stored`` holds it:
+    float64 when no imaginary part is left, so a real stack is validated
+    in real arithmetic.  The spectra and eigenvectors come from one
+    ``np.linalg.eigh`` call on the whole stack, and the rows whose
+    smallest eigenvalue lies in [EIG_FLOOR, 0) are rebuilt from their
+    spectrum clamped at zero and renormalized to unit trace.  The
     first invalid row raises what the scalar path raises, and the error
     records the row (see ``_raise_first``).  A stack with an entry beyond
     _ENTRY_MAX, which no density matrix has, is refused before LAPACK
@@ -236,7 +243,7 @@ def _validated_matrices(m: np.ndarray) -> np.ndarray:
         _raise_first(size > _ENTRY_MAX, NotPSDError,
                      lambda i: f"entry of modulus {size[i]:.3e} in a Hermitian matrix of unit trace, "
                      "so an eigenvalue is negative")
-    m = _hermitian_part(m)
+    m = _stored(_hermitian_part(m))
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -262,7 +269,9 @@ class DensityMatrix:
     Validation is ``_validated_matrices`` on a stack of one: it keeps
     the Hermitian part (m + m^dagger) / 2, so derived matrices are
     exactly Hermitian, and clamps eigenvalues in [EIG_FLOOR, 0) to zero
-    and renormalizes the trace.  Larger violations are hard errors.
+    and renormalizes the trace.  Larger violations are hard errors.  A
+    matrix with no imaginary part is held as float64, however it was
+    made (``_stored``), and every measure of it runs in real arithmetic.
     """
 
     matrix: np.ndarray
@@ -279,11 +288,21 @@ class DensityMatrix:
     def _derived(cls, matrix: np.ndarray, qubits: tuple[str, ...]) -> DensityMatrix:
         """Wrap a matrix derived from checked input, skipping validation: a reduction
         of a validated state, or a family's closed form on in-domain parameters."""
+        matrix = _stored(matrix)
         matrix.setflags(write=False)
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", matrix)
         object.__setattr__(rho, "qubits", qubits)
         return rho
+
+
+def _require_pure(psi, what: str) -> PureState:
+    """psi, if a PureState; MixedStateUnsupportedError for a DensityMatrix, StateTypeError for anything else."""
+    if isinstance(psi, PureState):
+        return psi
+    if isinstance(psi, DensityMatrix):
+        raise MixedStateUnsupportedError(f"{what} is defined for pure states only")
+    raise StateTypeError(f"{what} needs a PureState, got {type(psi).__name__}")
 
 
 def _require_density(rho, what: str, n: int | None = None) -> DensityMatrix:
@@ -293,6 +312,15 @@ def _require_density(rho, what: str, n: int | None = None) -> DensityMatrix:
     if n is not None and len(rho.qubits) != n:
         raise WrongDimensionError(f"{what} needs a {n}-qubit state, got layout {rho.qubits!r}")
     return rho
+
+
+def _require_state(state, what: str) -> PureState | DensityMatrix:
+    """state, if it is a PureState or a three-qubit DensityMatrix; StateTypeError or WrongDimensionError if not."""
+    if isinstance(state, DensityMatrix):
+        return _require_density(state, what, 3)
+    if not isinstance(state, PureState):
+        raise StateTypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    return state
 
 
 def to_density(psi: PureState) -> DensityMatrix:

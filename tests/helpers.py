@@ -23,6 +23,19 @@ from triqent.measures import (
 #: the sweepable families whose states are density matrices
 MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
 
+#: how far the real route of a float stack may lie from the complex route of
+#: its complex copy: on the stacks of ``test_measures.TestRealRoute`` the
+#: largest distance is 1.2e-15 (an n_q of the ghz_w_mix grid and of the
+#: rank-3 draws)
+REAL_ROUTE_ATOL = 1e-14
+
+
+def real_gaussian_draws(seed, n, rank=8):
+    """n density matrices G G^T / Tr with G a real Gaussian 8 x rank matrix, as a complex stack."""
+    g = np.random.default_rng(seed).standard_normal((n, 8, rank))
+    m = g @ g.swapaxes(-1, -2)
+    return (m / np.trace(m, axis1=-2, axis2=-1)[:, np.newaxis, np.newaxis]).astype(complex)
+
 
 def default_rng_haar_amplitudes(seed):
     """The amplitudes of Haar state ``seed`` drawn by ``np.random.default_rng`` itself.

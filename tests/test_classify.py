@@ -542,21 +542,26 @@ class TestStackedDecisions:
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.1])
     def test_certify_table_equals_classify_mixed(self, tol):
-        states = [sample_hs_mixed(seed) for seed in range(100)]
-        states += [to_density(sample_haar_pure(seed)) for seed in range(100)]
-        states += [make_state(f, *p) for f in ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
-                   for p in default_grid(f).grid]
-        table = _mixed_measure_table(np.array([rho.matrix for rho in states]))
-        held, witness, ambiguous = _certify_table(table, tol)
+        # each kind is its own stack: the HS draws and projectors are complex,
+        # the family states float64, and a stack's dtype picks its arithmetic
+        kinds = [
+            [sample_hs_mixed(seed) for seed in range(100)],
+            [to_density(sample_haar_pure(seed)) for seed in range(100)],
+            [make_state(f, *p) for f in ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
+             for p in default_grid(f).grid],
+        ]
         flagged = 0
-        for i, rho in enumerate(states):
-            verdict = classify_mixed(rho, zero_tol=tol)
-            expected = [(c, bits(w)) for c, w in reference_certificates(verdict.measures, tol)]
-            assert [(c.claim, bits(c.witness)) for c in verdict.certificates] == expected, i
-            stacked = [(c, bits(w)) for c, h, w in zip(_CLAIMS, held[i], witness[i]) if h]
-            assert stacked == expected, i
-            assert verdict.ambiguous is bool(ambiguous[i]) is reference_ambiguous(verdict.measures, tol), i
-            flagged += verdict.ambiguous
+        for states in kinds:
+            table = _mixed_measure_table(np.array([rho.matrix for rho in states]))
+            held, witness, ambiguous = _certify_table(table, tol)
+            for i, rho in enumerate(states):
+                verdict = classify_mixed(rho, zero_tol=tol)
+                expected = [(c, bits(w)) for c, w in reference_certificates(verdict.measures, tol)]
+                assert [(c.claim, bits(c.witness)) for c in verdict.certificates] == expected, i
+                stacked = [(c, bits(w)) for c, h, w in zip(_CLAIMS, held[i], witness[i]) if h]
+                assert stacked == expected, i
+                assert verdict.ambiguous is bool(ambiguous[i]) is reference_ambiguous(verdict.measures, tol), i
+                flagged += verdict.ambiguous
         assert flagged > 0 if tol > 1e-8 else flagged == 0
 
 

@@ -40,7 +40,7 @@ from triqent.families import _CLAIM_BITS, _FAMILIES, _family_rows, _parameter_ro
 from triqent.measures import STACK_CHUNK, _mixed_measure_table
 from triqent.states import EIG_FLOOR, NORM_ATOL, _validated_amplitudes, _validated_matrices
 
-from helpers import MIXED_FAMILIES, nonzero_coefficients, reference_oracle
+from helpers import MIXED_FAMILIES, REAL_ROUTE_ATOL, nonzero_coefficients, reference_oracle
 
 
 def bits(ms):
@@ -541,10 +541,11 @@ def counting_domain(monkeypatch, family):
 
 
 class TestRealClosedForms:
-    """A mixed family's closed form is a float64 stack, measured as its complex copy is, bit for bit.
+    """A mixed family's closed form is a float64 stack, measured in real arithmetic.
 
-    ``make_state`` still hands out a complex, read-only DensityMatrix, the
-    row of the stack.  The grids have 1001 points.
+    ``make_state`` hands out its row as a read-only float64 DensityMatrix.
+    The table of the stack's complex copy, the complex route, is held to
+    the float table by ``REAL_ROUTE_ATOL``.  The grids have 1001 points.
     """
 
     @pytest.fixture(scope="class", params=MIXED_FAMILIES)
@@ -562,16 +563,15 @@ class TestRealClosedForms:
         copy = stack.astype(complex)
         assert not copy.imag.any()
         table = _mixed_measure_table(stack)
-        assert table.tobytes() == _mixed_measure_table(copy).tobytes()
+        assert np.abs(table - _mixed_measure_table(copy)).max() <= REAL_ROUTE_ATOL
         for i in range(len(stack)):
-            row = _mixed_measure_table(stack[i:i + 1]).tobytes()
-            assert row == table[i:i + 1].tobytes() == _mixed_measure_table(copy[i:i + 1]).tobytes(), i
+            assert _mixed_measure_table(stack[i:i + 1]).tobytes() == table[i:i + 1].tobytes(), i
 
-    def test_make_state_is_a_complex_copy_of_the_row(self, grid):
+    def test_make_state_holds_the_row(self, grid):
         family, params, stack = grid
         for p, m in zip(params[:, 0].tolist(), stack):
             matrix = make_state(family, p).matrix
-            assert matrix.dtype == np.complex128 and not matrix.flags.writeable
+            assert matrix.dtype == np.float64 and not matrix.flags.writeable
             assert np.array_equal(matrix, m), p
 
 

@@ -22,6 +22,7 @@ from triqent import (
     eta3_multiplicative,
     from_gsd_coefficients,
     ghz,
+    gsd,
     make_state,
     measure_set,
     negativity,
@@ -67,6 +68,7 @@ from triqent.measures import (
 from triqent.states import COMPLEMENT, QUBITS, _partial_trace, _partial_transpose, _validated_matrices
 from helpers import (
     MIXED_FAMILIES,
+    REAL_ROUTE_ATOL,
     near_separable_corpus,
     nonzero_coefficients,
     pure_corpora,
@@ -74,6 +76,7 @@ from helpers import (
     random_local_unitary,
     random_product_state,
     random_unitary,
+    real_gaussian_draws,
     reference_pure_closed_form_table,
     reference_pure_measure_table,
     spy_on_lapack,
@@ -586,13 +589,14 @@ class TestMixedStack:
         assert json.loads(capsys.readouterr().out)["kind"] == "mixed"
 
     def test_classify_of_a_real_mixed_file(self, monkeypatch, tmp_path, capsys):
-        # validation reads the file's complex matrix; the measures run on its real part
+        # the file's matrix has no imaginary part, so it is validated and
+        # measured in real arithmetic
         rho = make_state("ghz_noise", 0.5)
         path = str(tmp_path / "ghz_noise.json")
         save_state_file(path, rho)
         calls = spy_on_lapack(monkeypatch)
         assert main(["classify", path, "--json"]) == 0
-        assert calls == [("eigh", (1, 8, 8), "c")] + mixed_table_calls(1, "f")
+        assert calls == [("eigh", (1, 8, 8), "f")] + mixed_table_calls(1, "f")
         monkeypatch.undo()
         verdict = classify_mixed(rho)
         assert json.loads(capsys.readouterr().out) == {
@@ -727,15 +731,11 @@ class TestReferenceStacking:
 
 
 def real_draws(seed, n, rank):
-    """n validated density matrices G G^T / Tr with G a real Gaussian 8 x rank matrix, held as complex."""
-    g = np.random.default_rng(seed).standard_normal((n, 8, rank))
-    m = g @ g.swapaxes(-1, -2)
-    return _validated_matrices((m / np.trace(m, axis1=-2, axis2=-1)[:, np.newaxis, np.newaxis]).astype(complex))
+    """n validated density matrices G G^T / Tr with G a real Gaussian 8 x rank matrix, given to validation
+    as complex and stored as float64."""
+    return _validated_matrices(real_gaussian_draws(seed, n, rank))
 
 
-#: the real route's largest distance from the complex one on the stacks
-#: below is 1.2e-15 (an n_q of the ghz_w_mix grid and of the rank-3 draws)
-REAL_ROUTE_ATOL = 1e-14
 REAL_KINDS = (*MIXED_FAMILIES, "hs_real", "rank3_real")
 
 
@@ -743,32 +743,34 @@ class TestRealRoute:
     """A matrix with no imaginary part is measured in real arithmetic, close to the complex route.
 
     The stacks are the 1001-point grids of the four mixed families, 300
-    real HS draws (seed 3401) and 300 real rank-3 draws (seed 3402), every
-    one with all imaginary parts zero.  A family's grid is its closed form,
-    a float64 stack; each kind holds the complex copy of its stack, the
-    table of the stack as made, and the complex reference,
-    ``reference_mixed_measure_table`` on the complex copy.
+    real HS draws (seed 3401) and 300 real rank-3 draws (seed 3402), all
+    float64: a family's grid is its closed form, and a validated real draw
+    is stored real.  Each kind holds its stack, the table of the stack and
+    the complex reference, ``reference_mixed_measure_table`` on the
+    stack's complex copy.
     """
 
     @pytest.fixture(scope="class")
     def tables(self):
         stacks = {family: _FAMILIES[family].closed_form(default_grid(family, 1001).grid) for family in MIXED_FAMILIES}
-        assert all(m.dtype == np.float64 for m in stacks.values())
         stacks["hs_real"] = real_draws(3401, 300, 8)
         stacks["rank3_real"] = real_draws(3402, 300, 3)
-        out = {}
-        for kind, m in stacks.items():
-            copy = m.astype(complex)
-            out[kind] = (copy, _mixed_measure_table(m), reference_mixed_measure_table(copy))
-        return out
+        assert all(m.dtype == np.float64 for m in stacks.values())
+        return {kind: (m, _mixed_measure_table(m), reference_mixed_measure_table(m.astype(complex)))
+                for kind, m in stacks.items()}
 
     @pytest.mark.parametrize("kind", REAL_KINDS)
     def test_within_bound_of_complex_route(self, tables, kind, monkeypatch):
+        # the dtype picks the route: the float stack takes the real LAPACK
+        # routines, its complex copy the complex ones
         m, table, complex_table = tables[kind]
-        assert m.dtype.kind == "c" and not m.imag.any()
+        copy = m.astype(complex)
         calls = spy_on_lapack(monkeypatch)
         assert same_bits(_mixed_measure_table(m), table)
         assert calls == mixed_table_calls(len(m), "f")
+        calls.clear()
+        assert same_bits(_mixed_measure_table(copy), complex_table)
+        assert calls == mixed_table_calls(len(m), "c")
         assert np.abs(table - complex_table).max() <= REAL_ROUTE_ATOL
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-8, 1e-3, 0.1])
@@ -781,19 +783,21 @@ class TestRealRoute:
         assert np.array_equal(ambiguous, complex_ambiguous)
 
     def test_real_and_complex_rows_in_one_stack(self, tables, monkeypatch):
-        # the 101-point grid of each family, row by row between HS draws
+        # the 101-point grid of each family, row by row between HS draws: a
+        # complex stack, measured in complex arithmetic whatever its rows hold
         grid = np.concatenate([tables[family][0][::10] for family in MIXED_FAMILIES])
         hs = np.array([sample_hs_mixed(seed).matrix for seed in range(len(grid))])
         m = np.stack([grid, hs], axis=1).reshape(-1, 8, 8)
+        assert m.dtype == np.complex128
         calls = spy_on_lapack(monkeypatch)
         table = _mixed_measure_table(m)
-        # one batched call per spectrum for each kind of arithmetic
-        assert calls == mixed_table_calls(404, "f") + mixed_table_calls(404, "c")
+        # one batched complex call per spectrum
+        assert calls == mixed_table_calls(808, "c")
         monkeypatch.undo()
         for i in range(len(m)):
             assert same_bits(table[i:i + 1], _mixed_measure_table(m[i:i + 1])), i
         # the grid rows' bits depend on the route, so a rule that measured
-        # the whole stack in complex arithmetic would fail the loop above
+        # each row with no imaginary part in real arithmetic would fail here
         assert not same_bits(table[::2], reference_mixed_measure_table(grid))
 
 
@@ -925,7 +929,24 @@ DENSITY_CALLS = {
     "partial_transpose": lambda s: partial_transpose(s, "A"),
 }
 NOT_DENSITY = {"pure": ghz(), "str": "x", "array": np.eye(8) / 8}
-NOT_PURE = {"mixed": rho_zero(), "pair": partial_trace(rho_zero(), "A"), "str": "x"}
+PURE_CALLS = {
+    "apply_local_unitary": apply_non_unitaries,
+    "q_multiplicative": q_multiplicative,
+    "eta3_multiplicative": eta3_multiplicative,
+    "three_tangle": three_tangle,
+    "additive_measure": lambda s: additive_measure(s, "tangle"),
+    "classify_pure": classify_pure,
+    "gsd": gsd,
+    "to_density": to_density,
+}
+#: a DensityMatrix is a state, but not a pure one; the rest are not states
+NOT_PURE = {
+    "mixed": (rho_zero(), MixedStateUnsupportedError),
+    "pair": (partial_trace(rho_zero(), "A"), MixedStateUnsupportedError),
+    "str": ("x", StateTypeError),
+    "array": (np.ones(8) / np.sqrt(8), StateTypeError),
+    "none": (None, StateTypeError),
+}
 WRONG_TYPE_CASES = (
     [pytest.param(call, bad, StateTypeError, id=f"{name}-{kind}")
      for name, call in DENSITY_CALLS.items() for kind, bad in NOT_DENSITY.items()]
@@ -933,8 +954,8 @@ WRONG_TYPE_CASES = (
        for kind, bad in NOT_DENSITY.items()]
     + [pytest.param(measure_set, bad, StateTypeError, id=f"measure_set-{kind}")
        for kind, bad in (("str", "x"), ("array", np.eye(8) / 8), ("none", None))]
-    + [pytest.param(apply_non_unitaries, bad, MixedStateUnsupportedError, id=f"apply_local_unitary-{kind}")
-       for kind, bad in NOT_PURE.items()]
+    + [pytest.param(call, bad, error, id=f"{name}-{kind}")
+       for name, call in PURE_CALLS.items() for kind, (bad, error) in NOT_PURE.items()]
 )
 
 

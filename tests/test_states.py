@@ -43,6 +43,7 @@ from triqent import (
     tripartite_negativity,
     w_canonical,
 )
+from triqent.cli import load_state_file, save_state_file
 from triqent.states import EIG_FLOOR, _haar_draws, _validated_amplitudes, _validated_matrices
 from helpers import (
     default_rng_haar_amplitudes,
@@ -51,6 +52,7 @@ from helpers import (
     random_biseparable,
     random_product_state,
     random_unitary,
+    real_gaussian_draws,
     spy_on_lapack,
 )
 
@@ -318,6 +320,64 @@ class TestStackedValidation:
             else:
                 with pytest.raises(error):
                     _validated_matrices(m[np.newaxis])
+
+
+class TestStoredDtype:
+    """A density matrix with no imaginary part is held as a read-only float64 matrix, however it was made.
+
+    Its dtype then picks real LAPACK routines for its validation and for
+    every measure of it; a matrix with an imaginary part stays complex128.
+    """
+
+    def test_real_input_is_float64(self, tmp_path):
+        path = str(tmp_path / "ghz_noise.json")
+        save_state_file(path, make_state("ghz_noise", 0.5))
+        projector = to_density(ghz())
+        made = {
+            "DensityMatrix": DensityMatrix(np.eye(8) / 8),
+            "DensityMatrix of complex dtype": DensityMatrix(np.eye(8, dtype=complex) / 8),
+            "pair DensityMatrix": DensityMatrix(np.eye(4) / 4, ("A", "C")),
+            "load_state_file": load_state_file(path),
+            "make_state": make_state("ghz_w_mix", 0.3),
+            "to_density": projector,
+            "partial_trace": partial_trace(projector, "B"),
+            "partial_trace of a float state": partial_trace(make_state("sigma_b", 0.4), "A"),
+        }
+        for name, rho in made.items():
+            m = rho.matrix
+            assert m.dtype == np.float64 and m.flags.c_contiguous and not m.flags.writeable, name
+
+    def test_hs_draws_and_haar_projectors_stay_complex(self):
+        states = [sample_hs_mixed(seed) for seed in range(50)]
+        states += [to_density(sample_haar_pure(seed)) for seed in range(50)]
+        states += [partial_trace(rho, "A") for rho in states[::10]]
+        for rho in states:
+            assert rho.matrix.dtype == np.complex128 and not rho.matrix.flags.writeable
+
+    def test_real_validation_stores_the_real_hermitian_part(self, monkeypatch):
+        # the draws are full rank, so validation clamps nothing and stores the
+        # real part of the Hermitian part, the matrix a complex validation stored
+        stack = real_gaussian_draws(38, 300)
+        assert (np.linalg.eigvalsh(stack)[:, 0] > 0.0).all()
+        hermitian = np.ascontiguousarray(triqent.states._hermitian_part(stack.copy()).real)
+        calls = spy_on_lapack(monkeypatch)
+        validated = _validated_matrices(stack.copy())
+        assert calls == [("eigh", (300, 8, 8), "f")]
+        assert validated.dtype == np.float64
+        assert _bits(validated) == _bits(hermitian)
+        monkeypatch.undo()
+        for m, h in zip(stack[::30], hermitian[::30]):
+            assert _bits(DensityMatrix(m).matrix) == _bits(h)
+
+    def test_imaginary_parts_cancelling_in_the_hermitian_part(self):
+        # m - m^dagger is 2e-12 i s, within HERM_ATOL; (m + m^dagger) / 2 is real
+        real = real_gaussian_draws(39, 1)[0].real
+        a = np.random.default_rng(40).standard_normal((8, 8))
+        m = real + 1e-12j * (a + a.T)
+        assert m.imag.any()
+        rho = DensityMatrix(m)
+        assert rho.matrix.dtype == np.float64
+        assert _bits(rho.matrix) == _bits((real + real.T) / 2.0)
 
 
 class TestToDensity:

@@ -30,15 +30,17 @@ on the two 2x2 slices T0, T1 of the amplitude tensor (T_i[j, k] is the
 4. optionally (normal-phase mode) multiply diagonal phase unitaries
    into all three qubits so that alpha, delta, epsilon and omega are
    real and nonnegative; only beta may keep a phase;
-5. divide the rotated amplitudes by their norm, |psi| to rounding, so
-   the five coefficients have unit norm to a few ulps (the canonical
-   zeros, below 1e-10, take at most 3e-20 of it) and pass the one
+5. refuse the form unless each canonical zero is below 1e-10 (a NaN
+   fails too), and divide the rotated amplitudes by their norm, |psi|
+   to rounding, so the five coefficients have unit norm to a few ulps
+   (the canonical zeros take at most 3e-20 of it) and pass the one
    check of canonical coefficients, ``_gsd_amplitudes`` in this module,
    even for a state PureState accepted at the edge of NORM_ATOL.  The
-   unitaries map psi / |psi| to the form.  This module alone knows the
-   form's layout, the basis index of each coefficient
-   (``_CANONICAL_INDEX``), and its check, which every reader of a
-   form's coefficients goes through.
+   unitaries map psi / |psi| to the form.  The form is derived data: it
+   keeps its 8 amplitudes, which its readers take as they are.  This
+   module alone knows the form's layout, the basis index of each
+   coefficient (``_CANONICAL_INDEX``), and its check, which every read
+   of a form built elsewhere goes through.
 
 Raw mode skips step 4, which keeps relative phases (and hence
 orthogonality) within a canonical class instead of collapsing them.
@@ -118,8 +120,12 @@ def from_gsd_coefficients(alpha, beta, delta, epsilon, omega) -> PureState:
 class GsdForm:
     """Canonical coefficients plus the local unitaries that produce them.
 
-    The fields are not checked when a form is made, but when its
-    coefficients are read (``coefficients``, ``to_state``,
+    A form that ``gsd`` returns is derived from a validated state, as a
+    reduction is, and holds its 8 amplitudes (``_derived``), which its
+    readers take as they are.
+    The fields of any other form, one a caller builds or rebuilds with
+    ``dataclasses.replace``, are not checked when it is made, but on
+    every read of its coefficients (``coefficients``, ``to_state``,
     ``classify_gsd_pattern``), by ``_gsd_amplitudes``.
     """
 
@@ -132,26 +138,53 @@ class GsdForm:
     u_a: np.ndarray
     u_b: np.ndarray
     u_c: np.ndarray
+    #: the 8 amplitudes of a form ``gsd`` made; not a field, so no caller passes them
+    _amplitudes = None
+
+    @classmethod
+    def _derived(cls, coefficients: list, mode: str, unitaries) -> GsdForm:
+        """The form of coefficients derived from a validated state, holding their 8 amplitudes.
+
+        ``gsd`` calls it on the five coefficients it made from a validated
+        state.  The amplitudes are one ``np.array`` call, bit for bit what
+        ``_gsd_amplitudes`` of the five returns, and read-only.
+        """
+        amps = [0j] * 8
+        for n, c in zip(_CANONICAL_INDEX, coefficients):
+            amps[n] = c
+        amps = np.array(amps, dtype=complex)
+        amps.setflags(write=False)
+        form = cls(*coefficients, mode, *unitaries)
+        object.__setattr__(form, "_amplitudes", amps)
+        return form
+
+    def _checked_amplitudes(self) -> np.ndarray:
+        """The 8 amplitudes: those ``gsd`` stored, else ``_gsd_amplitudes`` of the five fields."""
+        if self._amplitudes is not None:
+            return self._amplitudes
+        return _gsd_amplitudes(self.alpha, self.beta, self.delta, self.epsilon, self.omega)
 
     @property
     def coefficients(self) -> np.ndarray:
         """The five coefficients in (alpha, beta, delta, epsilon, omega) order, as a new complex array.
 
-        They are read through the one check of canonical coefficients
+        A form ``gsd`` made reads its stored amplitudes.  Any other form
+        is read through the one check of canonical coefficients
         (``_gsd_amplitudes``): StateTypeError when a field is not a
         number, NonFiniteError when one is NaN or infinite, and
         ParamOutOfDomainError when the 8 amplitudes they make are off
         unit norm by PureState's rule.
         """
-        return _gsd_amplitudes(self.alpha, self.beta, self.delta, self.epsilon, self.omega)[list(_CANONICAL_INDEX)]
+        return self._checked_amplitudes()[list(_CANONICAL_INDEX)]
 
     def to_state(self) -> PureState:
-        """The canonical state, ``from_gsd_coefficients`` of the five fields.
+        """The canonical state: the stored amplitudes of a form ``gsd`` made,
+        else ``from_gsd_coefficients`` of the five fields.
 
         It raises what ``coefficients`` raises for a malformed form:
         StateTypeError, NonFiniteError or ParamOutOfDomainError.
         """
-        return from_gsd_coefficients(self.alpha, self.beta, self.delta, self.epsilon, self.omega)
+        return PureState(self._checked_amplitudes())
 
 
 @dataclass(frozen=True)
@@ -333,12 +366,14 @@ def gsd(psi: PureState, mode: str = "raw") -> GsdForm:
         tc = [z * knobs[0][n >> 2] * knobs[1][n >> 1 & 1] * knobs[2][n & 1] for n, z in enumerate(tc)]
         unitaries = [[[f * z for z in row] for f, row in zip(fs, u)] for fs, u in zip(knobs, unitaries)]
 
+    # its readers do not check the form again, so a NaN must fail here
     residuals = (abs(tc[1]), abs(tc[2]), abs(tc[3]))
-    if max(residuals) > _ZERO_RESIDUAL_TOL:
+    if not all(r <= _ZERO_RESIDUAL_TOL for r in residuals):
         raise NumericalDegeneracyError(f"canonical zeros failed: |t001|, |t010|, |t011| = {residuals}")
 
     norm = math.hypot(*map(abs, tc))
-    return GsdForm(*(tc[n] / norm for n in _CANONICAL_INDEX), mode, *(np.array(u, dtype=complex) for u in unitaries))
+    coefficients = [tc[n] / norm for n in _CANONICAL_INDEX]
+    return GsdForm._derived(coefficients, mode, [np.array(u, dtype=complex) for u in unitaries])
 
 
 #: the catalogue name of each subtype, by its code and entangled pairs
@@ -365,15 +400,16 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> G
     the pattern is the catalogue's name for the label.  The star S''
     (pairs AC and AB) holds wherever beta omega = delta epsilon.
 
-    The coefficients are read through ``GsdForm.coefficients``, so they
-    pass the one check that ``GsdForm.to_state`` and
-    ``from_gsd_coefficients`` run too, and a malformed form raises one
-    error type from all four: StateTypeError when a coefficient is not a
-    number, NonFiniteError when one is NaN or infinite, and
-    ParamOutOfDomainError when the 8 amplitudes they make are off unit
-    norm by PureState's rule (the margins are absolute, so a scaled form
-    would read another pattern).  Every form ``gsd`` returns
-    passes.  AmbiguousNearThresholdError is raised when a margin falls
+    The coefficients are read through ``GsdForm.coefficients``.  A form
+    ``gsd`` returns holds the amplitudes it derived from a validated
+    state, and is not checked again.  Any other form goes through the
+    one check that ``GsdForm.to_state`` and ``from_gsd_coefficients``
+    run too, so a malformed form raises one error type from all four:
+    StateTypeError when a coefficient is not a number, NonFiniteError
+    when one is NaN or infinite, and ParamOutOfDomainError when the 8
+    amplitudes they make are off unit norm by PureState's rule (the
+    margins are absolute, so a scaled form would read another pattern).
+    AmbiguousNearThresholdError is raised when a margin falls
     within a factor of 10 of zero_tol, where ``classify_pure`` sets
     ``ambiguous``, since the caller must then decide which side of the
     boundary was meant.

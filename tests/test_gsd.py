@@ -14,7 +14,10 @@ from triqent import (
     GsdPattern,
     MixedStateUnsupportedError,
     NonFiniteError,
+    NumericalDegeneracyError,
+    ParamOutOfDomainError,
     PureState,
+    StateTypeError,
     SubtypeLabel,
     TriqentError,
     apply_local_unitary,
@@ -31,9 +34,10 @@ from triqent import (
     to_density,
     w_canonical,
     w_prime,
+    w_state,
 )
 from triqent.cli import main, save_state_file
-from triqent.gsd import _direction, _phase_angles, _real_top, _top_pair
+from triqent.gsd import _direction, _gsd_amplitudes, _phase_angles, _real_top, _top_pair
 from triqent.measures import NEG_EIG_FLOOR
 from helpers import (
     accepted_pure_states,
@@ -260,8 +264,9 @@ class TestGsdInvariants:
     def test_no_numpy_arithmetic(self, mode, monkeypatch):
         # every step runs on Python complexes, which no LAPACK spy can see:
         # given amplitudes that offer only tolist(), and the module's numpy
-        # cut down to np.array, which may only wrap the three unitaries,
-        # every form comes out bit for bit as before
+        # cut down to np.array, which may only wrap the three unitaries and
+        # the form's stored amplitudes, every form comes out bit for bit as
+        # before
         def form_bytes(psi):
             form = gsd(psi, mode=mode)
             coefficients = np.array([form.alpha, form.beta, form.delta, form.epsilon, form.omega])
@@ -282,7 +287,7 @@ class TestGsdInvariants:
         expected = [form_bytes(psi) for psi in states]
         monkeypatch.setattr(sys.modules["triqent.gsd"], "np", types.SimpleNamespace(array=array, ndarray=np.ndarray))
         assert [form_bytes(list_only(psi)) for psi in states] == expected
-        assert len(built) == 3 * len(states)
+        assert len(built) == 4 * len(states)
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_largest_lambda_root(self, seed):
@@ -653,6 +658,54 @@ def test_pattern_rejects_non_finite_coefficients(name, value):
         classify_gsd_pattern(form)
 
 
+def replaced_beta(form):
+    """Malformed values of beta, by kind, each with the error every reader must raise.
+
+    "off_norm" puts the five coefficients 1e-6 off unit norm.
+    """
+    return {"string": ("x", StateTypeError), "nan": (complex(np.nan, 0.0), NonFiniteError),
+            "off_norm": (np.sqrt(abs(form.beta) ** 2 + 2e-6), ParamOutOfDomainError)}
+
+
+#: the readers of a form's coefficients
+FORM_READERS = {
+    "coefficients": lambda form: form.coefficients,
+    "to_state": GsdForm.to_state,
+    "pattern": classify_gsd_pattern,
+}
+
+
+@pytest.mark.parametrize("reader", FORM_READERS)
+@pytest.mark.parametrize("kind", ["string", "nan", "off_norm"])
+def test_replaced_form_is_checked_on_every_read(kind, reader):
+    # a form gsd made keeps its checked amplitudes, but a form rebuilt from
+    # it with dataclasses.replace holds none, so it is checked on every
+    # read and raises what a form the caller builds with those fields does
+    read = FORM_READERS[reader]
+    for psi in (w_prime(), ghz(), sample_haar_pure(3), sample_haar_pure(4)):
+        for mode in ("raw", "normal"):
+            form = gsd(psi, mode=mode)
+            value, error = replaced_beta(form)[kind]
+            replaced = dataclasses.replace(form, beta=value)
+            built = GsdForm(*(getattr(replaced, f.name) for f in dataclasses.fields(GsdForm)))
+            assert replaced._amplitudes is None and built._amplitudes is None
+            for malformed in (replaced, built):
+                with pytest.raises(error):
+                    read(malformed)
+            # the same fields unchanged pass the check, so only beta is refused
+            read(dataclasses.replace(form))
+
+
+def test_non_finite_direction_refused_by_gsd(monkeypatch):
+    # gsd's forms are not checked again, so gsd refuses a NaN form itself:
+    # a NaN canonical zero fails the residual check, which a NaN passes
+    # when it is written as "above the tolerance"
+    monkeypatch.setattr(sys.modules["triqent.gsd"], "_direction", lambda slices: (complex(np.nan, 0.0), 0j))
+    for mode in ("raw", "normal"):
+        with pytest.raises(NumericalDegeneracyError):
+            gsd(w_state(), mode=mode)
+
+
 @pytest.mark.parametrize("mode", ["raw", "normal"])
 def test_form_readers_agree(mode):
     # coefficients, the five fields and the canonical state's amplitudes at
@@ -693,6 +746,20 @@ def refusals(calls):
         except TriqentError as exc:
             refused[name, type(exc).__name__] += 1
     return refused
+
+
+@pytest.mark.parametrize("mode", ["raw", "normal"])
+def test_stored_amplitudes_are_the_check_of_the_fields(mode):
+    # the amplitudes a form of gsd stores are, byte for byte, what the one
+    # check of canonical coefficients returns for its five fields, on
+    # every pure corpus and every norm-edge state, and they are read-only
+    states = [PureState(amps) for stack in pure_corpora().values() for amps in stack]
+    for i, psi in enumerate(states + list(norm_edge_states())):
+        form = gsd(psi, mode=mode)
+        stored = form._amplitudes
+        checked = _gsd_amplitudes(form.alpha, form.beta, form.delta, form.epsilon, form.omega)
+        assert stored.dtype == checked.dtype and stored.tobytes() == checked.tobytes(), i
+        assert not stored.flags.writeable, i
 
 
 class TestNormEdge:

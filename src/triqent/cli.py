@@ -219,8 +219,7 @@ def _cmd_gsd(args) -> int:
         ambiguous = True
         pattern_line = f"ambiguous: {exc}"
     print(f"mode: {form.mode}")
-    for name in ("alpha", "beta", "delta", "epsilon", "omega"):
-        z = getattr(form, name)
+    for name, z in zip(("alpha", "beta", "delta", "epsilon", "omega"), form.coefficients.tolist()):
         print(f"  {name:8s} {_fmt(z.real)} {'+' if z.imag >= 0 else '-'} {_fmt(abs(z.imag))}i"
               f"   |.| = {_fmt(abs(z))}")
     print(f"pattern: {pattern_line}")

@@ -69,6 +69,7 @@ from .states import (
     _normalized,
     _numbers,
     _raise_first,
+    _shown,
 )
 
 _SQRT3 = np.sqrt(3.0)
@@ -273,7 +274,7 @@ def _family(family) -> _Family:
     """The record of a family name; ParamOutOfDomainError for any other value."""
     if isinstance(family, str) and family in _FAMILIES:
         return _FAMILIES[family]
-    raise ParamOutOfDomainError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    raise ParamOutOfDomainError(f"unknown family {_shown(family)!r}; known: {', '.join(FAMILIES)}")
 
 
 def _point_problem(params, family: str, arity: int, kind: type) -> str | None:
@@ -281,11 +282,11 @@ def _point_problem(params, family: str, arity: int, kind: type) -> str | None:
     try:
         n = len(params)
     except TypeError:  # not a sequence, such as a number
-        return f"family {family!r} takes {arity} parameter(s), got {params!r}, not a tuple"
+        return f"family {family!r} takes {arity} parameter(s), got {_shown(params)!r}, not a tuple"
     if n != arity:
         return f"family {family!r} takes {arity} parameter(s), got {n}"
     if getattr(_numbers(params, kind), "ndim", None) != 1:  # None, for a row that is not numbers
-        return f"parameters must be {kind.__name__.lower()} numbers, got {params}"
+        return f"parameters must be {kind.__name__.lower()} numbers, got {_shown(params)}"
     return None
 
 
@@ -424,7 +425,8 @@ def default_grid(family: str, points: int = 101) -> FamilySpec:
     """Uniform grid over the family's parameter domain, as a read-only (points, 1) float array."""
     # from about sys.maxsize // 8 points numpy cannot size the grid (a raw error)
     if not _is_number(points, numbers.Integral) or not 1 <= points <= sys.maxsize // 16:
-        raise ParamOutOfDomainError(f"points must be an integer from 1 to sys.maxsize // 16, got {points!r:.40}")
+        raise ParamOutOfDomainError(
+            f"points must be an integer from 1 to sys.maxsize // 16, got {_shown(points)!r:.40}")
     values = _family(family).grid
     if values is None:
         raise ParamOutOfDomainError(f"family {family!r} has no default sweep grid")
@@ -510,10 +512,7 @@ def _sweep_chunks(spec: FamilySpec):
         rows = _family_rows(points, spec.family, record)
     except TriqentError as exc:
         if hasattr(exc, "_row"):  # see _raise_first
-            params = points[exc._row]
-            if isinstance(params, np.ndarray):
-                params = tuple(params.tolist())
-            exc.args = (f"sweep of {spec.family!r} failed at params {params}: {exc}",)
+            exc.args = (f"sweep of {spec.family!r} failed at params {_shown(points[exc._row])}: {exc}",)
         raise
     for start in range(0, len(rows), STACK_CHUNK):
         yield _sweep_chunk(record, rows[start:start + STACK_CHUNK])

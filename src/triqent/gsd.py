@@ -36,11 +36,11 @@ on the two 2x2 slices T0, T1 of the amplitude tensor (T_i[j, k] is the
    (the canonical zeros take at most 3e-20 of it) and pass the one
    check of canonical coefficients, ``_gsd_amplitudes`` in this module,
    even for a state PureState accepted at the edge of NORM_ATOL.  The
-   unitaries map psi / |psi| to the form.  The form is derived data: it
-   keeps its 8 amplitudes, which its readers take as they are.  This
-   module alone knows the form's layout, the basis index of each
-   coefficient (``_CANONICAL_INDEX``), and its check, which every read
-   of a form built elsewhere goes through.
+   unitaries map psi / |psi| to the form.  The form is derived data,
+   so it skips the check that ``GsdForm`` runs when a caller builds
+   one, and keeps its 8 amplitudes as every form does.  This module
+   alone knows the form's layout, the basis index of each coefficient
+   (``_CANONICAL_INDEX``), and its check.
 
 Raw mode skips step 4, which keeps relative phases (and hence
 orthogonality) within a canonical class instead of collapsing them.
@@ -86,30 +86,35 @@ _PHASE_TOL = 1e-12
 _CANONICAL_INDEX = (0, 4, 6, 5, 7)
 
 
-def _gsd_amplitudes(alpha, beta, delta, epsilon, omega) -> np.ndarray:
-    """The 8 amplitudes of five canonical coefficients: the one check of canonical coefficients.
+def _placed(coefficients) -> list:
+    """The 8 amplitudes of five canonical coefficients: each at its index in ``_CANONICAL_INDEX``, 0j elsewhere."""
+    by_index = dict(zip(_CANONICAL_INDEX, coefficients))
+    return [by_index.get(n, 0j) for n in range(8)]
 
-    Each coefficient goes to its basis index in ``_CANONICAL_INDEX``, and
-    every other amplitude is 0.  Raises StateTypeError unless every
-    coefficient is a number (see ``_numbers``), NonFiniteError for a NaN
-    or infinite one, and ParamOutOfDomainError unless the amplitudes have
-    unit norm.  The norm is judged by ``_normalized`` on the 8
-    amplitudes, PureState's own rule on the same numbers, so amplitudes
-    this check passes pass PureState too.
+
+def _gsd_amplitudes(alpha, beta, delta, epsilon, omega) -> np.ndarray:
+    """The 8 amplitudes of five canonical coefficients, read-only: the one check of canonical coefficients.
+
+    Raises StateTypeError unless every coefficient is a number (see
+    ``_numbers``), NonFiniteError for a NaN or infinite one, and
+    ParamOutOfDomainError unless the amplitudes have unit norm.  The
+    norm is judged by ``_normalized`` on the 8 amplitudes, PureState's
+    own rule on the same numbers, so amplitudes this check passes pass
+    PureState too.
     """
-    by_index = dict(zip(_CANONICAL_INDEX, (alpha, beta, delta, epsilon, omega)))
-    amps = _complex_entries(tuple(by_index.get(n, 0j) for n in range(8)), "canonical amplitudes", (8,))
+    amps = _complex_entries(_placed((alpha, beta, delta, epsilon, omega)), "canonical amplitudes", (8,))
     if not _normalized(amps):
         raise ParamOutOfDomainError("canonical coefficients must be normalized")
+    amps.setflags(write=False)
     return amps
 
 
 def from_gsd_coefficients(alpha, beta, delta, epsilon, omega) -> PureState:
     """Pure state with the five canonical amplitudes and zeros elsewhere.
 
-    The coefficients are checked by ``_gsd_amplitudes``, as every reader
-    of a ``GsdForm``'s coefficients checks them: StateTypeError unless
-    each is a number, NonFiniteError for a NaN or infinite one, and
+    The coefficients are checked by ``_gsd_amplitudes``, as ``GsdForm``
+    checks them when it is built: StateTypeError unless each is a
+    number, NonFiniteError for a NaN or infinite one, and
     ParamOutOfDomainError unless the 8 amplitudes they make have unit
     norm by PureState's rule, |norm - 1| <= NORM_ATOL.
     """
@@ -120,13 +125,16 @@ def from_gsd_coefficients(alpha, beta, delta, epsilon, omega) -> PureState:
 class GsdForm:
     """Canonical coefficients plus the local unitaries that produce them.
 
-    A form that ``gsd`` returns is derived from a validated state, as a
-    reduction is, and holds its 8 amplitudes (``_derived``), which its
-    readers take as they are.
-    The fields of any other form, one a caller builds or rebuilds with
-    ``dataclasses.replace``, are not checked when it is made, but on
-    every read of its coefficients (``coefficients``, ``to_state``,
-    ``classify_gsd_pattern``), by ``_gsd_amplitudes``.
+    A form a caller builds, or rebuilds with ``dataclasses.replace``, is
+    checked once, where it is made, by ``_gsd_amplitudes``, so a
+    malformed coefficient raises what ``from_gsd_coefficients`` raises
+    for it: StateTypeError when it is not a number, NonFiniteError when
+    it is NaN or infinite, and ParamOutOfDomainError when the 8
+    amplitudes are off unit norm by PureState's rule.  ``mode`` and the
+    unitaries are not checked.  A form that ``gsd`` returns is derived
+    from a validated state, as a reduction is, and skips the check
+    (``_derived``).  Either way the form holds the 8 amplitudes of its
+    coefficients, read-only, which its readers take as they are.
     """
 
     alpha: complex
@@ -138,53 +146,32 @@ class GsdForm:
     u_a: np.ndarray
     u_b: np.ndarray
     u_c: np.ndarray
-    #: the 8 amplitudes of a form ``gsd`` made; not a field, so no caller passes them
-    _amplitudes = None
+
+    def __post_init__(self):
+        vars(self)["_amplitudes"] = _gsd_amplitudes(self.alpha, self.beta, self.delta, self.epsilon, self.omega)
 
     @classmethod
     def _derived(cls, coefficients: list, mode: str, unitaries) -> GsdForm:
-        """The form of coefficients derived from a validated state, holding their 8 amplitudes.
+        """The form of coefficients derived from a validated state, skipping the check.
 
         ``gsd`` calls it on the five coefficients it made from a validated
         state.  The amplitudes are one ``np.array`` call, bit for bit what
         ``_gsd_amplitudes`` of the five returns, and read-only.
         """
-        amps = [0j] * 8
-        for n, c in zip(_CANONICAL_INDEX, coefficients):
-            amps[n] = c
-        amps = np.array(amps, dtype=complex)
+        amps = np.array(_placed(coefficients), dtype=complex)
         amps.setflags(write=False)
-        form = cls(*coefficients, mode, *unitaries)
-        object.__setattr__(form, "_amplitudes", amps)
+        form = object.__new__(cls)
+        vars(form).update(zip(cls.__dataclass_fields__, (*coefficients, mode, *unitaries)), _amplitudes=amps)
         return form
-
-    def _checked_amplitudes(self) -> np.ndarray:
-        """The 8 amplitudes: those ``gsd`` stored, else ``_gsd_amplitudes`` of the five fields."""
-        if self._amplitudes is not None:
-            return self._amplitudes
-        return _gsd_amplitudes(self.alpha, self.beta, self.delta, self.epsilon, self.omega)
 
     @property
     def coefficients(self) -> np.ndarray:
-        """The five coefficients in (alpha, beta, delta, epsilon, omega) order, as a new complex array.
-
-        A form ``gsd`` made reads its stored amplitudes.  Any other form
-        is read through the one check of canonical coefficients
-        (``_gsd_amplitudes``): StateTypeError when a field is not a
-        number, NonFiniteError when one is NaN or infinite, and
-        ParamOutOfDomainError when the 8 amplitudes they make are off
-        unit norm by PureState's rule.
-        """
-        return self._checked_amplitudes()[list(_CANONICAL_INDEX)]
+        """The five coefficients in (alpha, beta, delta, epsilon, omega) order, as a new complex array."""
+        return self._amplitudes[list(_CANONICAL_INDEX)]
 
     def to_state(self) -> PureState:
-        """The canonical state: the stored amplitudes of a form ``gsd`` made,
-        else ``from_gsd_coefficients`` of the five fields.
-
-        It raises what ``coefficients`` raises for a malformed form:
-        StateTypeError, NonFiniteError or ParamOutOfDomainError.
-        """
-        return PureState(self._checked_amplitudes())
+        """The canonical state, whose amplitudes are the form's 8 amplitudes."""
+        return PureState(self._amplitudes)
 
 
 @dataclass(frozen=True)
@@ -400,16 +387,12 @@ def classify_gsd_pattern(form: GsdForm, zero_tol: float = DEFAULT_ZERO_TOL) -> G
     the pattern is the catalogue's name for the label.  The star S''
     (pairs AC and AB) holds wherever beta omega = delta epsilon.
 
-    The coefficients are read through ``GsdForm.coefficients``.  A form
-    ``gsd`` returns holds the amplitudes it derived from a validated
-    state, and is not checked again.  Any other form goes through the
-    one check that ``GsdForm.to_state`` and ``from_gsd_coefficients``
-    run too, so a malformed form raises one error type from all four:
-    StateTypeError when a coefficient is not a number, NonFiniteError
-    when one is NaN or infinite, and ParamOutOfDomainError when the 8
-    amplitudes they make are off unit norm by PureState's rule (the
-    margins are absolute, so a scaled form would read another pattern).
-    AmbiguousNearThresholdError is raised when a margin falls
+    The coefficients are read through ``GsdForm.coefficients``, with
+    no check: every form was checked when it was made, or derived by
+    ``gsd`` from a validated state.  Its coefficients have unit norm, so
+    the margins, which are absolute, read the pattern of the state (the
+    GHZ form scaled to norm 1e-5 would read "product", and cannot be
+    built).  AmbiguousNearThresholdError is raised when a margin falls
     within a factor of 10 of zero_tol, where ``classify_pure`` sets
     ``ambiguous``, since the caller must then decide which side of the
     boundary was meant.

@@ -104,6 +104,19 @@ def _is_number(v, kind: type) -> bool:
     return type(v) in _BUILTIN_NUMBERS[kind] or (isinstance(v, kind) and not isinstance(v, bool))
 
 
+def _shown(v):
+    """``v`` as an error message names it, so a number reads the same on numpy 1 and 2.
+
+    A numpy scalar is its ``item()``, the Python number it holds (a
+    longdouble has none).  A tuple or a list is shown entry by entry,
+    and so is an array of one or more axes, as a tuple.  Anything else,
+    a string or None, is shown as it is.
+    """
+    if type(v) in (tuple, list) or getattr(v, "ndim", 0):
+        return (list if type(v) is list else tuple)(map(_shown, v))
+    return v.item() if isinstance(v, np.generic) else v
+
+
 def _numbers(x, kind: type) -> np.ndarray | None:
     """``x`` as a new float (numbers.Real) or complex (numbers.Complex) array, or
     None unless every entry is a number of ``kind``.
@@ -427,7 +440,7 @@ def _haar_draws(rng: np.random.Generator, n: int) -> np.ndarray:
 def _check_seed(seed) -> None:
     """Reject a seed that is not a non-negative integer before anything is drawn."""
     if not _is_number(seed, numbers.Integral) or seed < 0:
-        raise ParamOutOfDomainError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ParamOutOfDomainError(f"seed must be a non-negative integer, got {_shown(seed)!r}")
 
 
 def sample_haar_pure(seed: int) -> PureState:

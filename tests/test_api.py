@@ -136,11 +136,10 @@ def spec():
 
 
 def form():
-    nan_form = GsdForm(NAN, 0j, 0j, 0j, 0j, "raw", np.eye(2), np.eye(2), np.eye(2))
-    # read as the number 1, True would make this the product form |000>
-    boolean_form = GsdForm(True, 0j, 0j, 0j, 0j, "raw", np.eye(2), np.eye(2), np.eye(2))
-    return {"wrong_type": ghz(), "nan": nan_form, "string": "x", "none": None, "wrong_shape": np.zeros(5),
-            "boolean": boolean_form, **wide(dataclasses.replace(nan_form, alpha=HUGE_LONGDOUBLE))}
+    # a form with a malformed coefficient cannot be built (GsdForm's own
+    # cases below), so these are values that are not forms
+    return {"wrong_type": ghz(), "nan": NAN, "string": "x", "none": None, "wrong_shape": np.zeros(5),
+            "boolean": True} | wide(HUGE_LONGDOUBLE)
 
 
 def vector(n):
@@ -184,6 +183,8 @@ SLOTS = {
     "classify_mixed": (lambda: (rho_zero(), 1e-8), lambda: [three_qubit_state(), tolerance()]),
     "gsd": (lambda: (ghz(), "raw"), lambda: [pure(), name()]),
     "classify_gsd_pattern": (lambda: (gsd(ghz()), 1e-8), lambda: [form(), tolerance()]),
+    # mode and the unitaries are not checked
+    "GsdForm": (lambda: (*GSD, "raw", np.eye(2), np.eye(2), np.eye(2)), lambda: [complex_number()] * 5),
     "svd_2x2": (lambda: (np.eye(2),), lambda: [matrix((2, 2))]),
     "make_state": (lambda: ("ghz_like", 0.5), lambda: [name(), real()]),
     "oracle": (lambda: ("ghz_like", 0.5), lambda: [name(), real()]),
@@ -204,9 +205,8 @@ EXEMPT = {
     "rho_zero": "takes no arguments",
     "w_prime": "takes no arguments",
     "w_state": "takes no arguments",
-    # plain records: results of the calls above, or their input (FamilySpec
-    # and GsdForm), whose fields sweep and the coefficient check of
-    # classify_gsd_pattern, to_state and coefficients read (see RECORD_FIELDS)
+    # plain records: results of the calls above, or their input FamilySpec,
+    # whose fields sweep reads (see RECORD_FIELDS)
     "Certificate": "result record",
     "GsdPattern": "result record",
     "MeasureSet": "result record",
@@ -215,8 +215,6 @@ EXEMPT = {
     "SubtypeLabel": "result record",
     "SweepRow": "result record",
     "FamilySpec": "input record, checked by sweep",
-    "GsdForm": "input record, whose coefficients classify_gsd_pattern, to_state and coefficients check "
-               "as from_gsd_coefficients does",
 }
 
 
@@ -296,6 +294,28 @@ def test_zero_d_numeric_array_counts_as_its_number(call, value):
     assert np.array_equal(state_entries(call(np.array(value))), state_entries(call(value)))
 
 
+@pytest.mark.parametrize("call, number", [
+    (triqent.sample_haar_pure, -1),
+    (triqent.sample_hs_mixed, -1),
+    (lambda points: default_grid("ghz_like", points), 0),
+    (lambda value: sweep(FamilySpec("ghz_like", [(value,)])), 2.0),
+    (lambda value: sweep(FamilySpec("ghz_like", np.array([value, 0.6]))), 0.5),
+    (lambda value: sweep(FamilySpec("ghz_like", [(value, value)])), 0.5),
+    (lambda value: sweep(FamilySpec("ghz_like", [(0.5,), (value,)])), "x"),
+    (triqent.make_state, 1),
+], ids=["seed", "hs_seed", "points", "params", "point_not_a_tuple", "point_arity", "point_not_numbers",
+        "family"])
+def test_numpy_scalar_named_as_its_number(call, number):
+    # numpy 2 writes np.float64(2.0) where numpy 1 writes 2.0, so a message
+    # names the Python number (or string), and reads the same on both
+    messages = []
+    for value in (number, np.array(number)[()]):
+        with pytest.raises(ParamOutOfDomainError) as info:
+            call(value)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and "np." not in messages[0]
+
+
 def test_point_count_beyond_an_index_rejected():
     # integer() has no huge_integer kind, since a seed may be arbitrarily
     # large; a grid count is bounded by what an array can hold.  numpy
@@ -307,23 +327,27 @@ def test_point_count_beyond_an_index_rejected():
                 default_grid(family, points)
 
 
+#: the coefficients of the GHZ canonical form
+GHZ_COEFFICIENTS = dict(alpha=1 / np.sqrt(2), beta=0j, delta=0j, epsilon=0j, omega=1 / np.sqrt(2))
+
+
 def gsd_form(**fields):
     """The GHZ canonical form with the given coefficients replaced."""
-    coefficients = dict(alpha=1 / np.sqrt(2), beta=0j, delta=0j, epsilon=0j, omega=1 / np.sqrt(2)) | fields
-    return GsdForm(**coefficients, mode="raw", u_a=np.eye(2), u_b=np.eye(2), u_c=np.eye(2))
+    return GsdForm(**GHZ_COEFFICIENTS | fields, mode="raw", u_a=np.eye(2), u_b=np.eye(2), u_c=np.eye(2))
 
 
-#: the calls that check a form's coefficients, by the suffix of their case names:
-#: one rule, so each malformed form raises one error type from all four
+#: the calls that meet malformed coefficients, by the suffix of their case names.  A form
+#: is checked when it is built, or rebuilt with dataclasses.replace, so its readers never
+#: see a malformed one; from_gsd_coefficients runs the same check, so all raise one error type
 FORM_CALLS = {
-    "": classify_gsd_pattern,
-    "-to_state": GsdForm.to_state,
-    "-coefficients": lambda form: form.coefficients,
-    "-from_gsd_coefficients": lambda form: from_gsd_coefficients(
-        form.alpha, form.beta, form.delta, form.epsilon, form.omega),
+    "": lambda fields: gsd_form(**fields),
+    "-replace": lambda fields: dataclasses.replace(gsd_form(), **fields),
+    "-to_state": lambda fields: gsd_form(**fields).to_state(),
+    "-coefficients": lambda fields: gsd_form(**fields).coefficients,
+    "-from_gsd_coefficients": lambda fields: from_gsd_coefficients(**GHZ_COEFFICIENTS | fields),
 }
 
-#: a malformed field of an input record -> (the call that reads it, the error it must raise)
+#: a malformed field of a record -> (the call that meets it, the error it must raise)
 RECORD_FIELDS = {
     "FamilySpec-family-number": (lambda: sweep(FamilySpec(1, ((0.5,),))), ParamOutOfDomainError),
     "FamilySpec-family-none": (lambda: sweep(FamilySpec(None, ((0.5,),))), ParamOutOfDomainError),
@@ -334,17 +358,17 @@ RECORD_FIELDS = {
     "FamilySpec-point-none": (lambda: sweep(FamilySpec("ghz_like", ((0.5,), None))), ParamOutOfDomainError),
     "FamilySpec-point-string": (lambda: sweep(FamilySpec("ghz_like", ((0.5,), "x"))), ParamOutOfDomainError),
     **{
-        f"GsdForm-{name}-{kind}{suffix}": (lambda call=call, name=name, value=value: call(gsd_form(**{name: value})),
-                                           error)
+        f"GsdForm-{name}-{kind}{suffix}": (lambda call=call, name=name, value=value: call({name: value}), error)
         for name in ("alpha", "beta", "delta", "epsilon", "omega")
         for kind, value, error in (("string", "x", StateTypeError), ("none", None, StateTypeError),
-                                   ("list", [0.5], StateTypeError), ("nan", NAN, NonFiniteError))
+                                   ("list", [0.5], StateTypeError), ("nan", NAN, NonFiniteError),
+                                   ("boolean", True, StateTypeError),
+                                   *[("huge_longdouble", v, NonFiniteError) for v in wide(HUGE_LONGDOUBLE).values()])
         for suffix, call in FORM_CALLS.items()
     },
     # the GHZ form at norm 1e-5, whose absolute margins would read "product"
     **{
-        f"GsdForm-scaled{suffix}": (lambda call=call: call(gsd_form(alpha=0.6e-5, omega=0.8e-5)),
-                                    ParamOutOfDomainError)
+        f"GsdForm-scaled{suffix}": (lambda call=call: call(dict(alpha=0.6e-5, omega=0.8e-5)), ParamOutOfDomainError)
         for suffix, call in FORM_CALLS.items()
     },
 }

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import functools
+import pickle
 import sys
 import types
 from collections import Counter
@@ -653,13 +655,14 @@ NON_FINITE_COEFFICIENTS = {
     "name, value", NON_FINITE_COEFFICIENTS.values(), ids=NON_FINITE_COEFFICIENTS.keys()
 )
 def test_pattern_rejects_non_finite_coefficients(name, value):
-    form = dataclasses.replace(gsd(w_prime()), **{name: value})
+    # the form is refused where it is rebuilt, so no pattern is read off it
+    form = gsd(w_prime())
     with pytest.raises(NonFiniteError):
-        classify_gsd_pattern(form)
+        dataclasses.replace(form, **{name: value})
 
 
 def replaced_beta(form):
-    """Malformed values of beta, by kind, each with the error every reader must raise.
+    """Malformed values of beta, by kind, each with the error a form made with it must raise.
 
     "off_norm" puts the five coefficients 1e-6 off unit norm.
     """
@@ -675,25 +678,51 @@ FORM_READERS = {
 }
 
 
+def assert_same_reading(got, expected):
+    """Two reads of a form agree: arrays and states byte for byte, patterns as records."""
+    if isinstance(expected, PureState):
+        got, expected = got.amplitudes, expected.amplitudes
+    if isinstance(expected, np.ndarray):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    else:
+        assert got == expected
+
+
 @pytest.mark.parametrize("reader", FORM_READERS)
 @pytest.mark.parametrize("kind", ["string", "nan", "off_norm"])
 def test_replaced_form_is_checked_on_every_read(kind, reader):
-    # a form gsd made keeps its checked amplitudes, but a form rebuilt from
-    # it with dataclasses.replace holds none, so it is checked on every
-    # read and raises what a form the caller builds with those fields does
+    # every read is of checked amplitudes: a form rebuilt with
+    # dataclasses.replace, like one the caller builds with the same fields,
+    # is checked when it is made, so a malformed beta raises there, the
+    # error from_gsd_coefficients raises for it, and no reader sees it
     read = FORM_READERS[reader]
     for psi in (w_prime(), ghz(), sample_haar_pure(3), sample_haar_pure(4)):
         for mode in ("raw", "normal"):
             form = gsd(psi, mode=mode)
             value, error = replaced_beta(form)[kind]
-            replaced = dataclasses.replace(form, beta=value)
-            built = GsdForm(*(getattr(replaced, f.name) for f in dataclasses.fields(GsdForm)))
-            assert replaced._amplitudes is None and built._amplitudes is None
-            for malformed in (replaced, built):
-                with pytest.raises(error):
-                    read(malformed)
-            # the same fields unchanged pass the check, so only beta is refused
-            read(dataclasses.replace(form))
+            fields = {f.name: getattr(form, f.name) for f in dataclasses.fields(GsdForm)} | {"beta": value}
+            with pytest.raises(error):
+                dataclasses.replace(form, beta=value)
+            with pytest.raises(error):
+                GsdForm(**fields)
+            with pytest.raises(error):
+                from_gsd_coefficients(*(fields[name] for name in ("alpha", "beta", "delta", "epsilon", "omega")))
+            # the same fields unchanged pass the check and read as gsd's form does
+            assert_same_reading(read(dataclasses.replace(form)), read(form))
+
+
+@pytest.mark.parametrize("copy_form", [copy.copy, copy.deepcopy, lambda form: pickle.loads(pickle.dumps(form))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_form_survives_copy_and_pickle(copy_form):
+    # the amplitudes are not a field, so a copy driven by the fields could
+    # drop them: a copy of a form gsd made, or of one a caller built, reads
+    # what the form reads
+    forms = [gsd(psi, mode=mode) for psi in (w_prime(), sample_haar_pure(5)) for mode in ("raw", "normal")]
+    forms.append(GsdForm(0.6, 0.0, 0.0, 0.0, 0.8, "raw", np.eye(2), np.eye(2), np.eye(2)))
+    for form in forms:
+        copied = copy_form(form)
+        for read in FORM_READERS.values():
+            assert_same_reading(read(copied), read(form))
 
 
 def test_non_finite_direction_refused_by_gsd(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 import threading
@@ -11,6 +12,7 @@ import triqent.states
 from triqent import (
     DensityMatrix,
     FamilySpec,
+    GsdForm,
     NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
@@ -667,6 +669,34 @@ class TestValidateOnce:
         classify_mixed(mixed)
         with pytest.raises(AssertionError, match="stacked validator"):
             DensityMatrix(np.eye(8) / 8)
+
+    def test_gsd_forms_checked_once_when_built(self, monkeypatch):
+        # a form gsd derives is not checked; one a caller builds, or rebuilds
+        # with dataclasses.replace, is checked once, when it is made, and no
+        # read of either checks it again
+        gsd_module = sys.modules["triqent.gsd"]
+        check, calls = gsd_module._gsd_amplitudes, []
+
+        def spy(*coefficients):
+            calls.append(coefficients)
+            return check(*coefficients)
+
+        def read(form):
+            form.coefficients, form.to_state(), classify_gsd_pattern(form)
+
+        monkeypatch.setattr(gsd_module, "_gsd_amplitudes", spy)
+        forms = [gsd(psi, mode=mode) for psi in (ghz(), sample_haar_pure(3)) for mode in ("raw", "normal")]
+        for form in forms:
+            read(form)
+        assert calls == []
+        for form in forms:
+            for make in (lambda: GsdForm(*form.coefficients.tolist(), form.mode, form.u_a, form.u_b, form.u_c),
+                         lambda: dataclasses.replace(form, beta=form.beta)):
+                calls.clear()
+                made = make()
+                assert len(calls) == 1 and not made._amplitudes.flags.writeable
+                read(made)
+                assert len(calls) == 1
 
     def test_skipped_validation_would_pass(self):
         rng = np.random.default_rng(17)

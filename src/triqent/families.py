@@ -20,8 +20,9 @@ checks its phase as a finite one-parameter row and builds through
 ``_ghz_rows`` directly.  Only the parameters are
 checked: the closed form of an in-domain row is a state by
 construction, so ``sweep`` measures it as built, and ``make_state``
-wraps a matrix unvalidated, as ``to_density`` does (amplitudes still
-pass ``PureState``).
+wraps its row unvalidated, through the records' one unchecked door
+(``_trusted``): a matrix as ``to_density`` wraps one, and amplitudes
+as every pure state the package derives.  ``ghz`` builds the same way.
 
 A grid is checked once, as one (N, arity) array of numbers
 (``_parameter_rows``), and against the family's domain with one
@@ -328,15 +329,15 @@ def _family_rows(points, family: str, record: _Family) -> np.ndarray:
 def make_state(family: str, *params) -> PureState | DensityMatrix:
     """Build the named state or family member for the given parameters."""
     record = _family(family)
-    stack = record.closed_form(_family_rows([params], family, record))
-    return PureState(stack[0]) if stack.ndim == 2 else DensityMatrix._derived(stack[0], QUBITS)
+    state = record.closed_form(_family_rows([params], family, record))[0]
+    return PureState._trusted({"amplitudes": state}) if state.ndim == 1 else DensityMatrix._derived(state, QUBITS)
 
 
 def ghz(phase: float = 0.0) -> PureState:
     """(|000> + e^{i phase} |111>) / sqrt(2); mixtures below pin phase = 0."""
     rows = _parameter_rows([(phase,)], "ghz", 1, numbers.Real)
     _raise_first(~np.isfinite(rows[:, 0]), NonFiniteError, lambda i: f"ghz needs a finite phase, got {rows[i, 0]}")
-    return PureState(_ghz_rows(rows[:, 0])[0])
+    return PureState._trusted({"amplitudes": _ghz_rows(rows[:, 0])[0]})
 
 
 def ghz_like(alpha: float) -> PureState:

@@ -38,7 +38,9 @@ on the two 2x2 slices T0, T1 of the amplitude tensor (T_i[j, k] is the
    even for a state PureState accepted at the edge of NORM_ATOL.  The
    unitaries map psi / |psi| to the form.  The form is derived data,
    so it skips the check that ``GsdForm`` runs when a caller builds
-   one, and keeps its 8 amplitudes as every form does.  This module
+   one: it is built through the records' one unchecked door,
+   ``_trusted``, which makes its unitaries and its 8 amplitudes
+   read-only, and keeps those amplitudes as every form does.  This module
    alone knows the form's layout, the basis index of each coefficient
    (``_CANONICAL_INDEX``), and its check.
 
@@ -72,7 +74,7 @@ from .errors import (
     ParamOutOfDomainError,
     StateTypeError,
 )
-from .states import PureState, _complex_entries, _normalized, _require_pure
+from .states import PureState, _complex_entries, _normalized, _Record, _require_pure
 
 #: polynomial coefficients below this are treated as identically zero
 _COEFF_TOL = 1e-13
@@ -118,11 +120,11 @@ def from_gsd_coefficients(alpha, beta, delta, epsilon, omega) -> PureState:
     ParamOutOfDomainError unless the 8 amplitudes they make have unit
     norm by PureState's rule, |norm - 1| <= NORM_ATOL.
     """
-    return PureState(_gsd_amplitudes(alpha, beta, delta, epsilon, omega))
+    return PureState._trusted({"amplitudes": _gsd_amplitudes(alpha, beta, delta, epsilon, omega)})
 
 
 @dataclass(frozen=True, eq=False)
-class GsdForm:
+class GsdForm(_Record):
     """Canonical coefficients plus the local unitaries that produce them.
 
     A form a caller builds, or rebuilds with ``dataclasses.replace``, is
@@ -131,10 +133,14 @@ class GsdForm:
     for it: StateTypeError when it is not a number, NonFiniteError when
     it is NaN or infinite, and ParamOutOfDomainError when the 8
     amplitudes are off unit norm by PureState's rule.  ``mode`` and the
-    unitaries are not checked.  A form that ``gsd`` returns is derived
-    from a validated state, as a reduction is, and skips the check
-    (``_derived``).  Either way the form holds the 8 amplitudes of its
-    coefficients, read-only, which its readers take as they are.
+    unitaries are not checked, and a caller's unitaries stay the
+    caller's arrays.  A form that ``gsd`` returns is derived from a
+    validated state, as a reduction is, and skips the check
+    (``_derived``); its unitaries are read-only.  Either way the form
+    holds the 8 amplitudes of its coefficients, read-only, which its
+    readers take as they are.  A form is an immutable value, as every
+    record of ``states._Record`` is: a copy is the form itself, and a
+    pickle comes back through ``_trusted`` with read-only arrays.
     """
 
     alpha: complex
@@ -152,17 +158,15 @@ class GsdForm:
 
     @classmethod
     def _derived(cls, coefficients: list, mode: str, unitaries) -> GsdForm:
-        """The form of coefficients derived from a validated state, skipping the check.
+        """The form of coefficients derived from a validated state, built by ``_trusted`` with no check.
 
         ``gsd`` calls it on the five coefficients it made from a validated
         state.  The amplitudes are one ``np.array`` call, bit for bit what
-        ``_gsd_amplitudes`` of the five returns, and read-only.
+        ``_gsd_amplitudes`` of the five returns; they and the unitaries
+        come out read-only.
         """
-        amps = np.array(_placed(coefficients), dtype=complex)
-        amps.setflags(write=False)
-        form = object.__new__(cls)
-        vars(form).update(zip(cls.__dataclass_fields__, (*coefficients, mode, *unitaries)), _amplitudes=amps)
-        return form
+        fields = zip(cls.__dataclass_fields__, (*coefficients, mode, *unitaries))
+        return cls._trusted(dict(fields, _amplitudes=np.array(_placed(coefficients), dtype=complex)))
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -170,8 +174,8 @@ class GsdForm:
         return self._amplitudes[list(_CANONICAL_INDEX)]
 
     def to_state(self) -> PureState:
-        """The canonical state, whose amplitudes are the form's 8 amplitudes."""
-        return PureState(self._amplitudes)
+        """The canonical state, whose amplitudes are the form's 8 amplitudes, checked when the form was made."""
+        return PureState._trusted({"amplitudes": self._amplitudes})
 
 
 @dataclass(frozen=True)

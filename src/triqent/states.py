@@ -183,9 +183,51 @@ def _layout(qubits) -> tuple[str, ...]:
     return layout
 
 
+class _Record:
+    """Base of the checked records ``PureState``, ``DensityMatrix`` and ``gsd.GsdForm``: immutable values.
+
+    Each record's constructor is the one door for outside input, and
+    checks it.  ``_trusted`` is the one door for fields derived from
+    checked input, and checks nothing.  A record is never changed, so
+    ``copy.copy`` and ``copy.deepcopy`` return the record itself, which
+    also leaves a caller's arrays in a form as the caller made them.  A
+    pickle comes back through ``_trusted``, so no copy holds a
+    writeable array that a later call would trust.
+    """
+
+    @classmethod
+    def _trusted(cls, fields: dict):
+        """A record of ``fields``, which must already be checked, built with no check.
+
+        ``fields`` names every attribute of the record, stored values such
+        as a form's amplitudes included, and becomes the record's own
+        attribute dict, so the caller passes a new one.  Each array among
+        them is made read-only in place, the only work done beyond that.
+        """
+        for value in fields.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        record = object.__new__(cls)
+        object.__setattr__(record, "__dict__", fields)
+        return record
+
+    def __copy__(self, memo=None):
+        return self
+
+    __deepcopy__ = __copy__
+
+    def __reduce__(self):
+        return type(self)._trusted, (vars(self),)
+
+
 @dataclass(frozen=True, eq=False)
-class PureState:
-    """Normalized vector of 8 complex amplitudes over |ijk>."""
+class PureState(_Record):
+    """Normalized vector of 8 complex amplitudes over |ijk>.
+
+    A state made from amplitudes the package derived from checked input
+    (a family's closed form, a Haar draw, a local unitary's image, a
+    canonical form) is built by ``_trusted`` and not checked again.
+    """
 
     amplitudes: np.ndarray
 
@@ -276,7 +318,7 @@ def _validated_matrices(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Record):
     """Hermitian, unit-trace, PSD matrix with its qubit layout.
 
     Validation is ``_validated_matrices`` on a stack of one: it keeps
@@ -300,13 +342,10 @@ class DensityMatrix:
     @classmethod
     def _derived(cls, matrix: np.ndarray, qubits: tuple[str, ...]) -> DensityMatrix:
         """Wrap a matrix derived from checked input, skipping validation: a reduction
-        of a validated state, or a family's closed form on in-domain parameters."""
-        matrix = _stored(matrix)
-        matrix.setflags(write=False)
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", matrix)
-        object.__setattr__(rho, "qubits", qubits)
-        return rho
+        of a validated state, or a family's closed form on in-domain parameters.
+
+        The matrix is held as ``_stored`` holds it, read-only, through ``_trusted``."""
+        return cls._trusted({"matrix": _stored(matrix), "qubits": qubits})
 
 
 def _require_pure(psi, what: str) -> PureState:
@@ -422,7 +461,7 @@ def apply_local_unitary(psi: PureState, u_a, u_b, u_c) -> PureState:
     u_b = _check_unitary(u_b, "u_b")
     u_c = _check_unitary(u_c, "u_c")
     out = np.einsum("ia,jb,kc,abc->ijk", u_a, u_b, u_c, psi.tensor).reshape(8)
-    return PureState(out / _norms(out))
+    return PureState._trusted({"amplitudes": out / _norms(out)})
 
 
 def _haar_draws(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -453,7 +492,7 @@ def sample_haar_pure(seed: int) -> PureState:
     non-negative integer.
     """
     _check_seed(seed)
-    return PureState(_haar_draws(np.random.default_rng(seed), 1)[0])
+    return PureState._trusted({"amplitudes": _haar_draws(np.random.default_rng(seed), 1)[0]})
 
 
 def sample_hs_mixed(seed: int, qubits: tuple[str, ...] = QUBITS) -> DensityMatrix:

@@ -23,6 +23,24 @@ from triqent.measures import (
 #: the sweepable families whose states are density matrices
 MIXED_FAMILIES = ("ghz_w_mix", "ghz_noise", "rho_epsilon", "sigma_b")
 
+#: each sweepable family's domain as (low, high, open); the grid holds both
+#: ends, or the nearest floats inside an open domain
+DOMAINS = {
+    "ghz_like": (0.0, 1.0, False),
+    "ghz_w_mix": (0.0, 1.0, False),
+    "ghz_noise": (0.0, 1.0, False),
+    "rho_epsilon": (-1.0, 1.0, False),
+    "sigma_b": (0.0, 1.0, True),
+}
+
+
+def domain_grid(family, n=2000, seed=0):
+    """The family's endpoints, its middle and ``n`` uniform points inside its domain."""
+    low, high, is_open = DOMAINS[family]
+    ends = [np.nextafter(low, high), np.nextafter(high, low)] if is_open else [low, high]
+    inside = np.random.default_rng(seed).uniform(low, high, n)
+    return tuple((float(p),) for p in (*ends, (low + high) / 2, *inside))
+
 #: how far the real route of a float stack may lie from the complex route of
 #: its complex copy: on the stacks of ``test_measures.TestRealRoute`` the
 #: largest distance is 1.2e-15 (an n_q of the ghz_w_mix grid and of the

@@ -40,7 +40,7 @@ from triqent.families import _CLAIM_BITS, _FAMILIES, _family_rows, _parameter_ro
 from triqent.measures import STACK_CHUNK, _mixed_measure_table
 from triqent.states import EIG_FLOOR, NORM_ATOL, _validated_amplitudes, _validated_matrices
 
-from helpers import MIXED_FAMILIES, REAL_ROUTE_ATOL, nonzero_coefficients, reference_oracle
+from helpers import MIXED_FAMILIES, REAL_ROUTE_ATOL, domain_grid, nonzero_coefficients, reference_oracle
 
 
 def bits(ms):
@@ -442,25 +442,6 @@ class TestDefaultGrid:
         assert all(np.shares_memory(c.params, spec.grid) for c in chunks)
 
 
-#: each family's domain as (low, high, open); the grid holds both ends, or
-#: the nearest floats inside an open domain
-DOMAINS = {
-    "ghz_like": (0.0, 1.0, False),
-    "ghz_w_mix": (0.0, 1.0, False),
-    "ghz_noise": (0.0, 1.0, False),
-    "rho_epsilon": (-1.0, 1.0, False),
-    "sigma_b": (0.0, 1.0, True),
-}
-
-
-def domain_grid(family, n=2000, seed=0):
-    """The family's endpoints, its middle and ``n`` uniform points inside its domain."""
-    low, high, is_open = DOMAINS[family]
-    ends = [np.nextafter(low, high), np.nextafter(high, low)] if is_open else [low, high]
-    inside = np.random.default_rng(seed).uniform(low, high, n)
-    return tuple((float(p),) for p in (*ends, (low + high) / 2, *inside))
-
-
 class TestClosedFormsAreStates:
     """A family's closed form on in-domain parameters is a state, so a sweep does not validate it again."""
 
@@ -489,17 +470,27 @@ class TestClosedFormsAreStates:
                     assert abs(getattr(row.measures, name) - value) <= 1e-13, (row.params, name)
 
     def test_validators_not_called(self, monkeypatch):
-        def fail(*args, **kwargs):
+        # a spy on both stacked validators sees no call: not from a sweep,
+        # nor from make_state or ghz, for a pure family or a mixed one
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
             raise AssertionError("stacked validator called on a family's closed form")
 
-        monkeypatch.setattr(triqent.states, "_validated_amplitudes", fail)
-        monkeypatch.setattr(triqent.states, "_validated_matrices", fail)
+        monkeypatch.setattr(triqent.states, "_validated_amplitudes", spy)
+        monkeypatch.setattr(triqent.states, "_validated_matrices", spy)
         for family in SWEEPABLE:
             assert len(sweep(default_grid(family, 11))) == 11
         for family in MIXED_FAMILIES:
             rho = make_state(family, 0.5)
             assert isinstance(rho, DensityMatrix) and not rho.matrix.flags.writeable
         assert isinstance(make_state("rho0"), DensityMatrix)
+        pure = [make_state(name) for name in ("ghz", "w", "w_prime")]
+        pure += [make_state("ghz_like", 0.3), make_state("w_canonical", 0.6, 0.8j, 0.0), ghz(0.7), ghz()]
+        for psi in pure:
+            assert isinstance(psi, PureState) and not psi.amplitudes.flags.writeable
+        assert calls == []
 
 
 #: one point inside the domain of each family

@@ -24,14 +24,17 @@ from triqent import (
     TriqentError,
     apply_local_unitary,
     classify_gsd_pattern,
+    classify_mixed,
     classify_pure,
     from_gsd_coefficients,
     ghz,
     ghz_like,
     gsd,
     measure_set,
+    partial_trace,
     rho_zero,
     sample_haar_pure,
+    sample_hs_mixed,
     svd_2x2,
     to_density,
     w_canonical,
@@ -711,18 +714,98 @@ def test_replaced_form_is_checked_on_every_read(kind, reader):
             assert_same_reading(read(dataclasses.replace(form)), read(form))
 
 
-@pytest.mark.parametrize("copy_form", [copy.copy, copy.deepcopy, lambda form: pickle.loads(pickle.dumps(form))],
-                         ids=["copy", "deepcopy", "pickle"])
-def test_form_survives_copy_and_pickle(copy_form):
-    # the amplitudes are not a field, so a copy driven by the fields could
-    # drop them: a copy of a form gsd made, or of one a caller built, reads
-    # what the form reads
-    forms = [gsd(psi, mode=mode) for psi in (w_prime(), sample_haar_pure(5)) for mode in ("raw", "normal")]
-    forms.append(GsdForm(0.6, 0.0, 0.0, 0.0, 0.8, "raw", np.eye(2), np.eye(2), np.eye(2)))
-    for form in forms:
-        copied = copy_form(form)
-        for read in FORM_READERS.values():
-            assert_same_reading(read(copied), read(form))
+def bits(x):
+    """A result as exact bits: arrays by dtype, shape and bytes, floats by hex, records field by field."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, (complex, np.complexfloating)):
+        return complex(x).real.hex(), complex(x).imag.hex()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(map(bits, x))
+    return x
+
+
+def record_results(record):
+    """Every later result read off a record, as exact bits."""
+    if isinstance(record, GsdForm):
+        return bits([record, record.coefficients, record.to_state(), classify_gsd_pattern(record)])
+    if isinstance(record, PureState):
+        forms = [gsd(record, mode=mode) for mode in ("raw", "normal")]
+        return bits([record, classify_pure(record), measure_set(record), forms, [f.to_state() for f in forms]])
+    if len(record.qubits) == 3:
+        return bits([record, measure_set(record), classify_mixed(record)])
+    return bits([record, *(partial_trace(record, q) for q in record.qubits[1:])])
+
+
+def caller_unitaries():
+    """Three new writeable unitaries, as a caller passes them to ``GsdForm``."""
+    return [np.eye(2), np.array([[0, 1j], [1j, 0]]), np.array([[1, 1], [1, -1]]) / np.sqrt(2)]
+
+
+def copied_records():
+    """Each record type, built by its constructor and by the derived door.
+
+    Density matrices come as float64 and complex, on 3-, 2- and 1-qubit
+    layouts; caller-built forms have read-only unitaries, so that every
+    array of every record here is read-only.
+    """
+    haar, hs = sample_haar_pure(5), sample_hs_mixed(5)
+    units = caller_unitaries()
+    for u in units:
+        u.setflags(write=False)
+    coefficients = (0.6, 0.0, 0.48j, 0.0, 0.64)
+    derived_pure = [haar, w_prime(), ghz(0.3), from_gsd_coefficients(*coefficients), gsd(haar).to_state(),
+                    apply_local_unitary(haar, *units)]
+    derived_mixed = [rho_zero(), to_density(haar), partial_trace(rho_zero(), "A"), partial_trace(hs, "B"),
+                     partial_trace(partial_trace(rho_zero(), "C"), "A"), partial_trace(partial_trace(hs, "A"), "B")]
+    built_mixed = [hs, sample_hs_mixed(6, ("A", "C")), sample_hs_mixed(7, ("B",)), DensityMatrix(np.eye(8) / 8),
+                   DensityMatrix(np.eye(4) / 4, ("A", "B")), DensityMatrix(np.eye(2) / 2, ("C",))]
+    forms = [gsd(psi, mode=mode) for psi in (w_prime(), haar) for mode in ("raw", "normal")]
+    return [PureState(haar.amplitudes), *derived_pure, *built_mixed, *derived_mixed, *forms,
+            GsdForm(*coefficients, "raw", *units)]
+
+
+#: the copies of a record: copy.copy, copy.deepcopy, and a pickle round trip at each protocol from 2 to 5
+COPIES = {
+    "copy": lambda record: [copy.copy(record)],
+    "deepcopy": lambda record: [copy.deepcopy(record)],
+    "pickle": lambda record: [pickle.loads(pickle.dumps(record, protocol=p)) for p in range(2, 6)],
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_form_survives_copy_and_pickle(how):
+    # a record is an immutable value: a copy is the record itself, and a
+    # pickle comes back through the unchecked door with every array
+    # read-only, so no copy can be edited into a state that later calls
+    # trust, and every later result is the original's, bit for bit
+    records = copied_records()
+    assert {type(r) for r in records} == {PureState, DensityMatrix, GsdForm}
+    for record in records:
+        expected = record_results(record)
+        for copied in COPIES[how](record):
+            assert type(copied) is type(record)
+            assert copied is record or how == "pickle"
+            arrays = [v for v in vars(copied).values() if isinstance(v, np.ndarray)]
+            assert arrays and not any(a.flags.writeable for a in arrays), type(record)
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 5
+            assert record_results(copied) == expected
+    # the edit a writeable copy allowed: a unit vector made one of norm 5.1
+    for copied in COPIES[how](w_prime()):
+        with pytest.raises(ValueError):
+            copied.amplitudes[0] = 5
+    # copying a form a caller built leaves the caller's arrays writeable
+    units = caller_unitaries()
+    form = GsdForm(0.6, 0.0, 0.0, 0.0, 0.8, "raw", *units)
+    for copied in COPIES[how](form):
+        assert all(u.flags.writeable for u in units)
+        assert bits([copied.u_a, copied.u_b, copied.u_c]) == bits(units)
 
 
 def test_non_finite_direction_refused_by_gsd(monkeypatch):

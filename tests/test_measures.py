@@ -44,7 +44,7 @@ from triqent import (
     w_prime,
     w_state,
 )
-from triqent.classify import AMBIGUITY_BAND, _certify_table
+from triqent.classify import AMBIGUITY_BAND, DEFAULT_ZERO_TOL, _certify_table
 from triqent.cli import main, save_state_file
 from triqent.families import _FAMILIES
 from triqent.measures import (
@@ -976,3 +976,102 @@ def test_wrong_state_type_rejected_before_numeric_work(call, bad, error, monkeyp
 def test_state_type_error_is_a_type_error():
     assert issubclass(StateTypeError, TriqentError)
     assert issubclass(StateTypeError, TypeError)
+
+
+#: a witness column may exceed its value before a local channel by at most this
+LOCAL_CHANNEL_ATOL = 1e-14
+#: the witness columns of the mixed table: n_q, n_abc, n_red_* and c_red_*
+WITNESS_COLUMNS = slice(0, 10)
+#: the Pauli matrices after the identity, the Kraus factors of white noise on one qubit
+PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+#: one qubit's Kraus operators acting on the stack's matrices, with the qubit's row and column index names
+QUBIT_EINSUM = {
+    "A": "nkax,nxbcyef,nkdy->nabcdef",
+    "B": "nkbx,naxcdyf,nkey->nabcdef",
+    "C": "nkcx,nabxdey,nkfy->nabcdef",
+}
+
+
+def haar_unitaries(rng, n):
+    """n Haar-random 2x2 unitaries, by QR with the diagonal phase fixed, as ``random_unitary`` draws one."""
+    q, r = np.linalg.qr(rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, np.newaxis, :]
+
+
+def random_channels(rng, n, offset):
+    """Kraus operators of n random one-qubit channels, shape (n, 4, 2, 2), unused operators zero.
+
+    With i = row + offset, a row is, by i % 3: an amplitude damping of
+    gamma 0.1, 1e-3 or 1e-8 (by i // 3 % 3) between two Haar unitaries;
+    a random two-Kraus channel, the two halves of a Haar 4x2 isometry;
+    or white noise of weight 0.1 on the qubit.
+    """
+    i = np.arange(n) + offset
+    kraus = np.zeros((n, 4, 2, 2), dtype=complex)
+    gamma = np.array([0.1, 1e-3, 1e-8])[i // 3 % 3]
+    damping = np.zeros((n, 2, 2, 2))
+    damping[:, 0, 0, 0], damping[:, 0, 1, 1], damping[:, 1, 0, 1] = 1.0, np.sqrt(1.0 - gamma), np.sqrt(gamma)
+    kraus[:, :2] = haar_unitaries(rng, n)[:, np.newaxis] @ damping @ haar_unitaries(rng, n)[:, np.newaxis]
+    isometry, _ = np.linalg.qr(rng.standard_normal((n, 4, 2)) + 1j * rng.standard_normal((n, 4, 2)))
+    two = i % 3 == 1
+    kraus[two, :2] = isometry[two].reshape(-1, 2, 2, 2)
+    white = i % 3 == 2
+    kraus[white] = 0.0
+    kraus[white, 0] = np.sqrt(1.0 - 0.075) * np.eye(2)
+    kraus[white, 1:] = np.sqrt(0.025) * np.array(PAULIS)
+    assert np.abs(np.einsum("nkji,nkjl->nil", kraus.conj(), kraus) - np.eye(2)).max() <= 1e-14
+    return kraus
+
+
+class TestLocalChannels:
+    """No witness grows when each qubit goes through its own channel, an LOCC map.
+
+    Negativity (Vidal & Werner, PRA 65, 032314, 2002) and concurrence
+    (Wootters, PRL 80, 2245, 1998) do not grow under local operations,
+    and n_abc is a geometric mean of such monotones.  The stacks are the
+    HS draws of seeds 0-149, the 101-point grids of the four mixed
+    families, and the projectors of all 7403 rows of ``pure_corpora``.
+    Each matrix gets a channel per qubit from ``random_channels``, drawn
+    from ``np.random.default_rng(311)`` in stack order, qubit A, then B,
+    then C, with the three kinds rotated so that every qubit sees each;
+    a second pass mixes each matrix with white noise I / 8 of weight
+    0.1.  The channel's image is validated as a user's matrix is.
+    """
+
+    KINDS = (*MIXED_FAMILIES, "hs", "projector")
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        stacks = {family: _FAMILIES[family].closed_form(default_grid(family).grid) for family in MIXED_FAMILIES}
+        stacks["hs"] = np.array([sample_hs_mixed(seed).matrix for seed in range(150)])
+        stacks["projector"] = np.array([to_density(PureState(a)).matrix.astype(complex)
+                                        for rows in pure_corpora().values() for a in rows])
+        rng = np.random.default_rng(311)
+        out = {}
+        for kind, m in stacks.items():
+            n = len(m)
+            image = m.astype(complex).reshape(n, *(2,) * 6)
+            for shift, qubit in enumerate(QUBITS):
+                kraus = random_channels(rng, n, shift)
+                image = np.einsum(QUBIT_EINSUM[qubit], kraus, image, kraus.conj(), optimize=True)
+            image = image.reshape(n, 8, 8)
+            out[kind] = (_mixed_measure_table(m), [_mixed_measure_table(_validated_matrices(image)),
+                         _mixed_measure_table(_validated_matrices(0.9 * m + 0.1 * np.eye(8) / 8))])
+        return out
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_witness_grows(self, tables, kind):
+        table, images = tables[kind]
+        for image in images:
+            assert (image[:, WITNESS_COLUMNS] <= table[:, WITNESS_COLUMNS] + LOCAL_CHANNEL_ATOL).all()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_new_certificate_outside_the_band(self, tables, kind):
+        table, images = tables[kind]
+        for tol in (1e-13, DEFAULT_ZERO_TOL, 1e-3, 0.1):
+            held, _, ambiguous = _certify_table(table, tol)
+            for image in images:
+                image_held, _, image_ambiguous = _certify_table(image, tol)
+                outside = ~(ambiguous | image_ambiguous)
+                assert not (image_held & ~held)[outside].any(), tol

@@ -50,7 +50,9 @@ from triqent.states import EIG_FLOOR, _haar_draws, _validated_amplitudes, _valid
 from helpers import (
     default_rng_haar_amplitudes,
     default_rng_haar_stack,
+    domain_grid,
     nested,
+    pure_corpora,
     random_biseparable,
     random_product_state,
     random_unitary,
@@ -697,6 +699,76 @@ class TestValidateOnce:
                 assert len(calls) == 1 and not made._amplitudes.flags.writeable
                 read(made)
                 assert len(calls) == 1
+
+    def test_derived_pure_states_skip_validation(self, monkeypatch):
+        # the six producers of derived amplitudes build through the unchecked
+        # door, so a spy on PureState's check sees no call from them;
+        # from_gsd_coefficients runs the check of canonical coefficients,
+        # and runs it exactly once
+        gsd_module = sys.modules["triqent.gsd"]
+        check_amplitudes, check_coefficients = _validated_amplitudes, gsd_module._gsd_amplitudes
+        amplitude_calls, coefficient_calls = [], []
+
+        def amplitude_spy(amps):
+            amplitude_calls.append(amps)
+            return check_amplitudes(amps)
+
+        def coefficient_spy(*coefficients):
+            coefficient_calls.append(coefficients)
+            return check_coefficients(*coefficients)
+
+        built = GsdForm(0.6, 0.0, 0.48j, 0.0, 0.64, "raw", np.eye(2), np.eye(2), np.eye(2))
+        monkeypatch.setattr(triqent.states, "_validated_amplitudes", amplitude_spy)
+        monkeypatch.setattr(gsd_module, "_gsd_amplitudes", coefficient_spy)
+        u = random_unitary(np.random.default_rng(5))
+        produced = {
+            "sample_haar_pure": lambda: sample_haar_pure(3),
+            "make_state": lambda: make_state("ghz_like", 0.3),
+            "make_state-w_canonical": lambda: make_state("w_canonical", 0.6, 0.8j, 0.0),
+            "ghz": lambda: ghz(0.7),
+            "apply_local_unitary": lambda: apply_local_unitary(ghz(), u, u.T, u.conj()),
+            "to_state": lambda: gsd(sample_haar_pure(4), mode="normal").to_state(),
+            "to_state-built": built.to_state,
+            "from_gsd_coefficients": lambda: from_gsd_coefficients(0.6, 0.0, 0.48j, 0.0, 0.64),
+        }
+        for name, make in produced.items():
+            coefficient_calls.clear()
+            psi = make()
+            assert isinstance(psi, PureState) and not psi.amplitudes.flags.writeable, name
+            assert len(coefficient_calls) == (name == "from_gsd_coefficients"), name
+        assert amplitude_calls == []
+        # the spy does see PureState's own check
+        PureState(ghz().amplitudes)
+        assert len(amplitude_calls) == 1
+
+    def test_skipped_pure_check_would_pass(self):
+        # PureState's check of each producer's amplitudes passes and gives
+        # them back bit for bit, on: gsd in both modes of all 7403 rows of
+        # pure_corpora(), for to_state and from_gsd_coefficients; ghz_like's
+        # domain_grid (2003 points, seed 0) and the named pure states, for
+        # make_state; 201 phases in [-7, 7], for ghz; seeds 0-199, for
+        # sample_haar_pure; and 200 Haar unitary triples (seed 41), triple i
+        # on every corpus row j with j % 200 == i, for apply_local_unitary
+        rows = np.concatenate(list(pure_corpora().values()))
+        assert len(rows) == 7403
+        states = [PureState(a) for a in rows]
+        produced = []
+        for mode in ("raw", "normal"):
+            forms = [gsd(psi, mode=mode) for psi in states]
+            produced += [form.to_state() for form in forms]
+            produced += [from_gsd_coefficients(*form.coefficients.tolist()) for form in forms]
+        produced += [make_state("ghz_like", *p) for p in domain_grid("ghz_like")]
+        produced += [make_state(name) for name in ("ghz", "w", "w_prime")]
+        produced += [ghz(phase) for phase in np.linspace(-7.0, 7.0, 201)]
+        produced += [sample_haar_pure(seed) for seed in range(200)]
+        rng = np.random.default_rng(41)
+        triples = [[random_unitary(rng) for _ in range(3)] for _ in range(200)]
+        produced += [apply_local_unitary(psi, *triples[j % 200]) for j, psi in enumerate(states)]
+        assert len(produced) == 4 * 7403 + 2003 + 3 + 201 + 200 + 7403
+        for psi in produced:
+            checked = PureState(psi.amplitudes).amplitudes
+            assert checked.dtype == psi.amplitudes.dtype == np.complex128
+            assert checked.tobytes() == psi.amplitudes.tobytes()
 
     def test_skipped_validation_would_pass(self):
         rng = np.random.default_rng(17)
